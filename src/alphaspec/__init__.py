@@ -38,7 +38,6 @@ from .matching import (
     tutte_berge_witness,
 )
 from .spectral import (
-    ConvergenceError,
     JoinFamily,
     SpectralResult,
     alpha_matrix,

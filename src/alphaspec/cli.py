@@ -32,6 +32,7 @@ from .verify import (
     REPORT_CSV_HEADER,
     FamilySearchResult,
     family_search,
+    resolve_jobs,
     verify_order,
 )
 
@@ -119,7 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph6", metavar="FILE",
                    help="graph6 file with one class per line (required for n > 8)")
     p.add_argument("--jobs", type=int, default=None,
-                   help="worker count (default ALPHASPEC_JOBS or 1)")
+                   help="worker count, at most the CPU count (default ALPHASPEC_JOBS or 1)")
     add_format(p)
 
     p = sub.add_parser("family", help="best join family for (n, beta) at alpha")
@@ -173,12 +174,10 @@ def cmd_rho(args) -> int:
         "alpha": str(args.alpha),
         "rho": result.rho,
         "residual": result.residual,
-        "iterations": result.iterations,
     }
     _emit(record, args.format, [
         f"rho = {sig12(result.rho)}",
         f"residual = {result.residual:.3e}",
-        f"iterations = {result.iterations}",
     ])
     return EXIT_OK
 
@@ -289,6 +288,7 @@ def cmd_report(args) -> int:
     for a in alphas:
         if a < 0:
             raise SystemExit2("alpha must be nonnegative")
+    jobs = resolve_jobs(args.jobs)
     out = open(args.output, "w", encoding="utf-8") if args.output else sys.stdout
     all_pass = True
     count = 0
@@ -297,7 +297,7 @@ def cmd_report(args) -> int:
             print(REPORT_CSV_HEADER, file=out)
         for n in range(args.n_min, args.n_max + 1):
             for a in alphas:
-                for r in verify_order(n, a, tol=args.tol, jobs=args.jobs):
+                for r in verify_order(n, a, tol=args.tol, jobs=jobs):
                     count += 1
                     all_pass = all_pass and r.passed
                     if args.format == "json-lines":

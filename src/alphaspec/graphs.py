@@ -268,10 +268,9 @@ def to_graph6(g: Graph) -> str:
 
 def parse_graph6(text: str | bytes) -> Graph:
     """Decode one graph6 line; rejects malformed input with a byte offset."""
-    if isinstance(text, str):
-        data = text.encode("ascii", errors="replace")
-    else:
-        data = bytes(text)
+    # A non-ASCII character encodes to bytes >= 128, which the range check
+    # below rejects at the character's offset.
+    data = text.encode("utf-8", errors="surrogatepass") if isinstance(text, str) else bytes(text)
     data = data.strip()
     if data.startswith(b">>graph6<<"):
         data = data[len(b">>graph6<<"):]
@@ -279,7 +278,7 @@ def parse_graph6(text: str | bytes) -> Graph:
         raise Graph6Error("empty graph6 input", 0)
     for i, b in enumerate(data):
         if not 63 <= b <= 126:
-            raise Graph6Error(f"non-printable graph6 byte {b}", i)
+            raise Graph6Error(f"byte {b} outside the graph6 range 63..126", i)
     pos = 0
     if data[0] != 126:
         n = data[0] - 63
@@ -298,37 +297,29 @@ def parse_graph6(text: str | bytes) -> Graph:
         for b in data[2:8]:
             n = (n << 6) | (b - 63)
         pos = 8
-    nbits = n * (n - 1) // 2
-    nbytes = (nbits + 5) // 6
+    nbytes = (n * (n - 1) // 2 + 5) // 6
     if len(data) - pos != nbytes:
         raise Graph6Error(
             f"payload length {len(data) - pos} != expected {nbytes} for n={n}",
             pos,
         )
     rows = [0] * n
-    bit_index = 0
-    for k in range(nbytes):
-        b = data[pos + k] - 63
+    col, row = 1, 0  # the upper triangle is read column by column
+    for k in range(pos, len(data)):
+        b = data[k] - 63
         for j in range(5, -1, -1):
-            if bit_index >= nbits:
+            if col >= n:
                 if (b >> j) & 1:
-                    raise Graph6Error("nonzero padding bit", pos + k)
+                    raise Graph6Error("nonzero padding bit", k)
                 continue
             if (b >> j) & 1:
-                col, row = _triangle_position(bit_index)
                 rows[col] |= 1 << row
                 rows[row] |= 1 << col
-            bit_index += 1
+            row += 1
+            if row == col:
+                col += 1
+                row = 0
     return Graph(n, tuple(rows))
-
-
-def _triangle_position(bit_index: int) -> tuple[int, int]:
-    """Map a column-major upper-triangle bit index to (column, row)."""
-    col = 1
-    while col * (col - 1) // 2 + col <= bit_index:
-        col += 1
-    row = bit_index - col * (col - 1) // 2
-    return col, row
 
 
 def read_graph6_file(path) -> Iterator[Graph]:

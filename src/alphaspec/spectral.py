@@ -7,8 +7,9 @@ alpha = 0 this is the adjacency spectral radius, at alpha = 1 the
 signless Laplacian spectral radius.
 
 Beyond the dense computation this module carries the structured join
-family K_s v (K_{n_1} u ... u K_{n_q}), whose vertex orbits collapse the
-eigenproblem to a (q+1) x (q+1) quotient matrix, the closed-form radius
+family K_s v (K_{n_1} u ... u K_{n_q}), whose equal-size parts collapse
+the eigenproblem to a symmetric quotient matrix with one cell per
+distinct part size plus the core, the closed-form radius
 of the complete split graph K_b v bar(K_{n-b}), and the cubic whose
 largest root is the radius of the one-big-clique family.
 """
@@ -16,140 +17,91 @@ largest root is the radius of the one-big-clique family.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 from math import sqrt
 
 import numpy as np
 
-from .graphs import Graph, complete_graph, component_masks, empty_graph, join, union_all
+from .graphs import Graph, _bits, complete_graph, component_masks, empty_graph, join, union_all
 
 DEFAULT_TOL = 1e-10
 ROOT_TOL = 1e-12
-DEFAULT_MAX_ITER = 500_000
 ORACLE_ORDER_CAP = 64
-
-
-class ConvergenceError(RuntimeError):
-    """Power iteration missed the residual target within the iteration cap
-    (usually the tolerance is too tight for a near-degenerate spectrum)."""
 
 
 @dataclass(frozen=True)
 class SpectralResult:
-    """Radius plus convergence evidence.
+    """Radius plus the evidence for it.
 
     ``perron_vector`` covers the vertices of the achieving component (in
     ``component`` order), normalized to sup-norm 1, all entries positive.
     It is omitted only for an edgeless achieving component at alpha = 0,
-    where the block is identically zero.
+    where the block is identically zero.  ``residual`` is
+    ``max|A_alpha x - rho x|`` for that vector.
     """
 
     rho: float
     perron_vector: tuple[float, ...] | None
     component: tuple[int, ...]
-    iterations: int
     residual: float
 
 
 def alpha_matrix(g: Graph, alpha: float) -> np.ndarray:
     """Dense alpha * D + A for the whole graph."""
     alpha = _check_alpha(alpha)
-    mat = np.zeros((g.n, g.n))
-    for v in range(g.n):
-        mat[v, v] = alpha * g.degree(v)
-        for u in g.neighbors(v):
-            mat[v, u] = 1.0
+    width = (g.n + 7) // 8
+    packed = np.frombuffer(b"".join(r.to_bytes(width, "little") for r in g.rows), dtype=np.uint8)
+    mat = np.unpackbits(packed.reshape(g.n, width), axis=1, count=g.n, bitorder="little").astype(float)
+    mat[np.diag_indices(g.n)] = alpha * mat.sum(axis=1)
     return mat
 
 
-def spectral_radius(
-    g: Graph,
-    alpha: float,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> SpectralResult:
-    """Largest eigenvalue of alpha * D + A by shifted power iteration.
+def spectral_radius(g: Graph, alpha: float, tol: float = DEFAULT_TOL) -> SpectralResult:
+    """Largest eigenvalue of alpha * D + A with its Perron vector.
 
-    Each connected component is solved independently and the maximum is
-    reported.  The iteration runs on the block plus c*I with
-    c = 1 + alpha * max_degree(G): that makes the matrix entrywise
-    nonnegative with positive diagonal, hence primitive on a component,
-    so convergence needs no further machinery.  The returned residual is
-    ``max|A_alpha x - rho x|`` with ``max|x| = 1``.
+    Each connected component block is solved by the dense symmetric
+    eigensolver and the maximum is reported.  On a component the top
+    eigenvalue is simple with a positive eigenvector (Perron-Frobenius),
+    so the returned vector is the top eigenvector scaled to sup-norm 1.
+    The residual ``max|A_alpha x - rho x|`` of that pair is measured, not
+    assumed: a residual above ``tol`` raises ValueError.
     """
     alpha = _check_alpha(alpha)
     if tol <= 0:
         raise ValueError("tolerance must be positive")
     if g.n == 0:
-        return SpectralResult(0.0, None, (), 0, 0.0)
-    shift = 1.0 + alpha * g.max_degree()
+        return SpectralResult(0.0, None, (), 0.0)
+    mat = alpha_matrix(g, alpha)
     best: SpectralResult | None = None
     for mask in component_masks(g):
-        verts = _mask_vertices(mask)
+        verts = tuple(_bits(mask))
         if len(verts) == 1:
-            vec = (1.0,) if alpha > 0 else None
-            cand = SpectralResult(0.0, vec, tuple(verts), 0, 0.0)
+            cand = SpectralResult(0.0, (1.0,) if alpha > 0 else None, verts, 0.0)
         else:
-            block = _component_block(g, verts, alpha)
-            lam, x, its, res = _power_iteration(block + shift * np.eye(len(verts)), tol, max_iter)
-            x = x / np.max(np.abs(x))
-            cand = SpectralResult(lam - shift, tuple(float(t) for t in x), tuple(verts), its, res)
+            block = mat[np.ix_(verts, verts)]
+            values, vectors = np.linalg.eigh(block)
+            lam = float(values[-1])
+            x = vectors[:, -1]
+            x = x / x[np.argmax(np.abs(x))]
+            res = float(np.max(np.abs(block @ x - lam * x)))
+            if res > tol:
+                raise ValueError(f"eigenpair residual {res:.3e} exceeds tolerance {tol:g}")
+            cand = SpectralResult(lam, tuple(x.tolist()), verts, res)
         if best is None or cand.rho > best.rho:
             best = cand
     return best
 
 
 def spectral_radius_oracle(g: Graph, alpha: float) -> float:
-    """Radius via the dense symmetric eigensolver; independent of the
-    power-iteration path, used to cross-validate it."""
+    """Radius of the whole matrix by ``eigvalsh``, without the component
+    split, the Perron vector or the residual check; used to
+    cross-validate ``spectral_radius``."""
     alpha = _check_alpha(alpha)
     if g.n > ORACLE_ORDER_CAP:
         raise ValueError(f"oracle supports at most {ORACLE_ORDER_CAP} vertices, got {g.n}")
     if g.n == 0:
         return 0.0
     return float(np.linalg.eigvalsh(alpha_matrix(g, alpha))[-1])
-
-
-def _mask_vertices(mask: int) -> list[int]:
-    out = []
-    while mask:
-        out.append((mask & -mask).bit_length() - 1)
-        mask &= mask - 1
-    return out
-
-
-def _component_block(g: Graph, verts: list[int], alpha: float) -> np.ndarray:
-    index = {v: i for i, v in enumerate(verts)}
-    k = len(verts)
-    block = np.zeros((k, k))
-    for v in verts:
-        block[index[v], index[v]] = alpha * g.degree(v)
-        for u in g.neighbors(v):
-            block[index[v], index[u]] = 1.0
-    return block
-
-
-def _power_iteration(mat: np.ndarray, tol: float, max_iter: int):
-    """Dominant eigenpair of a primitive symmetric matrix.
-
-    Starts from the positive cone (all-ones), so it converges to the
-    Perron pair; stops on the sup-norm residual, which is invariant
-    under the diagonal shift applied by the caller.
-    """
-    k = mat.shape[0]
-    x = np.full(k, 1.0 / sqrt(k))
-    for iteration in range(1, max_iter + 1):
-        y = mat @ x
-        lam = float(x @ y)
-        res = float(np.max(np.abs(y - lam * x)) / np.max(np.abs(x)))
-        if res <= tol:
-            return lam, x, iteration, res
-        norm = float(np.linalg.norm(y))
-        if norm == 0.0:
-            return 0.0, x, iteration, 0.0
-        x = y / norm
-    raise ConvergenceError(
-        f"power iteration missed residual {tol:g} after {max_iter} iterations"
-    )
 
 
 # -- join families -----------------------------------------------------
@@ -232,37 +184,35 @@ def one_clique_family(n: int, beta: int, s: int) -> JoinFamily:
 
 
 def quotient_matrix(family: JoinFamily, alpha: float) -> np.ndarray:
-    """Orbit-collapse matrix of the join family, parts first, core last.
+    """Symmetrised equitable quotient of the join family: one cell per
+    distinct part size (ascending), core last.
 
-    Row i says a part-i vertex has (n_i - 1) neighbors in its own clique
-    plus s in the core, with alpha * degree on the diagonal; the core row
-    sees n_j vertices of each part.  Nonsymmetric by construction (rows
-    transcribe the orbit system literally), but its eigenvalues are a
-    subset of the full matrix spectrum and the largest equals the
-    full-graph radius.
+    The m_p parts of size p form one cell of an equitable partition: a
+    cell-p vertex has (p - 1) neighbours in its cell and s in the core,
+    a core vertex s - 1 in the core and m_p * p in cell p.  Scaling that
+    quotient B by the cell sizes c gives the symmetric
+    S = diag(sqrt c) B diag(sqrt c)^-1 with diagonal (alpha+1)(p-1) +
+    alpha*s for cell p and alpha*(n-1) + s - 1 for the core, and
+    sqrt(s * m_p * p) between cell p and the core.  Its eigenvalues are
+    eigenvalues of the full matrix, and the largest is the radius.
     """
     alpha = _check_alpha(alpha)
     if family.s == 0:
         raise ValueError("quotient collapse is defined for a nonempty core (s >= 1)")
     s = family.s
-    n = family.order
-    q = family.q
-    mat = np.zeros((q + 1, q + 1))
-    for i, part in enumerate(family.parts):
-        mat[i, i] = (alpha + 1) * (part - 1) + alpha * s
-        mat[i, q] = s
-        mat[q, i] = part
-    mat[q, q] = alpha * (n - 1) + s - 1
+    cells = [(p, len(list(group))) for p, group in groupby(family.parts)]
+    k = len(cells)
+    mat = np.zeros((k + 1, k + 1))
+    for i, (p, m) in enumerate(cells):
+        mat[i, i] = (alpha + 1) * (p - 1) + alpha * s
+        mat[i, k] = mat[k, i] = sqrt(s * m * p)
+    mat[k, k] = alpha * (family.order - 1) + s - 1
     return mat
 
 
 def quotient_radius(family: JoinFamily, alpha: float) -> float:
-    """Largest eigenvalue of the quotient matrix (real by construction)."""
-    eigs = np.linalg.eigvals(quotient_matrix(family, alpha))
-    k = int(np.argmax(eigs.real))
-    if abs(eigs[k].imag) > 1e-9:
-        raise ArithmeticError("quotient matrix produced a non-real leading eigenvalue")
-    return float(eigs[k].real)
+    """Largest eigenvalue of the symmetric quotient matrix."""
+    return float(np.linalg.eigvalsh(quotient_matrix(family, alpha))[-1])
 
 
 def family_radius(family: JoinFamily, alpha: float) -> float:

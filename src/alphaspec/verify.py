@@ -45,14 +45,24 @@ FAMILY_MATCH_TOL = 1e-8
 CASE2_ALPHA_CUTOFF = (sqrt(5.0) - 1.0) / 2.0
 
 
-def default_jobs() -> int:
-    env = os.environ.get("ALPHASPEC_JOBS")
-    if env:
+def resolve_jobs(jobs: int | None = None) -> int:
+    """Worker count for the scans: ``jobs`` if given, else ALPHASPEC_JOBS,
+    else 1.  Anything but an integer in [1, os.cpu_count()] raises
+    ValueError naming where the value came from."""
+    source = "jobs"
+    if jobs is None:
+        env = os.environ.get("ALPHASPEC_JOBS")
+        if not env:
+            return 1
+        source = "ALPHASPEC_JOBS"
         try:
-            return max(1, int(env))
+            jobs = int(env)
         except ValueError:
-            pass
-    return 1
+            raise ValueError(f"ALPHASPEC_JOBS must be an integer, got {env!r}") from None
+    limit = os.cpu_count() or 1
+    if not 1 <= jobs <= limit:
+        raise ValueError(f"{source} must be between 1 and {limit} (the CPU count), got {jobs}")
+    return jobs
 
 
 # -- reports -----------------------------------------------------------
@@ -178,9 +188,6 @@ class _ScanEntry:
     rho: float
 
 
-_SCAN_CACHE: dict[tuple[int, Fraction], list[_ScanEntry]] = {}
-
-
 def _scan_chunk(rows_list: Sequence[tuple[int, ...]], n: int, alpha: float) -> list[tuple[int, float]]:
     out = []
     for rows in rows_list:
@@ -195,17 +202,15 @@ def _scan_order(
     jobs: int | None = None,
     source: str | None = None,
 ) -> list[_ScanEntry]:
-    """Per-class (matching number, radius) for every class of order n."""
-    cache_key = (n, alpha)
-    if source is None and cache_key in _SCAN_CACHE:
-        return _SCAN_CACHE[cache_key]
-    jobs = default_jobs() if jobs is None else max(1, jobs)
-    if source is not None:
-        graphs = list(enumerate_graphs(n, source=read_graph6_file(source)))
-    else:
+    """Per-class (matching number, radius) for every class of order n,
+    from the built-in census or from the graph6 file ``source``."""
+    jobs = resolve_jobs(jobs)
+    if source is None:
         graphs = list(enumerate_graphs(n, jobs=jobs))
-    if n <= BUILTIN_ORDER_CAP:
-        graphs = [canonical_graph(g) if source is not None else g for g in graphs]
+    else:
+        graphs = list(enumerate_graphs(n, source=read_graph6_file(source)))
+        if n <= BUILTIN_ORDER_CAP:
+            graphs = [canonical_graph(g) for g in graphs]
     rows_list = [g.rows for g in graphs]
     af = float(alpha)
     if jobs > 1 and len(rows_list) >= 4 * jobs:
@@ -220,13 +225,10 @@ def _scan_order(
                 values[start + offset * jobs] = val
     else:
         values = _scan_chunk(rows_list, n, af)
-    entries = [
+    return [
         _ScanEntry(g.rows, to_graph6(g), beta, rho)
         for g, (beta, rho) in zip(graphs, values)
     ]
-    if source is None:
-        _SCAN_CACHE[cache_key] = entries
-    return entries
 
 
 def exhaustive_max(
@@ -245,9 +247,14 @@ def exhaustive_max(
     merged).
     """
     start = time.perf_counter()
-    a = as_fraction(alpha)
-    verdict = classify_regime(n, beta, a)
-    entries = _scan_order(n, a, jobs=jobs, source=source)
+    verdict = classify_regime(n, beta, as_fraction(alpha))
+    entries = _scan_order(n, verdict.alpha, jobs=jobs, source=source)
+    return _report(entries, verdict, tol, start)
+
+
+def _report(entries: list[_ScanEntry], verdict: RegimeVerdict, tol: float, start: float) -> VerificationReport:
+    """The record for ``verdict``'s (n, beta, alpha) from one scan of order n."""
+    n, beta = verdict.n, verdict.beta
     hits = [e for e in entries if e.beta == beta]
     if not hits:
         raise ValueError(f"no graphs of order {n} with matching number {beta}")
@@ -262,7 +269,7 @@ def exhaustive_max(
     return VerificationReport(
         n=n,
         beta=beta,
-        alpha=a,
+        alpha=verdict.alpha,
         observed_max=observed,
         argmax_certificates=tuple(sorted(e.g6 for e in argmax)),
         predicted_max=verdict.predicted_rho,
@@ -306,15 +313,15 @@ def verify_order(
     jobs: int | None = None,
     source: str | None = None,
 ) -> list[VerificationReport]:
-    """One report per feasible beta >= 1 at order n."""
+    """One report per feasible beta >= 1 at order n, all from one scan."""
     a = as_fraction(alpha)
     entries = _scan_order(n, a, jobs=jobs, source=source)
     present = {e.beta for e in entries}
-    reports = []
-    for beta in range(1, n // 2 + 1):
-        if beta in present:
-            reports.append(exhaustive_max(n, beta, a, tol=tol, jobs=jobs, source=source))
-    return reports
+    return [
+        _report(entries, classify_regime(n, beta, a), tol, time.perf_counter())
+        for beta in range(1, n // 2 + 1)
+        if beta in present
+    ]
 
 
 def is_predicted_graph(g: Graph, descriptor: str, n: int, beta: int) -> bool:

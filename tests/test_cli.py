@@ -57,6 +57,12 @@ class TestRho:
         record = json.loads(out)
         assert record["rho"] == pytest.approx(4.5)
         assert record["alpha"] == "1/2"
+        assert sorted(record) == ["alpha", "n", "residual", "rho"]
+
+    def test_unreachable_tolerance_exits_2(self, capsys):
+        code, _, err = run(capsys, "rho", "--graph6", "C~", "--tol", "1e-300")
+        assert code == 2
+        assert "residual" in err
 
 
 class TestMatching:
@@ -142,6 +148,21 @@ class TestReport:
         lines = out_path.read_text().strip().splitlines()
         assert lines[0].startswith("n,beta,alpha,observed_max")
         assert len(lines) == 1 + 2 * (2 + 2)  # header + two alphas x (beta rows at n=4,5)
+
+
+    def test_jobs_above_cpu_count_exits_2_before_output(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr("os.cpu_count", lambda: 2)
+        out_path = tmp_path / "records.csv"
+        code, _, err = run(capsys, "report", "--jobs", "3", "--output", str(out_path))
+        assert code == 2
+        assert "between 1 and 2" in err
+        assert not out_path.exists()
+
+    def test_malformed_environment_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setenv("ALPHASPEC_JOBS", "many")
+        code, _, err = run(capsys, "verify", "5")
+        assert code == 2
+        assert "ALPHASPEC_JOBS" in err
 
 
 class TestExitCodes:

@@ -184,6 +184,27 @@ class TestGraph6:
         g = empty_graph(70)
         assert parse_graph6(to_graph6(g)) == g
 
+    def test_long_form_random_round_trip(self):
+        import random
+
+        g = random_graph(random.Random(300), 300, 0.1)
+        assert to_graph6(g)[0] == "~"
+        assert parse_graph6(to_graph6(g)) == g
+
+    def test_non_ascii_rejected_at_offset(self):
+        with pytest.raises(Graph6Error) as err:
+            parse_graph6("A\u00e9")
+        assert err.value.offset == 1
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.binary(max_size=40), st.text(max_size=40)))
+    def test_arbitrary_input_round_trips_or_raises(self, data):
+        try:
+            g = parse_graph6(data)
+        except Graph6Error:
+            return
+        assert parse_graph6(to_graph6(g)) == g
+
     @settings(max_examples=150, deadline=None)
     @given(graphs(max_n=12))
     def test_round_trip(self, g):

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from alphaspec import (
-    ConvergenceError,
     JoinFamily,
     alpha_matrix,
     closed_form_complete_split,
@@ -91,9 +90,10 @@ class TestSpectralRadius:
     def test_order_zero(self):
         assert spectral_radius(empty_graph(0), 1.0).rho == 0.0
 
-    def test_nonconvergence_raises(self):
-        with pytest.raises(ConvergenceError):
-            spectral_radius(path_graph(6), 0.0, tol=1e-13, max_iter=3)
+    def test_residual_above_tol_raises(self):
+        # no float eigenpair of P_6 has a residual below 1e-300
+        with pytest.raises(ValueError, match="residual"):
+            spectral_radius(path_graph(6), 0.0, tol=1e-300)
 
     def test_invalid_args(self):
         with pytest.raises(ValueError):
@@ -109,7 +109,7 @@ class TestOracle:
     def test_star_signless(self):
         assert spectral_radius_oracle(star_graph(3), 1.0) == pytest.approx(4.0, abs=1e-10)
 
-    def test_agrees_with_power_iteration(self):
+    def test_agrees_with_spectral_radius(self):
         rng = random.Random(17)
         for _ in range(30):
             n = rng.randint(2, 8)
@@ -199,15 +199,29 @@ class TestQuotient:
 
     def test_shape_and_rows(self):
         fam = JoinFamily(2, (1, 3))
-        mat = quotient_matrix(fam, 1.0)
+        sym = quotient_matrix(fam, 1.0)
         n = fam.order
-        assert mat.shape == (3, 3)
+        assert sym.shape == (3, 3)
+        assert np.array_equal(sym, sym.T)
+        # undo the symmetrisation by the cell sizes (part 1, part 3, core)
+        root = np.sqrt([1.0, 3.0, 2.0])
+        mat = sym / root[:, None] * root[None, :]
         # part rows: (alpha+1)(n_i - 1) + alpha*s diagonal, s in core column
+        # (the square roots leave rounding in the last bits, hence abs=1e-12)
         assert mat[0, 0] == pytest.approx(2.0)
         assert mat[1, 1] == pytest.approx(2 * 2 + 2.0)
-        assert mat[0, 2] == mat[1, 2] == 2.0
+        assert mat[0, 1] == mat[1, 0] == 0.0
+        assert [mat[0, 2], mat[1, 2]] == pytest.approx([2.0, 2.0], abs=1e-12)
         # core row: part sizes, then alpha*(n-1) + s - 1
-        assert list(mat[2]) == [1.0, 3.0, (n - 1) + 1.0]
+        assert mat[2] == pytest.approx([1.0, 3.0, (n - 1) + 1.0], abs=1e-12)
+
+    def test_equal_parts_share_a_cell(self):
+        fam = JoinFamily(2, (1, 1, 3, 3))
+        mat = quotient_matrix(fam, 0.5)
+        assert mat.shape == (3, 3)
+        assert quotient_radius(fam, 0.5) == pytest.approx(
+            spectral_radius(fam.graph(), 0.5).rho, abs=1e-10
+        )
 
     def test_requires_core(self):
         with pytest.raises(ValueError):

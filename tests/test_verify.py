@@ -1,4 +1,5 @@
 import math
+import os
 
 import pytest
 
@@ -27,7 +28,7 @@ from alphaspec import (
     verify_order,
 )
 from alphaspec.enumeration import are_isomorphic, canonical_graph
-from alphaspec.verify import CASE2_ALPHA_CUTOFF, case2_region_bounds
+from alphaspec.verify import CASE2_ALPHA_CUTOFF, case2_region_bounds, resolve_jobs
 
 
 class TestExhaustiveMax:
@@ -83,6 +84,61 @@ class TestVerifyOrder:
             reports = verify_order(6, alpha)
             assert [r.beta for r in reports] == [1, 2, 3]
             assert all(r.passed for r in reports)
+
+
+    def test_graph6_source_is_read_once(self, tmp_path, monkeypatch):
+        import alphaspec.verify as verify
+
+        path = tmp_path / "order6.g6"
+        path.write_text("\n".join(to_graph6(g) for g in isomorphism_classes(6)) + "\n")
+        reads = []
+        real = verify.read_graph6_file
+
+        def counting(source):
+            reads.append(source)
+            return real(source)
+
+        monkeypatch.setattr(verify, "read_graph6_file", counting)
+        reports = verify_order(6, 2, source=str(path))
+        assert reads == [str(path)]
+        assert [r.beta for r in reports] == [1, 2, 3]
+        assert all(r.passed and r.graphs_scanned == 156 for r in reports)
+
+
+class TestResolveJobs:
+    @pytest.fixture(autouse=True)
+    def four_cpus(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        monkeypatch.delenv("ALPHASPEC_JOBS", raising=False)
+
+    def test_default_is_one(self):
+        assert resolve_jobs() == 1
+
+    def test_environment_and_explicit(self, monkeypatch):
+        monkeypatch.setenv("ALPHASPEC_JOBS", "3")
+        assert resolve_jobs() == 3
+        assert resolve_jobs(4) == 4
+
+    @pytest.mark.parametrize("value", ["abc", "1.5", "0", "-2", "5"])
+    def test_bad_environment_rejected(self, monkeypatch, value):
+        monkeypatch.setenv("ALPHASPEC_JOBS", value)
+        with pytest.raises(ValueError, match="ALPHASPEC_JOBS"):
+            resolve_jobs()
+
+    @pytest.mark.parametrize("value", [0, -1, 5])
+    def test_bad_explicit_rejected(self, value):
+        with pytest.raises(ValueError, match="between 1 and 4"):
+            resolve_jobs(value)
+
+    def test_checked_before_any_scan(self, monkeypatch):
+        import alphaspec.verify as verify
+
+        def no_scan(*args, **kwargs):
+            raise AssertionError("scan started before the worker count was checked")
+
+        monkeypatch.setattr(verify, "enumerate_graphs", no_scan)
+        with pytest.raises(ValueError, match="jobs"):
+            verify_order(6, 0, jobs=5)
 
 
 class TestReportSerialization:
@@ -237,13 +293,7 @@ class TestArgmaxFamilyStructure:
 class TestParallelDeterminism:
     def test_scan_matches_serial(self):
         # worker count must not change any report field except timing
-        from alphaspec.theorem import as_fraction
-        from alphaspec.verify import _SCAN_CACHE
-
-        key = (6, as_fraction(3))
-        _SCAN_CACHE.pop(key, None)
         parallel = exhaustive_max(6, 2, 3, jobs=2)
-        _SCAN_CACHE.pop(key, None)
         serial = exhaustive_max(6, 2, 3, jobs=1)
         assert serial.observed_max == parallel.observed_max
         assert serial.argmax_certificates == parallel.argmax_certificates
