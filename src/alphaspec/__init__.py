@@ -67,10 +67,10 @@ from .theorem import (
     THRESHOLD,
     RegimeVerdict,
     as_fraction,
-    build_descriptor,
+    case2_applicable,
+    case2_sample_check,
     classify_regime,
     predicted_bound,
-    predicted_extremal_graphs,
     threshold_n_star,
 )
 from .enumeration import (
@@ -85,11 +85,8 @@ from .verify import (
     FamilySearchResult,
     VerificationReport,
     candidate_families,
-    case2_applicable,
-    case2_sample_check,
     exhaustive_max,
     family_search,
-    is_predicted_graph,
     shift_monotonicity_check,
     verify_order,
 )

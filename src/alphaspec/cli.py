@@ -4,8 +4,8 @@ Subcommands::
 
     rho       radius of one graph (edge-list file/stdin or inline graph6)
     matching  matching number, optionally with the deficiency witness
-    bound     regime bound for (n, beta) at alpha
-    classify  full regime verdict for (n, beta) at alpha
+    bound     regime verdict and bound for (n, beta) at alpha
+    classify  alias of bound
     verify    exhaustive check of one order, all feasible beta
     family    best join family for (n, beta) at alpha
     report    verification sweep over a range of orders and alphas
@@ -21,9 +21,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
+from .enumeration import resolve_jobs
 from .graphs import Graph, Graph6Error, parse_edge_list, parse_graph6
 from .matching import matching_number, tutte_berge_witness
 from .spectral import spectral_radius
@@ -31,8 +33,8 @@ from .theorem import classify_regime
 from .verify import (
     REPORT_CSV_HEADER,
     FamilySearchResult,
+    VerificationReport,
     family_search,
-    resolve_jobs,
     verify_order,
 )
 
@@ -105,12 +107,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also print the deficiency witness set (order <= 24)")
     add_format(p)
 
-    for name in ("bound", "classify"):
-        p = sub.add_parser(name, help=f"{name} for (n, beta) at alpha")
-        p.add_argument("n", type=int)
-        p.add_argument("beta", type=int)
-        add_alpha(p)
-        add_format(p)
+    p = sub.add_parser("bound", aliases=["classify"], help="bound for (n, beta) at alpha")
+    p.set_defaults(command="bound")  # the alias dispatches as bound
+    p.add_argument("n", type=int)
+    p.add_argument("beta", type=int)
+    add_alpha(p)
+    add_format(p)
 
     p = sub.add_parser("verify", help="exhaustive verification of one order")
     p.add_argument("n", type=int)
@@ -238,22 +240,27 @@ def cmd_bound(args) -> int:
     return EXIT_OK
 
 
-def cmd_classify(args) -> int:
-    return cmd_bound(args)
+_REPORT_LINE = {
+    "json-lines": VerificationReport.to_json_line,
+    "csv": VerificationReport.to_csv_row,
+    "human": VerificationReport.to_human,
+}
+
+
+def _write_reports(reports: list[VerificationReport], fmt: str, out=None) -> bool:
+    """One line per report in ``fmt`` to ``out`` (default stdout); True
+    iff every report passed."""
+    line = _REPORT_LINE[fmt]
+    for r in reports:
+        print(line(r), file=out)
+    return all(r.passed for r in reports)
 
 
 def cmd_verify(args) -> int:
     reports = verify_order(
         args.n, args.alpha, tol=args.tol, jobs=args.jobs, source=args.graph6
     )
-    all_pass = all(r.passed for r in reports)
-    for r in reports:
-        if args.format == "json-lines":
-            print(r.to_json_line())
-        elif args.format == "csv":
-            print(r.to_csv_row())
-        else:
-            print(r.to_human())
+    all_pass = _write_reports(reports, args.format)
     if args.format == "human":
         print(f"{'all pass' if all_pass else 'FAILURES PRESENT'} "
               f"({len(reports)} records, n={args.n}, alpha={args.alpha})")
@@ -289,7 +296,10 @@ def cmd_report(args) -> int:
         if a < 0:
             raise SystemExit2("alpha must be nonnegative")
     jobs = resolve_jobs(args.jobs)
-    out = open(args.output, "w", encoding="utf-8") if args.output else sys.stdout
+    # --output is written to a temporary file beside it and renamed into
+    # place only once every record is written
+    temp = f"{args.output}.{os.getpid()}.tmp" if args.output else None
+    out = open(temp, "x", encoding="utf-8") if temp else sys.stdout
     all_pass = True
     count = 0
     try:
@@ -297,18 +307,17 @@ def cmd_report(args) -> int:
             print(REPORT_CSV_HEADER, file=out)
         for n in range(args.n_min, args.n_max + 1):
             for a in alphas:
-                for r in verify_order(n, a, tol=args.tol, jobs=jobs):
-                    count += 1
-                    all_pass = all_pass and r.passed
-                    if args.format == "json-lines":
-                        print(r.to_json_line(), file=out)
-                    elif args.format == "csv":
-                        print(r.to_csv_row(), file=out)
-                    else:
-                        print(r.to_human(), file=out)
-    finally:
-        if args.output:
+                reports = verify_order(n, a, tol=args.tol, jobs=jobs)
+                count += len(reports)
+                all_pass = _write_reports(reports, args.format, out) and all_pass
+        if temp:
             out.close()
+            os.replace(temp, args.output)
+    except BaseException:
+        if temp:
+            out.close()
+            os.remove(temp)
+        raise
     if args.format == "human" and not args.output:
         print(f"{'all pass' if all_pass else 'FAILURES PRESENT'} ({count} records)")
     return EXIT_OK if all_pass else EXIT_VERIFICATION_FAILED
@@ -318,7 +327,6 @@ _COMMANDS = {
     "rho": cmd_rho,
     "matching": cmd_matching,
     "bound": cmd_bound,
-    "classify": cmd_classify,
     "verify": cmd_verify,
     "family": cmd_family,
     "report": cmd_report,

@@ -14,11 +14,16 @@ search prunes on bit-string prefixes and explores one representative per
 interchangeable-twin class; refinement classes are canonically ordered,
 so the restriction keeps the form exact while making unions of cliques
 and other symmetric graphs cheap instead of factorial.
+
+``map_chunks`` is the one place a worker pool is started, for building a
+level here and for the scans in ``verify``; it checks the worker count
+with ``resolve_jobs`` first.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+import os
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .graphs import Graph
 
@@ -26,6 +31,42 @@ KNOWN_CLASS_COUNTS = {0: 1, 1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044, 8: 
 BUILTIN_ORDER_CAP = 8
 
 _LEVELS: dict[int, list[tuple[int, ...]]] = {0: [()]}
+
+
+def resolve_jobs(jobs: int | None = None) -> int:
+    """Worker count for the scans: ``jobs`` if given, else ALPHASPEC_JOBS,
+    else 1.  Anything but an integer in [1, os.cpu_count()] raises
+    ValueError naming where the value came from."""
+    source = "jobs"
+    if jobs is None:
+        env = os.environ.get("ALPHASPEC_JOBS")
+        if not env:
+            return 1
+        source = "ALPHASPEC_JOBS"
+        try:
+            jobs = int(env)
+        except ValueError:
+            raise ValueError(f"ALPHASPEC_JOBS must be an integer, got {env!r}") from None
+    limit = os.cpu_count() or 1
+    if not 1 <= jobs <= limit:
+        raise ValueError(f"{source} must be between 1 and {limit} (the CPU count), got {jobs}")
+    return jobs
+
+
+def map_chunks(func: Callable, items: Sequence, jobs: int, *args) -> list:
+    """``func(chunk, *args)`` for each chunk ``items[i::k]``, in chunk order.
+
+    With k = ``jobs`` > 1 and at least 4*k items the chunks run in a pool
+    of k worker processes; otherwise ``items`` is one chunk run here.  The
+    count is checked by ``resolve_jobs`` before any pool is asked for.
+    """
+    jobs = resolve_jobs(jobs)
+    if jobs == 1 or len(items) < 4 * jobs:
+        return [func(items, *args)]
+    from multiprocessing import Pool
+
+    with Pool(jobs) as pool:
+        return pool.starmap(func, [(items[i::jobs], *args) for i in range(jobs)])
 
 
 def _wl_colors(n: int, rows: tuple[int, ...]) -> list[int]:
@@ -181,16 +222,7 @@ def _build_level(n: int, jobs: int = 1) -> None:
         return
     if n - 1 not in _LEVELS:
         _build_level(n - 1, jobs)
-    parents = _LEVELS[n - 1]
-    if jobs > 1 and len(parents) >= 4 * jobs:
-        from multiprocessing import Pool
-
-        chunks = [parents[i::jobs] for i in range(jobs)]
-        with Pool(jobs) as pool:
-            partial = pool.starmap(_extend_level, [(c, n) for c in chunks])
-        keys = set().union(*partial)
-    else:
-        keys = _extend_level(parents, n)
+    keys = set().union(*map_chunks(_extend_level, _LEVELS[n - 1], jobs, n))
     reps = [_graph_from_cols(n, cols).rows for cols in sorted(keys)]
     if n in KNOWN_CLASS_COUNTS and len(reps) != KNOWN_CLASS_COUNTS[n]:
         raise RuntimeError(
@@ -201,7 +233,11 @@ def _build_level(n: int, jobs: int = 1) -> None:
 
 
 def isomorphism_classes(n: int, jobs: int = 1) -> list[Graph]:
-    """One representative per isomorphism class of order n (n <= 8)."""
+    """One representative per isomorphism class of order n (n <= 8).
+
+    ``jobs`` is checked by ``resolve_jobs`` even when the order is
+    already built.
+    """
     if n < 0:
         raise ValueError("order must be nonnegative")
     if n > BUILTIN_ORDER_CAP:
@@ -209,7 +245,7 @@ def isomorphism_classes(n: int, jobs: int = 1) -> list[Graph]:
             f"built-in enumeration stops at n = {BUILTIN_ORDER_CAP}; "
             "supply a graph6 file for larger orders"
         )
-    _build_level(n, jobs=max(1, jobs))
+    _build_level(n, jobs=resolve_jobs(jobs))
     return [Graph(n, rows) for rows in _LEVELS[n]]
 
 

@@ -234,20 +234,24 @@ def closed_form_complete_split(n: int, beta: int, alpha: float) -> float:
     lambda^2 - [alpha*n + (alpha+1)*beta - (alpha+1)] * lambda
              + (alpha^2-1)*beta*n + (alpha+1)*beta^2 - alpha*(alpha+1)*beta.
     """
-    alpha = _check_alpha(alpha)
     if not n > beta >= 1:
         raise ValueError(f"need n > beta >= 1, got n={n}, beta={beta}")
-    b = alpha * n + (alpha + 1) * beta - (alpha + 1)
-    c = (alpha * alpha - 1) * beta * n + (alpha + 1) * beta * beta - alpha * (alpha + 1) * beta
+    b, c = _split_coefficients(n, beta, alpha)
     return 0.5 * b + 0.5 * sqrt(b * b - 4.0 * c)
 
 
 def split_graph_quadratic(lam: float, n: int, beta: int, alpha: float) -> float:
     """The quadratic whose larger root is the complete-split radius."""
+    b, c = _split_coefficients(n, beta, alpha)
+    return lam * lam - b * lam + c
+
+
+def _split_coefficients(n: int, beta: int, alpha: float) -> tuple[float, float]:
+    """(b, c) of the complete-split quadratic lambda^2 - b*lambda + c."""
     alpha = _check_alpha(alpha)
     b = alpha * n + (alpha + 1) * beta - (alpha + 1)
     c = (alpha * alpha - 1) * beta * n + (alpha + 1) * beta * beta - alpha * (alpha + 1) * beta
-    return lam * lam - b * lam + c
+    return b, c
 
 
 def cubic_f(lam: float, n: int, beta: int, s: int, alpha: float) -> float:

@@ -13,6 +13,10 @@ relative to the threshold n* = ((2*alpha+3)*beta + alpha + 2)/(alpha+1):
 The threshold test is exact rational arithmetic, never a float compare:
 alpha is carried as a Fraction, so n = n* is decided correctly even for
 alphas like 1/2 where n* is integral only for certain beta.
+
+Each extremal graph is a join family K_s v (K_{n_1} u ... u K_{n_q}), and
+``RegimeVerdict.extremal_families`` is the one table from descriptor to
+family that verification builds and compares against.
 """
 
 from __future__ import annotations
@@ -21,13 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import sqrt
 
-from .graphs import (
-    Graph,
-    complete_graph,
-    disjoint_union,
-    empty_graph,
-)
-from .spectral import closed_form_complete_split, complete_split_graph
+from .spectral import JoinFamily, closed_form_complete_split, cubic_f, one_clique_family
 
 FULL = "FULL"
 BELOW = "BELOW"
@@ -42,7 +40,16 @@ EMPTY_GRAPH = "EMPTY_GRAPH"
 
 CASE_NUMBERS = {FULL: 1, BELOW: 2, THRESHOLD: 3, ABOVE: 4, EMPTY: 0}
 
-_TIGHT_ALPHA = (sqrt(5.0) - 1.0) / 2.0
+# Parts are odd, so K_n of even order is a vertex joined to K_{n-1}.
+_EXTREMAL_FAMILY = {
+    COMPLETE: lambda n, beta: JoinFamily(0, (n,)) if n % 2 else JoinFamily(1, (n - 1,)),
+    ODD_CLIQUE_PLUS_ISOLATES: lambda n, beta: one_clique_family(n, beta, 0),
+    COMPLETE_SPLIT: lambda n, beta: one_clique_family(n, beta, beta),
+    EMPTY_GRAPH: lambda n, beta: one_clique_family(n, beta, 0),
+}
+
+# below this alpha the tight region behind case2_sample_check is empty
+CASE2_ALPHA_CUTOFF = (sqrt(5.0) - 1.0) / 2.0
 
 
 def as_fraction(alpha) -> Fraction:
@@ -65,8 +72,9 @@ class RegimeVerdict:
 
     ``sampled_region`` flags parameter points just past the threshold at
     large alpha where the cubic's positivity at the probe value is
-    established by sampling rather than a closed sign argument; the
-    prediction itself is unchanged.
+    established by sampling rather than a closed sign argument
+    (``case2_applicable`` at core size 1); the prediction itself is
+    unchanged.
     """
 
     n: int
@@ -81,6 +89,17 @@ class RegimeVerdict:
     @property
     def case_number(self) -> int:
         return CASE_NUMBERS[self.case_id]
+
+    @property
+    def extremal_families(self) -> tuple[JoinFamily, ...]:
+        """One join family per extremal descriptor, in descriptor order.
+
+        Order 0 is the one verdict no join family expresses (a family has
+        at least one part), so it raises ValueError.
+        """
+        if self.n == 0:
+            raise ValueError("the graph of order 0 is not a join family")
+        return tuple(_EXTREMAL_FAMILY[d](self.n, self.beta) for d in self.extremal_descriptors)
 
 
 def threshold_n_star(beta: int, alpha) -> Fraction:
@@ -129,17 +148,8 @@ def classify_regime(n: int, beta: int, alpha) -> RegimeVerdict:
         n_star,
         closed_form_complete_split(n, beta, af),
         (COMPLETE_SPLIT,),
-        sampled_region=_in_sampled_region(n, beta, af),
+        sampled_region=case2_applicable(beta, af, 1, n),
     )
-
-
-def _in_sampled_region(n: int, beta: int, alpha: float) -> bool:
-    # some core size s >= 1 admissible at this point has
-    # n + alpha*s - alpha*beta + s - 2*beta - 1 < 0
-    if alpha <= _TIGHT_ALPHA:
-        return False
-    s_cap = (alpha * alpha + alpha - 1.0) * beta / ((1.0 + alpha) ** 2)
-    return s_cap >= 1.0 and n < (alpha + 2.0) * beta - alpha
 
 
 def predicted_bound(n: int, beta: int, alpha) -> float:
@@ -147,21 +157,38 @@ def predicted_bound(n: int, beta: int, alpha) -> float:
     return classify_regime(n, beta, alpha).predicted_rho
 
 
-def build_descriptor(descriptor: str, n: int, beta: int) -> Graph:
-    """Concrete graph for one extremal descriptor, canonically labeled."""
-    if descriptor == COMPLETE:
-        return complete_graph(n)
-    if descriptor == ODD_CLIQUE_PLUS_ISOLATES:
-        return disjoint_union(complete_graph(2 * beta + 1), empty_graph(n - 2 * beta - 1))
-    if descriptor == COMPLETE_SPLIT:
-        return complete_split_graph(n, beta)
-    if descriptor == EMPTY_GRAPH:
-        return empty_graph(n)
-    raise ValueError(f"unknown extremal descriptor {descriptor!r}")
+# -- sampled positivity region ------------------------------------------
 
 
-def predicted_extremal_graphs(verdict: RegimeVerdict, n: int | None = None, beta: int | None = None) -> list[Graph]:
-    """One concrete graph per descriptor in the verdict."""
-    n = verdict.n if n is None else n
-    beta = verdict.beta if beta is None else beta
-    return [build_descriptor(d, n, beta) for d in verdict.extremal_descriptors]
+def case2_region_bounds(beta: int, alpha: float, s: int) -> tuple[float, float]:
+    """Open interval of n values in the tight region for this (beta, s)."""
+    low = float(threshold_n_star(beta, alpha))
+    high = (alpha + 2.0) * beta - (alpha + 1.0) * s + 1.0
+    return low, high
+
+
+def case2_applicable(beta: int, alpha: float, s: int, n: int) -> bool:
+    """Membership in the region where the probe-point positivity of the
+    cubic is established by sampling: alpha past the cutoff, s below its
+    cap, and n strictly between the threshold and the tight upper bound."""
+    if alpha <= CASE2_ALPHA_CUTOFF:
+        return False
+    if s < 1:
+        return False
+    s_cap = (alpha * alpha + alpha - 1.0) * beta / ((1.0 + alpha) ** 2)
+    if s > s_cap:
+        return False
+    low, high = case2_region_bounds(beta, alpha, s)
+    return low < n < high
+
+
+def case2_sample_check(beta: int, alpha: float, s: int, n: int) -> bool:
+    """Evaluate the cubic at the probe value
+    alpha*n + (alpha+2)/(alpha+1)*beta - alpha*(alpha+2)/(alpha+1)
+    and report whether it is strictly positive (the claimed sign)."""
+    if not case2_applicable(beta, alpha, s, n):
+        raise ValueError(
+            f"(beta={beta}, alpha={alpha}, s={s}, n={n}) is outside the sampled region"
+        )
+    lam = alpha * n + (alpha + 2.0) / (alpha + 1.0) * beta - alpha * (alpha + 2.0) / (alpha + 1.0)
+    return cubic_f(lam, n, beta, s, alpha) > 0.0

@@ -11,58 +11,26 @@ order, one line per (n, beta, alpha).
 from __future__ import annotations
 
 import json
-import os
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from math import inf, sqrt
-from typing import Iterator, Sequence
+from math import inf
+from typing import Iterable, Iterator, Sequence
 
-from .enumeration import BUILTIN_ORDER_CAP, canonical_graph, enumerate_graphs
+from .enumeration import (
+    BUILTIN_ORDER_CAP,
+    canonical_graph,
+    enumerate_graphs,
+    map_chunks,
+    resolve_jobs,
+)
 from .graphs import Graph, read_graph6_file, to_graph6
 from .matching import matching_number
-from .spectral import (
-    JoinFamily,
-    cubic_f,
-    family_radius,
-    one_clique_family,
-    spectral_radius,
-)
-from .theorem import (
-    COMPLETE,
-    COMPLETE_SPLIT,
-    EMPTY_GRAPH,
-    ODD_CLIQUE_PLUS_ISOLATES,
-    RegimeVerdict,
-    as_fraction,
-    classify_regime,
-)
+from .spectral import JoinFamily, family_radius, one_clique_family, spectral_radius
+from .theorem import RegimeVerdict, as_fraction, classify_regime
 
 DEFAULT_REPORT_TOL = 1e-9
 FAMILY_MATCH_TOL = 1e-8
-
-# below this alpha the tight region behind case2_sample_check is empty
-CASE2_ALPHA_CUTOFF = (sqrt(5.0) - 1.0) / 2.0
-
-
-def resolve_jobs(jobs: int | None = None) -> int:
-    """Worker count for the scans: ``jobs`` if given, else ALPHASPEC_JOBS,
-    else 1.  Anything but an integer in [1, os.cpu_count()] raises
-    ValueError naming where the value came from."""
-    source = "jobs"
-    if jobs is None:
-        env = os.environ.get("ALPHASPEC_JOBS")
-        if not env:
-            return 1
-        source = "ALPHASPEC_JOBS"
-        try:
-            jobs = int(env)
-        except ValueError:
-            raise ValueError(f"ALPHASPEC_JOBS must be an integer, got {env!r}") from None
-    limit = os.cpu_count() or 1
-    if not 1 <= jobs <= limit:
-        raise ValueError(f"{source} must be between 1 and {limit} (the CPU count), got {jobs}")
-    return jobs
 
 
 # -- reports -----------------------------------------------------------
@@ -212,19 +180,10 @@ def _scan_order(
         if n <= BUILTIN_ORDER_CAP:
             graphs = [canonical_graph(g) for g in graphs]
     rows_list = [g.rows for g in graphs]
-    af = float(alpha)
-    if jobs > 1 and len(rows_list) >= 4 * jobs:
-        from multiprocessing import Pool
-
-        chunks = [rows_list[i::jobs] for i in range(jobs)]
-        with Pool(jobs) as pool:
-            partial = pool.starmap(_scan_chunk, [(c, n, af) for c in chunks])
-        values: list[tuple[int, float]] = [None] * len(rows_list)
-        for start, part in enumerate(partial):
-            for offset, val in enumerate(part):
-                values[start + offset * jobs] = val
-    else:
-        values = _scan_chunk(rows_list, n, af)
+    parts = map_chunks(_scan_chunk, rows_list, jobs, n, float(alpha))
+    values: list[tuple[int, float]] = [None] * len(rows_list)
+    for start, part in enumerate(parts):
+        values[start :: len(parts)] = part
     return [
         _ScanEntry(g.rows, to_graph6(g), beta, rho)
         for g, (beta, rho) in zip(graphs, values)
@@ -261,11 +220,9 @@ def _report(entries: list[_ScanEntry], verdict: RegimeVerdict, tol: float, start
     observed = max(e.rho for e in hits)
     tie_tol = 10.0 * tol
     argmax = [e for e in hits if e.rho >= observed - tie_tol]
-    predicted_graphs = [
-        _certificate_graph(d, n, beta) for d in verdict.extremal_descriptors
-    ]
-    value_pass = abs(observed - verdict.predicted_rho) <= tol
-    structure_pass = _argmax_matches(argmax, verdict, n, beta)
+    predicted = _predicted_graphs(verdict)
+    if n <= BUILTIN_ORDER_CAP:
+        predicted = [canonical_graph(g) for g in predicted]
     return VerificationReport(
         n=n,
         beta=beta,
@@ -273,37 +230,36 @@ def _report(entries: list[_ScanEntry], verdict: RegimeVerdict, tol: float, start
         observed_max=observed,
         argmax_certificates=tuple(sorted(e.g6 for e in argmax)),
         predicted_max=verdict.predicted_rho,
-        predicted_certificates=tuple(sorted(to_graph6(g) for g in predicted_graphs)),
-        value_pass=value_pass,
-        structure_pass=structure_pass,
+        predicted_certificates=tuple(sorted(to_graph6(g) for g in predicted)),
+        value_pass=abs(observed - verdict.predicted_rho) <= tol,
+        structure_pass=_argmax_matches((e.rows for e in argmax), predicted),
         tol=tol,
         graphs_scanned=len(entries),
         wall_time=time.perf_counter() - start,
     )
 
 
-def _certificate_graph(descriptor: str, n: int, beta: int) -> Graph:
-    from .theorem import build_descriptor
+def _predicted_graphs(verdict: RegimeVerdict) -> list[Graph]:
+    """The graphs of the verdict's extremal families; at order 0, where
+    no join family exists, the one graph of that order."""
+    if verdict.n == 0:
+        return [Graph(0, ())]
+    return [family.graph() for family in verdict.extremal_families]
 
-    g = build_descriptor(descriptor, n, beta)
-    return canonical_graph(g) if n <= BUILTIN_ORDER_CAP else g
+
+def _degrees(rows: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(sorted(r.bit_count() for r in rows))
 
 
-def _argmax_matches(argmax: list[_ScanEntry], verdict: RegimeVerdict, n: int, beta: int) -> bool:
-    """Every argmax class realizes a predicted descriptor and every
-    descriptor is realized (degree sequences pin these families down)."""
-    matched: set[str] = set()
-    for entry in argmax:
-        g = Graph(n, entry.rows)
-        hit = None
-        for descriptor in verdict.extremal_descriptors:
-            if is_predicted_graph(g, descriptor, n, beta):
-                hit = descriptor
-                break
-        if hit is None:
-            return False
-        matched.add(hit)
-    return matched == set(verdict.extremal_descriptors)
+def _argmax_matches(argmax_rows: Iterable[tuple[int, ...]], predicted: Sequence[Graph]) -> bool:
+    """Every argmax class has the degree sequence of a predicted graph and
+    every predicted graph is realized.
+
+    The extremal graphs are threshold graphs, hence the unique
+    realizations of their degree sequences, so sorted degrees are an exact
+    isomorphism certificate here (checked exhaustively in the tests).
+    """
+    return {_degrees(rows) for rows in argmax_rows} == {_degrees(g.rows) for g in predicted}
 
 
 def verify_order(
@@ -322,29 +278,6 @@ def verify_order(
         for beta in range(1, n // 2 + 1)
         if beta in present
     ]
-
-
-def is_predicted_graph(g: Graph, descriptor: str, n: int, beta: int) -> bool:
-    """Degree-sequence test for the three extremal families.
-
-    All of them are threshold graphs, hence the unique realization of
-    their degree sequences; a sorted-degree comparison is an exact
-    isomorphism certificate here (checked exhaustively in the tests).
-    """
-    if g.n != n:
-        return False
-    degrees = sorted(r.bit_count() for r in g.rows)
-    if descriptor == COMPLETE:
-        expected = [n - 1] * n
-    elif descriptor == ODD_CLIQUE_PLUS_ISOLATES:
-        expected = [0] * (n - 2 * beta - 1) + [2 * beta] * (2 * beta + 1)
-    elif descriptor == COMPLETE_SPLIT:
-        expected = sorted([beta] * (n - beta) + [n - 1] * beta)
-    elif descriptor == EMPTY_GRAPH:
-        expected = [0] * n
-    else:
-        raise ValueError(f"unknown extremal descriptor {descriptor!r}")
-    return degrees == expected
 
 
 # -- family search -----------------------------------------------------
@@ -408,12 +341,9 @@ def family_search(n: int, beta: int, alpha) -> FamilySearchResult:
             best = family
     expected = one_clique_family(n, beta, best.s)
     verdict = classify_regime(n, beta, a)
-    signatures = {
-        _descriptor_family_signature(d, n, beta) for d in verdict.extremal_descriptors
-    }
     matches = (
         abs(best_rho - verdict.predicted_rho) <= FAMILY_MATCH_TOL
-        and (best.s, best.parts) in signatures
+        and best in verdict.extremal_families
     )
     return FamilySearchResult(
         n=n,
@@ -427,18 +357,6 @@ def family_search(n: int, beta: int, alpha) -> FamilySearchResult:
     )
 
 
-def _descriptor_family_signature(descriptor: str, n: int, beta: int) -> tuple[int, tuple[int, ...]]:
-    if descriptor == COMPLETE:
-        return (0, (n,))
-    if descriptor == ODD_CLIQUE_PLUS_ISOLATES:
-        return (0, tuple(sorted([1] * (n - 2 * beta - 1) + [2 * beta + 1])))
-    if descriptor == COMPLETE_SPLIT:
-        return (beta, (1,) * (n - beta))
-    if descriptor == EMPTY_GRAPH:
-        return (0, (1,) * n)
-    raise ValueError(f"unknown extremal descriptor {descriptor!r}")
-
-
 def shift_monotonicity_check(family: JoinFamily, alpha) -> bool:
     """True iff moving two vertices from the second-largest part to the
     largest strictly raises the radius (evaluated on both quotients)."""
@@ -448,42 +366,3 @@ def shift_monotonicity_check(family: JoinFamily, alpha) -> bool:
         raise ValueError("second-largest part must have at least 3 vertices")
     af = float(as_fraction(alpha))
     return family_radius(family.shifted(), af) > family_radius(family, af)
-
-
-# -- sampled positivity region ------------------------------------------
-
-
-def case2_region_bounds(beta: int, alpha: float, s: int) -> tuple[float, float]:
-    """Open interval of n values in the tight region for this (beta, s)."""
-    from .theorem import threshold_n_star
-
-    low = float(threshold_n_star(beta, alpha))
-    high = (alpha + 2.0) * beta - (alpha + 1.0) * s + 1.0
-    return low, high
-
-
-def case2_applicable(beta: int, alpha: float, s: int, n: int) -> bool:
-    """Membership in the region where the probe-point positivity of the
-    cubic is established by sampling: alpha past the cutoff, s below its
-    cap, and n strictly between the threshold and the tight upper bound."""
-    if alpha <= CASE2_ALPHA_CUTOFF:
-        return False
-    if s < 1:
-        return False
-    s_cap = (alpha * alpha + alpha - 1.0) * beta / ((1.0 + alpha) ** 2)
-    if s > s_cap:
-        return False
-    low, high = case2_region_bounds(beta, alpha, s)
-    return low < n < high
-
-
-def case2_sample_check(beta: int, alpha: float, s: int, n: int) -> bool:
-    """Evaluate the cubic at the probe value
-    alpha*n + (alpha+2)/(alpha+1)*beta - alpha*(alpha+2)/(alpha+1)
-    and report whether it is strictly positive (the claimed sign)."""
-    if not case2_applicable(beta, alpha, s, n):
-        raise ValueError(
-            f"(beta={beta}, alpha={alpha}, s={s}, n={n}) is outside the sampled region"
-        )
-    lam = alpha * n + (alpha + 2.0) / (alpha + 1.0) * beta - alpha * (alpha + 2.0) / (alpha + 1.0)
-    return cubic_f(lam, n, beta, s, alpha) > 0.0

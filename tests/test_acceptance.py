@@ -42,7 +42,7 @@ from alphaspec import (
     tutte_berge_witness,
     verify_order,
 )
-from alphaspec.verify import case2_region_bounds
+from alphaspec.theorem import case2_region_bounds
 
 ALPHAS = (Fraction(0), Fraction(1, 2), Fraction(1), Fraction(2))
 

@@ -105,6 +105,12 @@ class TestBoundClassify:
         assert code == 0
         assert "THRESHOLD" in out
 
+    @pytest.mark.parametrize("fmt", ["human", "json-lines", "csv"])
+    def test_classify_is_an_alias_of_bound(self, capsys, fmt):
+        bound = run(capsys, "bound", "25", "10", "--alpha", "2", "--format", fmt)
+        assert run(capsys, "classify", "25", "10", "--alpha", "2", "--format", fmt) == bound
+        assert bound[0] == 0 and "ABOVE" in bound[1]
+
 
 class TestVerify:
     def test_order_five(self, capsys):
@@ -157,6 +163,35 @@ class TestReport:
         assert code == 2
         assert "between 1 and 2" in err
         assert not out_path.exists()
+
+    def test_output_replaced_only_on_success(self, capsys, tmp_path, monkeypatch):
+        import alphaspec.cli as cli
+
+        out_path = tmp_path / "records.jsonl"
+        out_path.write_bytes(b"earlier records\n")
+        real = cli.verify_order
+        calls = []
+
+        def fail_on_second_order(n, *args, **kwargs):
+            calls.append(n)
+            if len(set(calls)) == 2:
+                raise ValueError("scan failed")
+            return real(n, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "verify_order", fail_on_second_order)
+        code, _, err = run(capsys, "report", "--n-min", "3", "--n-max", "5", "--alphas", "0",
+                           "--format", "json-lines", "--output", str(out_path))
+        assert code == 2
+        assert "scan failed" in err
+        assert out_path.read_bytes() == b"earlier records\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["records.jsonl"]
+
+        monkeypatch.setattr(cli, "verify_order", real)
+        code, _, _ = run(capsys, "report", "--n-min", "3", "--n-max", "5", "--alphas", "0",
+                         "--format", "json-lines", "--output", str(out_path))
+        assert code == 0
+        assert [json.loads(line)["n"] for line in out_path.read_text().splitlines()] == [3, 4, 4, 5, 5]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["records.jsonl"]
 
     def test_malformed_environment_exits_2(self, capsys, monkeypatch):
         monkeypatch.setenv("ALPHASPEC_JOBS", "many")

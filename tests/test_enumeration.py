@@ -1,3 +1,5 @@
+import multiprocessing
+import os
 import random
 
 import pytest
@@ -93,6 +95,49 @@ class TestEnumeration:
     def test_stream_source_passthrough(self):
         src = [complete_graph(4), cycle_graph(4)]
         assert list(enumerate_graphs(4, source=src)) == src
+
+
+class TestPoolGuard:
+    @pytest.fixture(autouse=True)
+    def no_pool(self, monkeypatch):
+        from alphaspec import enumeration
+
+        requested = []
+
+        def refuse(*args, **kwargs):
+            requested.append(args)
+            raise AssertionError("a worker pool was requested")
+
+        monkeypatch.setattr(multiprocessing, "Pool", refuse)
+        # force a rebuild of order 6, so an unchecked count would reach the pool
+        monkeypatch.delitem(enumeration._LEVELS, 6, raising=False)
+        self.requested = requested
+
+    @pytest.mark.parametrize("excess", [1, 7])
+    def test_above_cpu_count_rejected(self, excess):
+        jobs = (os.cpu_count() or 1) + excess
+        with pytest.raises(ValueError, match="jobs must be between 1 and"):
+            isomorphism_classes(6, jobs=jobs)
+        assert self.requested == []
+
+    @pytest.mark.parametrize("jobs", [0, -1])
+    def test_below_one_rejected(self, jobs):
+        with pytest.raises(ValueError, match="jobs must be between 1 and"):
+            isomorphism_classes(6, jobs=jobs)
+        assert self.requested == []
+
+    def test_checked_when_order_already_built(self):
+        isomorphism_classes(5)
+        with pytest.raises(ValueError, match="jobs"):
+            isomorphism_classes(5, jobs=0)
+
+    def test_helper_checks_count(self):
+        from alphaspec.enumeration import map_chunks
+
+        with pytest.raises(ValueError, match="jobs"):
+            map_chunks(sorted, list(range(100)), (os.cpu_count() or 1) + 1)
+        assert map_chunks(sorted, [3, 1, 2], 1) == [[1, 2, 3]]
+        assert self.requested == []
 
 
 class TestGraph6Certificates:

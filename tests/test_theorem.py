@@ -11,16 +11,20 @@ from alphaspec import (
     FULL,
     ODD_CLIQUE_PLUS_ISOLATES,
     THRESHOLD,
+    JoinFamily,
     classify_regime,
     closed_form_complete_split,
     complete_graph,
     matching_number,
     predicted_bound,
-    predicted_extremal_graphs,
     spectral_radius,
     threshold_n_star,
 )
 from alphaspec.enumeration import are_isomorphic
+
+
+def extremal_graphs(verdict):
+    return [family.graph() for family in verdict.extremal_families]
 
 
 class TestThreshold:
@@ -95,7 +99,7 @@ class TestClassify:
         v = classify_regime(6, 0, 1)
         assert v.case_id == EMPTY
         assert v.predicted_rho == 0.0
-        graphs = predicted_extremal_graphs(v)
+        graphs = extremal_graphs(v)
         assert len(graphs) == 1 and graphs[0].num_edges == 0
 
     def test_infeasible_beta(self):
@@ -116,17 +120,17 @@ class TestClassify:
 class TestPredictedGraphs:
     def test_full(self):
         v = classify_regime(6, 3, 0)
-        (g,) = predicted_extremal_graphs(v)
+        (g,) = extremal_graphs(v)
         assert g == complete_graph(6)
 
     def test_below_example(self):
         v = classify_regime(7, 2, 0)
-        (g,) = predicted_extremal_graphs(v)
+        (g,) = extremal_graphs(v)
         assert sorted(p.bit_count() for p in g.rows) == [0, 0, 4, 4, 4, 4, 4]
 
     def test_above_example(self):
         v = classify_regime(10, 2, 0)
-        (g,) = predicted_extremal_graphs(v)
+        (g,) = extremal_graphs(v)
         assert g.degree_sequence() == (9, 9) + (2,) * 8
 
     def test_graphs_have_declared_matching_number(self):
@@ -134,7 +138,7 @@ class TestPredictedGraphs:
             for beta in range(1, 5):
                 for n in range(2 * beta, 3 * beta + 6):
                     v = classify_regime(n, beta, alpha)
-                    for g in predicted_extremal_graphs(v):
+                    for g in extremal_graphs(v):
                         assert matching_number(g) == beta
 
     def test_graphs_achieve_predicted_bound(self):
@@ -142,17 +146,42 @@ class TestPredictedGraphs:
             for beta in range(1, 4):
                 for n in range(2 * beta, 3 * beta + 6):
                     v = classify_regime(n, beta, alpha)
-                    for g in predicted_extremal_graphs(v):
+                    for g in extremal_graphs(v):
                         rho = spectral_radius(g, float(alpha)).rho
                         assert rho == pytest.approx(v.predicted_rho, abs=1e-8)
 
     def test_threshold_tie_is_exact(self):
         v = classify_regime(8, 2, 0)
-        g1, g2 = predicted_extremal_graphs(v)
+        g1, g2 = extremal_graphs(v)
         assert not are_isomorphic(g1, g2)
         r1 = spectral_radius(g1, 0.0).rho
         r2 = spectral_radius(g2, 0.0).rho
         assert abs(r1 - r2) <= 1e-9
+
+
+class TestExtremalFamilies:
+    def test_complete_by_parity(self):
+        # parts are odd: K_n of even order is a vertex joined to K_{n-1}
+        assert classify_regime(7, 3, 1).extremal_families == (JoinFamily(0, (7,)),)
+        assert classify_regime(6, 3, 1).extremal_families == (JoinFamily(1, (5,)),)
+
+    def test_one_family_per_descriptor_in_order(self):
+        v = classify_regime(8, 2, 0)
+        assert v.extremal_families == (JoinFamily(2, (1,) * 6), JoinFamily(0, (1, 1, 1, 5)))
+
+    def test_empty_graph(self):
+        assert classify_regime(3, 0, 2).extremal_families == (JoinFamily(0, (1, 1, 1)),)
+
+    def test_families_have_declared_order_and_matching(self):
+        for alpha in (0, Fraction(1, 2), 1, 2):
+            for n in range(1, 16):
+                for beta in range(0, n // 2 + 1):
+                    for family in classify_regime(n, beta, alpha).extremal_families:
+                        assert (family.order, family.beta) == (n, beta)
+
+    def test_order_zero_has_no_family(self):
+        with pytest.raises(ValueError, match="order 0"):
+            classify_regime(0, 0, 1).extremal_families
 
 
 class TestPredictedBound:

@@ -12,6 +12,7 @@ from alphaspec import (
     candidate_families,
     case2_applicable,
     case2_sample_check,
+    classify_regime,
     complete_graph,
     complete_split_graph,
     cycle_graph,
@@ -19,7 +20,6 @@ from alphaspec import (
     empty_graph,
     exhaustive_max,
     family_search,
-    is_predicted_graph,
     isomorphism_classes,
     matching_number,
     shift_monotonicity_check,
@@ -28,7 +28,12 @@ from alphaspec import (
     verify_order,
 )
 from alphaspec.enumeration import are_isomorphic, canonical_graph
-from alphaspec.verify import CASE2_ALPHA_CUTOFF, case2_region_bounds, resolve_jobs
+from alphaspec.theorem import _EXTREMAL_FAMILY, CASE2_ALPHA_CUTOFF, case2_region_bounds
+from alphaspec.verify import _argmax_matches, resolve_jobs
+
+
+def table_graph(descriptor, n, beta):
+    return _EXTREMAL_FAMILY[descriptor](n, beta).graph()
 
 
 class TestExhaustiveMax:
@@ -55,6 +60,15 @@ class TestExhaustiveMax:
         assert len(r.argmax_certificates) == 2
         assert r.observed_max == pytest.approx(6.0, abs=1e-9)
         assert r.passed
+
+    @pytest.mark.parametrize("n, certificate", [(0, "?"), (1, "@"), (2, "A?"), (3, "B?")])
+    def test_edgeless_orders(self, n, certificate):
+        # order 0 has no join family, yet its one graph is still predicted
+        for alpha in (0, "1/2", 2):
+            r = exhaustive_max(n, 0, alpha)
+            assert r.passed
+            assert r.predicted_certificates == (certificate,)
+            assert r.argmax_certificates == (certificate,)
 
     def test_scan_counts_whole_order(self):
         r = exhaustive_max(6, 1, 1)
@@ -241,13 +255,23 @@ class TestCase2:
 
 
 class TestIsPredictedGraph:
+    # the argmax structure test: sorted degrees against the table's graphs
     def test_complete_split(self):
-        assert is_predicted_graph(complete_split_graph(6, 2), COMPLETE_SPLIT, 6, 2)
+        target = table_graph(COMPLETE_SPLIT, 6, 2)
+        assert _argmax_matches([complete_split_graph(6, 2).rows], [target])
 
     def test_cycle_matches_nothing(self):
         g = cycle_graph(6)
         for d in (COMPLETE, COMPLETE_SPLIT, ODD_CLIQUE_PLUS_ISOLATES):
-            assert not is_predicted_graph(g, d, 6, 2)
+            assert not _argmax_matches([g.rows], [table_graph(d, 6, 2)])
+
+    def test_every_predicted_graph_must_be_realized(self):
+        v = classify_regime(8, 2, 0)  # threshold: two extremal graphs
+        split, clique = (f.graph() for f in v.extremal_families)
+        predicted = [split, clique]
+        assert _argmax_matches([split.rows, clique.rows], predicted)
+        assert not _argmax_matches([split.rows], predicted)
+        assert not _argmax_matches([split.rows, clique.rows, cycle_graph(8).rows], predicted)
 
     def test_degree_sequence_pins_down_families(self):
         # threshold graphs are the unique realizations of their degree
@@ -259,10 +283,11 @@ class TestIsPredictedGraph:
                     disjoint_union(complete_graph(2 * beta + 1), empty_graph(n - 2 * beta - 1))
                 ),
             }
-            for g in isomorphism_classes(n):
-                for descriptor, target in targets.items():
-                    if is_predicted_graph(g, descriptor, n, beta):
-                        assert are_isomorphic(g, target)
+            for descriptor, target in targets.items():
+                predicted = table_graph(descriptor, n, beta)
+                assert are_isomorphic(predicted, target)
+                hits = [g for g in isomorphism_classes(n) if _argmax_matches([g.rows], [predicted])]
+                assert len(hits) == 1 and are_isomorphic(hits[0], target)
 
 
 class TestArgmaxFamilyStructure:
@@ -291,6 +316,11 @@ class TestArgmaxFamilyStructure:
 
 
 class TestParallelDeterminism:
+    @pytest.fixture(autouse=True)
+    def two_cpus(self, monkeypatch):
+        # jobs=2 must be accepted on a 1-CPU host too
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+
     def test_scan_matches_serial(self):
         # worker count must not change any report field except timing
         parallel = exhaustive_max(6, 2, 3, jobs=2)
