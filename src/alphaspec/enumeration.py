@@ -1,11 +1,17 @@
 """Isomorphism-class enumeration for small graphs.
 
-Classes are produced by vertex augmentation: every representative of
-order n-1 is extended by one new vertex with every possible neighborhood,
-and the children are deduplicated by an exact canonical form.  Class
+Classes are produced by vertex augmentation and deduplicated by an exact
+canonical form.  Only the lower half is generated, graphs with at most
+floor(M/2) edges (M = n(n-1)/2); the upper half is the complements of
+the lower classes with 2m < M.  A child (a lower-half parent of order
+n-1 plus a new vertex with neighborhood ``mask``) is canonicalized only
+when the new vertex has maximum degree in it.  Every lower-half graph G
+arises so: deleting a vertex of maximum degree Δ leaves m - Δ <=
+m(n-2)/n edges, a lower-half graph of order n-1 isomorphic to some
+parent, and that vertex's neighborhood is one of the masks tried.  Class
 counts are checked against the known census (1, 2, 4, 11, 34, 156, 1044,
 12346 for n = 1..8) every time a level is built, so a canonicalization
-bug cannot pass silently.
+or generation bug cannot pass silently.
 
 The canonical form is the minimum adjacency bit-string, column by column,
 over vertex orderings compatible with the stable color refinement
@@ -198,23 +204,48 @@ def are_isomorphic(g1: Graph, g2: Graph) -> bool:
     return g1.n == g2.n and canonical_key(g1) == canonical_key(g2)
 
 
+def _half_edges(n: int) -> int:
+    """floor(M/2), M = n(n-1)/2: the most edges of a lower-half graph of order n."""
+    return n * (n - 1) // 4
+
+
 def _extend_level(parents: list[tuple[int, ...]], n: int) -> set[tuple[int, ...]]:
-    """All order-n canonical forms reachable by adding one vertex."""
+    """Order-n canonical forms with at most ``_half_edges(n)`` edges,
+    from the lower-half order-(n-1) ``parents``.
+
+    A child (parent plus a new vertex with neighborhood ``mask``) is
+    canonicalized only when the new vertex has maximum degree: no
+    parent vertex reaches more than ``popcount(mask)`` in the child.
+    """
     out: set[tuple[int, ...]] = set()
     new_bit = 1 << (n - 1)
+    limit = _half_edges(n)
     for prows in parents:
+        degrees = [r.bit_count() for r in prows]
+        top = max(degrees, default=0)
+        at_top = sum(1 << v for v, d in enumerate(degrees) if d == top)
+        room = limit - sum(degrees) // 2
         for mask in range(1 << (n - 1)):
-            rows = [0] * n
+            k = mask.bit_count()
+            if k < top or k > room or (k == top and mask & at_top):
+                continue
+            rows = list(prows)
+            rows.append(mask)
             m = mask
-            for v in range(n - 1):
-                rows[v] = prows[v]
             while m:
                 v = (m & -m).bit_length() - 1
                 m &= m - 1
                 rows[v] |= new_bit
-            rows[n - 1] = mask
             out.add(_canonical_cols(n, tuple(rows)))
     return out
+
+
+def _complement_forms(forms: Sequence[tuple[int, ...]], n: int) -> list[tuple[int, ...]]:
+    """The canonical forms of the complements of the classes ``forms``."""
+    return [
+        _canonical_cols(n, _graph_from_cols(n, tuple(c ^ ((1 << d) - 1) for d, c in enumerate(cols))).rows)
+        for cols in forms
+    ]
 
 
 def _build_level(n: int, jobs: int = 1) -> None:
@@ -222,7 +253,13 @@ def _build_level(n: int, jobs: int = 1) -> None:
         return
     if n - 1 not in _LEVELS:
         _build_level(n - 1, jobs)
-    keys = set().union(*map_chunks(_extend_level, _LEVELS[n - 1], jobs, n))
+    parent_limit = _half_edges(n - 1)
+    parents = [rows for rows in _LEVELS[n - 1] if sum(r.bit_count() for r in rows) // 2 <= parent_limit]
+    lower = set().union(*map_chunks(_extend_level, parents, jobs, n))
+    # a lower-half class with 2m < M has its complement in the upper half
+    total = n * (n - 1) // 2
+    strict = [cols for cols in lower if 2 * sum(c.bit_count() for c in cols) < total]
+    keys = lower.union(*map_chunks(_complement_forms, strict, jobs, n))
     reps = [_graph_from_cols(n, cols).rows for cols in sorted(keys)]
     if n in KNOWN_CLASS_COUNTS and len(reps) != KNOWN_CLASS_COUNTS[n]:
         raise RuntimeError(

@@ -336,8 +336,14 @@ def read_graph6_file(path) -> Iterator[Graph]:
 # First line "n m", then m lines "u v" with 0-based endpoints.  Blank
 # lines and "#" comments are ignored.
 
+# Largest order an edge-list header may declare.  The header's n is
+# allocated before any edge is read, and a radius builds a dense n x n
+# float matrix (0.8 GB at this order).
+EDGE_LIST_MAX_ORDER = 10_000
+
 
 def parse_edge_list(text: str) -> Graph:
+    """Decode edge-list text; malformed input raises ValueError naming its line."""
     tokens: list[tuple[int, str]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -353,7 +359,11 @@ def parse_edge_list(text: str) -> Graph:
         n, m = int(parts[0]), int(parts[1])
     except ValueError:
         raise ValueError(f"line {lineno}: header must be two integers") from None
-    edges = []
+    if n < 0 or m < 0:
+        raise ValueError(f"line {lineno}: header n and m must be nonnegative, got n={n} m={m}")
+    if n > EDGE_LIST_MAX_ORDER:
+        raise ValueError(f"line {lineno}: order n={n} exceeds the edge-list limit {EDGE_LIST_MAX_ORDER}")
+    edges: dict[tuple[int, int], int] = {}  # edge -> its line
     for lineno, line in tokens[1:]:
         parts = line.split()
         if len(parts) != 2:
@@ -366,7 +376,10 @@ def parse_edge_list(text: str) -> Graph:
             raise ValueError(f"line {lineno}: endpoint out of range for n={n}")
         if u == v:
             raise ValueError(f"line {lineno}: self-loop {u} {v} not allowed")
-        edges.append((u, v))
+        edge = (min(u, v), max(u, v))
+        if edge in edges:
+            raise ValueError(f"line {lineno}: repeated edge {u} {v} (first on line {edges[edge]})")
+        edges[edge] = lineno
     if len(edges) != m:
         raise ValueError(f"edge count {len(edges)} does not match header m={m}")
     return from_edges(n, edges)

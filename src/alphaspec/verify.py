@@ -18,7 +18,6 @@ from math import inf
 from typing import Iterable, Iterator, Sequence
 
 from .enumeration import (
-    BUILTIN_ORDER_CAP,
     canonical_graph,
     enumerate_graphs,
     map_chunks,
@@ -151,7 +150,6 @@ class VerificationReport:
 @dataclass(frozen=True)
 class _ScanEntry:
     rows: tuple[int, ...]
-    g6: str
     beta: int
     rho: float
 
@@ -173,21 +171,13 @@ def _scan_order(
     """Per-class (matching number, radius) for every class of order n,
     from the built-in census or from the graph6 file ``source``."""
     jobs = resolve_jobs(jobs)
-    if source is None:
-        graphs = list(enumerate_graphs(n, jobs=jobs))
-    else:
-        graphs = list(enumerate_graphs(n, source=read_graph6_file(source)))
-        if n <= BUILTIN_ORDER_CAP:
-            graphs = [canonical_graph(g) for g in graphs]
-    rows_list = [g.rows for g in graphs]
+    graphs = None if source is None else read_graph6_file(source)
+    rows_list = [g.rows for g in enumerate_graphs(n, jobs=jobs, source=graphs)]
     parts = map_chunks(_scan_chunk, rows_list, jobs, n, float(alpha))
     values: list[tuple[int, float]] = [None] * len(rows_list)
     for start, part in enumerate(parts):
         values[start :: len(parts)] = part
-    return [
-        _ScanEntry(g.rows, to_graph6(g), beta, rho)
-        for g, (beta, rho) in zip(graphs, values)
-    ]
+    return [_ScanEntry(rows, beta, rho) for rows, (beta, rho) in zip(rows_list, values)]
 
 
 def exhaustive_max(
@@ -221,22 +211,26 @@ def _report(entries: list[_ScanEntry], verdict: RegimeVerdict, tol: float, start
     tie_tol = 10.0 * tol
     argmax = [e for e in hits if e.rho >= observed - tie_tol]
     predicted = _predicted_graphs(verdict)
-    if n <= BUILTIN_ORDER_CAP:
-        predicted = [canonical_graph(g) for g in predicted]
     return VerificationReport(
         n=n,
         beta=beta,
         alpha=verdict.alpha,
         observed_max=observed,
-        argmax_certificates=tuple(sorted(e.g6 for e in argmax)),
+        argmax_certificates=_certificates(Graph(n, e.rows) for e in argmax),
         predicted_max=verdict.predicted_rho,
-        predicted_certificates=tuple(sorted(to_graph6(g) for g in predicted)),
+        predicted_certificates=_certificates(predicted),
         value_pass=abs(observed - verdict.predicted_rho) <= tol,
         structure_pass=_argmax_matches((e.rows for e in argmax), predicted),
         tol=tol,
         graphs_scanned=len(entries),
         wall_time=time.perf_counter() - start,
     )
+
+
+def _certificates(graphs: Iterable[Graph]) -> tuple[str, ...]:
+    """Sorted graph6 strings of the canonical forms, so one class prints
+    the same whichever labelling it came with."""
+    return tuple(sorted(to_graph6(canonical_graph(g)) for g in graphs))
 
 
 def _predicted_graphs(verdict: RegimeVerdict) -> list[Graph]:

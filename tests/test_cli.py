@@ -130,6 +130,27 @@ class TestVerify:
         assert code == 2
         assert "graph6" in err
 
+    @pytest.mark.parametrize("isolates_first", [True, False])
+    def test_certificates_canonical_above_cap(self, capsys, tmp_path, isolates_first):
+        # K_7 + 2K_1 in either labelling, and the complete split graph
+        # K_3 v co-K_6 with its clique last: both have matching number 3,
+        # so one beta is scanned from a file of order 9
+        from alphaspec.graphs import disjoint_union, empty_graph, join
+
+        parts = (empty_graph(2), complete_graph(7))
+        clique_graph = disjoint_union(*(parts if isolates_first else parts[::-1]))
+        path = tmp_path / "order9.g6"
+        path.write_text(
+            to_graph6(clique_graph) + "\n" + to_graph6(join(empty_graph(6), complete_graph(3))) + "\n"
+        )
+        code, out, _ = run(capsys, "verify", "9", "--alpha", "0", "--graph6", str(path),
+                           "--format", "json-lines")
+        assert code == 0
+        (report,) = [VerificationReport.from_json_line(line) for line in out.strip().splitlines()]
+        assert report.beta == 3
+        assert len(report.argmax_certificates) == 1
+        assert report.argmax_certificates == report.predicted_certificates
+
 
 class TestFamily:
     def test_above(self, capsys):

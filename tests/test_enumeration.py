@@ -97,6 +97,40 @@ class TestEnumeration:
         assert list(enumerate_graphs(4, source=src)) == src
 
 
+def all_masks_levels(top):
+    """Reference generator: each class of order n-1 extended by a new vertex
+    with every neighbourhood, deduplicated by canonical form, sorted."""
+    from alphaspec.enumeration import _canonical_cols, _graph_from_cols
+
+    levels = {0: [()]}
+    for n in range(1, top + 1):
+        keys = set()
+        for prows in levels[n - 1]:
+            for mask in range(1 << (n - 1)):
+                rows = [r | (((mask >> v) & 1) << (n - 1)) for v, r in enumerate(prows)]
+                keys.add(_canonical_cols(n, tuple(rows + [mask])))
+        levels[n] = [_graph_from_cols(n, cols).rows for cols in sorted(keys)]
+    return levels
+
+
+@pytest.fixture(scope="module")
+def reference_levels():
+    return all_masks_levels(7)
+
+
+class TestAgainstAllMasks:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_levels_equal_reference(self, reference_levels, monkeypatch, jobs):
+        from alphaspec import enumeration
+
+        # jobs=2 must be accepted on a 1-CPU host too
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(enumeration, "_LEVELS", {0: [()]})
+        isomorphism_classes(7, jobs=jobs)
+        for n in range(1, 8):
+            assert enumeration._LEVELS[n] == reference_levels[n], n
+
+
 class TestPoolGuard:
     @pytest.fixture(autouse=True)
     def no_pool(self, monkeypatch):

@@ -23,6 +23,7 @@ from alphaspec import (
     to_graph6,
 )
 from alphaspec.enumeration import are_isomorphic
+from alphaspec.graphs import EDGE_LIST_MAX_ORDER
 
 
 def random_graph(rng, n, p=0.5):
@@ -235,6 +236,41 @@ class TestEdgeListFormat:
     def test_bad_endpoint(self):
         with pytest.raises(ValueError, match="line 2"):
             parse_edge_list("3 1\n0 7\n")
+
+    @pytest.mark.parametrize("text,line", [("3 2\n0 1\n0 1\n", 3), ("3 2\n0 1\n\n1 0\n", 4)])
+    def test_repeated_edge_rejected(self, text, line):
+        with pytest.raises(ValueError, match=rf"line {line}: repeated edge .* \(first on line 2\)"):
+            parse_edge_list(text)
+
+    @pytest.mark.parametrize("header", ["-1 0", "3 -2"])
+    def test_negative_header_rejected(self, header):
+        with pytest.raises(ValueError, match="line 2: header n and m must be nonnegative"):
+            parse_edge_list("# comment\n" + header + "\n")
+
+    def test_order_above_cap_rejected_before_allocation(self, monkeypatch):
+        from alphaspec import graphs as graphs_module
+
+        def refuse(*args):
+            raise AssertionError("from_edges reached")
+
+        monkeypatch.setattr(graphs_module, "from_edges", refuse)
+        with pytest.raises(ValueError, match="line 1: order .* exceeds the edge-list limit"):
+            parse_edge_list(f"{EDGE_LIST_MAX_ORDER + 1} 0\n")
+        with pytest.raises(ValueError, match="line 1"):
+            parse_edge_list("10" + "0" * 30 + " 0\n")
+
+    def test_order_at_cap_accepted(self):
+        g = parse_edge_list(f"{EDGE_LIST_MAX_ORDER} 1\n0 {EDGE_LIST_MAX_ORDER - 1}\n")
+        assert (g.n, g.num_edges) == (EDGE_LIST_MAX_ORDER, 1)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.text(max_size=60), st.text(alphabet="0123456789 -#\n", max_size=60)))
+    def test_arbitrary_text_round_trips_or_raises(self, text):
+        try:
+            g = parse_edge_list(text)
+        except ValueError:
+            return
+        assert parse_edge_list(to_edge_list(g)) == g
 
 
 class TestInvariants:
