@@ -38,6 +38,7 @@ from .matching import (
     tutte_berge_witness,
 )
 from .spectral import (
+    FamilyBatch,
     JoinFamily,
     SpectralResult,
     alpha_matrix,
@@ -48,6 +49,7 @@ from .spectral import (
     family_radius,
     largest_root_f,
     one_clique_family,
+    quotient_matrices,
     quotient_matrix,
     quotient_radius,
     shift_function_f,
@@ -86,6 +88,7 @@ from .verify import (
     VerificationReport,
     candidate_families,
     exhaustive_max,
+    family_count,
     family_search,
     shift_monotonicity_check,
     verify_order,

@@ -9,7 +9,9 @@ signless Laplacian spectral radius.
 Beyond the dense computation this module carries the structured join
 family K_s v (K_{n_1} u ... u K_{n_q}), whose equal-size parts collapse
 the eigenproblem to a symmetric quotient matrix with one cell per
-distinct part size plus the core, the closed-form radius
+distinct part size plus the core (built for a whole batch of families
+by one array expression, and solved by one stacked ``eigvalsh``), the
+closed-form radius
 of the complete split graph K_b v bar(K_{n-b}), and the cubic whose
 largest root is the radius of the one-big-clique family.
 """
@@ -183,9 +185,34 @@ def one_clique_family(n: int, beta: int, s: int) -> JoinFamily:
     return JoinFamily(s, parts)
 
 
-def quotient_matrix(family: JoinFamily, alpha: float) -> np.ndarray:
-    """Symmetrised equitable quotient of the join family: one cell per
-    distinct part size (ascending), core last.
+@dataclass(frozen=True, eq=False)
+class FamilyBatch:
+    """Join families with one core size ``s`` and one number k of distinct
+    part sizes, as rows of cells: family i has ``counts[i, j]`` parts of
+    size ``sizes[i, j]``, sizes ascending along j.  Both arrays are
+    float64 of shape (m, k), exact for integers below 2**53, so products
+    never wrap as fixed-width integers would."""
+
+    s: int
+    sizes: np.ndarray
+    counts: np.ndarray
+
+    @classmethod
+    def of(cls, family: JoinFamily) -> "FamilyBatch":
+        """The batch of one holding ``family``."""
+        cells = np.array([[(p, len(list(group))) for p, group in groupby(family.parts)]], dtype=float)
+        return cls(family.s, cells[:, :, 0], cells[:, :, 1])
+
+    def family(self, i: int) -> JoinFamily:
+        """Row ``i`` as a ``JoinFamily``."""
+        cells = zip(self.sizes[i].tolist(), self.counts[i].tolist())
+        return JoinFamily(self.s, tuple(int(p) for p, count in cells for _ in range(int(count))))
+
+
+def quotient_matrices(batch: FamilyBatch, alpha: float) -> np.ndarray:
+    """Symmetrised equitable quotients of a batch of join families, stacked
+    as (m, k + 1, k + 1): one cell per distinct part size (ascending),
+    core last.
 
     The m_p parts of size p form one cell of an equitable partition: a
     cell-p vertex has (p - 1) neighbours in its cell and s in the core,
@@ -197,31 +224,44 @@ def quotient_matrix(family: JoinFamily, alpha: float) -> np.ndarray:
     eigenvalues of the full matrix, and the largest is the radius.
     """
     alpha = _check_alpha(alpha)
-    if family.s == 0:
+    if batch.s == 0:
         raise ValueError("quotient collapse is defined for a nonempty core (s >= 1)")
-    s = family.s
-    cells = [(p, len(list(group))) for p, group in groupby(family.parts)]
-    k = len(cells)
-    mat = np.zeros((k + 1, k + 1))
-    for i, (p, m) in enumerate(cells):
-        mat[i, i] = (alpha + 1) * (p - 1) + alpha * s
-        mat[i, k] = mat[k, i] = sqrt(s * m * p)
-    mat[k, k] = alpha * (family.order - 1) + s - 1
+    s, p, m = batch.s, batch.sizes, batch.counts
+    rows, k = p.shape
+    cell = np.arange(k)
+    mat = np.zeros((rows, k + 1, k + 1))
+    mat[:, cell, cell] = (alpha + 1) * (p - 1) + alpha * s
+    mat[:, cell, k] = mat[:, k, cell] = np.sqrt(s * m * p)
+    order = s + (p * m).sum(axis=1)
+    mat[:, k, k] = alpha * (order - 1) + s - 1
     return mat
+
+
+def quotient_matrix(family: JoinFamily, alpha: float) -> np.ndarray:
+    """The symmetrised quotient of one family (see ``quotient_matrices``)."""
+    return quotient_matrices(FamilyBatch.of(family), alpha)[0]
 
 
 def quotient_radius(family: JoinFamily, alpha: float) -> float:
     """Largest eigenvalue of the symmetric quotient matrix."""
-    return float(np.linalg.eigvalsh(quotient_matrix(family, alpha))[-1])
+    return float(_top_eigenvalues(quotient_matrices(FamilyBatch.of(family), alpha))[0])
 
 
-def family_radius(family: JoinFamily, alpha: float) -> float:
+def family_radius(family: JoinFamily | FamilyBatch, alpha: float):
     """Radius of the family graph: quotient for s >= 1, largest clique
-    for the disconnected s = 0 case."""
+    for the disconnected s = 0 case.  A ``JoinFamily`` gives a float, a
+    ``FamilyBatch`` the array of its rows' radii."""
+    if isinstance(family, JoinFamily):
+        return float(family_radius(FamilyBatch.of(family), alpha)[0])
     if family.s >= 1:
-        return quotient_radius(family, alpha)
+        return _top_eigenvalues(quotient_matrices(family, alpha))
     alpha = _check_alpha(alpha)
-    return (alpha + 1) * (family.parts[-1] - 1)
+    return (alpha + 1) * (family.sizes[:, -1] - 1)
+
+
+def _top_eigenvalues(mats: np.ndarray) -> np.ndarray:
+    """Largest eigenvalue of each symmetric matrix of a stack."""
+    return np.linalg.eigvalsh(mats)[:, -1]
 
 
 # -- closed forms ------------------------------------------------------

@@ -17,6 +17,8 @@ from fractions import Fraction
 from math import inf
 from typing import Iterable, Iterator, Sequence
 
+import numpy as np
+
 from .enumeration import (
     canonical_graph,
     enumerate_graphs,
@@ -25,11 +27,16 @@ from .enumeration import (
 )
 from .graphs import Graph, read_graph6_file, to_graph6
 from .matching import matching_number
-from .spectral import JoinFamily, family_radius, one_clique_family, spectral_radius
+from .spectral import FamilyBatch, JoinFamily, family_radius, one_clique_family, spectral_radius
 from .theorem import RegimeVerdict, as_fraction, classify_regime
 
 DEFAULT_REPORT_TOL = 1e-9
 FAMILY_MATCH_TOL = 1e-8
+# Candidates a family search may scan: (120, 50) has 1,235,010.  Larger
+# searches are refused before any candidate is generated.
+FAMILY_MAX_CANDIDATES = 2_000_000
+# Rows of one stacked quotient solve, so a batch stays a few megabytes.
+FAMILY_BATCH_ROWS = 4096
 
 
 # -- reports -----------------------------------------------------------
@@ -264,11 +271,12 @@ def verify_order(
     source: str | None = None,
 ) -> list[VerificationReport]:
     """One report per feasible beta >= 1 at order n, all from one scan."""
+    start = time.perf_counter()
     a = as_fraction(alpha)
     entries = _scan_order(n, a, jobs=jobs, source=source)
     present = {e.beta for e in entries}
     return [
-        _report(entries, classify_regime(n, beta, a), tol, time.perf_counter())
+        _report(entries, classify_regime(n, beta, a), tol, start)
         for beta in range(1, n // 2 + 1)
         if beta in present
     ]
@@ -289,50 +297,143 @@ class FamilySearchResult:
     matches_prediction: bool
 
 
-def _partitions_at_most(total: int, slots: int) -> Iterator[tuple[int, ...]]:
-    """Partitions of ``total`` into at most ``slots`` positive parts,
-    nonincreasing order."""
-    def rec(remaining: int, cap: int, left: int, prefix: list[int]):
-        if remaining == 0:
-            yield tuple(prefix)
-            return
-        if left == 0:
-            return
-        for part in range(min(cap, remaining), 0, -1):
-            prefix.append(part)
-            yield from rec(remaining - part, part, left - 1, prefix)
-            prefix.pop()
+def _check_search(n: int, beta: int) -> None:
+    if beta < 0 or n < 2 * beta + 1:
+        raise ValueError(f"need n >= 2*beta + 1 and beta >= 0, got n={n}, beta={beta}")
 
-    yield from rec(total, total if total else 1, slots, [])
+
+def _candidate_cells(n: int, beta: int, s: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The candidates with core size s in candidate order, each as its
+    distinct part sizes (descending) and their multiplicities.
+
+    A candidate has q = n + s - 2*beta odd parts whose halves (p - 1)/2
+    partition beta - s; the order is decreasing lexicographic in the
+    nonincreasing list of halves.  Halves are chosen largest value
+    first, each with its multiplicity from high to low; what no value
+    fills is the size-1 cell, whose multiplicity is the slots left.
+    """
+    sizes: list[int] = []
+    counts: list[int] = []
+
+    def rec(remaining: int, cap: int, left: int):
+        if remaining == 0:
+            yield ((*sizes, 1), (*counts, left)) if left else (tuple(sizes), tuple(counts))
+            return
+        for value in range(min(cap, remaining), 0, -1):
+            if value * left < remaining:
+                return  # smaller values cannot fill ``remaining`` either
+            # fewer copies would leave more than the smaller values can hold
+            low = max(1, remaining - (value - 1) * left)
+            sizes.append(2 * value + 1)
+            for count in range(min(remaining // value, left), low - 1, -1):
+                counts.append(count)
+                yield from rec(remaining - count * value, value - 1, left - count)
+                counts.pop()
+            sizes.pop()
+
+    yield from rec(beta - s, beta - s, n + s - 2 * beta)
+
+
+def family_count(n: int, beta: int) -> int:
+    """Number of join families ``candidate_families(n, beta)`` yields,
+    from the partition-count recurrence P(t, k) = P(t, k-1) + P(t-k, k)
+    (partitions of t into at most k parts), without generating any.
+
+    Core sizes are counted from s = beta down, so the partitioned totals
+    beta - s grow; once the running count exceeds
+    ``FAMILY_MAX_CANDIDATES`` it is returned as it stands, a lower bound
+    above the cap.  The core size ceil(beta/2) alone contributes
+    p(floor(beta/2)) candidates, so a large beta stops after a few dozen
+    small rows of the recurrence.
+    """
+    _check_search(n, beta)
+    rows: list[list[int]] = []  # rows[t][k] = P(t, k) for k <= t
+    total = 0
+    for s in range(beta, -1, -1):
+        remaining, slots = beta - s, n + s - 2 * beta
+        while len(rows) <= remaining:
+            t = len(rows)
+            row = [1 if t == 0 else 0]
+            for k in range(1, t + 1):
+                row.append(row[k - 1] + rows[t - k][min(k, t - k)])
+            rows.append(row)
+        total += rows[remaining][min(slots, remaining)]
+        if total > FAMILY_MAX_CANDIDATES:
+            break
+    return total
 
 
 def candidate_families(n: int, beta: int) -> Iterator[JoinFamily]:
     """Every join family of order n realizing matching number beta:
     core size s in [0, beta], q = n + s - 2*beta odd parts."""
-    if n < 2 * beta + 1:
-        raise ValueError(f"need n >= 2*beta + 1, got n={n}, beta={beta}")
+    _check_search(n, beta)
     for s in range(0, beta + 1):
-        q = n + s - 2 * beta
-        for mparts in _partitions_at_most(beta - s, q):
-            parts = tuple(sorted([2 * m + 1 for m in mparts] + [1] * (q - len(mparts))))
+        for sizes, counts in _candidate_cells(n, beta, s):
+            parts = tuple(p for p, count in zip(reversed(sizes), reversed(counts)) for _ in range(count))
             yield JoinFamily(s, parts)
+
+
+def _candidate_batches(n: int, beta: int) -> Iterator[tuple[list[int], FamilyBatch]]:
+    """(candidate indices, batch) for every batch of the search: the
+    candidates of one core size with one number of cells, in candidate
+    order, at most ``FAMILY_BATCH_ROWS`` of them."""
+
+    def batch(s: int, sizes: list[int], counts: list[int], k: int) -> FamilyBatch:
+        # rows list cells by descending size; the batch wants them ascending
+        return FamilyBatch(
+            s,
+            np.array(sizes, dtype=float).reshape(-1, k)[:, ::-1],
+            np.array(counts, dtype=float).reshape(-1, k)[:, ::-1],
+        )
+
+    index = 0
+    for s in range(0, beta + 1):
+        groups: dict[int, tuple[list[int], list[int], list[int]]] = {}
+        for sizes, counts in _candidate_cells(n, beta, s):
+            k = len(sizes)
+            group = groups.get(k)
+            if group is None:
+                group = groups[k] = ([], [], [])
+            group[0].append(index)
+            group[1].extend(sizes)
+            group[2].extend(counts)
+            index += 1
+            if len(group[0]) == FAMILY_BATCH_ROWS:
+                yield group[0], batch(s, group[1], group[2], k)
+                del groups[k]
+        for k, (indices, sizes, counts) in groups.items():
+            yield indices, batch(s, sizes, counts, k)
 
 
 def family_search(n: int, beta: int, alpha) -> FamilySearchResult:
     """Maximize the radius over all join families of order n with
     matching number beta; record whether the winner has the expected
-    one-big-clique shape and matches the regime prediction."""
+    one-big-clique shape and matches the regime prediction.
+
+    The candidate count is checked against ``FAMILY_MAX_CANDIDATES``
+    before any is generated.  For each core size the candidates are
+    grouped by their number of distinct part sizes, and each group (split
+    every ``FAMILY_BATCH_ROWS`` rows) is one ``FamilyBatch`` whose radii
+    come from one stacked eigensolve.  The winner is the first maximum in
+    candidate order, as in a one-family-at-a-time scan.
+    """
     a = as_fraction(alpha)
     af = float(a)
-    best: JoinFamily | None = None
-    best_rho = -inf
+    count = family_count(n, beta)
+    if count > FAMILY_MAX_CANDIDATES:
+        raise ValueError(
+            f"family search for n={n}, beta={beta} has at least {count:,} candidate "
+            f"families, more than the cap of {FAMILY_MAX_CANDIDATES:,}"
+        )
+    best_rho, best_index, best = -inf, -1, None
     scanned = 0
-    for family in candidate_families(n, beta):
-        rho = family_radius(family, af)
-        scanned += 1
-        if rho > best_rho:
-            best_rho = rho
-            best = family
+    for indices, batch in _candidate_batches(n, beta):
+        radii = family_radius(batch, af)
+        i = int(np.argmax(radii))
+        rho = float(radii[i])
+        if rho > best_rho or (rho == best_rho and indices[i] < best_index):
+            best_rho, best_index, best = rho, indices[i], batch.family(i)
+        scanned += len(indices)
     expected = one_clique_family(n, beta, best.s)
     verdict = classify_regime(n, beta, a)
     matches = (

@@ -159,6 +159,18 @@ class TestFamily:
         assert "s=2" in out
         assert "4.53112887415" in out
 
+    def test_over_cap_exits_2_before_any_radius(self, capsys, monkeypatch):
+        import alphaspec.verify as verify
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a radius was computed")
+
+        monkeypatch.setattr(verify, "family_radius", refuse)
+        code, out, err = run(capsys, "family", "400", "150", "--format", "json-lines")
+        assert code == 2
+        assert out == ""
+        assert "candidate families" in err and "cap" in err
+
 
 class TestReport:
     def test_small_sweep_csv(self, capsys, tmp_path):

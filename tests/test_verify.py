@@ -1,14 +1,18 @@
+import itertools
 import math
 import os
 
+import numpy as np
 import pytest
 
 from alphaspec import (
     COMPLETE,
     COMPLETE_SPLIT,
     ODD_CLIQUE_PLUS_ISOLATES,
+    THRESHOLD,
     JoinFamily,
     VerificationReport,
+    as_fraction,
     candidate_families,
     case2_applicable,
     case2_sample_check,
@@ -19,9 +23,12 @@ from alphaspec import (
     disjoint_union,
     empty_graph,
     exhaustive_max,
+    family_radius,
     family_search,
     isomorphism_classes,
     matching_number,
+    one_clique_family,
+    quotient_radius,
     shift_monotonicity_check,
     to_graph6,
     tutte_berge_witness,
@@ -29,7 +36,14 @@ from alphaspec import (
 )
 from alphaspec.enumeration import are_isomorphic, canonical_graph
 from alphaspec.theorem import _EXTREMAL_FAMILY, CASE2_ALPHA_CUTOFF, case2_region_bounds
-from alphaspec.verify import _argmax_matches, resolve_jobs
+from alphaspec.verify import (
+    FAMILY_MATCH_TOL,
+    FAMILY_MAX_CANDIDATES,
+    _argmax_matches,
+    _candidate_batches,
+    family_count,
+    resolve_jobs,
+)
 
 
 def table_graph(descriptor, n, beta):
@@ -117,6 +131,22 @@ class TestVerifyOrder:
         assert reads == [str(path)]
         assert [r.beta for r in reports] == [1, 2, 3]
         assert all(r.passed and r.graphs_scanned == 156 for r in reports)
+
+    def test_wall_time_covers_the_scan(self, monkeypatch):
+        import time
+
+        import alphaspec.verify as verify
+
+        real = verify._scan_order
+
+        def slow(*args, **kwargs):
+            time.sleep(0.05)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(verify, "_scan_order", slow)
+        reports = verify_order(5, 1)
+        assert [r.beta for r in reports] == [1, 2]
+        assert all(r.wall_time >= 0.05 for r in reports)
 
 
 class TestResolveJobs:
@@ -213,6 +243,188 @@ class TestFamilySearch:
     def test_infeasible(self):
         with pytest.raises(ValueError):
             family_search(6, 3, 0)
+
+
+# -- the one-family-at-a-time search, kept as the reference ----------------
+
+
+def _old_partitions_at_most(total, slots):
+    def rec(remaining, cap, left, prefix):
+        if remaining == 0:
+            yield tuple(prefix)
+            return
+        if left == 0:
+            return
+        for part in range(min(cap, remaining), 0, -1):
+            prefix.append(part)
+            yield from rec(remaining - part, part, left - 1, prefix)
+            prefix.pop()
+
+    yield from rec(total, total if total else 1, slots, [])
+
+
+def _old_candidate_families(n, beta):
+    for s in range(0, beta + 1):
+        q = n + s - 2 * beta
+        for mparts in _old_partitions_at_most(beta - s, q):
+            parts = tuple(sorted([2 * m + 1 for m in mparts] + [1] * (q - len(mparts))))
+            yield JoinFamily(s, parts)
+
+
+def _old_quotient_radius(family, alpha):
+    s = family.s
+    cells = [(p, len(list(group))) for p, group in itertools.groupby(family.parts)]
+    k = len(cells)
+    mat = np.zeros((k + 1, k + 1))
+    for i, (p, m) in enumerate(cells):
+        mat[i, i] = (alpha + 1) * (p - 1) + alpha * s
+        mat[i, k] = mat[k, i] = math.sqrt(s * m * p)
+    mat[k, k] = alpha * (family.order - 1) + s - 1
+    return float(np.linalg.eigvalsh(mat)[-1])
+
+
+def _old_family_search(n, beta, alpha):
+    """(best, rho, families scanned): the first maximum in candidate order,
+    one quotient eigensolve per family."""
+    af = float(as_fraction(alpha))
+    best, best_rho, scanned = None, -math.inf, 0
+    for family in _old_candidate_families(n, beta):
+        if family.s >= 1:
+            rho = _old_quotient_radius(family, af)
+        else:
+            rho = (af + 1) * (family.parts[-1] - 1)
+        scanned += 1
+        if rho > best_rho:
+            best, best_rho = family, rho
+    return best, best_rho, scanned
+
+
+THRESHOLD_POINTS = [
+    (n, beta, alpha)
+    for n in range(3, 31)
+    for beta in range(1, (n - 1) // 2 + 1)
+    for alpha in ("0", "1/2", "1", "3/2", "2", "5/2")
+    if classify_regime(n, beta, alpha).case_id == THRESHOLD
+]
+
+
+class TestFamilySearchAgainstLoop:
+    @staticmethod
+    def check(n, beta, alpha):
+        best, rho, scanned = _old_family_search(n, beta, alpha)
+        result = family_search(n, beta, alpha)
+        assert (result.best.s, result.best.parts) == (best.s, best.parts)
+        assert result.rho == rho
+        assert result.families_scanned == scanned
+        expected = one_clique_family(n, beta, best.s)
+        verdict = classify_regime(n, beta, alpha)
+        assert result.canonical_shape == (best.parts == expected.parts)
+        assert result.matches_prediction == (
+            abs(rho - verdict.predicted_rho) <= FAMILY_MATCH_TOL and best in verdict.extremal_families
+        )
+
+    @pytest.mark.parametrize("alpha", ["0", "1/2", "1", "2"])
+    def test_every_pair_to_order_24(self, alpha):
+        for n in range(3, 25):
+            for beta in range(1, (n - 1) // 2 + 1):
+                self.check(n, beta, alpha)
+
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_small_batches(self, monkeypatch, rows):
+        import alphaspec.verify as verify
+
+        monkeypatch.setattr(verify, "FAMILY_BATCH_ROWS", rows)
+        for n, beta, alpha in [(20, 6, "0"), (21, 7, "1/2"), (14, 5, "1"), (9, 3, "1")]:
+            self.check(n, beta, alpha)
+
+    def test_ties_go_to_the_first_candidate(self, monkeypatch):
+        import alphaspec.verify as verify
+
+        # tie the last two-cell and the first three-cell family of core 0:
+        # their batches are solved two-cell first, yet the three-cell one
+        # comes first in candidate order and must win
+        core0 = [f for f in candidate_families(20, 6) if f.s == 0]
+        cells = [len(set(f.parts)) for f in core0]
+        last_two = max(i for i, k in enumerate(cells) if k == 2)
+        first_three = cells.index(3)
+        assert first_three < last_two
+        tied = {core0[last_two], core0[first_three]}
+
+        def radius(batch, alpha):
+            return np.array([float(batch.family(i) in tied) for i in range(len(batch.sizes))])
+
+        monkeypatch.setattr(verify, "family_radius", radius)
+        result = family_search(20, 6, 0)
+        assert result.best == core0[first_three]
+        assert result.rho == 1.0
+
+    def test_threshold_points(self):
+        assert (9, 3, "1") in THRESHOLD_POINTS and (14, 5, "1") in THRESHOLD_POINTS
+        for n, beta, alpha in THRESHOLD_POINTS:
+            self.check(n, beta, alpha)
+
+    def test_candidate_order(self):
+        for n in range(1, 21):
+            for beta in range(0, (n - 1) // 2 + 1):
+                assert list(candidate_families(n, beta)) == list(_old_candidate_families(n, beta))
+
+    @pytest.mark.parametrize(
+        "n, beta, alpha",
+        [(64, 24, a) for a in ("0", "1/2", "1", "2")] + [(9, 3, "1")],
+    )
+    def test_batched_radius_equals_single(self, n, beta, alpha):
+        af = float(as_fraction(alpha))
+        seen = 0
+        for indices, batch in _candidate_batches(n, beta):
+            radii = family_radius(batch, af)
+            for i, rho in enumerate(radii.tolist()):
+                family = batch.family(i)
+                assert family_radius(family, af) == rho
+                if family.s >= 1:
+                    assert quotient_radius(family, af) == rho
+            seen += len(indices)
+        assert seen == family_count(n, beta)
+
+
+class TestFamilyCount:
+    def test_equals_enumeration(self):
+        for n in range(1, 31):
+            for beta in range(0, (n - 1) // 2 + 1):
+                assert family_count(n, beta) == len(list(candidate_families(n, beta))), (n, beta)
+
+    def test_cap_admits_order_120(self):
+        assert family_count(120, 50) == 1_235_010 <= FAMILY_MAX_CANDIDATES
+
+    @pytest.mark.parametrize("n, beta, count", [(64, 24, 7265), (80, 30, 28459)])
+    def test_benchmark_sizes_accepted(self, n, beta, count):
+        result = family_search(n, beta, 1)
+        assert result.families_scanned == count
+        assert result.canonical_shape and result.matches_prediction
+
+    def test_over_cap_rejected_before_any_radius(self, monkeypatch):
+        import alphaspec.verify as verify
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a radius was computed")
+
+        monkeypatch.setattr(verify, "family_radius", refuse)
+        monkeypatch.setattr(verify, "_candidate_cells", refuse)
+        with pytest.raises(ValueError, match=f"cap of {FAMILY_MAX_CANDIDATES:,}"):
+            family_search(400, 150, 0)
+
+    def test_count_stops_above_the_cap(self):
+        # (400, 150) has 423,648,884,992 candidates; the count stops at the
+        # first core size that passes the cap
+        assert FAMILY_MAX_CANDIDATES < family_count(400, 150) < 2 * FAMILY_MAX_CANDIDATES
+        # a beta this large passes the cap after a few dozen rows of the recurrence
+        assert family_count(10**7, 4 * 10**6) > FAMILY_MAX_CANDIDATES
+
+    @pytest.mark.parametrize("n, beta", [(6, 3), (5, -1)])
+    def test_infeasible(self, n, beta):
+        with pytest.raises(ValueError, match="need n >= 2\\*beta \\+ 1"):
+            family_count(n, beta)
+        with pytest.raises(ValueError, match="need n >= 2\\*beta \\+ 1"):
+            family_search(n, beta, 0)
 
 
 class TestShiftMonotonicity:
