@@ -57,6 +57,11 @@ def sig12(value: float) -> str:
     return format(value, "#.12g")
 
 
+# The radius and the bounds are evaluated in floating point, and the
+# sampled-region test squares 1 + alpha, which overflows near 1.3e154.
+ALPHA_MAX = 10**150
+
+
 def _alpha_arg(text: str) -> Fraction:
     try:
         value = Fraction(text)
@@ -64,6 +69,8 @@ def _alpha_arg(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"invalid alpha {text!r}: use a decimal or p/q")
     if value < 0:
         raise argparse.ArgumentTypeError("alpha must be nonnegative")
+    if value > ALPHA_MAX:
+        raise argparse.ArgumentTypeError(f"alpha {text!r} is too large: at most {ALPHA_MAX:.0e} is supported")
     return value
 
 
@@ -291,10 +298,10 @@ def cmd_family(args) -> int:
 
 
 def cmd_report(args) -> int:
-    alphas = [Fraction(tok.strip()) for tok in args.alphas.split(",") if tok.strip()]
-    for a in alphas:
-        if a < 0:
-            raise SystemExit2("alpha must be nonnegative")
+    try:
+        alphas = [_alpha_arg(tok.strip()) for tok in args.alphas.split(",") if tok.strip()]
+    except argparse.ArgumentTypeError as exc:
+        raise SystemExit2(str(exc))
     jobs = resolve_jobs(args.jobs)
     # --output is written to a temporary file beside it and renamed into
     # place only once every record is written

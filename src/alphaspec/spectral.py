@@ -187,13 +187,13 @@ def one_clique_family(n: int, beta: int, s: int) -> JoinFamily:
 
 @dataclass(frozen=True, eq=False)
 class FamilyBatch:
-    """Join families with one core size ``s`` and one number k of distinct
-    part sizes, as rows of cells: family i has ``counts[i, j]`` parts of
-    size ``sizes[i, j]``, sizes ascending along j.  Both arrays are
-    float64 of shape (m, k), exact for integers below 2**53, so products
-    never wrap as fixed-width integers would."""
+    """Join families with one number k of distinct part sizes, as rows of
+    cells: family i has core size ``s[i]`` and ``counts[i, j]`` parts of
+    size ``sizes[i, j]``, sizes ascending along j.  ``s`` has shape (m,)
+    and the cell arrays (m, k), all float64, exact for integers below
+    2**53, so products never wrap as fixed-width integers would."""
 
-    s: int
+    s: np.ndarray
     sizes: np.ndarray
     counts: np.ndarray
 
@@ -201,12 +201,12 @@ class FamilyBatch:
     def of(cls, family: JoinFamily) -> "FamilyBatch":
         """The batch of one holding ``family``."""
         cells = np.array([[(p, len(list(group))) for p, group in groupby(family.parts)]], dtype=float)
-        return cls(family.s, cells[:, :, 0], cells[:, :, 1])
+        return cls(np.array([family.s], dtype=float), cells[:, :, 0], cells[:, :, 1])
 
     def family(self, i: int) -> JoinFamily:
         """Row ``i`` as a ``JoinFamily``."""
         cells = zip(self.sizes[i].tolist(), self.counts[i].tolist())
-        return JoinFamily(self.s, tuple(int(p) for p, count in cells for _ in range(int(count))))
+        return JoinFamily(int(self.s[i]), tuple(int(p) for p, count in cells for _ in range(int(count))))
 
 
 def quotient_matrices(batch: FamilyBatch, alpha: float) -> np.ndarray:
@@ -221,17 +221,19 @@ def quotient_matrices(batch: FamilyBatch, alpha: float) -> np.ndarray:
     S = diag(sqrt c) B diag(sqrt c)^-1 with diagonal (alpha+1)(p-1) +
     alpha*s for cell p and alpha*(n-1) + s - 1 for the core, and
     sqrt(s * m_p * p) between cell p and the core.  Its eigenvalues are
-    eigenvalues of the full matrix, and the largest is the radius.
+    eigenvalues of the full matrix, and the largest is the radius.  The
+    core size may differ from row to row.
     """
     alpha = _check_alpha(alpha)
-    if batch.s == 0:
-        raise ValueError("quotient collapse is defined for a nonempty core (s >= 1)")
     s, p, m = batch.s, batch.sizes, batch.counts
+    if not np.all(s >= 1):
+        raise ValueError("quotient collapse is defined for a nonempty core (s >= 1)")
     rows, k = p.shape
     cell = np.arange(k)
+    core = s[:, None]
     mat = np.zeros((rows, k + 1, k + 1))
-    mat[:, cell, cell] = (alpha + 1) * (p - 1) + alpha * s
-    mat[:, cell, k] = mat[:, k, cell] = np.sqrt(s * m * p)
+    mat[:, cell, cell] = (alpha + 1) * (p - 1) + alpha * core
+    mat[:, cell, k] = mat[:, k, cell] = np.sqrt(core * m * p)
     order = s + (p * m).sum(axis=1)
     mat[:, k, k] = alpha * (order - 1) + s - 1
     return mat
@@ -250,13 +252,17 @@ def quotient_radius(family: JoinFamily, alpha: float) -> float:
 def family_radius(family: JoinFamily | FamilyBatch, alpha: float):
     """Radius of the family graph: quotient for s >= 1, largest clique
     for the disconnected s = 0 case.  A ``JoinFamily`` gives a float, a
-    ``FamilyBatch`` the array of its rows' radii."""
+    ``FamilyBatch`` the array of its rows' radii, whatever their core
+    sizes."""
     if isinstance(family, JoinFamily):
         return float(family_radius(FamilyBatch.of(family), alpha)[0])
-    if family.s >= 1:
-        return _top_eigenvalues(quotient_matrices(family, alpha))
     alpha = _check_alpha(alpha)
-    return (alpha + 1) * (family.sizes[:, -1] - 1)
+    radii = (alpha + 1) * (family.sizes[:, -1] - 1)
+    core = family.s >= 1
+    if core.any():
+        rows = FamilyBatch(family.s[core], family.sizes[core], family.counts[core])
+        radii[core] = _top_eigenvalues(quotient_matrices(rows, alpha))
+    return radii
 
 
 def _top_eigenvalues(mats: np.ndarray) -> np.ndarray:

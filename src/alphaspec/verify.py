@@ -37,6 +37,9 @@ FAMILY_MATCH_TOL = 1e-8
 FAMILY_MAX_CANDIDATES = 2_000_000
 # Rows of one stacked quotient solve, so a batch stays a few megabytes.
 FAMILY_BATCH_ROWS = 4096
+# Candidate-table rows turned into batches at a time, so the cell arrays
+# of a large search stay a few tens of megabytes.
+FAMILY_CHUNK_ROWS = 1 << 14
 
 
 # -- reports -----------------------------------------------------------
@@ -302,42 +305,25 @@ def _check_search(n: int, beta: int) -> None:
         raise ValueError(f"need n >= 2*beta + 1 and beta >= 0, got n={n}, beta={beta}")
 
 
-def _candidate_cells(n: int, beta: int, s: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """The candidates with core size s in candidate order, each as its
-    distinct part sizes (descending) and their multiplicities.
-
-    A candidate has q = n + s - 2*beta odd parts whose halves (p - 1)/2
-    partition beta - s; the order is decreasing lexicographic in the
-    nonincreasing list of halves.  Halves are chosen largest value
-    first, each with its multiplicity from high to low; what no value
-    fills is the size-1 cell, whose multiplicity is the slots left.
-    """
-    sizes: list[int] = []
-    counts: list[int] = []
-
-    def rec(remaining: int, cap: int, left: int):
-        if remaining == 0:
-            yield ((*sizes, 1), (*counts, left)) if left else (tuple(sizes), tuple(counts))
-            return
-        for value in range(min(cap, remaining), 0, -1):
-            if value * left < remaining:
-                return  # smaller values cannot fill ``remaining`` either
-            # fewer copies would leave more than the smaller values can hold
-            low = max(1, remaining - (value - 1) * left)
-            sizes.append(2 * value + 1)
-            for count in range(min(remaining // value, left), low - 1, -1):
-                counts.append(count)
-                yield from rec(remaining - count * value, value - 1, left - count)
-                counts.pop()
-            sizes.pop()
-
-    yield from rec(beta - s, beta - s, n + s - 2 * beta)
+def _core_counts(n: int, beta: int) -> Iterator[int]:
+    """The number of candidates with core size s, for s = beta down to 0,
+    from the partition-count recurrence P(t, k) = P(t, k-1) + P(t-k, k)
+    (partitions of t into at most k parts), without generating any."""
+    rows: list[list[int]] = []  # rows[t][k] = P(t, k) for k <= t
+    for s in range(beta, -1, -1):
+        remaining, slots = beta - s, n + s - 2 * beta
+        while len(rows) <= remaining:
+            t = len(rows)
+            row = [1 if t == 0 else 0]
+            for k in range(1, t + 1):
+                row.append(row[k - 1] + rows[t - k][min(k, t - k)])
+            rows.append(row)
+        yield rows[remaining][min(slots, remaining)]
 
 
 def family_count(n: int, beta: int) -> int:
     """Number of join families ``candidate_families(n, beta)`` yields,
-    from the partition-count recurrence P(t, k) = P(t, k-1) + P(t-k, k)
-    (partitions of t into at most k parts), without generating any.
+    counted without generating any.
 
     Core sizes are counted from s = beta down, so the partitioned totals
     beta - s grow; once the running count exceeds
@@ -347,62 +333,129 @@ def family_count(n: int, beta: int) -> int:
     small rows of the recurrence.
     """
     _check_search(n, beta)
-    rows: list[list[int]] = []  # rows[t][k] = P(t, k) for k <= t
     total = 0
-    for s in range(beta, -1, -1):
-        remaining, slots = beta - s, n + s - 2 * beta
-        while len(rows) <= remaining:
-            t = len(rows)
-            row = [1 if t == 0 else 0]
-            for k in range(1, t + 1):
-                row.append(row[k - 1] + rows[t - k][min(k, t - k)])
-            rows.append(row)
-        total += rows[remaining][min(slots, remaining)]
+    for count in _core_counts(n, beta):
+        total += count
         if total > FAMILY_MAX_CANDIDATES:
             break
     return total
 
 
-def candidate_families(n: int, beta: int) -> Iterator[JoinFamily]:
-    """Every join family of order n realizing matching number beta:
-    core size s in [0, beta], q = n + s - 2*beta odd parts."""
-    _check_search(n, beta)
-    for s in range(0, beta + 1):
-        for sizes, counts in _candidate_cells(n, beta, s):
-            parts = tuple(p for p, count in zip(reversed(sizes), reversed(counts)) for _ in range(count))
-            yield JoinFamily(s, parts)
-
-
-def _candidate_batches(n: int, beta: int) -> Iterator[tuple[list[int], FamilyBatch]]:
-    """(candidate indices, batch) for every batch of the search: the
-    candidates of one core size with one number of cells, in candidate
-    order, at most ``FAMILY_BATCH_ROWS`` of them."""
-
-    def batch(s: int, sizes: list[int], counts: list[int], k: int) -> FamilyBatch:
-        # rows list cells by descending size; the batch wants them ascending
-        return FamilyBatch(
-            s,
-            np.array(sizes, dtype=float).reshape(-1, k)[:, ::-1],
-            np.array(counts, dtype=float).reshape(-1, k)[:, ::-1],
+def _check_cap(n: int, beta: int) -> None:
+    count = family_count(n, beta)
+    if count > FAMILY_MAX_CANDIDATES:
+        raise ValueError(
+            f"family search for n={n}, beta={beta} has at least {count:,} candidate "
+            f"families, more than the cap of {FAMILY_MAX_CANDIDATES:,}"
         )
 
-    index = 0
-    for s in range(0, beta + 1):
-        groups: dict[int, tuple[list[int], list[int], list[int]]] = {}
-        for sizes, counts in _candidate_cells(n, beta, s):
-            k = len(sizes)
-            group = groups.get(k)
-            if group is None:
-                group = groups[k] = ([], [], [])
-            group[0].append(index)
-            group[1].extend(sizes)
-            group[2].extend(counts)
-            index += 1
-            if len(group[0]) == FAMILY_BATCH_ROWS:
-                yield group[0], batch(s, group[1], group[2], k)
-                del groups[k]
-        for k, (indices, sizes, counts) in groups.items():
-            yield indices, batch(s, sizes, counts, k)
+
+@dataclass(frozen=True, eq=False)
+class _CandidateTable:
+    """Every candidate of one search as a row, in candidate order.
+
+    Row i has core size ``core[i]``, ``mult[i, h]`` parts of size 2h + 1
+    for each half h >= 1, and ``parts[i]`` parts of size 3 or more; the
+    q - parts[i] parts of size 1 (q = n + s - 2*beta) are left out, and
+    column 0 is zero.  Within one core size the rows are the partitions
+    of beta - s into at most q parts, in decreasing lexicographic order
+    of their nonincreasing halves.
+    """
+
+    mult: np.ndarray
+    core: np.ndarray
+    parts: np.ndarray
+
+
+def _candidate_table(n: int, beta: int) -> _CandidateTable:
+    """The candidate table of the search for (n, beta).
+
+    Block s holds the partitions of t = beta - s.  Those with largest
+    half v are v prepended to the partitions of t - v with largest half
+    at most v, which are a suffix of block s + v (rows are in decreasing
+    lexicographic order), so each block is built from slices of blocks
+    already built, smallest t first.  Block s + v keeps every partition
+    with at most q + v parts, which covers the q - 1 that block s needs.
+    The cap bounds beta by 129 (p(65) > ``FAMILY_MAX_CANDIDATES``), so
+    multiplicities and part counts fit a uint8.
+    """
+    counts = list(_core_counts(n, beta))[::-1]
+    start = np.concatenate(([0], np.cumsum(counts))).tolist()
+    mult = np.zeros((start[-1], beta + 1), dtype=np.uint8)
+    parts = np.zeros(start[-1], dtype=np.uint8)
+    # tails[t][v]: the first row of block beta - t whose largest half is
+    # at most v, relative to the block
+    tails: list[list[int]] = [[0]]
+    for t in range(1, beta + 1):
+        s = beta - t
+        limit = n + s - 2 * beta
+        row = start[s]
+        tail = [0] * (t + 1)
+        for v in range(t, 0, -1):
+            tail[v] = row - start[s]
+            lo, hi = start[s + v] + tails[t - v][min(v, t - v)], start[s + v + 1]
+            sub_mult, sub_parts = mult[lo:hi], parts[lo:hi]
+            if limit <= t:  # else no partition of t has too many parts
+                keep = sub_parts < limit
+                sub_mult, sub_parts = sub_mult[keep], sub_parts[keep]
+            end = row + len(sub_parts)
+            mult[row:end] = sub_mult
+            mult[row:end, v] += 1
+            parts[row:end] = sub_parts + 1
+            row = end
+        tails.append(tail)
+    core = np.repeat(np.arange(beta + 1, dtype=np.uint8), counts)
+    return _CandidateTable(mult, core, parts)
+
+
+def candidate_families(n: int, beta: int) -> Iterator[JoinFamily]:
+    """Every join family of order n realizing matching number beta:
+    core size s in [0, beta], q = n + s - 2*beta odd parts.  Like
+    ``family_search`` it refuses more than ``FAMILY_MAX_CANDIDATES``."""
+    _check_cap(n, beta)
+    table = _candidate_table(n, beta)
+    for first in range(0, len(table.core), FAMILY_CHUNK_ROWS):
+        chunk = slice(first, first + FAMILY_CHUNK_ROWS)
+        rows = zip(table.mult[chunk].tolist(), table.core[chunk].tolist(), table.parts[chunk].tolist())
+        for mult, s, parts in rows:
+            big = tuple(2 * h + 1 for h, count in enumerate(mult) for _ in range(count))
+            yield JoinFamily(s, (1,) * (n + s - 2 * beta - parts) + big)
+
+
+def _candidate_batches(n: int, beta: int) -> Iterator[tuple[np.ndarray, FamilyBatch]]:
+    """(candidate indices, batch) for every batch of the search.
+
+    The table is read ``FAMILY_CHUNK_ROWS`` rows at a time.  A chunk's
+    rows are sorted by their number of cells, stably, so each cell count
+    is one run of rows in candidate order whatever their core sizes;
+    ``np.nonzero`` lists the cells of those rows in the same order, each
+    row's ascending.  A run is split every ``FAMILY_BATCH_ROWS`` rows.
+    """
+    table = _candidate_table(n, beta)
+    for first in range(0, len(table.core), FAMILY_CHUNK_ROWS):
+        chunk = slice(first, first + FAMILY_CHUNK_ROWS)
+        core = table.core[chunk].astype(float)
+        ones = core + (n - 2 * beta) - table.parts[chunk]
+        cells = np.count_nonzero(table.mult[chunk], axis=1) + (ones > 0)
+        order = np.argsort(cells, kind="stable")
+        mult, ones, core = table.mult[chunk][order], ones[order], core[order]
+        mult[:, 0] = ones > 0
+        row, col = np.nonzero(mult)
+        counts = mult[row, col].astype(float)
+        size_one = col == 0
+        counts[size_one] = ones[row[size_one]]
+        sizes = 2.0 * col + 1
+        k_values, k_rows = np.unique(cells[order], return_counts=True)
+        lo = cell_lo = 0  # first row and first cell of the run
+        for k, rows in zip(k_values.tolist(), k_rows.tolist()):
+            for a in range(0, rows, FAMILY_BATCH_ROWS):
+                b = min(a + FAMILY_BATCH_ROWS, rows)
+                cell = slice(cell_lo + a * k, cell_lo + b * k)
+                yield first + order[lo + a : lo + b], FamilyBatch(
+                    core[lo + a : lo + b], sizes[cell].reshape(-1, k), counts[cell].reshape(-1, k)
+                )
+            lo += rows
+            cell_lo += rows * k
 
 
 def family_search(n: int, beta: int, alpha) -> FamilySearchResult:
@@ -411,20 +464,16 @@ def family_search(n: int, beta: int, alpha) -> FamilySearchResult:
     one-big-clique shape and matches the regime prediction.
 
     The candidate count is checked against ``FAMILY_MAX_CANDIDATES``
-    before any is generated.  For each core size the candidates are
-    grouped by their number of distinct part sizes, and each group (split
-    every ``FAMILY_BATCH_ROWS`` rows) is one ``FamilyBatch`` whose radii
-    come from one stacked eigensolve.  The winner is the first maximum in
-    candidate order, as in a one-family-at-a-time scan.
+    before any is generated.  The candidates are rows of one array table,
+    grouped by their number of distinct part sizes across all core sizes,
+    and each group (split every ``FAMILY_BATCH_ROWS`` rows) is one
+    ``FamilyBatch`` whose radii come from one stacked eigensolve.  The
+    winner is the first maximum in candidate order, as in a
+    one-family-at-a-time scan.
     """
     a = as_fraction(alpha)
     af = float(a)
-    count = family_count(n, beta)
-    if count > FAMILY_MAX_CANDIDATES:
-        raise ValueError(
-            f"family search for n={n}, beta={beta} has at least {count:,} candidate "
-            f"families, more than the cap of {FAMILY_MAX_CANDIDATES:,}"
-        )
+    _check_cap(n, beta)
     best_rho, best_index, best = -inf, -1, None
     scanned = 0
     for indices, batch in _candidate_batches(n, beta):

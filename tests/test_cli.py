@@ -243,3 +243,30 @@ class TestExitCodes:
         code, out, _ = run(capsys, "verify", "5", "--alpha", "0", "--graph6", str(path))
         assert code == 1
         assert "FAILURES PRESENT" in out
+
+
+class TestHugeAlpha:
+    # 1e400 overflows float(alpha), 1e300 overflows (1 + alpha) ** 2 in
+    # the sampled-region test; both used to end in an OverflowError traceback
+    @pytest.mark.parametrize("alpha", ["1e400", "1e300"])
+    @pytest.mark.parametrize(
+        "argv",
+        [["rho", "--graph6", "Bw"], ["bound", "10", "3"], ["verify", "5"], ["family", "10", "3"]],
+        ids=["rho", "bound", "verify", "family"],
+    )
+    def test_rejected_with_exit_2(self, capsys, argv, alpha):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--alpha", alpha])
+        assert exc.value.code == 2
+        assert f"alpha '{alpha}' is too large" in capsys.readouterr().err
+
+    def test_report_alpha_list(self, capsys):
+        code, out, err = run(capsys, "report", "--n-max", "3", "--alphas", "0,1e400")
+        assert code == 2
+        assert out == ""
+        assert "alpha '1e400' is too large" in err
+
+    def test_largest_accepted_alpha(self, capsys):
+        code, out, _ = run(capsys, "bound", "10", "3", "--alpha", "1e150", "--format", "json-lines")
+        assert code == 0
+        assert json.loads(out)["alpha"] == str(10**150)

@@ -10,6 +10,7 @@ from alphaspec import (
     COMPLETE_SPLIT,
     ODD_CLIQUE_PLUS_ISOLATES,
     THRESHOLD,
+    FamilyBatch,
     JoinFamily,
     VerificationReport,
     as_fraction,
@@ -385,6 +386,69 @@ class TestFamilySearchAgainstLoop:
             seen += len(indices)
         assert seen == family_count(n, beta)
 
+    @pytest.mark.parametrize("rows", [1, 5, 100])
+    def test_small_chunks(self, monkeypatch, rows):
+        import alphaspec.verify as verify
+
+        # chunk boundaries fall inside core sizes and cut cell-count runs
+        monkeypatch.setattr(verify, "FAMILY_CHUNK_ROWS", rows)
+        for n, beta, alpha in [(20, 6, "0"), (21, 7, "1/2"), (14, 5, "1"), (9, 3, "1")]:
+            self.check(n, beta, alpha)
+        assert list(candidate_families(14, 5)) == list(_old_candidate_families(14, 5))
+
+    def test_batches_follow_candidate_order(self):
+        for n, beta in [(20, 6), (21, 7), (9, 3)]:
+            families = list(candidate_families(n, beta))
+            seen = []
+            for indices, batch in _candidate_batches(n, beta):
+                assert list(indices) == sorted(indices)
+                assert [batch.family(i) for i in range(len(indices))] == [families[j] for j in indices]
+                seen.extend(indices.tolist())
+            assert sorted(seen) == list(range(len(families)))
+
+    def test_batches_span_core_sizes(self):
+        cores = [set(batch.s.tolist()) for _, batch in _candidate_batches(20, 6)]
+        assert any(len(c) > 1 and 0 in c for c in cores)
+
+    @pytest.mark.parametrize("alpha", [0, 0.5, 1, 2])
+    def test_mixed_core_batch_equals_single(self, alpha):
+        # two cells each: sizes ascending, core sizes 0, 2, 1, 0, 3
+        families = [
+            JoinFamily(0, (1, 1, 5)),
+            JoinFamily(2, (1, 1, 3, 3)),
+            JoinFamily(1, (3, 5)),
+            JoinFamily(0, (3, 3, 7)),
+            JoinFamily(3, (1, 1, 1, 1, 9)),
+        ]
+        cells = [[(p, f.parts.count(p)) for p in sorted(set(f.parts))] for f in families]
+        batch = FamilyBatch(
+            np.array([f.s for f in families], dtype=float),
+            np.array([[p for p, _ in c] for c in cells], dtype=float),
+            np.array([[m for _, m in c] for c in cells], dtype=float),
+        )
+        radii = family_radius(batch, alpha)
+        assert radii.tolist() == [family_radius(f, alpha) for f in families]
+        assert [batch.family(i) for i in range(len(families))] == families
+
+    def test_tie_across_core_sizes_in_one_batch(self, monkeypatch):
+        import alphaspec.verify as verify
+
+        families = list(candidate_families(20, 6))
+        indices, batch = next(
+            (idx, b) for idx, b in _candidate_batches(20, 6) if len(set(b.s.tolist())) > 1
+        )
+        first, last = batch.family(0), batch.family(len(indices) - 1)
+        assert first.s < last.s and indices[0] < indices[-1]
+        tied = {first, last}
+
+        def radius(batch, alpha):
+            return np.array([float(batch.family(i) in tied) for i in range(len(batch.sizes))])
+
+        monkeypatch.setattr(verify, "family_radius", radius)
+        result = family_search(20, 6, 0)
+        assert result.best == first == families[indices[0]]
+        assert result.rho == 1.0
+
 
 class TestFamilyCount:
     def test_equals_enumeration(self):
@@ -408,9 +472,19 @@ class TestFamilyCount:
             raise AssertionError("a radius was computed")
 
         monkeypatch.setattr(verify, "family_radius", refuse)
-        monkeypatch.setattr(verify, "_candidate_cells", refuse)
+        monkeypatch.setattr(verify, "_candidate_table", refuse)
         with pytest.raises(ValueError, match=f"cap of {FAMILY_MAX_CANDIDATES:,}"):
             family_search(400, 150, 0)
+
+    def test_candidate_families_refuses_over_cap(self, monkeypatch):
+        import alphaspec.verify as verify
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the candidate table was built")
+
+        monkeypatch.setattr(verify, "_candidate_table", refuse)
+        with pytest.raises(ValueError, match=f"cap of {FAMILY_MAX_CANDIDATES:,}"):
+            next(candidate_families(400, 150))
 
     def test_count_stops_above_the_cap(self):
         # (400, 150) has 423,648,884,992 candidates; the count stops at the
