@@ -286,17 +286,22 @@ def isomorphism_classes(n: int, jobs: int = 1) -> list[Graph]:
     return [Graph(n, rows) for rows in _LEVELS[n]]
 
 
-def enumerate_graphs(n: int, jobs: int = 1, source: Iterable[Graph] | None = None) -> Iterator[Graph]:
+def enumerate_graphs(
+    n: int, jobs: int = 1, source: Iterable[Graph | tuple[int, Graph]] | None = None
+) -> Iterator[Graph]:
     """Stream of isomorphism-class representatives of order n.
 
-    ``source`` (typically ``read_graph6_file``) overrides the built-in
-    path; each supplied graph is checked for the right order, and class
-    uniqueness of the file is trusted as documented.
+    ``source`` overrides the built-in path.  It holds graphs, or the
+    (line, graph) pairs of ``read_graph6_file``; each graph is checked for
+    the right order, and a wrong one is named by its line, else by its
+    0-based position.  Class uniqueness of a file is trusted as documented.
     """
     if source is not None:
-        for i, g in enumerate(source):
+        for i, item in enumerate(source):
+            line, g = item if isinstance(item, tuple) else (None, item)
             if g.n != n:
-                raise ValueError(f"graph {i} in source has order {g.n}, expected {n}")
+                where = f"graph {i} in source" if line is None else f"line {line}: graph"
+                raise ValueError(f"{where} has order {g.n}, expected {n}")
             yield g
         return
     yield from isomorphism_classes(n, jobs=jobs)

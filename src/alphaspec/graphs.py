@@ -11,15 +11,28 @@ are immutable after construction and safe to share between workers.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
+
+import numpy as np
+
+# Largest order a graph6 or edge-list input may declare.  It is checked
+# as soon as the header is read, before anything of size n is allocated;
+# a radius builds a dense n x n float matrix (0.8 GB at this order).
+MAX_ORDER = 10_000
 
 
 class Graph6Error(ValueError):
-    """Malformed graph6 input; ``offset`` is the byte position of the fault."""
+    """Malformed graph6 input.  ``offset`` is the byte position of the
+    fault within its line; ``line`` is the 1-based line of a file, or
+    None for a single string."""
 
-    def __init__(self, message: str, offset: int):
-        super().__init__(f"{message} (byte offset {offset})")
+    def __init__(self, message: str, offset: int, line: int | None = None):
+        where = "" if line is None else f"line {line}: "
+        super().__init__(f"{where}{message} (byte offset {offset})")
+        self.reason = message
         self.offset = offset
+        self.line = line
 
 
 @dataclass(frozen=True)
@@ -34,14 +47,11 @@ class Graph:
             raise ValueError("vertex count must be nonnegative")
         if len(self.rows) != self.n:
             raise ValueError("adjacency row count does not match vertex count")
-        full = (1 << self.n) - 1
         for v, row in enumerate(self.rows):
-            if row >> self.n:
+            if row >> self.n:  # also catches a negative row
                 raise ValueError(f"row {v} has bits beyond vertex range")
             if (row >> v) & 1:
                 raise ValueError(f"self-loop at vertex {v}")
-            if row & ~full:
-                raise ValueError(f"row {v} out of range")
         for v in range(self.n):
             m = self.rows[v]
             while m:
@@ -49,6 +59,51 @@ class Graph:
                 m &= m - 1
                 if not (self.rows[u] >> v) & 1:
                     raise ValueError(f"adjacency not symmetric at ({v}, {u})")
+
+    # -- bit rows <-> 0/1 matrix -----------------------------------------
+
+    @classmethod
+    def from_bit_matrix(cls, mat) -> Graph:
+        """Graph whose adjacency is the square 0/1 array ``mat``.
+
+        The invariants of ``__post_init__`` are checked on the array, with
+        the same messages naming the first bad row or pair in row-major
+        order, and the rows are then packed without a second check.
+        """
+        a = np.asarray(mat)
+        if a.ndim != 2 or a.shape[0] != a.shape[1]:
+            raise ValueError("adjacency row count does not match vertex count")
+        bad_rows = np.flatnonzero(((a != 0) & (a != 1)).any(axis=1))
+        if len(bad_rows):
+            raise ValueError(f"row {bad_rows[0]} has an entry other than 0 or 1")
+        a = a.astype(np.uint8)
+        loops = np.flatnonzero(a.diagonal())
+        if len(loops):
+            raise ValueError(f"self-loop at vertex {loops[0]}")
+        one_sided = np.argwhere(a > a.T)
+        if len(one_sided):
+            v, u = one_sided[0]
+            raise ValueError(f"adjacency not symmetric at ({v}, {u})")
+        return cls._from_valid_matrix(a)
+
+    @classmethod
+    def _from_valid_matrix(cls, mat: np.ndarray) -> Graph:
+        """Pack a square 0/1 matrix already known to be symmetric with a
+        zero diagonal; ``__post_init__`` is bypassed, not repeated."""
+        n = len(mat)
+        width = (n + 7) // 8
+        packed = np.packbits(mat, axis=1, bitorder="little").tobytes()
+        rows = tuple([int.from_bytes(packed[v * width : (v + 1) * width], "little") for v in range(n)])
+        g = object.__new__(cls)
+        object.__setattr__(g, "n", n)
+        object.__setattr__(g, "rows", rows)
+        return g
+
+    def bit_matrix(self) -> np.ndarray:
+        """The n x n uint8 adjacency matrix, the inverse of ``from_bit_matrix``."""
+        width = (self.n + 7) // 8
+        packed = np.frombuffer(b"".join(r.to_bytes(width, "little") for r in self.rows), dtype=np.uint8)
+        return np.unpackbits(packed.reshape(self.n, width), axis=1, count=self.n, bitorder="little")
 
     # -- basic queries -------------------------------------------------
 
@@ -266,8 +321,16 @@ def to_graph6(g: Graph) -> str:
     return head + "".join(payload)
 
 
+_GRAPH6_BYTES = bytes(range(63, 127))
+_GRAPH6_VALUES = bytes((b - 63) % 256 for b in range(256))  # byte -> the 6 bits it carries
+
+
 def parse_graph6(text: str | bytes) -> Graph:
-    """Decode one graph6 line; rejects malformed input with a byte offset."""
+    """Decode one graph6 line; rejects malformed input with a byte offset.
+
+    The payload is unpacked by numpy and gathered into the symmetric 0/1
+    matrix in one indexing step, and the bit rows are packed from that.
+    """
     # A non-ASCII character encodes to bytes >= 128, which the range check
     # below rejects at the character's offset.
     data = text.encode("utf-8", errors="surrogatepass") if isinstance(text, str) else bytes(text)
@@ -276,71 +339,79 @@ def parse_graph6(text: str | bytes) -> Graph:
         data = data[len(b">>graph6<<"):]
     if not data:
         raise Graph6Error("empty graph6 input", 0)
-    for i, b in enumerate(data):
-        if not 63 <= b <= 126:
-            raise Graph6Error(f"byte {b} outside the graph6 range 63..126", i)
-    pos = 0
+    if data.translate(None, _GRAPH6_BYTES):
+        i, b = next((i, b) for i, b in enumerate(data) if not 63 <= b <= 126)
+        raise Graph6Error(f"byte {b} outside the graph6 range 63..126", i)
     if data[0] != 126:
-        n = data[0] - 63
-        pos = 1
+        order, pos = data[:1], 1
     elif len(data) >= 2 and data[1] != 126:
         if len(data) < 4:
             raise Graph6Error("truncated long-form order", len(data))
-        n = 0
-        for b in data[1:4]:
-            n = (n << 6) | (b - 63)
-        pos = 4
+        order, pos = data[1:4], 4
     else:
         if len(data) < 8:
             raise Graph6Error("truncated very-long-form order", len(data))
-        n = 0
-        for b in data[2:8]:
-            n = (n << 6) | (b - 63)
-        pos = 8
-    nbytes = (n * (n - 1) // 2 + 5) // 6
+        order, pos = data[2:8], 8
+    n = 0
+    for b in order:
+        n = (n << 6) | (b - 63)
+    if n > MAX_ORDER:
+        raise Graph6Error(f"order n={n} exceeds the graph6 limit {MAX_ORDER}", pos - len(order))
+    m = n * (n - 1) // 2
+    nbytes = (m + 5) // 6
     if len(data) - pos != nbytes:
         raise Graph6Error(
             f"payload length {len(data) - pos} != expected {nbytes} for n={n}",
             pos,
         )
-    rows = [0] * n
-    col, row = 1, 0  # the upper triangle is read column by column
-    for k in range(pos, len(data)):
-        b = data[k] - 63
-        for j in range(5, -1, -1):
-            if col >= n:
-                if (b >> j) & 1:
-                    raise Graph6Error("nonzero padding bit", k)
-                continue
-            if (b >> j) & 1:
-                rows[col] |= 1 << row
-                rows[row] |= 1 << col
-            row += 1
-            if row == col:
-                col += 1
-                row = 0
-    return Graph(n, tuple(rows))
+    if n < 2:
+        return empty_graph(n)
+    # The padding, under 6 bits, sits at the bottom of the last byte.
+    if (data[-1] - 63) & ((1 << (6 * nbytes - m)) - 1):
+        raise Graph6Error("nonzero padding bit", len(data) - 1)
+    bits = np.unpackbits(np.frombuffer(data[pos:].translate(_GRAPH6_VALUES), dtype=np.uint8))
+    return Graph._from_valid_matrix(bits[_pair_bit_index(n)])
 
 
-def read_graph6_file(path) -> Iterator[Graph]:
-    """Yield graphs from a one-per-line graph6 file (blank lines skipped)."""
+@lru_cache(maxsize=2)
+def _pair_bit_index(n: int) -> np.ndarray:
+    """(n, n) position of each vertex pair's bit in the unpacked payload.
+
+    ``np.unpackbits`` gives 8 bits per payload byte, the top two always 0
+    (a byte carries a value below 64).  Bit k of the upper triangle, read
+    column by column, sits at 8 * (k // 6) + 2 + k % 6, and the diagonal
+    points at position 0, a zero.  ``np.tri`` lists the lower triangle
+    row by row, which is the order of k.  The array takes 8 n^2 bytes:
+    1.3 MB at n = 400, and at MAX_ORDER as much as the float matrix of a
+    radius (0.8 GB).
+    """
+    k = np.arange(n * (n - 1) // 2)
+    index = np.zeros((n, n), dtype=np.intp)
+    lower = np.tri(n, n, -1, dtype=bool)
+    index[lower] = index.T[lower] = 8 * (k // 6) + 2 + k % 6
+    return index
+
+
+def read_graph6_file(path) -> Iterator[tuple[int, Graph]]:
+    """Yield (line number, graph) from a one-per-line graph6 file, lines
+    counted from 1 and blank lines skipped.  A malformed line raises
+    Graph6Error naming its line and the byte offset within it."""
     with open(path, "rb") as fh:
-        for line in fh:
+        for line_no, line in enumerate(fh, start=1):
             line = line.strip()
-            if line:
-                yield parse_graph6(line)
+            if not line:
+                continue
+            try:
+                g = parse_graph6(line)
+            except Graph6Error as exc:
+                raise Graph6Error(exc.reason, exc.offset, line_no) from None
+            yield line_no, g
 
 
 # -- edge-list text format ---------------------------------------------
 #
 # First line "n m", then m lines "u v" with 0-based endpoints.  Blank
 # lines and "#" comments are ignored.
-
-# Largest order an edge-list header may declare.  The header's n is
-# allocated before any edge is read, and a radius builds a dense n x n
-# float matrix (0.8 GB at this order).
-EDGE_LIST_MAX_ORDER = 10_000
-
 
 def parse_edge_list(text: str) -> Graph:
     """Decode edge-list text; malformed input raises ValueError naming its line."""
@@ -361,8 +432,8 @@ def parse_edge_list(text: str) -> Graph:
         raise ValueError(f"line {lineno}: header must be two integers") from None
     if n < 0 or m < 0:
         raise ValueError(f"line {lineno}: header n and m must be nonnegative, got n={n} m={m}")
-    if n > EDGE_LIST_MAX_ORDER:
-        raise ValueError(f"line {lineno}: order n={n} exceeds the edge-list limit {EDGE_LIST_MAX_ORDER}")
+    if n > MAX_ORDER:
+        raise ValueError(f"line {lineno}: order n={n} exceeds the edge-list limit {MAX_ORDER}")
     edges: dict[tuple[int, int], int] = {}  # edge -> its line
     for lineno, line in tokens[1:]:
         parts = line.split()

@@ -51,9 +51,7 @@ class SpectralResult:
 def alpha_matrix(g: Graph, alpha: float) -> np.ndarray:
     """Dense alpha * D + A for the whole graph."""
     alpha = _check_alpha(alpha)
-    width = (g.n + 7) // 8
-    packed = np.frombuffer(b"".join(r.to_bytes(width, "little") for r in g.rows), dtype=np.uint8)
-    mat = np.unpackbits(packed.reshape(g.n, width), axis=1, count=g.n, bitorder="little").astype(float)
+    mat = g.bit_matrix().astype(float)
     mat[np.diag_indices(g.n)] = alpha * mat.sum(axis=1)
     return mat
 

@@ -48,6 +48,13 @@ class TestRho:
         assert code == 2
         assert "line 2" in err
 
+    def test_graph6_order_above_cap_exits_2(self, capsys):
+        # long-form header for n = 10,001 and a two-byte payload
+        code, out, err = run(capsys, "rho", "--graph6", "~A[P??")
+        assert code == 2
+        assert out == ""
+        assert "order n=10001 exceeds the graph6 limit 10000 (byte offset 1)" in err
+
     def test_requires_exactly_one_input(self, capsys):
         code, _, err = run(capsys, "rho")
         assert code == 2
@@ -129,6 +136,22 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "9")
         assert code == 2
         assert "graph6" in err
+
+    @pytest.mark.parametrize(
+        "line3,message",
+        [
+            ("D\x19{", "error: line 3: byte 25 outside the graph6 range 63..126 (byte offset 1)"),
+            ("C~", "error: line 3: graph has order 4, expected 5"),
+        ],
+        ids=["bad-payload", "wrong-order"],
+    )
+    def test_graph6_file_error_names_its_line(self, capsys, tmp_path, line3, message):
+        path = tmp_path / "order5.g6"
+        path.write_text(to_graph6(complete_graph(5)) + "\n\n" + line3 + "\n")
+        code, out, err = run(capsys, "verify", "5", "--graph6", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.strip() == message
 
     @pytest.mark.parametrize("isolates_first", [True, False])
     def test_certificates_canonical_above_cap(self, capsys, tmp_path, isolates_first):

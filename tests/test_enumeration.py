@@ -92,6 +92,11 @@ class TestEnumeration:
         with pytest.raises(ValueError):
             list(enumerate_graphs(5, source=src))
 
+    def test_numbered_source_names_the_line(self):
+        src = [(1, complete_graph(5)), (3, complete_graph(4))]
+        with pytest.raises(ValueError, match=r"^line 3: graph has order 4, expected 5$"):
+            list(enumerate_graphs(5, source=src))
+
     def test_stream_source_passthrough(self):
         src = [complete_graph(4), cycle_graph(4)]
         assert list(enumerate_graphs(4, source=src)) == src

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,7 +24,7 @@ from alphaspec import (
     to_graph6,
 )
 from alphaspec.enumeration import are_isomorphic
-from alphaspec.graphs import EDGE_LIST_MAX_ORDER
+from alphaspec.graphs import MAX_ORDER, read_graph6_file
 
 
 def random_graph(rng, n, p=0.5):
@@ -49,6 +50,10 @@ class TestConstruction:
     def test_rejects_asymmetry(self):
         with pytest.raises(ValueError):
             Graph(2, (0b10, 0b00))
+
+    def test_rejects_negative_row(self):
+        with pytest.raises(ValueError, match="row 0 has bits beyond vertex range"):
+            Graph(2, (-2, 1))
 
     def test_rejects_self_loop(self):
         with pytest.raises(ValueError):
@@ -220,6 +225,237 @@ class TestGraph6:
             assert parse_graph6(to_graph6(g)) == g
 
 
+def bit_loop_parse_graph6(text):
+    """The per-bit decoder that ``parse_graph6`` replaced, kept as the
+    reference its output and error offsets are checked against."""
+    data = text.encode("utf-8", errors="surrogatepass") if isinstance(text, str) else bytes(text)
+    data = data.strip()
+    if data.startswith(b">>graph6<<"):
+        data = data[len(b">>graph6<<"):]
+    if not data:
+        raise Graph6Error("empty graph6 input", 0)
+    for i, b in enumerate(data):
+        if not 63 <= b <= 126:
+            raise Graph6Error(f"byte {b} outside the graph6 range 63..126", i)
+    if data[0] != 126:
+        n, pos = data[0] - 63, 1
+    elif len(data) >= 2 and data[1] != 126:
+        if len(data) < 4:
+            raise Graph6Error("truncated long-form order", len(data))
+        n, pos = 0, 4
+        for b in data[1:4]:
+            n = (n << 6) | (b - 63)
+    else:
+        if len(data) < 8:
+            raise Graph6Error("truncated very-long-form order", len(data))
+        n, pos = 0, 8
+        for b in data[2:8]:
+            n = (n << 6) | (b - 63)
+    nbytes = (n * (n - 1) // 2 + 5) // 6
+    if len(data) - pos != nbytes:
+        raise Graph6Error(f"payload length {len(data) - pos} != expected {nbytes} for n={n}", pos)
+    rows = [0] * n
+    col, row = 1, 0
+    for k in range(pos, len(data)):
+        b = data[k] - 63
+        for j in range(5, -1, -1):
+            if col >= n:
+                if (b >> j) & 1:
+                    raise Graph6Error("nonzero padding bit", k)
+                continue
+            if (b >> j) & 1:
+                rows[col] |= 1 << row
+                rows[row] |= 1 << col
+            row += 1
+            if row == col:
+                col += 1
+                row = 0
+    return Graph(n, tuple(rows))
+
+
+def decode_both(data):
+    """(graph, None) or (None, (message, offset)) from each decoder."""
+    out = []
+    for decode in (parse_graph6, bit_loop_parse_graph6):
+        try:
+            out.append((decode(data), None))
+        except Graph6Error as exc:
+            out.append((None, (str(exc), exc.offset)))
+    return out
+
+
+def padding_bits(n):
+    return 6 * ((n * (n - 1) // 2 + 5) // 6) - n * (n - 1) // 2
+
+
+ORDERS = list(range(71)) + [100, 300, 400]
+
+
+class TestGraph6AgainstBitLoop:
+    @pytest.mark.parametrize("n", ORDERS)
+    def test_same_graph_at_every_density(self, n):
+        import random
+
+        rng = random.Random(n)
+        for p in (0.0, 0.05, 0.5, 0.95, 1.0):
+            text = to_graph6(random_graph(rng, n, p))
+            g = parse_graph6(text)
+            assert g == bit_loop_parse_graph6(text)
+            assert g.rows == bit_loop_parse_graph6(text).rows
+            assert to_graph6(g) == text
+
+    @pytest.mark.parametrize("n", [n for n in ORDERS if padding_bits(n)])
+    def test_same_offset_for_each_nonzero_padding_bit(self, n):
+        text = to_graph6(complete_graph(n))
+        for j in range(padding_bits(n)):
+            bad = text[:-1] + chr(((ord(text[-1]) - 63) | (1 << j)) + 63)
+            (g, err), (ref_g, ref_err) = decode_both(bad)
+            assert g is None and ref_g is None
+            assert err == ref_err
+            assert err[1] == len(text) - 1
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.binary(max_size=40), st.text(max_size=40)))
+    def test_arbitrary_input_matches(self, data):
+        new, ref = decode_both(data)
+        assert new == ref
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.one_of(st.integers(63, 65), st.integers(63, 126)),
+        st.lists(st.integers(63, 126), min_size=2, max_size=2),
+        st.binary(max_size=80),
+    )
+    def test_long_form_header_with_random_payload(self, first, rest, payload):
+        data = b"~" + bytes([first, *rest]) + payload
+        n = ((first - 63) << 12) | ((rest[0] - 63) << 6) | (rest[1] - 63)
+        new, ref = decode_both(data)
+        if n > MAX_ORDER and ref[1] is not None and ref[1][0].startswith("payload length"):
+            # the order cap is checked before the payload length
+            assert new[1] == (f"order n={n} exceeds the graph6 limit {MAX_ORDER} (byte offset 1)", 1)
+        else:
+            assert new == ref
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_long_form_payload_of_the_declared_length(self, data):
+        # Orders 63..100 need the long form; the payload is random graph6
+        # bytes of exactly the right length, so the padding bits decide.
+        n = data.draw(st.integers(63, 100))
+        nbytes = (n * (n - 1) // 2 + 5) // 6
+        payload = bytes(63 + (b & 63) for b in data.draw(st.binary(min_size=nbytes, max_size=nbytes)))
+        text = b"~" + bytes(((n >> k) & 63) + 63 for k in (12, 6, 0)) + payload
+        (g, err), ref = decode_both(text)
+        assert (g, err) == ref
+        if g is not None:
+            assert to_graph6(g).encode() == text
+
+
+class TestGraph6OrderCap:
+    @staticmethod
+    def long_form(n, payload=b""):
+        return b"~" + bytes(((n >> k) & 63) + 63 for k in (12, 6, 0)) + payload
+
+    def test_cap_error_wins_over_payload_length(self, monkeypatch):
+        from alphaspec import graphs as graphs_module
+
+        def refuse(n):
+            raise AssertionError("decoder allocated before the order check")
+
+        monkeypatch.setattr(graphs_module, "_pair_bit_index", refuse)
+        with pytest.raises(Graph6Error, match=f"order n={MAX_ORDER + 1} exceeds the graph6 limit {MAX_ORDER}") as err:
+            parse_graph6(self.long_form(MAX_ORDER + 1, b"??"))
+        assert err.value.offset == 1
+
+    def test_very_long_form_capped(self):
+        data = b"~~" + bytes(((MAX_ORDER + 1 >> k) & 63) + 63 for k in (30, 24, 18, 12, 6, 0))
+        with pytest.raises(Graph6Error, match="exceeds the graph6 limit") as err:
+            parse_graph6(data)
+        assert err.value.offset == 2
+
+    def test_order_at_cap_reaches_the_length_check(self):
+        with pytest.raises(Graph6Error, match=f"payload length 2 != expected .* for n={MAX_ORDER}") as err:
+            parse_graph6(self.long_form(MAX_ORDER, b"??"))
+        assert err.value.offset == 4
+
+
+class TestBitMatrix:
+    @settings(max_examples=100, deadline=None)
+    @given(graphs(max_n=20))
+    def test_round_trip(self, g):
+        mat = g.bit_matrix()
+        assert mat.dtype == np.uint8 and mat.shape == (g.n, g.n)
+        assert Graph.from_bit_matrix(mat) == g
+        assert Graph.from_bit_matrix(mat.astype(bool)) == g
+        assert Graph.from_bit_matrix(mat.astype(float)) == g
+
+    def test_round_trip_wide_rows(self):
+        import random
+
+        g = random_graph(random.Random(7), 130, 0.3)
+        assert Graph.from_bit_matrix(g.bit_matrix()) == g
+
+    @pytest.mark.parametrize("shape", [(2, 3), (3,), (2, 2, 2)])
+    def test_rejects_non_square(self, shape):
+        with pytest.raises(ValueError, match="adjacency row count does not match vertex count"):
+            Graph.from_bit_matrix(np.zeros(shape, dtype=np.uint8))
+
+    def test_rejects_loop(self):
+        mat = np.zeros((3, 3), dtype=np.uint8)
+        mat[2, 2] = 1
+        with pytest.raises(ValueError, match=r"^self-loop at vertex 2$"):
+            Graph.from_bit_matrix(mat)
+
+    def test_rejects_asymmetric(self):
+        mat = np.zeros((4, 4), dtype=np.uint8)
+        mat[3, 1] = mat[2, 0] = 1
+        with pytest.raises(ValueError, match=r"^adjacency not symmetric at \(2, 0\)$"):
+            Graph.from_bit_matrix(mat)
+
+    def test_rejects_entry_of_two(self):
+        mat = np.zeros((3, 3), dtype=np.int64)
+        mat[0, 1] = mat[1, 0] = 1
+        mat[1, 2] = mat[2, 1] = 2
+        with pytest.raises(ValueError, match=r"^row 1 has an entry other than 0 or 1$"):
+            Graph.from_bit_matrix(mat)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 9).flatmap(lambda n: st.lists(st.booleans(), min_size=n * n, max_size=n * n)))
+    def test_same_message_as_the_row_constructor(self, flags):
+        n = int(len(flags) ** 0.5)
+        mat = np.array(flags, dtype=np.uint8).reshape(n, n)
+        rows = tuple(sum(int(b) << u for u, b in enumerate(row)) for row in mat)
+        try:
+            expected = Graph(n, rows)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as err:
+                Graph.from_bit_matrix(mat)
+            assert str(err.value) == str(exc)
+        else:
+            assert Graph.from_bit_matrix(mat) == expected
+
+
+class TestGraph6File:
+    def test_lines_are_numbered_from_one(self, tmp_path):
+        path = tmp_path / "g.g6"
+        path.write_text("@\n\nA_\n")
+        assert list(read_graph6_file(path)) == [(1, empty_graph(1)), (3, complete_graph(2))]
+
+    def test_bad_payload_names_its_line(self, tmp_path):
+        path = tmp_path / "g.g6"
+        path.write_text(to_graph6(complete_graph(5)) + "\n" + to_graph6(cycle_graph(5)) + "\nD\x19{\n")
+        with pytest.raises(Graph6Error, match=r"^line 3: byte 25 outside the graph6 range 63..126 \(byte offset 1\)$") as err:
+            list(read_graph6_file(path))
+        assert (err.value.line, err.value.offset) == (3, 1)
+
+    def test_padding_fault_names_its_line(self, tmp_path):
+        path = tmp_path / "g.g6"
+        path.write_text("\n  A`\n")
+        with pytest.raises(Graph6Error, match="^line 2: nonzero padding bit") as err:
+            list(read_graph6_file(path))
+        assert err.value.offset == 1
+
+
 class TestEdgeListFormat:
     def test_round_trip(self):
         g = from_edges(5, [(0, 1), (1, 4), (2, 3)])
@@ -255,13 +491,13 @@ class TestEdgeListFormat:
 
         monkeypatch.setattr(graphs_module, "from_edges", refuse)
         with pytest.raises(ValueError, match="line 1: order .* exceeds the edge-list limit"):
-            parse_edge_list(f"{EDGE_LIST_MAX_ORDER + 1} 0\n")
+            parse_edge_list(f"{MAX_ORDER + 1} 0\n")
         with pytest.raises(ValueError, match="line 1"):
             parse_edge_list("10" + "0" * 30 + " 0\n")
 
     def test_order_at_cap_accepted(self):
-        g = parse_edge_list(f"{EDGE_LIST_MAX_ORDER} 1\n0 {EDGE_LIST_MAX_ORDER - 1}\n")
-        assert (g.n, g.num_edges) == (EDGE_LIST_MAX_ORDER, 1)
+        g = parse_edge_list(f"{MAX_ORDER} 1\n0 {MAX_ORDER - 1}\n")
+        assert (g.n, g.num_edges) == (MAX_ORDER, 1)
 
     @settings(max_examples=300, deadline=None)
     @given(st.one_of(st.text(max_size=60), st.text(alphabet="0123456789 -#\n", max_size=60)))

@@ -107,6 +107,27 @@ class TestExhaustiveMax:
         assert r.passed
 
 
+def write_order5_file_with_bad_line_3(path, line3):
+    """Line 1 holds K_5, line 2 is blank, line 3 is ``line3``."""
+    path.write_text(to_graph6(complete_graph(5)) + "\n\n" + line3 + "\n")
+    return str(path)
+
+
+class TestGraph6FileErrors:
+    def test_bad_payload_names_line_and_offset(self, tmp_path):
+        from alphaspec import Graph6Error
+
+        source = write_order5_file_with_bad_line_3(tmp_path / "bad.g6", "D\x19{")
+        with pytest.raises(Graph6Error, match=r"^line 3: byte 25 .* \(byte offset 1\)$") as err:
+            verify_order(5, 0, source=source)
+        assert (err.value.line, err.value.offset) == (3, 1)
+
+    def test_wrong_order_names_its_line(self, tmp_path):
+        source = write_order5_file_with_bad_line_3(tmp_path / "mixed.g6", to_graph6(complete_graph(4)))
+        with pytest.raises(ValueError, match=r"^line 3: graph has order 4, expected 5$"):
+            exhaustive_max(5, 2, 0, source=source)
+
+
 class TestVerifyOrder:
     def test_order_six_all_alphas(self):
         for alpha in (0, "1/2", 1, 2):
