@@ -53,6 +53,7 @@ from .spectral import (
     quotient_matrix,
     quotient_radius,
     shift_function_f,
+    spectral_radii,
     spectral_radius,
     spectral_radius_oracle,
     split_graph_quadratic,

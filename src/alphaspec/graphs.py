@@ -94,6 +94,12 @@ class Graph:
         width = (n + 7) // 8
         packed = np.packbits(mat, axis=1, bitorder="little").tobytes()
         rows = tuple([int.from_bytes(packed[v * width : (v + 1) * width], "little") for v in range(n)])
+        return cls._from_valid_rows(n, rows)
+
+    @classmethod
+    def _from_valid_rows(cls, n: int, rows: tuple[int, ...]) -> Graph:
+        """The graph of bit rows already known to be valid, such as those of
+        an existing ``Graph``; ``__post_init__`` is bypassed, not repeated."""
         g = object.__new__(cls)
         object.__setattr__(g, "n", n)
         object.__setattr__(g, "rows", rows)
@@ -101,9 +107,7 @@ class Graph:
 
     def bit_matrix(self) -> np.ndarray:
         """The n x n uint8 adjacency matrix, the inverse of ``from_bit_matrix``."""
-        width = (self.n + 7) // 8
-        packed = np.frombuffer(b"".join(r.to_bytes(width, "little") for r in self.rows), dtype=np.uint8)
-        return np.unpackbits(packed.reshape(self.n, width), axis=1, count=self.n, bitorder="little")
+        return bit_matrices(self.n, [self.rows])[0]
 
     # -- basic queries -------------------------------------------------
 
@@ -144,6 +148,16 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.num_edges})"
+
+
+def bit_matrices(n: int, rows_list: Sequence[Sequence[int]]) -> np.ndarray:
+    """The (m, n, n) uint8 adjacency matrices of m graphs of order n given
+    by their bit rows, unpacked from the rows' little-endian bytes in one
+    step, so rows of any width convert alike."""
+    width = (n + 7) // 8
+    packed = b"".join(r.to_bytes(width, "little") for rows in rows_list for r in rows)
+    packed = np.frombuffer(packed, dtype=np.uint8).reshape(len(rows_list), n, width)
+    return np.unpackbits(packed, axis=2, count=n, bitorder="little")
 
 
 @dataclass(frozen=True)
@@ -250,7 +264,13 @@ def star_graph(leaves: int) -> Graph:
 def component_masks(g: Graph, removed: int = 0) -> list[int]:
     """Bitmasks of the connected components of ``g`` minus the ``removed``
     vertex set, ordered by smallest member."""
-    alive = ((1 << g.n) - 1) & ~removed
+    return row_component_masks(g.n, g.rows, removed)
+
+
+def row_component_masks(n: int, rows: Sequence[int], removed: int = 0) -> list[int]:
+    """``component_masks`` of the graph of order n with bit rows ``rows``,
+    for callers that hold rows rather than a ``Graph``."""
+    alive = ((1 << n) - 1) & ~removed
     out = []
     while alive:
         start = alive & -alive
@@ -259,7 +279,7 @@ def component_masks(g: Graph, removed: int = 0) -> list[int]:
         while frontier:
             v = (frontier & -frontier).bit_length() - 1
             frontier &= frontier - 1
-            new = g.rows[v] & alive & ~comp
+            new = rows[v] & alive & ~comp
             comp |= new
             frontier |= new
         out.append(comp)
@@ -292,6 +312,8 @@ def _bits(mask: int) -> Iterator[int]:
 # form), then the upper triangle read column by column, zero-padded to a
 # multiple of 6 bits.
 
+_GRAPH6_WEIGHTS = np.array([32, 16, 8, 4, 2, 1], dtype=np.uint8)  # bit -> its weight in a byte
+
 
 def to_graph6(g: Graph) -> str:
     n = g.n
@@ -305,20 +327,11 @@ def to_graph6(g: Graph) -> str:
         )
     else:
         raise ValueError("graph too large for graph6")
-    bits = []
-    for col in range(1, n):
-        r = g.rows[col]
-        for row in range(col):
-            bits.append((r >> row) & 1)
-    while len(bits) % 6:
-        bits.append(0)
-    payload = []
-    for i in range(0, len(bits), 6):
-        b = 0
-        for j in range(6):
-            b = (b << 1) | bits[i + j]
-        payload.append(chr(b + 63))
-    return head + "".join(payload)
+    # Row v of the lower triangle is column v of the upper one.
+    bits = g.bit_matrix()[np.tri(n, n, -1, dtype=bool)]
+    groups = np.concatenate([bits, np.zeros(-len(bits) % 6, dtype=np.uint8)]).reshape(-1, 6)
+    payload = groups @ _GRAPH6_WEIGHTS + 63
+    return head + payload.tobytes().decode("ascii")
 
 
 _GRAPH6_BYTES = bytes(range(63, 127))

@@ -21,14 +21,28 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import groupby
 from math import sqrt
+from typing import Sequence
 
 import numpy as np
 
-from .graphs import Graph, _bits, complete_graph, component_masks, empty_graph, join, union_all
+from .graphs import (
+    Graph,
+    _bits,
+    bit_matrices,
+    complete_graph,
+    empty_graph,
+    join,
+    row_component_masks,
+    union_all,
+)
 
 DEFAULT_TOL = 1e-10
 ROOT_TOL = 1e-12
 ORACLE_ORDER_CAP = 64
+# Matrix entries stacked by one ``spectral_radii`` slice (512 KB of
+# float64): 1,024 graphs of order 8, 13 of order 70, one of order 256 or
+# more.  Larger slices scan no faster and raise peak memory.
+RADII_BATCH_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -50,46 +64,118 @@ class SpectralResult:
 
 def alpha_matrix(g: Graph, alpha: float) -> np.ndarray:
     """Dense alpha * D + A for the whole graph."""
+    return alpha_matrices(g.n, [g.rows], alpha)[0]
+
+
+def alpha_matrices(n: int, rows_list: Sequence[Sequence[int]], alpha: float) -> np.ndarray:
+    """alpha * D + A of m graphs of order n given by their bit rows, as one
+    (m, n, n) float array."""
     alpha = _check_alpha(alpha)
-    mat = g.bit_matrix().astype(float)
-    mat[np.diag_indices(g.n)] = alpha * mat.sum(axis=1)
-    return mat
+    mats = bit_matrices(n, rows_list).astype(float)
+    diag = np.arange(n)
+    mats[:, diag, diag] = alpha * mats.sum(axis=2)
+    return mats
+
+
+@dataclass(frozen=True, eq=False)
+class _BlockSolve:
+    """Top eigenpairs of the component blocks of one size k >= 2 across a
+    batch: block i is component ``seq[i]`` in walk order (graph by graph,
+    each graph's components by smallest member), belongs to graph
+    ``owner[i]`` and covers its vertices ``verts[i]``, ascending."""
+
+    seq: np.ndarray
+    owner: np.ndarray
+    verts: np.ndarray
+    rho: np.ndarray
+    vectors: np.ndarray
+    residual: np.ndarray
+
+
+def _solve_components(
+    n: int, rows_list: Sequence[Sequence[int]], alpha: float, tol: float
+) -> tuple[list[tuple[int, int]], list[_BlockSolve]]:
+    """Every component of every graph, as (graph, mask) in walk order, and
+    the top eigenpairs of the blocks of two or more vertices.
+
+    The blocks of one size are gathered from the stacked matrices by one
+    fancy index and solved by one stacked ``eigh``, which gives the same
+    floats as one ``eigh`` per block.  On a component the top eigenvalue
+    is simple with a positive eigenvector (Perron-Frobenius), so each
+    vector is the top eigenvector scaled to sup-norm 1.  The residual
+    ``max|A_alpha x - rho x|`` of each pair is measured, not assumed: if
+    one exceeds ``tol``, ValueError names the first in walk order.
+    """
+    comps = [(i, mask) for i, rows in enumerate(rows_list) for mask in row_component_masks(n, rows)]
+    groups: dict[int, list[int]] = {}
+    for j, (_, mask) in enumerate(comps):
+        if mask.bit_count() > 1:
+            groups.setdefault(mask.bit_count(), []).append(j)
+    if not groups:
+        return comps, []
+    mats = alpha_matrices(n, rows_list, alpha)
+    solves = []
+    for k, seq in groups.items():
+        owner = np.array([comps[j][0] for j in seq])
+        verts = np.array([v for j in seq for v in _bits(comps[j][1])]).reshape(-1, k)
+        blocks = mats[owner[:, None, None], verts[:, :, None], verts[:, None, :]]
+        values, vectors = np.linalg.eigh(blocks)
+        rho = values[:, -1]
+        x = vectors[:, :, -1]
+        x = x / np.take_along_axis(x, np.argmax(np.abs(x), axis=1)[:, None], axis=1)
+        residual = np.max(np.abs((blocks @ x[..., None])[..., 0] - rho[:, None] * x), axis=1)
+        solves.append(_BlockSolve(np.array(seq), owner, verts, rho, x, residual))
+    failed = [(int(b.seq[i]), float(b.residual[i])) for b in solves for i in np.flatnonzero(b.residual > tol)]
+    if failed:
+        res = min(failed)[1]
+        raise ValueError(f"eigenpair residual {res:.3e} exceeds tolerance {tol:g}")
+    return comps, solves
+
+
+def spectral_radii(
+    n: int, rows_list: Sequence[Sequence[int]], alpha: float, tol: float = DEFAULT_TOL
+) -> np.ndarray:
+    """Largest eigenvalue of alpha * D + A for each graph of order n given
+    by its bit rows (those of valid graphs, such as ``Graph.rows``; they
+    are not checked again), by ``spectral_radius``'s solve run over the
+    whole batch: a graph's radius is the maximum over its component
+    blocks, a single vertex counting 0.
+
+    The graphs are solved ``RADII_BATCH_ENTRIES // n**2`` at a time (at
+    least one), so the stacked matrices of a slice stay a few megabytes.
+    """
+    alpha = _check_alpha(alpha)
+    _check_tol(tol)
+    radii = np.zeros(len(rows_list))
+    step = max(1, RADII_BATCH_ENTRIES // max(1, n * n))
+    for first in range(0, len(rows_list), step):
+        _, solves = _solve_components(n, rows_list[first : first + step], alpha, tol)
+        for b in solves:
+            np.maximum.at(radii, first + b.owner, b.rho)
+    return radii
 
 
 def spectral_radius(g: Graph, alpha: float, tol: float = DEFAULT_TOL) -> SpectralResult:
     """Largest eigenvalue of alpha * D + A with its Perron vector.
 
-    Each connected component block is solved by the dense symmetric
-    eigensolver and the maximum is reported.  On a component the top
-    eigenvalue is simple with a positive eigenvector (Perron-Frobenius),
-    so the returned vector is the top eigenvector scaled to sup-norm 1.
-    The residual ``max|A_alpha x - rho x|`` of that pair is measured, not
-    assumed: a residual above ``tol`` raises ValueError.
+    The batch of one of ``spectral_radii``: each connected component
+    block is solved by the dense symmetric eigensolver and the first
+    component that attains the maximum is reported, with its eigenpair's
+    residual (a residual above ``tol`` raises ValueError).
     """
     alpha = _check_alpha(alpha)
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
+    _check_tol(tol)
     if g.n == 0:
         return SpectralResult(0.0, None, (), 0.0)
-    mat = alpha_matrix(g, alpha)
-    best: SpectralResult | None = None
-    for mask in component_masks(g):
-        verts = tuple(_bits(mask))
-        if len(verts) == 1:
-            cand = SpectralResult(0.0, (1.0,) if alpha > 0 else None, verts, 0.0)
-        else:
-            block = mat[np.ix_(verts, verts)]
-            values, vectors = np.linalg.eigh(block)
-            lam = float(values[-1])
-            x = vectors[:, -1]
-            x = x / x[np.argmax(np.abs(x))]
-            res = float(np.max(np.abs(block @ x - lam * x)))
-            if res > tol:
-                raise ValueError(f"eigenpair residual {res:.3e} exceeds tolerance {tol:g}")
-            cand = SpectralResult(lam, tuple(x.tolist()), verts, res)
-        if best is None or cand.rho > best.rho:
-            best = cand
-    return best
+    comps, solves = _solve_components(g.n, [g.rows], alpha, tol)
+    singleton = (1.0,) if alpha > 0 else None
+    results = [SpectralResult(0.0, singleton, (mask.bit_length() - 1,), 0.0) for _, mask in comps]
+    for b in solves:
+        for i, j in enumerate(b.seq.tolist()):
+            results[j] = SpectralResult(
+                float(b.rho[i]), tuple(b.vectors[i].tolist()), tuple(b.verts[i].tolist()), float(b.residual[i])
+            )
+    return max(results, key=lambda r: r.rho)  # the first of equal maxima
 
 
 def spectral_radius_oracle(g: Graph, alpha: float) -> float:
@@ -330,8 +416,7 @@ def largest_root_f(n: int, beta: int, s: int, alpha: float, tol: float = ROOT_TO
     alpha = _check_alpha(alpha)
     if not 0 <= s <= beta:
         raise ValueError(f"need 0 <= s <= beta, got s={s}, beta={beta}")
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
+    _check_tol(tol)
     if s == 0:
         # cubic factors as (lam - alpha*n + alpha + 1) * lam * (lam - 2(alpha+1)beta)
         return max(0.0, alpha * n - alpha - 1, 2.0 * (alpha + 1) * beta)
@@ -396,6 +481,11 @@ def shift_function_f(delta: float, lam: float, family: JoinFamily, alpha: float)
     total -= (p1 - delta) / (lam - (alpha + 1) * (p1 - delta - 1) - alpha * s)
     total -= (p2 + delta) / (lam - (alpha + 1) * (p2 + delta - 1) - alpha * s)
     return total
+
+
+def _check_tol(tol: float) -> None:
+    if tol <= 0:
+        raise ValueError("tolerance must be positive")
 
 
 def _check_alpha(alpha) -> float:

@@ -27,7 +27,8 @@ from .enumeration import (
 )
 from .graphs import Graph, read_graph6_file, to_graph6
 from .matching import matching_number
-from .spectral import FamilyBatch, JoinFamily, family_radius, one_clique_family, spectral_radius
+from .spectral import FamilyBatch, JoinFamily, family_radius, one_clique_family, spectral_radii
+from .spectral import spectral_radius  # noqa: F401  (perfbench/tracing.py wraps this name here)
 from .theorem import RegimeVerdict, as_fraction, classify_regime
 
 DEFAULT_REPORT_TOL = 1e-9
@@ -165,11 +166,11 @@ class _ScanEntry:
 
 
 def _scan_chunk(rows_list: Sequence[tuple[int, ...]], n: int, alpha: float) -> list[tuple[int, float]]:
-    out = []
-    for rows in rows_list:
-        g = Graph(n, rows)
-        out.append((matching_number(g), spectral_radius(g, alpha).rho))
-    return out
+    """(matching number, radius) per class of order n, given by the rows of
+    graphs already built; the radii of the whole chunk come from one
+    ``spectral_radii`` call."""
+    radii = spectral_radii(n, rows_list, alpha).tolist()
+    return [(matching_number(Graph._from_valid_rows(n, rows)), rho) for rows, rho in zip(rows_list, radii)]
 
 
 def _scan_order(

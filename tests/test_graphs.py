@@ -351,6 +351,63 @@ class TestGraph6AgainstBitLoop:
             assert to_graph6(g).encode() == text
 
 
+def bit_loop_to_graph6(g):
+    """The per-bit encoder that ``to_graph6`` replaced, kept as the
+    reference its output is checked against (short and long form)."""
+    n = g.n
+    head = chr(n + 63) if n <= 62 else chr(126) + "".join(chr(((n >> k) & 63) + 63) for k in (12, 6, 0))
+    bits = []
+    for col in range(1, n):
+        r = g.rows[col]
+        for row in range(col):
+            bits.append((r >> row) & 1)
+    while len(bits) % 6:
+        bits.append(0)
+    payload = []
+    for i in range(0, len(bits), 6):
+        b = 0
+        for j in range(6):
+            b = (b << 1) | bits[i + j]
+        payload.append(chr(b + 63))
+    return head + "".join(payload)
+
+
+ENCODE_ORDERS = [0, 1, 2, 62, 63, 64, 300]
+ENCODE_DENSITIES = (0.0, 0.05, 0.5, 1.0)
+
+
+class TestGraph6Encoder:
+    @pytest.mark.parametrize("n", ENCODE_ORDERS)
+    def test_same_text_as_bit_loop(self, n):
+        import random
+
+        rng = random.Random(n)
+        for p in ENCODE_DENSITIES:
+            g = random_graph(rng, n, p)
+            assert to_graph6(g) == bit_loop_to_graph6(g)
+
+    @pytest.mark.parametrize("n", ENCODE_ORDERS)
+    def test_same_text_as_networkx(self, n):
+        import random
+
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(n)
+        for p in ENCODE_DENSITIES:
+            g = random_graph(rng, n, p)
+            h = nx.Graph()
+            h.add_nodes_from(range(n))
+            h.add_edges_from(g.edges())
+            assert to_graph6(g) == nx.to_graph6_bytes(h, nodes=range(n), header=False).decode("ascii").strip()
+
+    def test_every_class_up_to_seven(self):
+        # the certificates in reports are these strings of canonical forms
+        from alphaspec import isomorphism_classes
+
+        for n in range(8):
+            for g in isomorphism_classes(n):
+                assert to_graph6(g) == bit_loop_to_graph6(g)
+
+
 class TestGraph6OrderCap:
     @staticmethod
     def long_form(n, payload=b""):

@@ -17,17 +17,22 @@ from alphaspec import (
     family_radius,
     from_edges,
     is_connected,
+    isomorphism_classes,
     join,
     largest_root_f,
     path_graph,
     quotient_matrix,
     quotient_radius,
     shift_function_f,
+    spectral_radii,
     spectral_radius,
     spectral_radius_oracle,
     split_graph_quadratic,
     star_graph,
 )
+from alphaspec import spectral
+from alphaspec.graphs import _bits, component_masks
+from alphaspec.spectral import SpectralResult
 
 SQRT3 = math.sqrt(3.0)
 
@@ -100,6 +105,171 @@ class TestSpectralRadius:
             spectral_radius(complete_graph(2), -1.0)
         with pytest.raises(ValueError):
             spectral_radius(complete_graph(2), 1.0, tol=0.0)
+
+
+def component_loop_spectral_radius(g, alpha, tol=1e-10):
+    """The one-``eigh``-per-component loop that ``spectral_radius``
+    replaced, kept as the reference its results are checked against."""
+    if g.n == 0:
+        return SpectralResult(0.0, None, (), 0.0)
+    mat = g.bit_matrix().astype(float)
+    mat[np.diag_indices(g.n)] = alpha * mat.sum(axis=1)
+    best = None
+    for mask in component_masks(g):
+        verts = tuple(_bits(mask))
+        if len(verts) == 1:
+            cand = SpectralResult(0.0, (1.0,) if alpha > 0 else None, verts, 0.0)
+        else:
+            block = mat[np.ix_(verts, verts)]
+            values, vectors = np.linalg.eigh(block)
+            lam = float(values[-1])
+            x = vectors[:, -1]
+            x = x / x[np.argmax(np.abs(x))]
+            res = float(np.max(np.abs(block @ x - lam * x)))
+            if res > tol:
+                raise ValueError(f"eigenpair residual {res:.3e} exceeds tolerance {tol:g}")
+            cand = SpectralResult(lam, tuple(x.tolist()), verts, res)
+        if best is None or cand.rho > best.rho:
+            best = cand
+    return best
+
+
+def hex_list(values):
+    return [float(v).hex() for v in values]
+
+
+class TestSpectralRadii:
+    """``spectral_radii`` stacks the component blocks of many graphs; its
+    radii must be the batch-of-one radii bit for bit."""
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("n", range(8))
+    def test_every_class_up_to_seven(self, n, alpha):
+        classes = isomorphism_classes(n)
+        radii = spectral_radii(n, [g.rows for g in classes], alpha)
+        assert radii.shape == (len(classes),) and radii.dtype == np.float64
+        assert hex_list(radii) == hex_list(spectral_radius(g, alpha).rho for g in classes)
+        assert hex_list(radii) == hex_list(component_loop_spectral_radius(g, alpha).rho for g in classes)
+
+    def test_every_class_of_order_eight(self):
+        classes = isomorphism_classes(8)
+        radii = spectral_radii(8, [g.rows for g in classes], 1.0)
+        assert len(radii) == 12346
+        assert hex_list(radii) == hex_list(spectral_radius(g, 1.0).rho for g in classes)
+
+    DISCONNECTED = {
+        "isolated vertices": disjoint_union(empty_graph(2), disjoint_union(cycle_graph(5), empty_graph(1))),
+        "edgeless": empty_graph(6),
+        "two equal cycles": disjoint_union(cycle_graph(5), cycle_graph(5)),
+        "path then triangle": disjoint_union(path_graph(3), complete_graph(3)),
+        "triangle then path": disjoint_union(complete_graph(3), path_graph(3)),
+        "single vertex": empty_graph(1),
+        "order zero": empty_graph(0),
+    }
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 2.0])
+    @pytest.mark.parametrize("name", sorted(DISCONNECTED))
+    def test_disconnected(self, name, alpha):
+        g = self.DISCONNECTED[name]
+        expected = component_loop_spectral_radius(g, alpha)
+        assert spectral_radius(g, alpha) == expected
+        radii = spectral_radii(g.n, [g.rows, g.rows], alpha)
+        assert hex_list(radii) == [expected.rho.hex()] * 2
+
+    def test_disconnected_winners(self):
+        # the first component attaining the maximum is reported
+        assert spectral_radius(self.DISCONNECTED["two equal cycles"], 1.0).component == (0, 1, 2, 3, 4)
+        assert spectral_radius(self.DISCONNECTED["path then triangle"], 0.0).component == (3, 4, 5)
+        assert spectral_radius(self.DISCONNECTED["isolated vertices"], 0.0).component == (2, 3, 4, 5, 6)
+        assert spectral_radius(self.DISCONNECTED["edgeless"], 1.0).component == (0,)
+
+    def test_mixed_component_sizes_in_one_batch(self):
+        k2 = complete_graph(2)
+        graphs = [
+            empty_graph(6),
+            disjoint_union(complete_graph(3), path_graph(3)),
+            cycle_graph(6),
+            disjoint_union(k2, disjoint_union(k2, k2)),
+            disjoint_union(empty_graph(2), complete_graph(4)),
+        ]
+        radii = spectral_radii(6, [g.rows for g in graphs], 0.5)
+        assert hex_list(radii) == hex_list(spectral_radius(g, 0.5).rho for g in graphs)
+
+    def test_empty_batches(self):
+        assert spectral_radii(0, [(), ()], 1.0).tolist() == [0.0, 0.0]
+        assert spectral_radii(1, [(0,)], 1.0).tolist() == [0.0]
+        assert spectral_radii(5, [], 1.0).shape == (0,)
+
+    @pytest.mark.parametrize("per_slice", [1, 7])
+    def test_slices(self, monkeypatch, per_slice):
+        classes = isomorphism_classes(6)  # 156 classes, not a multiple of 7
+        rows = [g.rows for g in classes]
+        whole = spectral_radii(6, rows, 0.5)
+        monkeypatch.setattr(spectral, "RADII_BATCH_ENTRIES", per_slice * 36)
+        assert hex_list(spectral_radii(6, rows, 0.5)) == hex_list(whole)
+
+    def test_slice_stays_within_the_entry_budget(self, monkeypatch):
+        sizes = []
+        real = spectral._solve_components
+
+        def recording(n, rows_list, alpha, tol):
+            sizes.append(len(rows_list))
+            return real(n, rows_list, alpha, tol)
+
+        monkeypatch.setattr(spectral, "_solve_components", recording)
+        spectral_radii(70, [cycle_graph(70).rows] * 100, 1.0)
+        spectral_radii(256, [empty_graph(256).rows] * 2, 1.0)
+        assert sizes == [13] * 7 + [9, 1, 1]
+
+    def test_rows_wider_than_int64(self):
+        rng = random.Random(70)
+        graphs = [from_edges(70, [(u, v) for u in range(70) for v in range(u + 1, 70) if rng.random() < p])
+                  for p in (0.03, 0.3)]
+        radii = spectral_radii(70, [g.rows for g in graphs], 2.0)
+        assert hex_list(radii) == hex_list(component_loop_spectral_radius(g, 2.0).rho for g in graphs)
+
+    def test_residual_above_tol_raises(self):
+        # no float eigenpair has a residual below 1e-300
+        with pytest.raises(ValueError, match=r"^eigenpair residual .* exceeds tolerance 1e-300$") as err:
+            spectral_radii(6, [path_graph(6).rows], 0.0, tol=1e-300)
+        with pytest.raises(ValueError) as ref:
+            component_loop_spectral_radius(path_graph(6), 0.0, tol=1e-300)
+        assert str(err.value) == str(ref.value)
+
+    def test_residual_names_the_first_failing_block(self):
+        classes = isomorphism_classes(5)
+        for tol in (1e-300, 1e-15):
+            with pytest.raises(ValueError) as ref:
+                for g in classes:
+                    component_loop_spectral_radius(g, 1.0, tol=tol)
+            with pytest.raises(ValueError) as err:
+                spectral_radii(5, [g.rows for g in classes], 1.0, tol=tol)
+            assert str(err.value) == str(ref.value)
+
+    def test_invalid_args(self):
+        with pytest.raises(ValueError):
+            spectral_radii(2, [complete_graph(2).rows], -1.0)
+        with pytest.raises(ValueError):
+            spectral_radii(2, [complete_graph(2).rows], 1.0, tol=0.0)
+
+
+class TestBatchOfOneUnchanged:
+    """``spectral_radius`` gives the reference loop's rho, Perron vector,
+    component and residual, bit for bit, on seeded G(n, p) graphs of the
+    benchmark's six shapes."""
+
+    SHAPES = ((160, 0.5), (200, 0.02), (240, 0.25), (280, 0.05), (320, 0.1), (400, 0.05))
+
+    @pytest.mark.parametrize("n,p", SHAPES)
+    def test_gnp(self, n, p):
+        rng = random.Random(n)
+        g = from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+        for alpha in (0.0, 2.0):
+            assert spectral_radius(g, alpha) == component_loop_spectral_radius(g, alpha)
+
+    def test_residual_above_tol_raises(self):
+        with pytest.raises(ValueError, match=r"^eigenpair residual .* exceeds tolerance 1e-300$"):
+            spectral_radius(cycle_graph(9), 0.5, tol=1e-300)
 
 
 class TestOracle:

@@ -154,6 +154,36 @@ class TestVerifyOrder:
         assert [r.beta for r in reports] == [1, 2, 3]
         assert all(r.passed and r.graphs_scanned == 156 for r in reports)
 
+    def test_graph6_rows_wider_than_int64(self, tmp_path):
+        import random
+
+        from alphaspec import from_edges, spectral_radius, union_all
+
+        rng = random.Random(70)
+        sparse = from_edges(70, [(u, v) for u in range(70) for v in range(u + 1, 70) if rng.random() < 0.03])
+        cliques = union_all([complete_graph(5), cycle_graph(7), empty_graph(58)])
+        path = tmp_path / "order70.g6"
+        path.write_text(to_graph6(sparse) + "\n" + to_graph6(cliques) + "\n")
+        reports = verify_order(70, 1, source=str(path))
+        by_beta = {matching_number(g): g for g in (sparse, cliques)}
+        assert len(by_beta) == 2 and [r.beta for r in reports] == sorted(by_beta)
+        for r in reports:
+            assert r.graphs_scanned == 2
+            assert r.observed_max == spectral_radius(by_beta[r.beta], 1).rho
+
+    @pytest.mark.parametrize("alpha", [0, 2])
+    def test_radius_slices_leave_reports_unchanged(self, monkeypatch, alpha):
+        import dataclasses
+
+        from alphaspec import spectral
+
+        def untimed():
+            return [dataclasses.replace(r, wall_time=0.0) for r in verify_order(6, alpha)]
+
+        whole = untimed()
+        monkeypatch.setattr(spectral, "RADII_BATCH_ENTRIES", 7 * 36)  # 7 graphs a slice
+        assert untimed() == whole
+
     def test_wall_time_covers_the_scan(self, monkeypatch):
         import time
 
