@@ -31,9 +31,8 @@ from .matching import matching_number, tutte_berge_witness
 from .spectral import spectral_radius
 from .theorem import classify_regime
 from .verify import (
-    REPORT_CSV_HEADER,
+    REPORT_FIELDS,
     FamilySearchResult,
-    VerificationReport,
     family_search,
     verify_order,
 )
@@ -165,14 +164,29 @@ class SystemExit2(Exception):
     """Usage/parse error carrying its message (mapped to exit code 2)."""
 
 
-def _emit(record: dict, fmt: str, human_lines: list[str]) -> None:
+def _csv_cell(value) -> str:
+    """A list is ``;``-joined, a string is written as is, anything else
+    (int, float, bool) as JSON.  No cell needs quoting: graph6 bytes are
+    63..126, never a comma."""
+    if isinstance(value, list):
+        return ";".join(map(_csv_cell, value))
+    return value if isinstance(value, str) else json.dumps(value)
+
+
+def _write(fmt: str, records: list[dict], human: list[str], fields: tuple[str, ...] | None = None, out=None) -> None:
+    """Write ``records`` to ``out`` (default stdout) in ``fmt``: one JSON
+    object per line (``json-lines``); a header of ``fields`` (default the
+    first record's keys) and one row per record (``csv``); or the
+    ``human`` lines."""
     if fmt == "json-lines":
-        print(json.dumps(record))
+        lines = [json.dumps(r) for r in records]
     elif fmt == "csv":
-        print(",".join(str(record[k]) for k in record))
+        header = list(fields or records[0])
+        lines = [",".join(header)] + [",".join(_csv_cell(r[k]) for k in header) for r in records]
     else:
-        for line in human_lines:
-            print(line)
+        lines = human
+    for line in lines:
+        print(line, file=out)
 
 
 def cmd_rho(args) -> int:
@@ -184,7 +198,7 @@ def cmd_rho(args) -> int:
         "rho": result.rho,
         "residual": result.residual,
     }
-    _emit(record, args.format, [
+    _write(args.format, [record], [
         f"rho = {sig12(result.rho)}",
         f"residual = {result.residual:.3e}",
     ])
@@ -208,7 +222,7 @@ def cmd_matching(args) -> int:
             f"witness S = {{{', '.join(map(str, witness.witness_set))}}} "
             f"(s={witness.s}, odd components={witness.odd_components}, q={witness.q})"
         )
-    _emit(record, args.format, human)
+    _write(args.format, [record], human)
     return EXIT_OK
 
 
@@ -243,34 +257,19 @@ def _verdict_human(verdict) -> list[str]:
 
 def cmd_bound(args) -> int:
     verdict = classify_regime(args.n, args.beta, args.alpha)
-    _emit(_verdict_record(verdict), args.format, _verdict_human(verdict))
+    _write(args.format, [_verdict_record(verdict)], _verdict_human(verdict))
     return EXIT_OK
-
-
-_REPORT_LINE = {
-    "json-lines": VerificationReport.to_json_line,
-    "csv": VerificationReport.to_csv_row,
-    "human": VerificationReport.to_human,
-}
-
-
-def _write_reports(reports: list[VerificationReport], fmt: str, out=None) -> bool:
-    """One line per report in ``fmt`` to ``out`` (default stdout); True
-    iff every report passed."""
-    line = _REPORT_LINE[fmt]
-    for r in reports:
-        print(line(r), file=out)
-    return all(r.passed for r in reports)
 
 
 def cmd_verify(args) -> int:
     reports = verify_order(
         args.n, args.alpha, tol=args.tol, jobs=args.jobs, source=args.graph6
     )
-    all_pass = _write_reports(reports, args.format)
-    if args.format == "human":
-        print(f"{'all pass' if all_pass else 'FAILURES PRESENT'} "
-              f"({len(reports)} records, n={args.n}, alpha={args.alpha})")
+    all_pass = all(r.passed for r in reports)
+    human = [r.to_human() for r in reports]
+    human.append(f"{'all pass' if all_pass else 'FAILURES PRESENT'} "
+                 f"({len(reports)} records, n={args.n}, alpha={args.alpha})")
+    _write(args.format, [r.record() for r in reports], human, REPORT_FIELDS)
     return EXIT_OK if all_pass else EXIT_VERIFICATION_FAILED
 
 
@@ -287,7 +286,7 @@ def cmd_family(args) -> int:
         "canonical_shape": result.canonical_shape,
         "matches_prediction": result.matches_prediction,
     }
-    _emit(record, args.format, [
+    _write(args.format, [record], [
         f"best family: core s={result.best.s}, parts={list(result.best.parts)}",
         f"rho = {sig12(result.rho)}",
         f"families scanned = {result.families_scanned}",
@@ -307,16 +306,18 @@ def cmd_report(args) -> int:
     # place only once every record is written
     temp = f"{args.output}.{os.getpid()}.tmp" if args.output else None
     out = open(temp, "x", encoding="utf-8") if temp else sys.stdout
-    all_pass = True
-    count = 0
     try:
-        if args.format == "csv":
-            print(REPORT_CSV_HEADER, file=out)
-        for n in range(args.n_min, args.n_max + 1):
-            for a in alphas:
-                reports = verify_order(n, a, tol=args.tol, jobs=jobs)
-                count += len(reports)
-                all_pass = _write_reports(reports, args.format, out) and all_pass
+        reports = [
+            r
+            for n in range(args.n_min, args.n_max + 1)
+            for a in alphas
+            for r in verify_order(n, a, tol=args.tol, jobs=jobs)
+        ]
+        all_pass = all(r.passed for r in reports)
+        human = [r.to_human() for r in reports]
+        if not args.output:
+            human.append(f"{'all pass' if all_pass else 'FAILURES PRESENT'} ({len(reports)} records)")
+        _write(args.format, [r.record() for r in reports], human, REPORT_FIELDS, out)
         if temp:
             out.close()
             os.replace(temp, args.output)
@@ -325,8 +326,6 @@ def cmd_report(args) -> int:
             out.close()
             os.remove(temp)
         raise
-    if args.format == "human" and not args.output:
-        print(f"{'all pass' if all_pass else 'FAILURES PRESENT'} ({count} records)")
     return EXIT_OK if all_pass else EXIT_VERIFICATION_FAILED
 
 

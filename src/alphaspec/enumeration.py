@@ -283,7 +283,8 @@ def isomorphism_classes(n: int, jobs: int = 1) -> list[Graph]:
             "supply a graph6 file for larger orders"
         )
     _build_level(n, jobs=resolve_jobs(jobs))
-    return [Graph(n, rows) for rows in _LEVELS[n]]
+    # the cached rows were checked when ``_graph_from_cols`` built them
+    return [Graph._from_valid_rows(n, rows) for rows in _LEVELS[n]]
 
 
 def enumerate_graphs(

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from math import inf
 from typing import Iterable, Iterator, Sequence
@@ -45,32 +45,15 @@ FAMILY_CHUNK_ROWS = 1 << 14
 
 # -- reports -----------------------------------------------------------
 
-REPORT_FIELDS = (
-    "n",
-    "beta",
-    "alpha",
-    "observed_max",
-    "argmax_certificates",
-    "predicted_max",
-    "predicted_certificates",
-    "value_pass",
-    "structure_pass",
-    "tol",
-    "graphs_scanned",
-    "wall_time",
-)
-
-REPORT_CSV_HEADER = ",".join(REPORT_FIELDS)
-
 
 @dataclass(frozen=True)
 class VerificationReport:
     """One verified (n, beta, alpha) record.
 
     ``value_pass`` (observed max equals predicted within tol) and
-    ``structure_pass`` (argmax classes are exactly the predicted ones)
-    are recorded independently: a value tie achieved by an unexpected
-    graph must stay visible.
+    ``structure_pass`` (the argmax certificates are exactly the predicted
+    ones) are recorded independently: a value tie achieved by an
+    unexpected graph must stay visible.
     """
 
     n: int
@@ -90,58 +73,25 @@ class VerificationReport:
     def passed(self) -> bool:
         return self.value_pass and self.structure_pass
 
-    def to_json_line(self) -> str:
-        record = {
-            "n": self.n,
-            "beta": self.beta,
-            "alpha": str(self.alpha),
-            "observed_max": self.observed_max,
-            "argmax_certificates": list(self.argmax_certificates),
-            "predicted_max": self.predicted_max,
-            "predicted_certificates": list(self.predicted_certificates),
-            "value_pass": self.value_pass,
-            "structure_pass": self.structure_pass,
-            "tol": self.tol,
-            "graphs_scanned": self.graphs_scanned,
-            "wall_time": self.wall_time,
+    def record(self) -> dict:
+        """The fields in declaration order as JSON values: ``alpha`` as
+        its exact string, tuples as lists."""
+        values = ((name, getattr(self, name)) for name in REPORT_FIELDS)
+        return {
+            name: str(value) if isinstance(value, Fraction) else list(value) if isinstance(value, tuple) else value
+            for name, value in values
         }
-        return json.dumps(record)
+
+    def to_json_line(self) -> str:
+        return json.dumps(self.record())
 
     @classmethod
     def from_json_line(cls, line: str) -> "VerificationReport":
         record = json.loads(line)
-        return cls(
-            n=record["n"],
-            beta=record["beta"],
-            alpha=Fraction(record["alpha"]),
-            observed_max=record["observed_max"],
-            argmax_certificates=tuple(record["argmax_certificates"]),
-            predicted_max=record["predicted_max"],
-            predicted_certificates=tuple(record["predicted_certificates"]),
-            value_pass=record["value_pass"],
-            structure_pass=record["structure_pass"],
-            tol=record["tol"],
-            graphs_scanned=record["graphs_scanned"],
-            wall_time=record["wall_time"],
-        )
-
-    def to_csv_row(self) -> str:
-        return ",".join(
-            [
-                str(self.n),
-                str(self.beta),
-                str(self.alpha),
-                repr(self.observed_max),
-                ";".join(self.argmax_certificates),
-                repr(self.predicted_max),
-                ";".join(self.predicted_certificates),
-                str(self.value_pass).lower(),
-                str(self.structure_pass).lower(),
-                repr(self.tol),
-                str(self.graphs_scanned),
-                repr(self.wall_time),
-            ]
-        )
+        record["alpha"] = Fraction(record["alpha"])
+        record["argmax_certificates"] = tuple(record["argmax_certificates"])
+        record["predicted_certificates"] = tuple(record["predicted_certificates"])
+        return cls(**record)
 
     def to_human(self) -> str:
         verdict = "PASS" if self.passed else "FAIL"
@@ -153,6 +103,9 @@ class VerificationReport:
             f"argmax=[{' '.join(self.argmax_certificates)}] "
             f"scanned={self.graphs_scanned} [{verdict}]"
         )
+
+
+REPORT_FIELDS = tuple(f.name for f in fields(VerificationReport))
 
 
 # -- exhaustive scan ---------------------------------------------------
@@ -221,17 +174,18 @@ def _report(entries: list[_ScanEntry], verdict: RegimeVerdict, tol: float, start
     observed = max(e.rho for e in hits)
     tie_tol = 10.0 * tol
     argmax = [e for e in hits if e.rho >= observed - tie_tol]
-    predicted = _predicted_graphs(verdict)
+    argmax_certificates = _certificates(Graph._from_valid_rows(n, e.rows) for e in argmax)
+    predicted_certificates = _certificates(_predicted_graphs(verdict))
     return VerificationReport(
         n=n,
         beta=beta,
         alpha=verdict.alpha,
         observed_max=observed,
-        argmax_certificates=_certificates(Graph(n, e.rows) for e in argmax),
+        argmax_certificates=argmax_certificates,
         predicted_max=verdict.predicted_rho,
-        predicted_certificates=_certificates(predicted),
+        predicted_certificates=predicted_certificates,
         value_pass=abs(observed - verdict.predicted_rho) <= tol,
-        structure_pass=_argmax_matches((e.rows for e in argmax), predicted),
+        structure_pass=set(argmax_certificates) == set(predicted_certificates),
         tol=tol,
         graphs_scanned=len(entries),
         wall_time=time.perf_counter() - start,
@@ -250,21 +204,6 @@ def _predicted_graphs(verdict: RegimeVerdict) -> list[Graph]:
     if verdict.n == 0:
         return [Graph(0, ())]
     return [family.graph() for family in verdict.extremal_families]
-
-
-def _degrees(rows: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(sorted(r.bit_count() for r in rows))
-
-
-def _argmax_matches(argmax_rows: Iterable[tuple[int, ...]], predicted: Sequence[Graph]) -> bool:
-    """Every argmax class has the degree sequence of a predicted graph and
-    every predicted graph is realized.
-
-    The extremal graphs are threshold graphs, hence the unique
-    realizations of their degree sequences, so sorted degrees are an exact
-    isomorphism certificate here (checked exhaustively in the tests).
-    """
-    return {_degrees(rows) for rows in argmax_rows} == {_degrees(g.rows) for g in predicted}
 
 
 def verify_order(

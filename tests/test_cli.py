@@ -1,10 +1,13 @@
+import csv
+import io
 import json
+from fractions import Fraction
 
 import pytest
 
 from alphaspec.cli import main, sig12
 from alphaspec.graphs import complete_graph, to_edge_list, to_graph6
-from alphaspec.verify import VerificationReport
+from alphaspec.verify import REPORT_FIELDS, VerificationReport
 
 
 def run(capsys, *argv):
@@ -211,6 +214,10 @@ class TestReport:
         assert lines[0].startswith("n,beta,alpha,observed_max")
         assert len(lines) == 1 + 2 * (2 + 2)  # header + two alphas x (beta rows at n=4,5)
 
+    def test_header_without_records(self, capsys):
+        code, out, _ = run(capsys, "report", "--n-min", "0", "--n-max", "1", "--alphas", "0", "--format", "csv")
+        assert code == 0
+        assert out.splitlines() == [",".join(REPORT_FIELDS)]
 
     def test_jobs_above_cpu_count_exits_2_before_output(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setattr("os.cpu_count", lambda: 2)
@@ -254,6 +261,82 @@ class TestReport:
         code, _, err = run(capsys, "verify", "5")
         assert code == 2
         assert "ALPHASPEC_JOBS" in err
+
+
+class TestRecordWriter:
+    # one hand-built report through the verify and report commands
+    REPORT = VerificationReport(
+        n=7,
+        beta=2,
+        alpha=Fraction(7, 3),
+        observed_max=0.1 + 0.2,
+        argmax_certificates=("F?B~w", "F?~vw"),
+        predicted_max=0.3,
+        predicted_certificates=("F?B~w",),
+        value_pass=True,
+        structure_pass=False,
+        tol=1e-9,
+        graphs_scanned=1044,
+        wall_time=0.125,
+    )
+    JSON = (
+        '{"n": 7, "beta": 2, "alpha": "7/3", "observed_max": 0.30000000000000004, '
+        '"argmax_certificates": ["F?B~w", "F?~vw"], "predicted_max": 0.3, '
+        '"predicted_certificates": ["F?B~w"], "value_pass": true, "structure_pass": false, '
+        '"tol": 1e-09, "graphs_scanned": 1044, "wall_time": 0.125}\n'
+    )
+    CSV = (
+        "n,beta,alpha,observed_max,argmax_certificates,predicted_max,predicted_certificates,"
+        "value_pass,structure_pass,tol,graphs_scanned,wall_time\n"
+        "7,2,7/3,0.30000000000000004,F?B~w;F?~vw,0.3,F?B~w,true,false,1e-09,1044,0.125\n"
+    )
+
+    @pytest.fixture(autouse=True)
+    def one_report(self, monkeypatch):
+        import alphaspec.cli as cli
+
+        monkeypatch.setattr(cli, "verify_order", lambda *args, **kwargs: [self.REPORT])
+
+    @pytest.mark.parametrize(
+        "argv,expected",
+        [
+            (["verify", "7", "--alpha", "7/3", "--format", "json-lines"], JSON),
+            (["report", "--n-max", "7", "--n-min", "7", "--alphas", "7/3", "--format", "json-lines"], JSON),
+            (["report", "--n-max", "7", "--n-min", "7", "--alphas", "7/3", "--format", "csv"], CSV),
+        ],
+        ids=["verify-json", "report-json", "report-csv"],
+    )
+    def test_golden(self, capsys, argv, expected):
+        code, out, _ = run(capsys, *argv)
+        assert code == 1  # the structure verdict failed
+        assert out == expected
+
+    def test_json_round_trip(self):
+        assert VerificationReport.from_json_line(self.JSON) == self.REPORT
+
+
+CSV_COMMANDS = {
+    "rho": ["rho", "--graph6", "D?{", "--alpha", "1/2"],
+    "matching": ["matching", "--graph6", "E?~o"],
+    "matching-witness": ["matching", "--graph6", "E?~o", "--witness"],
+    "bound": ["bound", "8", "2"],
+    "verify": ["verify", "5", "--alpha", "1"],
+    "family": ["family", "12", "4", "--alpha", "1"],
+    "report": ["report", "--n-min", "4", "--n-max", "5", "--alphas", "0,1/2"],
+}
+
+
+@pytest.mark.parametrize("argv", CSV_COMMANDS.values(), ids=CSV_COMMANDS.keys())
+def test_csv_rows_match_the_header(capsys, argv):
+    # the header names the JSON record's keys, and every row has one cell
+    # per header field
+    _, json_out, _ = run(capsys, *argv, "--format", "json-lines")
+    _, csv_out, _ = run(capsys, *argv, "--format", "csv")
+    records = [json.loads(line) for line in json_out.splitlines()]
+    header, *rows = csv.reader(io.StringIO(csv_out))
+    assert header == list(records[0])
+    assert len(rows) == len(records)
+    assert all(len(row) == len(header) for row in rows)
 
 
 class TestExitCodes:

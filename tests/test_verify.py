@@ -26,6 +26,7 @@ from alphaspec import (
     exhaustive_max,
     family_radius,
     family_search,
+    from_edges,
     isomorphism_classes,
     matching_number,
     one_clique_family,
@@ -40,8 +41,10 @@ from alphaspec.theorem import _EXTREMAL_FAMILY, CASE2_ALPHA_CUTOFF, case2_region
 from alphaspec.verify import (
     FAMILY_MATCH_TOL,
     FAMILY_MAX_CANDIDATES,
-    _argmax_matches,
+    REPORT_FIELDS,
     _candidate_batches,
+    _report,
+    _ScanEntry,
     family_count,
     resolve_jobs,
 )
@@ -244,11 +247,16 @@ class TestReportSerialization:
         assert again == r
 
     def test_csv_field_order(self):
-        from alphaspec.verify import REPORT_CSV_HEADER
+        import io
+
+        from alphaspec.cli import _write
 
         r = exhaustive_max(5, 1, 0)
-        row = r.to_csv_row()
-        assert len(row.split(",")) == len(REPORT_CSV_HEADER.split(","))
+        out = io.StringIO()
+        _write("csv", [r.record()], [], REPORT_FIELDS, out)
+        header, row = out.getvalue().splitlines()
+        assert header.split(",") == list(REPORT_FIELDS) == list(r.record())
+        assert len(row.split(",")) == len(REPORT_FIELDS)
         assert row.startswith("5,1,0,")
 
     def test_human_line_mentions_pass(self):
@@ -591,28 +599,50 @@ class TestCase2:
         assert hi4 < hi1
 
 
+def report_of(verdict, *scored):
+    """``_report`` for ``verdict`` over hand-scored (graph, rho) scan
+    entries, each labelled with the verdict's beta."""
+    entries = [_ScanEntry(g.rows, verdict.beta, rho) for g, rho in scored]
+    return _report(entries, verdict, 1e-9, 0.0)
+
+
+def reversed_labels(g):
+    return from_edges(g.n, [(g.n - 1 - u, g.n - 1 - v) for u, v in g.edges()])
+
+
 class TestIsPredictedGraph:
-    # the argmax structure test: sorted degrees against the table's graphs
+    # the structure verdict: the argmax certificates against the
+    # predicted ones, both canonical graph6
     def test_complete_split(self):
-        target = table_graph(COMPLETE_SPLIT, 6, 2)
-        assert _argmax_matches([complete_split_graph(6, 2).rows], [target])
+        v = classify_regime(10, 2, 0)  # above the threshold: K_2 v co-K_8
+        split = reversed_labels(table_graph(COMPLETE_SPLIT, 10, 2))
+        clique = table_graph(ODD_CLIQUE_PLUS_ISOLATES, 10, 2)
+        report = report_of(v, (clique, 4.0), (split, v.predicted_rho))
+        assert report.passed
+        assert report.argmax_certificates == report.predicted_certificates == (to_graph6(canonical_graph(split)),)
 
     def test_cycle_matches_nothing(self):
-        g = cycle_graph(6)
-        for d in (COMPLETE, COMPLETE_SPLIT, ODD_CLIQUE_PLUS_ISOLATES):
-            assert not _argmax_matches([g.rows], [table_graph(d, 6, 2)])
+        # a value tie won by a graph outside the table fails the structure
+        # verdict alone
+        cycle = disjoint_union(cycle_graph(5), empty_graph(1))  # matching number 2
+        for alpha in (0, 1, 3):
+            v = classify_regime(6, 2, alpha)
+            report = report_of(v, (cycle, v.predicted_rho))
+            assert report.value_pass
+            assert not report.structure_pass and not report.passed
 
     def test_every_predicted_graph_must_be_realized(self):
         v = classify_regime(8, 2, 0)  # threshold: two extremal graphs
         split, clique = (f.graph() for f in v.extremal_families)
-        predicted = [split, clique]
-        assert _argmax_matches([split.rows, clique.rows], predicted)
-        assert not _argmax_matches([split.rows], predicted)
-        assert not _argmax_matches([split.rows, clique.rows, cycle_graph(8).rows], predicted)
+        rho = v.predicted_rho
+        assert report_of(v, (split, rho), (clique, rho)).passed
+        assert not report_of(v, (split, rho), (clique, rho - 1)).structure_pass
+        assert not report_of(v, (split, rho), (clique, rho), (cycle_graph(8), rho)).structure_pass
 
     def test_degree_sequence_pins_down_families(self):
         # threshold graphs are the unique realizations of their degree
-        # sequences; verify exhaustively over all classes at n = 6, 7
+        # sequences (perfbench/check.py relies on this); verify
+        # exhaustively over all classes at n = 6, 7
         for n, beta in [(6, 1), (6, 2), (7, 1), (7, 2), (7, 3)]:
             targets = {
                 COMPLETE_SPLIT: canonical_graph(complete_split_graph(n, beta)),
@@ -623,7 +653,7 @@ class TestIsPredictedGraph:
             for descriptor, target in targets.items():
                 predicted = table_graph(descriptor, n, beta)
                 assert are_isomorphic(predicted, target)
-                hits = [g for g in isomorphism_classes(n) if _argmax_matches([g.rows], [predicted])]
+                hits = [g for g in isomorphism_classes(n) if g.degree_sequence() == predicted.degree_sequence()]
                 assert len(hits) == 1 and are_isomorphic(hits[0], target)
 
 
@@ -686,4 +716,5 @@ class TestFailureVisibility:
         path.write_text("\n".join(to_graph6(g) for g in kept) + "\n")
         rec = exhaustive_max(5, 2, 0, source=str(path))
         assert not rec.value_pass
+        assert not rec.structure_pass
         assert not rec.passed
