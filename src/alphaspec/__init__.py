@@ -50,8 +50,6 @@ from .spectral import (
     largest_root_f,
     one_clique_family,
     quotient_matrices,
-    quotient_matrix,
-    quotient_radius,
     shift_function_f,
     spectral_radii,
     spectral_radius,

@@ -11,7 +11,6 @@ are immutable after construction and safe to share between workers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -142,9 +141,6 @@ class Graph:
     @property
     def num_edges(self) -> int:
         return sum(r.bit_count() for r in self.rows) // 2
-
-    def max_degree(self) -> int:
-        return max((r.bit_count() for r in self.rows), default=0)
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.num_edges})"
@@ -341,8 +337,10 @@ _GRAPH6_VALUES = bytes((b - 63) % 256 for b in range(256))  # byte -> the 6 bits
 def parse_graph6(text: str | bytes) -> Graph:
     """Decode one graph6 line; rejects malformed input with a byte offset.
 
-    The payload is unpacked by numpy and gathered into the symmetric 0/1
-    matrix in one indexing step, and the bit rows are packed from that.
+    The inverse of ``to_graph6``: the payload's 6-bit groups fill the
+    lower triangle row by row (the upper one column by column), the
+    matrix is ORed with its transpose, and the bit rows are packed from
+    that.  The decode holds about 3 n^2 bytes at its peak.
     """
     # A non-ASCII character encodes to bytes >= 128, which the range check
     # below rejects at the character's offset.
@@ -382,27 +380,12 @@ def parse_graph6(text: str | bytes) -> Graph:
     # The padding, under 6 bits, sits at the bottom of the last byte.
     if (data[-1] - 63) & ((1 << (6 * nbytes - m)) - 1):
         raise Graph6Error("nonzero padding bit", len(data) - 1)
-    bits = np.unpackbits(np.frombuffer(data[pos:].translate(_GRAPH6_VALUES), dtype=np.uint8))
-    return Graph._from_valid_matrix(bits[_pair_bit_index(n)])
-
-
-@lru_cache(maxsize=2)
-def _pair_bit_index(n: int) -> np.ndarray:
-    """(n, n) position of each vertex pair's bit in the unpacked payload.
-
-    ``np.unpackbits`` gives 8 bits per payload byte, the top two always 0
-    (a byte carries a value below 64).  Bit k of the upper triangle, read
-    column by column, sits at 8 * (k // 6) + 2 + k % 6, and the diagonal
-    points at position 0, a zero.  ``np.tri`` lists the lower triangle
-    row by row, which is the order of k.  The array takes 8 n^2 bytes:
-    1.3 MB at n = 400, and at MAX_ORDER as much as the float matrix of a
-    radius (0.8 GB).
-    """
-    k = np.arange(n * (n - 1) // 2)
-    index = np.zeros((n, n), dtype=np.intp)
-    lower = np.tri(n, n, -1, dtype=bool)
-    index[lower] = index.T[lower] = 8 * (k // 6) + 2 + k % 6
-    return index
+    values = np.frombuffer(data[pos:].translate(_GRAPH6_VALUES), dtype=np.uint8)
+    mat = np.tri(n, n, -1, dtype=bool)
+    # a byte carries a value below 64: its top two unpacked bits are 0
+    mat[mat] = np.unpackbits(values[:, None], axis=1)[:, 2:].reshape(-1)[:m]
+    mat |= mat.T
+    return Graph._from_valid_matrix(mat)
 
 
 def read_graph6_file(path) -> Iterator[tuple[int, Graph]]:

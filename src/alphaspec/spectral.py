@@ -195,7 +195,12 @@ def spectral_radius_oracle(g: Graph, alpha: float) -> float:
 
 @dataclass(frozen=True)
 class JoinFamily:
-    """K_s v (K_{n_1} u ... u K_{n_q}) with odd part sizes, sorted ascending.
+    """K_s v (K_{n_1} u ... u K_{n_q}) with odd parts, held as cells.
+
+    ``cells`` is ``((size, count), ...)``: ``count`` parts of each odd
+    ``size``, sizes strictly ascending and counts at least 1, so each
+    family has one value and equal parts share one quotient cell.
+    ``parts`` is the ascending list of part sizes, a derived view.
 
     The realized order is s + sum(parts) and the realized matching number
     is s + sum((n_i - 1) / 2): pair up inside each odd clique, then match
@@ -206,34 +211,48 @@ class JoinFamily:
     """
 
     s: int
-    parts: tuple[int, ...]
+    cells: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
         if self.s < 0:
             raise ValueError("core size must be nonnegative")
-        if len(self.parts) == 0:
+        if len(self.cells) == 0:
             raise ValueError("at least one part is required")
-        if any(p < 1 or p % 2 == 0 for p in self.parts):
-            raise ValueError(f"parts must be odd and positive, got {self.parts}")
-        if tuple(sorted(self.parts)) != self.parts:
-            raise ValueError("parts must be sorted ascending")
-        if self.s > len(self.parts):
+        sizes = [p for p, _ in self.cells]
+        if any(p < 1 or p % 2 == 0 for p in sizes):
+            raise ValueError(f"part sizes must be odd and positive, got {self.cells}")
+        if any(a >= b for a, b in zip(sizes, sizes[1:])):
+            raise ValueError(f"part sizes must be strictly ascending, got {self.cells}")
+        if any(count < 1 for _, count in self.cells):
+            raise ValueError(f"part counts must be positive, got {self.cells}")
+        if self.s > self.q:
             raise ValueError(
-                f"core size {self.s} exceeds part count {len(self.parts)}; "
+                f"core size {self.s} exceeds part count {self.q}; "
                 "the family would not realize its stated matching number"
             )
 
+    @classmethod
+    def of_parts(cls, s: int, parts: Sequence[int]) -> "JoinFamily":
+        """The family with core size ``s`` and the ascending part sizes
+        ``parts``.  Parts out of order make repeated or descending cell
+        sizes, which the constructor rejects."""
+        return cls(s, tuple((p, len(list(group))) for p, group in groupby(parts)))
+
+    @property
+    def parts(self) -> tuple[int, ...]:
+        return tuple(p for p, count in self.cells for _ in range(count))
+
     @property
     def q(self) -> int:
-        return len(self.parts)
+        return sum(count for _, count in self.cells)
 
     @property
     def order(self) -> int:
-        return self.s + sum(self.parts)
+        return self.s + sum(p * count for p, count in self.cells)
 
     @property
     def beta(self) -> int:
-        return self.s + sum((p - 1) // 2 for p in self.parts)
+        return self.s + sum((p - 1) // 2 * count for p, count in self.cells)
 
     def graph(self) -> Graph:
         """Concrete graph with the core clique labeled first."""
@@ -243,19 +262,19 @@ class JoinFamily:
         """Move two vertices from the second-largest part to the largest."""
         if self.q < 2:
             raise ValueError("need at least two parts to shift")
-        if self.parts[-2] < 3:
-            raise ValueError("second-largest part must have at least 3 vertices")
         parts = list(self.parts)
+        if parts[-2] < 3:
+            raise ValueError("second-largest part must have at least 3 vertices")
         parts[-2] -= 2
         parts[-1] += 2
-        return JoinFamily(self.s, tuple(sorted(parts)))
+        return JoinFamily.of_parts(self.s, sorted(parts))
 
 
 def complete_split_family(n: int, beta: int) -> JoinFamily:
     """K_beta v bar(K_{n-beta}) seen as a join family (all parts are 1)."""
     if not n > beta >= 1:
         raise ValueError(f"need n > beta >= 1, got n={n}, beta={beta}")
-    return JoinFamily(beta, (1,) * (n - beta))
+    return JoinFamily(beta, ((1, n - beta),))
 
 
 def one_clique_family(n: int, beta: int, s: int) -> JoinFamily:
@@ -265,8 +284,10 @@ def one_clique_family(n: int, beta: int, s: int) -> JoinFamily:
     if n < 2 * beta + 1:
         raise ValueError(f"need n >= 2*beta + 1, got n={n}, beta={beta}")
     q = n + s - 2 * beta
-    parts = tuple(sorted([1] * (q - 1) + [2 * beta - 2 * s + 1]))
-    return JoinFamily(s, parts)
+    if s == beta:
+        return JoinFamily(s, ((1, q),))
+    ones = ((1, q - 1),) if q > 1 else ()
+    return JoinFamily(s, ones + ((2 * beta - 2 * s + 1, 1),))
 
 
 @dataclass(frozen=True, eq=False)
@@ -284,13 +305,13 @@ class FamilyBatch:
     @classmethod
     def of(cls, family: JoinFamily) -> "FamilyBatch":
         """The batch of one holding ``family``."""
-        cells = np.array([[(p, len(list(group))) for p, group in groupby(family.parts)]], dtype=float)
+        cells = np.array([family.cells], dtype=float)
         return cls(np.array([family.s], dtype=float), cells[:, :, 0], cells[:, :, 1])
 
     def family(self, i: int) -> JoinFamily:
         """Row ``i`` as a ``JoinFamily``."""
         cells = zip(self.sizes[i].tolist(), self.counts[i].tolist())
-        return JoinFamily(int(self.s[i]), tuple(int(p) for p, count in cells for _ in range(int(count))))
+        return JoinFamily(int(self.s[i]), tuple((int(p), int(count)) for p, count in cells))
 
 
 def quotient_matrices(batch: FamilyBatch, alpha: float) -> np.ndarray:
@@ -321,16 +342,6 @@ def quotient_matrices(batch: FamilyBatch, alpha: float) -> np.ndarray:
     order = s + (p * m).sum(axis=1)
     mat[:, k, k] = alpha * (order - 1) + s - 1
     return mat
-
-
-def quotient_matrix(family: JoinFamily, alpha: float) -> np.ndarray:
-    """The symmetrised quotient of one family (see ``quotient_matrices``)."""
-    return quotient_matrices(FamilyBatch.of(family), alpha)[0]
-
-
-def quotient_radius(family: JoinFamily, alpha: float) -> float:
-    """Largest eigenvalue of the symmetric quotient matrix."""
-    return float(_top_eigenvalues(quotient_matrices(FamilyBatch.of(family), alpha))[0])
 
 
 def family_radius(family: JoinFamily | FamilyBatch, alpha: float):

@@ -42,7 +42,7 @@ CASE_NUMBERS = {FULL: 1, BELOW: 2, THRESHOLD: 3, ABOVE: 4, EMPTY: 0}
 
 # Parts are odd, so K_n of even order is a vertex joined to K_{n-1}.
 _EXTREMAL_FAMILY = {
-    COMPLETE: lambda n, beta: JoinFamily(0, (n,)) if n % 2 else JoinFamily(1, (n - 1,)),
+    COMPLETE: lambda n, beta: JoinFamily(0, ((n, 1),)) if n % 2 else JoinFamily(1, ((n - 1, 1),)),
     ODD_CLIQUE_PLUS_ISOLATES: lambda n, beta: one_clique_family(n, beta, 0),
     COMPLETE_SPLIT: lambda n, beta: one_clique_family(n, beta, beta),
     EMPTY_GRAPH: lambda n, beta: one_clique_family(n, beta, 0),

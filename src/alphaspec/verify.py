@@ -36,10 +36,8 @@ FAMILY_MATCH_TOL = 1e-8
 # Candidates a family search may scan: (120, 50) has 1,235,010.  Larger
 # searches are refused before any candidate is generated.
 FAMILY_MAX_CANDIDATES = 2_000_000
-# Rows of one stacked quotient solve, so a batch stays a few megabytes.
-FAMILY_BATCH_ROWS = 4096
 # Candidate-table rows turned into batches at a time, so the cell arrays
-# of a large search stay a few tens of megabytes.
+# and the stacked quotients of a large search stay a few tens of megabytes.
 FAMILY_CHUNK_ROWS = 1 << 14
 
 
@@ -358,8 +356,8 @@ def candidate_families(n: int, beta: int) -> Iterator[JoinFamily]:
         chunk = slice(first, first + FAMILY_CHUNK_ROWS)
         rows = zip(table.mult[chunk].tolist(), table.core[chunk].tolist(), table.parts[chunk].tolist())
         for mult, s, parts in rows:
-            big = tuple(2 * h + 1 for h, count in enumerate(mult) for _ in range(count))
-            yield JoinFamily(s, (1,) * (n + s - 2 * beta - parts) + big)
+            mult[0] = n + s - 2 * beta - parts
+            yield JoinFamily(s, tuple((2 * h + 1, count) for h, count in enumerate(mult) if count))
 
 
 def _candidate_batches(n: int, beta: int) -> Iterator[tuple[np.ndarray, FamilyBatch]]:
@@ -369,7 +367,7 @@ def _candidate_batches(n: int, beta: int) -> Iterator[tuple[np.ndarray, FamilyBa
     rows are sorted by their number of cells, stably, so each cell count
     is one run of rows in candidate order whatever their core sizes;
     ``np.nonzero`` lists the cells of those rows in the same order, each
-    row's ascending.  A run is split every ``FAMILY_BATCH_ROWS`` rows.
+    row's ascending.  Each run is one batch.
     """
     table = _candidate_table(n, beta)
     for first in range(0, len(table.core), FAMILY_CHUNK_ROWS):
@@ -388,12 +386,8 @@ def _candidate_batches(n: int, beta: int) -> Iterator[tuple[np.ndarray, FamilyBa
         k_values, k_rows = np.unique(cells[order], return_counts=True)
         lo = cell_lo = 0  # first row and first cell of the run
         for k, rows in zip(k_values.tolist(), k_rows.tolist()):
-            for a in range(0, rows, FAMILY_BATCH_ROWS):
-                b = min(a + FAMILY_BATCH_ROWS, rows)
-                cell = slice(cell_lo + a * k, cell_lo + b * k)
-                yield first + order[lo + a : lo + b], FamilyBatch(
-                    core[lo + a : lo + b], sizes[cell].reshape(-1, k), counts[cell].reshape(-1, k)
-                )
+            run, cell = slice(lo, lo + rows), slice(cell_lo, cell_lo + rows * k)
+            yield first + order[run], FamilyBatch(core[run], sizes[cell].reshape(-1, k), counts[cell].reshape(-1, k))
             lo += rows
             cell_lo += rows * k
 
@@ -405,8 +399,8 @@ def family_search(n: int, beta: int, alpha) -> FamilySearchResult:
 
     The candidate count is checked against ``FAMILY_MAX_CANDIDATES``
     before any is generated.  The candidates are rows of one array table,
-    grouped by their number of distinct part sizes across all core sizes,
-    and each group (split every ``FAMILY_BATCH_ROWS`` rows) is one
+    read ``FAMILY_CHUNK_ROWS`` at a time and grouped by their number of
+    distinct part sizes across all core sizes, and each group is one
     ``FamilyBatch`` whose radii come from one stacked eigensolve.  The
     winner is the first maximum in candidate order, as in a
     one-family-at-a-time scan.
@@ -423,7 +417,6 @@ def family_search(n: int, beta: int, alpha) -> FamilySearchResult:
         if rho > best_rho or (rho == best_rho and indices[i] < best_index):
             best_rho, best_index, best = rho, indices[i], batch.family(i)
         scanned += len(indices)
-    expected = one_clique_family(n, beta, best.s)
     verdict = classify_regime(n, beta, a)
     matches = (
         abs(best_rho - verdict.predicted_rho) <= FAMILY_MATCH_TOL
@@ -436,17 +429,14 @@ def family_search(n: int, beta: int, alpha) -> FamilySearchResult:
         best=best,
         rho=best_rho,
         families_scanned=scanned,
-        canonical_shape=best.parts == expected.parts,
+        canonical_shape=best == one_clique_family(n, beta, best.s),
         matches_prediction=matches,
     )
 
 
 def shift_monotonicity_check(family: JoinFamily, alpha) -> bool:
     """True iff moving two vertices from the second-largest part to the
-    largest strictly raises the radius (evaluated on both quotients)."""
-    if family.q < 2:
-        raise ValueError("shift check needs at least two parts")
-    if family.parts[-2] < 3:
-        raise ValueError("second-largest part must have at least 3 vertices")
+    largest strictly raises the radius (evaluated on both quotients);
+    ``JoinFamily.shifted`` rejects a family that has no such move."""
     af = float(as_fraction(alpha))
     return family_radius(family.shifted(), af) > family_radius(family, af)

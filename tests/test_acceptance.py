@@ -26,6 +26,7 @@ from alphaspec import (
     disjoint_union,
     empty_graph,
     exhaustive_max,
+    family_radius,
     family_search,
     from_edges,
     is_connected,
@@ -34,7 +35,6 @@ from alphaspec import (
     matching_number,
     matching_number_oracle,
     one_clique_family,
-    quotient_radius,
     shift_monotonicity_check,
     spectral_radius,
     spectral_radius_oracle,
@@ -146,11 +146,11 @@ def test_criterion_05_quotient_equivalence():
         s = rng.randint(1, 6)
         q = rng.randint(max(1, s), 8)
         parts = tuple(sorted(2 * rng.randint(0, 4) + 1 for _ in range(q)))
-        family = JoinFamily(s, parts)
+        family = JoinFamily.of_parts(s, parts)
         if family.order > 40:
             continue
         alpha = rng.choice([0.0, 0.5, 1.0, 2.0, 3.25])
-        gap = abs(quotient_radius(family, alpha) - spectral_radius(family.graph(), alpha).rho)
+        gap = abs(family_radius(family, alpha) - spectral_radius(family.graph(), alpha).rho)
         worst = max(worst, gap)
         done += 1
     ok = worst <= 1e-8
@@ -203,7 +203,7 @@ def test_criterion_07_family_structure_and_shifts():
         parts = sorted(2 * rng.randint(0, 4) + 1 for _ in range(q))
         if parts[-2] < 3:
             continue
-        family = JoinFamily(s, tuple(parts))
+        family = JoinFamily.of_parts(s, parts)
         if family.order > 40:
             continue
         alpha = rng.choice([0.0, 0.5, 1.0, 2.0])

@@ -416,10 +416,10 @@ class TestGraph6OrderCap:
     def test_cap_error_wins_over_payload_length(self, monkeypatch):
         from alphaspec import graphs as graphs_module
 
-        def refuse(n):
+        def refuse(*args, **kwargs):
             raise AssertionError("decoder allocated before the order check")
 
-        monkeypatch.setattr(graphs_module, "_pair_bit_index", refuse)
+        monkeypatch.setattr(graphs_module.np, "unpackbits", refuse)
         with pytest.raises(Graph6Error, match=f"order n={MAX_ORDER + 1} exceeds the graph6 limit {MAX_ORDER}") as err:
             parse_graph6(self.long_form(MAX_ORDER + 1, b"??"))
         assert err.value.offset == 1
@@ -434,6 +434,22 @@ class TestGraph6OrderCap:
         with pytest.raises(Graph6Error, match=f"payload length 2 != expected .* for n={MAX_ORDER}") as err:
             parse_graph6(self.long_form(MAX_ORDER, b"??"))
         assert err.value.offset == 4
+
+
+class TestGraph6DecodeMemory:
+    def test_peak_below_four_bytes_per_matrix_entry(self):
+        import random
+        import tracemalloc
+
+        n = 2000
+        text = to_graph6(random_graph(random.Random(n), n, 0.005))
+        tracemalloc.start()
+        try:
+            parse_graph6(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * n * n
 
 
 class TestBitMatrix:

@@ -171,7 +171,7 @@ class TestFamilyAgreement:
                 for n in range(2 * beta + 1, 2 * beta + 6):
                     q = n + s - 2 * beta
                     parts = tuple(sorted([1] * (q - 1) + [2 * beta - 2 * s + 1]))
-                    fam = JoinFamily(s, parts)
+                    fam = JoinFamily.of_parts(s, parts)
                     assert matching_number(fam.graph()) == beta
 
     def test_complete_split(self):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from alphaspec import (
+    FamilyBatch,
     JoinFamily,
     alpha_matrix,
     closed_form_complete_split,
@@ -21,8 +22,8 @@ from alphaspec import (
     join,
     largest_root_f,
     path_graph,
-    quotient_matrix,
-    quotient_radius,
+    one_clique_family,
+    quotient_matrices,
     shift_function_f,
     spectral_radii,
     spectral_radius,
@@ -325,51 +326,76 @@ class TestPerronFrobenius:
 class TestJoinFamily:
     def test_rejects_even_part(self):
         with pytest.raises(ValueError):
-            JoinFamily(1, (2,))
+            JoinFamily.of_parts(1, (2,))
 
     def test_rejects_unsorted(self):
         with pytest.raises(ValueError):
-            JoinFamily(1, (3, 1))
+            JoinFamily.of_parts(1, (3, 1))
 
     def test_rejects_core_larger_than_part_count(self):
         # K_3 v K_1 is K_4 with matching 2, not 3: the declared count
         # would be wrong, so the family is invalid
         with pytest.raises(ValueError):
-            JoinFamily(3, (1,))
+            JoinFamily.of_parts(3, (1,))
+
+    @pytest.mark.parametrize(
+        "s, cells, reason",
+        [
+            (1, ((1, 1), (1, 2)), "strictly ascending"),
+            (1, ((1, 0),), "counts must be positive"),
+            (1, ((3, 1), (1, 1)), "strictly ascending"),
+            (1, ((2, 1),), "odd and positive"),
+            (3, ((1, 1), (3, 1)), "exceeds part count 2"),
+            (0, (), "at least one part"),
+        ],
+        ids=["repeated-size", "zero-count", "descending-sizes", "even-size", "core-above-part-count", "no-cells"],
+    )
+    def test_rejects_invalid_cells(self, s, cells, reason):
+        with pytest.raises(ValueError, match=reason):
+            JoinFamily(s, cells)
+
+    def test_cells_and_parts(self):
+        fam = JoinFamily.of_parts(2, (1, 1, 3, 5, 5, 5))
+        assert fam == JoinFamily(2, ((1, 2), (3, 1), (5, 3)))
+        assert fam.parts == (1, 1, 3, 5, 5, 5)
 
     def test_realized_invariants(self):
-        fam = JoinFamily(2, (1, 3, 5))
+        fam = JoinFamily.of_parts(2, (1, 3, 5))
         assert fam.order == 11
         assert fam.beta == 2 + 0 + 1 + 2
         assert fam.q == 3
 
     def test_graph_has_core_first(self):
-        fam = JoinFamily(2, (1, 3))
+        fam = JoinFamily.of_parts(2, (1, 3))
         g = fam.graph()
         assert g.degrees()[:2] == [g.n - 1, g.n - 1]
 
 
+def one_quotient(family, alpha):
+    return quotient_matrices(FamilyBatch.of(family), alpha)[0]
+
+
 class TestQuotient:
     def test_star_quotient(self):
-        assert quotient_radius(JoinFamily(1, (1, 1, 1)), 0.0) == pytest.approx(SQRT3, abs=1e-12)
+        assert family_radius(JoinFamily(1, ((1, 3),)), 0.0) == pytest.approx(SQRT3, abs=1e-12)
 
     def test_all_ones_matches_closed_form(self):
         for alpha in (0.0, 0.5, 1.0, 2.0):
             for beta in (1, 2, 3):
                 for n in (2 * beta + 1, 2 * beta + 4):
                     fam = complete_split_family(n, beta)
-                    assert quotient_radius(fam, alpha) == pytest.approx(
+                    assert family_radius(fam, alpha) == pytest.approx(
                         closed_form_complete_split(n, beta, alpha), abs=1e-10
                     )
 
     def test_matches_full_graph(self):
-        fam = JoinFamily(2, (1, 1, 3))
+        fam = JoinFamily.of_parts(2, (1, 1, 3))
         rho = spectral_radius(fam.graph(), 0.5).rho
-        assert quotient_radius(fam, 0.5) == pytest.approx(rho, abs=1e-8)
+        assert family_radius(fam, 0.5) == pytest.approx(rho, abs=1e-8)
 
     def test_shape_and_rows(self):
-        fam = JoinFamily(2, (1, 3))
-        sym = quotient_matrix(fam, 1.0)
+        fam = JoinFamily.of_parts(2, (1, 3))
+        sym = one_quotient(fam, 1.0)
         n = fam.order
         assert sym.shape == (3, 3)
         assert np.array_equal(sym, sym.T)
@@ -386,20 +412,35 @@ class TestQuotient:
         assert mat[2] == pytest.approx([1.0, 3.0, (n - 1) + 1.0], abs=1e-12)
 
     def test_equal_parts_share_a_cell(self):
-        fam = JoinFamily(2, (1, 1, 3, 3))
-        mat = quotient_matrix(fam, 0.5)
+        fam = JoinFamily.of_parts(2, (1, 1, 3, 3))
+        mat = one_quotient(fam, 0.5)
         assert mat.shape == (3, 3)
-        assert quotient_radius(fam, 0.5) == pytest.approx(
+        assert family_radius(fam, 0.5) == pytest.approx(
             spectral_radius(fam.graph(), 0.5).rho, abs=1e-10
         )
 
     def test_requires_core(self):
         with pytest.raises(ValueError):
-            quotient_matrix(JoinFamily(0, (3, 3)), 1.0)
+            one_quotient(JoinFamily(0, ((3, 2),)), 1.0)
 
     def test_family_radius_disconnected(self):
-        fam = JoinFamily(0, (1, 3, 5))
+        fam = JoinFamily.of_parts(0, (1, 3, 5))
         assert family_radius(fam, 1.0) == pytest.approx(8.0)
+
+    @pytest.mark.parametrize(
+        "s, rho_hex",
+        [
+            (1, "0x1.869fe555556e2p+20"),
+            (1000, "0x1.8638035b23bf0p+20"),
+            (200000, "0x1.609ee4f3021adp+20"),
+            (400000, "0x1.869fe49249828p+20"),
+        ],
+    )
+    def test_radius_at_a_million_vertices(self, s, rho_hex):
+        # two cells (one at s = beta) whatever n, so the quotient is at most 3 x 3
+        fam = one_clique_family(10**6, 4 * 10**5, s)
+        assert len(fam.cells) == (1 if s == 4 * 10**5 else 2)
+        assert family_radius(fam, 1).hex() == rho_hex
 
 
 class TestClosedForm:
@@ -506,33 +547,33 @@ class TestLargestRoot:
 
 class TestShiftFunction:
     def test_zero_at_family_radius(self):
-        fam = JoinFamily(1, (3, 3))
-        rho = quotient_radius(fam, 0.0)
+        fam = JoinFamily(1, ((3, 2),))
+        rho = family_radius(fam, 0.0)
         assert shift_function_f(0.0, rho, fam, 0.0) == pytest.approx(0.0, abs=1e-10)
 
     def test_negative_at_two_when_pole_free(self):
         # large core keeps every denominator positive across delta in [0,2]
-        fam = JoinFamily(5, (3, 3, 5, 7, 9))
+        fam = JoinFamily.of_parts(5, (3, 3, 5, 7, 9))
         alpha = 1.0
-        rho = quotient_radius(fam, alpha)
+        rho = family_radius(fam, alpha)
         assert rho > (alpha + 1) * (fam.parts[-1] + 1) + alpha * fam.s
         assert shift_function_f(2.0, rho, fam, alpha) < 0.0
 
     def test_monotone_decrease_in_delta(self):
-        fam = JoinFamily(5, (3, 3, 5, 7, 9))
+        fam = JoinFamily.of_parts(5, (3, 3, 5, 7, 9))
         alpha = 1.0
-        lam = quotient_radius(fam, alpha) + 0.75
+        lam = family_radius(fam, alpha) + 0.75
         values = [shift_function_f(d, lam, fam, alpha) for d in (0.0, 1.0, 2.0)]
         assert values[0] > values[1] > values[2]
 
     def test_domain_guards(self):
-        fam = JoinFamily(1, (3, 3))
+        fam = JoinFamily(1, ((3, 2),))
         with pytest.raises(ValueError):
             shift_function_f(0.0, 1.0, fam, 0.0)  # lambda below bound
         with pytest.raises(ValueError):
             shift_function_f(2.5, 10.0, fam, 0.0)
         with pytest.raises(ValueError):
-            shift_function_f(1.0, 10.0, JoinFamily(1, (5,)), 0.0)
+            shift_function_f(1.0, 10.0, JoinFamily(1, ((5, 1),)), 0.0)
 
 
 class TestBoundFloor:
@@ -542,7 +583,7 @@ class TestBoundFloor:
             s = rng.randint(1, 4)
             q = rng.randint(max(2, s), 6)
             parts = tuple(sorted(2 * rng.randint(0, 3) + 1 for _ in range(q)))
-            fam = JoinFamily(s, parts)
+            fam = JoinFamily.of_parts(s, parts)
             alpha = rng.choice([0.0, 0.5, 1.0, 2.0])
             floor = (alpha + 1) * (fam.parts[-1] + fam.s - 1)
-            assert quotient_radius(fam, alpha) >= floor - 1e-9
+            assert family_radius(fam, alpha) >= floor - 1e-9

@@ -162,15 +162,15 @@ class TestPredictedGraphs:
 class TestExtremalFamilies:
     def test_complete_by_parity(self):
         # parts are odd: K_n of even order is a vertex joined to K_{n-1}
-        assert classify_regime(7, 3, 1).extremal_families == (JoinFamily(0, (7,)),)
-        assert classify_regime(6, 3, 1).extremal_families == (JoinFamily(1, (5,)),)
+        assert classify_regime(7, 3, 1).extremal_families == (JoinFamily(0, ((7, 1),)),)
+        assert classify_regime(6, 3, 1).extremal_families == (JoinFamily(1, ((5, 1),)),)
 
     def test_one_family_per_descriptor_in_order(self):
         v = classify_regime(8, 2, 0)
-        assert v.extremal_families == (JoinFamily(2, (1,) * 6), JoinFamily(0, (1, 1, 1, 5)))
+        assert v.extremal_families == (JoinFamily(2, ((1, 6),)), JoinFamily(0, ((1, 3), (5, 1))))
 
     def test_empty_graph(self):
-        assert classify_regime(3, 0, 2).extremal_families == (JoinFamily(0, (1, 1, 1)),)
+        assert classify_regime(3, 0, 2).extremal_families == (JoinFamily(0, ((1, 3),)),)
 
     def test_families_have_declared_order_and_matching(self):
         for alpha in (0, Fraction(1, 2), 1, 2):

@@ -30,7 +30,6 @@ from alphaspec import (
     isomorphism_classes,
     matching_number,
     one_clique_family,
-    quotient_radius,
     shift_monotonicity_check,
     to_graph6,
     tutte_berge_witness,
@@ -300,6 +299,12 @@ class TestFamilySearch:
             assert fam.beta == 3
             assert matching_number(fam.graph()) == 3
 
+    def test_cells_round_trip_through_parts(self):
+        for n in range(1, 21):
+            for beta in range(0, (n - 1) // 2 + 1):
+                for f in candidate_families(n, beta):
+                    assert JoinFamily.of_parts(f.s, f.parts) == f
+
     def test_infeasible(self):
         with pytest.raises(ValueError):
             family_search(6, 3, 0)
@@ -328,7 +333,7 @@ def _old_candidate_families(n, beta):
         q = n + s - 2 * beta
         for mparts in _old_partitions_at_most(beta - s, q):
             parts = tuple(sorted([2 * m + 1 for m in mparts] + [1] * (q - len(mparts))))
-            yield JoinFamily(s, parts)
+            yield JoinFamily.of_parts(s, parts)
 
 
 def _old_quotient_radius(family, alpha):
@@ -389,14 +394,6 @@ class TestFamilySearchAgainstLoop:
             for beta in range(1, (n - 1) // 2 + 1):
                 self.check(n, beta, alpha)
 
-    @pytest.mark.parametrize("rows", [1, 3])
-    def test_small_batches(self, monkeypatch, rows):
-        import alphaspec.verify as verify
-
-        monkeypatch.setattr(verify, "FAMILY_BATCH_ROWS", rows)
-        for n, beta, alpha in [(20, 6, "0"), (21, 7, "1/2"), (14, 5, "1"), (9, 3, "1")]:
-            self.check(n, beta, alpha)
-
     def test_ties_go_to_the_first_candidate(self, monkeypatch):
         import alphaspec.verify as verify
 
@@ -404,7 +401,7 @@ class TestFamilySearchAgainstLoop:
         # their batches are solved two-cell first, yet the three-cell one
         # comes first in candidate order and must win
         core0 = [f for f in candidate_families(20, 6) if f.s == 0]
-        cells = [len(set(f.parts)) for f in core0]
+        cells = [len(f.cells) for f in core0]
         last_two = max(i for i, k in enumerate(cells) if k == 2)
         first_three = cells.index(3)
         assert first_three < last_two
@@ -441,11 +438,11 @@ class TestFamilySearchAgainstLoop:
                 family = batch.family(i)
                 assert family_radius(family, af) == rho
                 if family.s >= 1:
-                    assert quotient_radius(family, af) == rho
+                    assert _old_quotient_radius(family, af) == rho
             seen += len(indices)
         assert seen == family_count(n, beta)
 
-    @pytest.mark.parametrize("rows", [1, 5, 100])
+    @pytest.mark.parametrize("rows", [1, 3, 5, 100])
     def test_small_chunks(self, monkeypatch, rows):
         import alphaspec.verify as verify
 
@@ -473,17 +470,16 @@ class TestFamilySearchAgainstLoop:
     def test_mixed_core_batch_equals_single(self, alpha):
         # two cells each: sizes ascending, core sizes 0, 2, 1, 0, 3
         families = [
-            JoinFamily(0, (1, 1, 5)),
-            JoinFamily(2, (1, 1, 3, 3)),
-            JoinFamily(1, (3, 5)),
-            JoinFamily(0, (3, 3, 7)),
-            JoinFamily(3, (1, 1, 1, 1, 9)),
+            JoinFamily(0, ((1, 2), (5, 1))),
+            JoinFamily(2, ((1, 2), (3, 2))),
+            JoinFamily(1, ((3, 1), (5, 1))),
+            JoinFamily(0, ((3, 2), (7, 1))),
+            JoinFamily(3, ((1, 4), (9, 1))),
         ]
-        cells = [[(p, f.parts.count(p)) for p in sorted(set(f.parts))] for f in families]
         batch = FamilyBatch(
             np.array([f.s for f in families], dtype=float),
-            np.array([[p for p, _ in c] for c in cells], dtype=float),
-            np.array([[m for _, m in c] for c in cells], dtype=float),
+            np.array([[p for p, _ in f.cells] for f in families], dtype=float),
+            np.array([[m for _, m in f.cells] for f in families], dtype=float),
         )
         radii = family_radius(batch, alpha)
         assert radii.tolist() == [family_radius(f, alpha) for f in families]
@@ -562,18 +558,18 @@ class TestFamilyCount:
 
 class TestShiftMonotonicity:
     def test_two_triangles(self):
-        assert shift_monotonicity_check(JoinFamily(1, (3, 3)), 0)
+        assert shift_monotonicity_check(JoinFamily(1, ((3, 2),)), 0)
 
     def test_three_five(self):
-        assert shift_monotonicity_check(JoinFamily(2, (3, 5)), 1)
+        assert shift_monotonicity_check(JoinFamily(2, ((3, 1), (5, 1))), 1)
 
     def test_guard_small_part(self):
-        with pytest.raises(ValueError):
-            shift_monotonicity_check(JoinFamily(1, (1, 5)), 0)
+        with pytest.raises(ValueError, match="second-largest part must have at least 3 vertices"):
+            shift_monotonicity_check(JoinFamily(1, ((1, 1), (5, 1))), 0)
 
     def test_guard_single_part(self):
-        with pytest.raises(ValueError):
-            shift_monotonicity_check(JoinFamily(1, (5,)), 0)
+        with pytest.raises(ValueError, match="need at least two parts to shift"):
+            shift_monotonicity_check(JoinFamily(1, ((5, 1),)), 0)
 
 
 class TestCase2:
@@ -678,7 +674,7 @@ class TestArgmaxFamilyStructure:
                         if w.s == 0:
                             continue
                         assert all(size % 2 == 1 for size in sizes)
-                        rebuilt = JoinFamily(w.s, tuple(sizes)).graph()
+                        rebuilt = JoinFamily.of_parts(w.s, sizes).graph()
                         assert are_isomorphic(g, rebuilt)
 
 
