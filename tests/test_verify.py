@@ -442,7 +442,19 @@ class TestFamilySearchAgainstLoop:
             seen += len(indices)
         assert seen == family_count(n, beta)
 
-    @pytest.mark.parametrize("rows", [1, 3, 5, 100])
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_small_batches(self, monkeypatch, rows):
+        import alphaspec.verify as verify
+
+        # a batch is a cell-count run of one chunk, so chunks of `rows`
+        # rows bound every batch's row count by `rows`
+        monkeypatch.setattr(verify, "FAMILY_CHUNK_ROWS", rows)
+        for n, beta, alpha in [(20, 6, "0"), (21, 7, "1/2"), (14, 5, "1"), (9, 3, "1")]:
+            sizes = [len(indices) for indices, _ in _candidate_batches(n, beta)]
+            assert max(sizes) <= rows and sum(sizes) == family_count(n, beta)
+            self.check(n, beta, alpha)
+
+    @pytest.mark.parametrize("rows", [1, 5, 100])
     def test_small_chunks(self, monkeypatch, rows):
         import alphaspec.verify as verify
 
