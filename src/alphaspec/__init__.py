@@ -47,9 +47,7 @@ from .spectral import (
     complete_split_graph,
     cubic_f,
     family_radius,
-    largest_root_f,
     one_clique_family,
-    quotient_matrices,
     shift_function_f,
     spectral_radii,
     spectral_radius,

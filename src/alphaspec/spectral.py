@@ -8,12 +8,13 @@ signless Laplacian spectral radius.
 
 Beyond the dense computation this module carries the structured join
 family K_s v (K_{n_1} u ... u K_{n_q}), whose equal-size parts collapse
-the eigenproblem to a symmetric quotient matrix with one cell per
-distinct part size plus the core (built for a whole batch of families
-by one array expression, and solved by one stacked ``eigvalsh``), the
-closed-form radius
-of the complete split graph K_b v bar(K_{n-b}), and the cubic whose
-largest root is the radius of the one-big-clique family.
+the eigenproblem to a symmetric quotient with one cell per distinct part
+size plus the core.  Its top eigenvalue is the one root above the cell
+diagonals of the core's Schur complement, a secular function solved by
+vectorised Newton steps for a whole batch of families at once.  The
+module also holds the closed-form radius of the complete split graph
+K_b v bar(K_{n-b}) and the cubic whose largest root is the radius of
+the one-big-clique family.
 """
 
 from __future__ import annotations
@@ -33,16 +34,18 @@ from .graphs import (
     empty_graph,
     join,
     row_component_masks,
-    union_all,
 )
 
 DEFAULT_TOL = 1e-10
-ROOT_TOL = 1e-12
 ORACLE_ORDER_CAP = 64
 # Matrix entries stacked by one ``spectral_radii`` slice (512 KB of
 # float64): 1,024 graphs of order 8, 13 of order 70, one of order 256 or
 # more.  Larger slices scan no faster and raise peak memory.
 RADII_BATCH_ENTRIES = 1 << 16
+# Newton steps allowed for one batch of family radii.  The searches of
+# (64, 24), (80, 30) and (120, 50) at alpha in {0, 1/2, 1, 2} settle
+# within 8.
+_SECULAR_STEPS = 64
 
 
 @dataclass(frozen=True)
@@ -255,8 +258,15 @@ class JoinFamily:
         return self.s + sum((p - 1) // 2 * count for p, count in self.cells)
 
     def graph(self) -> Graph:
-        """Concrete graph with the core clique labeled first."""
-        return join(complete_graph(self.s), union_all([complete_graph(p) for p in self.parts]))
+        """Concrete graph with the core clique labeled first and the part
+        cliques after it in ascending size.  Each vertex is labeled by
+        its part (-1 for the core); two vertices are adjacent when one is
+        in the core or both are in one part, so the whole 0/1 matrix is
+        one array expression, validated once by ``from_bit_matrix``."""
+        part = np.repeat(np.arange(-1, self.q), (self.s,) + self.parts)
+        mat = (part[:, None] == part) | (part[:, None] < 0) | (part < 0)
+        np.fill_diagonal(mat, False)
+        return Graph.from_bit_matrix(mat)
 
     def shifted(self) -> "JoinFamily":
         """Move two vertices from the second-largest part to the largest."""
@@ -314,41 +324,12 @@ class FamilyBatch:
         return JoinFamily(int(self.s[i]), tuple((int(p), int(count)) for p, count in cells))
 
 
-def quotient_matrices(batch: FamilyBatch, alpha: float) -> np.ndarray:
-    """Symmetrised equitable quotients of a batch of join families, stacked
-    as (m, k + 1, k + 1): one cell per distinct part size (ascending),
-    core last.
-
-    The m_p parts of size p form one cell of an equitable partition: a
-    cell-p vertex has (p - 1) neighbours in its cell and s in the core,
-    a core vertex s - 1 in the core and m_p * p in cell p.  Scaling that
-    quotient B by the cell sizes c gives the symmetric
-    S = diag(sqrt c) B diag(sqrt c)^-1 with diagonal (alpha+1)(p-1) +
-    alpha*s for cell p and alpha*(n-1) + s - 1 for the core, and
-    sqrt(s * m_p * p) between cell p and the core.  Its eigenvalues are
-    eigenvalues of the full matrix, and the largest is the radius.  The
-    core size may differ from row to row.
-    """
-    alpha = _check_alpha(alpha)
-    s, p, m = batch.s, batch.sizes, batch.counts
-    if not np.all(s >= 1):
-        raise ValueError("quotient collapse is defined for a nonempty core (s >= 1)")
-    rows, k = p.shape
-    cell = np.arange(k)
-    core = s[:, None]
-    mat = np.zeros((rows, k + 1, k + 1))
-    mat[:, cell, cell] = (alpha + 1) * (p - 1) + alpha * core
-    mat[:, cell, k] = mat[:, k, cell] = np.sqrt(core * m * p)
-    order = s + (p * m).sum(axis=1)
-    mat[:, k, k] = alpha * (order - 1) + s - 1
-    return mat
-
-
 def family_radius(family: JoinFamily | FamilyBatch, alpha: float):
-    """Radius of the family graph: quotient for s >= 1, largest clique
-    for the disconnected s = 0 case.  A ``JoinFamily`` gives a float, a
-    ``FamilyBatch`` the array of its rows' radii, whatever their core
-    sizes."""
+    """Radius of the family graph: the secular root for s >= 1, the
+    largest clique for the disconnected s = 0 case.  A ``JoinFamily``
+    gives a float, a ``FamilyBatch`` the array of its rows' radii,
+    whatever their core sizes; each row's radius is the same float
+    whichever batch it is solved in."""
     if isinstance(family, JoinFamily):
         return float(family_radius(FamilyBatch.of(family), alpha)[0])
     alpha = _check_alpha(alpha)
@@ -356,13 +337,57 @@ def family_radius(family: JoinFamily | FamilyBatch, alpha: float):
     core = family.s >= 1
     if core.any():
         rows = FamilyBatch(family.s[core], family.sizes[core], family.counts[core])
-        radii[core] = _top_eigenvalues(quotient_matrices(rows, alpha))
+        radii[core] = _secular_roots(*_secular_terms(rows, alpha))
     return radii
 
 
-def _top_eigenvalues(mats: np.ndarray) -> np.ndarray:
-    """Largest eigenvalue of each symmetric matrix of a stack."""
-    return np.linalg.eigvalsh(mats)[:, -1]
+def _secular_terms(batch: FamilyBatch, alpha: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(c, d, w) of the secular function of each row of a batch.
+
+    The parts of one size p form one cell of an equitable partition: a
+    cell-p vertex has p - 1 neighbours in its cell and s in the core, a
+    core vertex s - 1 in the core and m_p * p in cell p.  Symmetrised by
+    the cell sizes, that quotient has diagonal d_p = (alpha+1)(p-1) +
+    alpha*s for cell p and c = alpha*(n-1) + s - 1 for the core, and
+    sqrt(w_p) with w_p = s * m_p * p between cell p and the core.  Its
+    eigenvalues are eigenvalues of the full matrix, and the largest is
+    the radius.  For a batch of r rows and k cells ``c`` has shape (r,),
+    ``d`` and ``w`` (k, r), one contiguous row per cell.
+    """
+    s, p, m = batch.s, batch.sizes, batch.counts
+    core = s[:, None]
+    d = (alpha + 1) * (p - 1) + alpha * core
+    w = core * m * p
+    c = alpha * (s + (p * m).sum(axis=1) - 1) + s - 1
+    return c, np.ascontiguousarray(d.T), np.ascontiguousarray(w.T)
+
+
+def _secular_roots(c: np.ndarray, d: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The largest eigenvalue of each quotient, as the root of the core's
+    Schur complement h(lam) = lam - c - sum_p w_p / (lam - d_p).
+
+    Above max d_p, h is increasing and concave with exactly one root.
+    The start is the largest top eigenvalue of the 2 x 2 blocks
+    [[d_p, sqrt w_p], [sqrt w_p, c]], at or below the root by Cauchy
+    interlacing and above max d_p.  From there Newton's method climbs
+    monotonically to the root, so each step keeps the larger of lam and
+    the Newton point, and the iteration stops when no row changes.
+    ValueError is raised if that takes more than ``_SECULAR_STEPS``.
+    """
+    half = 0.5 * (c - d)
+    lam = np.max(0.5 * (c + d) + np.sqrt(half * half + w), axis=0)
+    for _ in range(_SECULAR_STEPS):
+        h, slope = lam - c, np.ones_like(lam)
+        for d_p, w_p in zip(d, w):
+            gap = lam - d_p
+            term = w_p / gap
+            h -= term
+            slope += term / gap
+        step = np.maximum(lam, lam - h / slope)
+        if np.array_equal(step, lam):
+            return lam
+        lam = step
+    raise ValueError(f"family radius: Newton's method did not settle within {_SECULAR_STEPS} steps")
 
 
 # -- closed forms ------------------------------------------------------
@@ -408,60 +433,6 @@ def cubic_f(lam: float, n: int, beta: int, s: int, alpha: float) -> float:
     t2 = lam - alpha * s
     t3 = lam - 2.0 * (alpha + 1) * beta + (alpha + 2) * s
     return t1 * t2 * t3 - s * (n + s - 2 * beta - 1) * t3 - s * (2 * beta - 2 * s + 1) * t2
-
-
-def _cubic_f_derivative(lam: float, n: int, beta: int, s: int, alpha: float) -> float:
-    t1 = lam - alpha * n - s + alpha + 1
-    t2 = lam - alpha * s
-    t3 = lam - 2.0 * (alpha + 1) * beta + (alpha + 2) * s
-    return t1 * t2 + t1 * t3 + t2 * t3 - s * (n + s - 2 * beta - 1) - s * (2 * beta - 2 * s + 1)
-
-
-def largest_root_f(n: int, beta: int, s: int, alpha: float, tol: float = ROOT_TOL) -> float:
-    """The unique root of the cubic at or beyond 2(alpha+1)beta - (alpha+1)s.
-
-    Bisection from the bracket [2(alpha+1)beta - (alpha+1)s,
-    (alpha+1)(n-1) + 1] followed by a Newton polish.  Equals the radius
-    of K_s v (K_{2b-2s+1} u bar(K_{q-1})).
-    """
-    alpha = _check_alpha(alpha)
-    if not 0 <= s <= beta:
-        raise ValueError(f"need 0 <= s <= beta, got s={s}, beta={beta}")
-    _check_tol(tol)
-    if s == 0:
-        # cubic factors as (lam - alpha*n + alpha + 1) * lam * (lam - 2(alpha+1)beta)
-        return max(0.0, alpha * n - alpha - 1, 2.0 * (alpha + 1) * beta)
-    lo = 2.0 * (alpha + 1) * beta - (alpha + 1) * s
-    hi = (alpha + 1) * (n - 1) + 1.0
-    flo = cubic_f(lo, n, beta, s, alpha)
-    fhi = cubic_f(hi, n, beta, s, alpha)
-    if flo > 0 or fhi <= 0:
-        raise ValueError(
-            f"no root bracket for n={n}, beta={beta}, s={s}, alpha={alpha}: "
-            f"f({lo})={flo}, f({hi})={fhi}"
-        )
-    if flo == 0.0:
-        return lo
-    a, b = lo, hi
-    while b - a > tol:
-        mid = 0.5 * (a + b)
-        if mid <= a or mid >= b:
-            break
-        if cubic_f(mid, n, beta, s, alpha) > 0:
-            b = mid
-        else:
-            a = mid
-    lam = 0.5 * (a + b)
-    for _ in range(4):
-        deriv = _cubic_f_derivative(lam, n, beta, s, alpha)
-        if deriv == 0.0:
-            break
-        step = cubic_f(lam, n, beta, s, alpha) / deriv
-        nxt = lam - step
-        if not a - tol <= nxt <= b + tol:
-            break
-        lam = nxt
-    return lam
 
 
 def shift_function_f(delta: float, lam: float, family: JoinFamily, alpha: float) -> float:

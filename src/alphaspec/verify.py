@@ -37,7 +37,7 @@ FAMILY_MATCH_TOL = 1e-8
 # searches are refused before any candidate is generated.
 FAMILY_MAX_CANDIDATES = 2_000_000
 # Candidate-table rows turned into batches at a time, so the cell arrays
-# and the stacked quotients of a large search stay a few tens of megabytes.
+# and the secular terms of a large search stay a few tens of megabytes.
 FAMILY_CHUNK_ROWS = 1 << 14
 
 
@@ -401,9 +401,9 @@ def family_search(n: int, beta: int, alpha) -> FamilySearchResult:
     before any is generated.  The candidates are rows of one array table,
     read ``FAMILY_CHUNK_ROWS`` at a time and grouped by their number of
     distinct part sizes across all core sizes, and each group is one
-    ``FamilyBatch`` whose radii come from one stacked eigensolve.  The
-    winner is the first maximum in candidate order, as in a
-    one-family-at-a-time scan.
+    ``FamilyBatch`` whose radii come from one vectorised Newton solve of
+    the rows' secular functions.  The winner is the first maximum in
+    candidate order, as in a one-family-at-a-time scan.
     """
     a = as_fraction(alpha)
     af = float(a)

@@ -31,7 +31,6 @@ from alphaspec import (
     from_edges,
     is_connected,
     isomorphism_classes,
-    largest_root_f,
     matching_number,
     matching_number_oracle,
     one_clique_family,
@@ -160,8 +159,9 @@ def test_criterion_05_quotient_equivalence():
 
 def test_criterion_06_cubic_root_correctness():
     """1 <= s <= beta <= 8, 2*beta+2 <= n <= 30, alpha in {0,1/2,1,2}:
-    the bracketed root equals the constructed-family radius within 1e-8
-    and the four sign conditions hold."""
+    the one-big-clique family radius (the cubic's largest root) equals
+    the dense radius of the constructed graph within 1e-8 and the four
+    sign conditions of the cubic hold."""
     worst = 0.0
     count = 0
     sign_ok = True
@@ -169,8 +169,9 @@ def test_criterion_06_cubic_root_correctness():
         for beta in range(1, 9):
             for s in range(1, beta + 1):
                 for n in range(2 * beta + 2, 31):
-                    root = largest_root_f(n, beta, s, alpha)
-                    rho = spectral_radius(one_clique_family(n, beta, s).graph(), alpha).rho
+                    family = one_clique_family(n, beta, s)
+                    root = family_radius(family, alpha)
+                    rho = spectral_radius(family.graph(), alpha).rho
                     worst = max(worst, abs(root - rho))
                     lower = 2 * (alpha + 1) * beta - (alpha + 1) * s
                     sign_ok = sign_ok and cubic_f(-1e6, n, beta, s, alpha) < 0

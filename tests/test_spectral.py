@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -8,6 +9,9 @@ from alphaspec import (
     FamilyBatch,
     JoinFamily,
     alpha_matrix,
+    as_fraction,
+    candidate_families,
+    classify_regime,
     closed_form_complete_split,
     complete_graph,
     complete_split_family,
@@ -15,27 +19,35 @@ from alphaspec import (
     cycle_graph,
     disjoint_union,
     empty_graph,
+    family_count,
     family_radius,
+    family_search,
     from_edges,
     is_connected,
     isomorphism_classes,
     join,
-    largest_root_f,
     path_graph,
     one_clique_family,
-    quotient_matrices,
     shift_function_f,
     spectral_radii,
     spectral_radius,
     spectral_radius_oracle,
     split_graph_quadratic,
     star_graph,
+    union_all,
 )
 from alphaspec import spectral
 from alphaspec.graphs import _bits, component_masks
 from alphaspec.spectral import SpectralResult
+from alphaspec.verify import FAMILY_MATCH_TOL, _candidate_batches
 
 SQRT3 = math.sqrt(3.0)
+# Allowed gap, in units of the reference's last place, between a family
+# radius and the top ``eigvalsh`` eigenvalue of its quotient: at most 8
+# over every core candidate of (64, 24) at alpha in {0, 1/2, 1, 2}, and
+# the gap is the eigensolver's rounding (the secular root was within
+# half a unit of the exact root on the widest gaps checked).
+ORACLE_ULPS = 8
 
 
 def random_connected(rng, n, p=0.4):
@@ -370,6 +382,38 @@ class TestJoinFamily:
         g = fam.graph()
         assert g.degrees()[:2] == [g.n - 1, g.n - 1]
 
+    def test_graph_equals_the_union_fold(self):
+        for n in range(1, 21):
+            for beta in range(0, (n - 1) // 2 + 1):
+                for fam in candidate_families(n, beta):
+                    fold = join(complete_graph(fam.s), union_all([complete_graph(p) for p in fam.parts]))
+                    assert fam.graph() == fold, fam
+
+
+def quotient_matrices(batch, alpha):
+    """The reference for ``family_radius``: symmetrised equitable quotients
+    of a batch of join families, stacked as (m, k + 1, k + 1), one cell
+    per distinct part size (ascending) and the core last.  Cell p has
+    diagonal (alpha+1)(p-1) + alpha*s, the core alpha*(n-1) + s - 1, and
+    sqrt(s * m_p * p) joins cell p to the core; the top ``eigvalsh``
+    eigenvalue is the radius."""
+    s, p, m = batch.s, batch.sizes, batch.counts
+    if not np.all(s >= 1):
+        raise ValueError("quotient collapse is defined for a nonempty core (s >= 1)")
+    rows, k = p.shape
+    cell = np.arange(k)
+    core = s[:, None]
+    mat = np.zeros((rows, k + 1, k + 1))
+    mat[:, cell, cell] = (alpha + 1) * (p - 1) + alpha * core
+    mat[:, cell, k] = mat[:, k, cell] = np.sqrt(core * m * p)
+    order = s + (p * m).sum(axis=1)
+    mat[:, k, k] = alpha * (order - 1) + s - 1
+    return mat
+
+
+def oracle_radii(batch, alpha):
+    return np.linalg.eigvalsh(quotient_matrices(batch, alpha))[:, -1]
+
 
 def one_quotient(family, alpha):
     return quotient_matrices(FamilyBatch.of(family), alpha)[0]
@@ -430,9 +474,9 @@ class TestQuotient:
     @pytest.mark.parametrize(
         "s, rho_hex",
         [
-            (1, "0x1.869fe555556e2p+20"),
-            (1000, "0x1.8638035b23bf0p+20"),
-            (200000, "0x1.609ee4f3021adp+20"),
+            (1, "0x1.869fe555556e3p+20"),
+            (1000, "0x1.8638035b23bf1p+20"),
+            (200000, "0x1.609ee4f3021aep+20"),
             (400000, "0x1.869fe49249828p+20"),
         ],
     )
@@ -440,7 +484,69 @@ class TestQuotient:
         # two cells (one at s = beta) whatever n, so the quotient is at most 3 x 3
         fam = one_clique_family(10**6, 4 * 10**5, s)
         assert len(fam.cells) == (1 if s == 4 * 10**5 else 2)
-        assert family_radius(fam, 1).hex() == rho_hex
+        rho = family_radius(fam, 1)
+        assert rho.hex() == rho_hex
+        oracle = oracle_radii(FamilyBatch.of(fam), 1.0)[0]
+        assert abs(rho - oracle) <= ORACLE_ULPS * np.spacing(oracle)
+
+
+def oracle_search(n, beta, alpha):
+    """(winner, radius) of the first maximum in candidate order, every
+    core radius from the stacked ``eigvalsh`` oracle."""
+    rho = np.empty(family_count(n, beta))
+    for indices, batch in _candidate_batches(n, beta):
+        radii = (alpha + 1) * (batch.sizes[:, -1] - 1)
+        core = batch.s >= 1
+        if core.any():
+            radii[core] = oracle_radii(FamilyBatch(batch.s[core], batch.sizes[core], batch.counts[core]), alpha)
+        rho[indices] = radii
+    best = int(np.argmax(rho))  # the first of equal maxima
+    return next(itertools.islice(candidate_families(n, beta), best, None)), float(rho[best])
+
+
+class TestSecularSolve:
+    @pytest.mark.parametrize("n, beta, rows", [(64, 24, 5735), (9, 3, 4)])
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0, 2.0])
+    def test_every_core_candidate_near_the_oracle(self, n, beta, rows, alpha):
+        seen = 0
+        for _, batch in _candidate_batches(n, beta):
+            core = batch.s >= 1
+            if not core.any():
+                continue
+            batch = FamilyBatch(batch.s[core], batch.sizes[core], batch.counts[core])
+            rho, oracle = family_radius(batch, alpha), oracle_radii(batch, alpha)
+            assert np.all(np.abs(rho - oracle) <= ORACLE_ULPS * np.spacing(oracle))
+            seen += len(rho)
+        assert seen == rows
+
+    @pytest.mark.parametrize("alpha", ["0", "1/2", "1", "3/2", "2", "5/2", "1/3", "7/3"])
+    def test_search_verdicts_match_the_oracle(self, alpha):
+        a = as_fraction(alpha)
+        for n in range(3, 31):
+            for beta in range(1, (n - 1) // 2 + 1):
+                best, rho = oracle_search(n, beta, float(a))
+                result = family_search(n, beta, a)
+                verdict = classify_regime(n, beta, a)
+                assert result.best == best, (n, beta)
+                assert result.canonical_shape == (best == one_clique_family(n, beta, best.s))
+                assert result.matches_prediction == (
+                    abs(rho - verdict.predicted_rho) <= FAMILY_MATCH_TOL and best in verdict.extremal_families
+                )
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0, 2.0, 1 / 3, 7 / 3])
+    def test_complete_split_rows_match_the_closed_form(self, alpha):
+        for n in list(range(3, 61)) + [10**3, 10**6]:
+            for beta in sorted({*range(1, min((n - 1) // 2, 30) + 1), n // 3, (n - 1) // 2}):
+                exact = closed_form_complete_split(n, beta, alpha)
+                rho = family_radius(complete_split_family(n, beta), alpha)
+                assert abs(rho - exact) <= ORACLE_ULPS * np.spacing(exact), (n, beta)
+
+    def test_step_bound_raises(self, monkeypatch):
+        fam = JoinFamily.of_parts(2, (1, 3, 5))
+        assert family_radius(fam, 0.5) > 0
+        monkeypatch.setattr(spectral, "_SECULAR_STEPS", 1)
+        with pytest.raises(ValueError, match="did not settle within 1 steps"):
+            family_radius(fam, 0.5)
 
 
 class TestClosedForm:
@@ -517,32 +623,34 @@ class TestCubic:
 
 
 class TestLargestRoot:
+    # the one-big-clique radius, once the bracketed root of the cubic, is
+    # now the family radius of ``one_clique_family``
     def test_full_core_equals_closed_form(self):
         for alpha in (0.0, 0.5, 1.0, 2.0):
             for beta in (1, 2, 4):
                 n = 2 * beta + 3
-                assert largest_root_f(n, beta, beta, alpha) == pytest.approx(
+                assert family_radius(one_clique_family(n, beta, beta), alpha) == pytest.approx(
                     closed_form_complete_split(n, beta, alpha), abs=1e-9
                 )
 
     def test_against_dense_small(self):
         g = join(complete_graph(1), disjoint_union(complete_graph(3), empty_graph(4)))
-        assert largest_root_f(8, 2, 1, 0.0) == pytest.approx(
+        assert family_radius(one_clique_family(8, 2, 1), 0.0) == pytest.approx(
             spectral_radius(g, 0.0).rho, abs=1e-8
         )
 
     def test_against_dense_medium(self):
         g = join(complete_graph(2), disjoint_union(complete_graph(3), empty_graph(7)))
-        assert largest_root_f(12, 3, 2, 1.0) == pytest.approx(
+        assert family_radius(one_clique_family(12, 3, 2), 1.0) == pytest.approx(
             spectral_radius(g, 1.0).rho, abs=1e-8
         )
 
     def test_s_zero_path(self):
-        assert largest_root_f(9, 2, 0, 1.0) == pytest.approx(8.0)
+        assert family_radius(one_clique_family(9, 2, 0), 1.0) == pytest.approx(8.0)
 
     def test_invalid_s(self):
         with pytest.raises(ValueError):
-            largest_root_f(10, 2, 3, 1.0)
+            family_radius(one_clique_family(10, 2, 3), 1.0)
 
 
 class TestShiftFunction:

@@ -1,4 +1,3 @@
-import itertools
 import math
 import os
 
@@ -336,28 +335,13 @@ def _old_candidate_families(n, beta):
             yield JoinFamily.of_parts(s, parts)
 
 
-def _old_quotient_radius(family, alpha):
-    s = family.s
-    cells = [(p, len(list(group))) for p, group in itertools.groupby(family.parts)]
-    k = len(cells)
-    mat = np.zeros((k + 1, k + 1))
-    for i, (p, m) in enumerate(cells):
-        mat[i, i] = (alpha + 1) * (p - 1) + alpha * s
-        mat[i, k] = mat[k, i] = math.sqrt(s * m * p)
-    mat[k, k] = alpha * (family.order - 1) + s - 1
-    return float(np.linalg.eigvalsh(mat)[-1])
-
-
 def _old_family_search(n, beta, alpha):
     """(best, rho, families scanned): the first maximum in candidate order,
-    one quotient eigensolve per family."""
+    each radius from its own batch of one."""
     af = float(as_fraction(alpha))
     best, best_rho, scanned = None, -math.inf, 0
     for family in _old_candidate_families(n, beta):
-        if family.s >= 1:
-            rho = _old_quotient_radius(family, af)
-        else:
-            rho = (af + 1) * (family.parts[-1] - 1)
+        rho = family_radius(family, af)
         scanned += 1
         if rho > best_rho:
             best, best_rho = family, rho
@@ -435,10 +419,7 @@ class TestFamilySearchAgainstLoop:
         for indices, batch in _candidate_batches(n, beta):
             radii = family_radius(batch, af)
             for i, rho in enumerate(radii.tolist()):
-                family = batch.family(i)
-                assert family_radius(family, af) == rho
-                if family.s >= 1:
-                    assert _old_quotient_radius(family, af) == rho
+                assert family_radius(batch.family(i), af) == rho
             seen += len(indices)
         assert seen == family_count(n, beta)
 
