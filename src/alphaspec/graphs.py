@@ -156,24 +156,21 @@ def bit_matrices(n: int, rows_list: Sequence[Sequence[int]]) -> np.ndarray:
     return np.unpackbits(packed, axis=2, count=n, bitorder="little")
 
 
-@dataclass(frozen=True)
-class ComponentDecomposition:
-    """Partition of the vertex set into maximal connected parts."""
-
-    components: tuple[tuple[int, ...], ...]
-    odd_count: int
-    even_count: int
-
-    @property
-    def count(self) -> int:
-        return len(self.components)
-
-
 # -- constructors ------------------------------------------------------
+
+
+def _check_order(n: int) -> None:
+    if n < 0:
+        raise ValueError("vertex count must be nonnegative")
+
+
+# The constructors below build rows that are symmetric and loop-free by
+# construction, so they skip ``Graph.__post_init__``'s per-bit check.
 
 
 def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Graph on ``n`` vertices with the given edge list (loops rejected)."""
+    _check_order(n)
     rows = [0] * n
     for u, v in edges:
         if not (0 <= u < n and 0 <= v < n):
@@ -182,29 +179,24 @@ def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
             raise ValueError(f"self-loop ({u}, {v}) not allowed")
         rows[u] |= 1 << v
         rows[v] |= 1 << u
-    return Graph(n, tuple(rows))
+    return Graph._from_valid_rows(n, tuple(rows))
 
 
 def empty_graph(n: int) -> Graph:
-    return Graph(n, (0,) * n)
+    _check_order(n)
+    return Graph._from_valid_rows(n, (0,) * n)
 
 
 def complete_graph(n: int) -> Graph:
+    _check_order(n)
     full = (1 << n) - 1
-    return Graph(n, tuple(full ^ (1 << v) for v in range(n)))
+    return Graph._from_valid_rows(n, tuple(full ^ (1 << v) for v in range(n)))
 
 
 def disjoint_union(g1: Graph, g2: Graph) -> Graph:
     """Vertices of ``g2`` are relabeled by offset ``g1.n``; no cross edges."""
     rows = list(g1.rows) + [r << g1.n for r in g2.rows]
-    return Graph(g1.n + g2.n, tuple(rows))
-
-
-def union_all(graphs: Sequence[Graph]) -> Graph:
-    out = empty_graph(0)
-    for g in graphs:
-        out = disjoint_union(out, g)
-    return out
+    return Graph._from_valid_rows(g1.n + g2.n, tuple(rows))
 
 
 def join(g1: Graph, g2: Graph) -> Graph:
@@ -213,30 +205,12 @@ def join(g1: Graph, g2: Graph) -> Graph:
     mask1 = (1 << n1) - 1
     mask2 = ((1 << n2) - 1) << n1
     rows = [r | mask2 for r in g1.rows] + [(r << n1) | mask1 for r in g2.rows]
-    return Graph(n1 + n2, tuple(rows))
+    return Graph._from_valid_rows(n1 + n2, tuple(rows))
 
 
 def complement(g: Graph) -> Graph:
     full = (1 << g.n) - 1
-    return Graph(g.n, tuple((full ^ r) & ~(1 << v) for v, r in enumerate(g.rows)))
-
-
-def induced_subgraph(g: Graph, keep: Iterable[int]) -> Graph:
-    """Subgraph on ``keep``, relabeled 0..|keep|-1 in sorted vertex order."""
-    kept = sorted(set(keep))
-    for v in kept:
-        if not 0 <= v < g.n:
-            raise ValueError(f"vertex {v} out of range for n={g.n}")
-    index = {v: i for i, v in enumerate(kept)}
-    rows = [0] * len(kept)
-    for v in kept:
-        m = g.rows[v]
-        while m:
-            u = (m & -m).bit_length() - 1
-            m &= m - 1
-            if u in index:
-                rows[index[v]] |= 1 << index[u]
-    return Graph(len(kept), tuple(rows))
+    return Graph._from_valid_rows(g.n, tuple((full ^ r) & ~(1 << v) for v, r in enumerate(g.rows)))
 
 
 def cycle_graph(n: int) -> Graph:
@@ -257,15 +231,10 @@ def star_graph(leaves: int) -> Graph:
 # -- connectivity ------------------------------------------------------
 
 
-def component_masks(g: Graph, removed: int = 0) -> list[int]:
-    """Bitmasks of the connected components of ``g`` minus the ``removed``
-    vertex set, ordered by smallest member."""
-    return row_component_masks(g.n, g.rows, removed)
-
-
 def row_component_masks(n: int, rows: Sequence[int], removed: int = 0) -> list[int]:
-    """``component_masks`` of the graph of order n with bit rows ``rows``,
-    for callers that hold rows rather than a ``Graph``."""
+    """Bitmasks of the connected components of the graph of order n with
+    bit rows ``rows``, minus the ``removed`` vertex set, ordered by
+    smallest member."""
     alive = ((1 << n) - 1) & ~removed
     out = []
     while alive:
@@ -281,17 +250,6 @@ def row_component_masks(n: int, rows: Sequence[int], removed: int = 0) -> list[i
         out.append(comp)
         alive &= ~comp
     return out
-
-
-def components(g: Graph) -> ComponentDecomposition:
-    masks = component_masks(g)
-    parts = tuple(tuple(_bits(m)) for m in masks)
-    odd = sum(1 for m in masks if m.bit_count() % 2 == 1)
-    return ComponentDecomposition(parts, odd, len(masks) - odd)
-
-
-def is_connected(g: Graph) -> bool:
-    return g.n <= 1 or len(component_masks(g)) == 1
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -451,8 +409,3 @@ def parse_edge_list(text: str) -> Graph:
         raise ValueError(f"edge count {len(edges)} does not match header m={m}")
     return from_edges(n, edges)
 
-
-def to_edge_list(g: Graph) -> str:
-    lines = [f"{g.n} {g.num_edges}"]
-    lines.extend(f"{u} {v}" for u, v in g.edges())
-    return "\n".join(lines) + "\n"

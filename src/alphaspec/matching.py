@@ -1,12 +1,12 @@
 """Maximum matching and the Tutte-Berge deficiency witness.
 
 ``matching_number`` runs augmenting-path search with blossom contraction
-and works on any graph; ``matching_number_oracle`` re-derives the value
-by complete enumeration of independent edge subsets and exists purely to
-cross-check the fast path.  ``tutte_berge_witness`` scans every vertex
-subset S and returns the minimizer of n - (o(G-S) - |S|), which both
-certifies the matching number and supplies the parameters s and q used
-by the extremal-family machinery.
+and works on any graph; the exhaustive edge-subset oracle it is
+cross-checked against lives in ``tests/reference.py``.
+``tutte_berge_witness`` scans every vertex subset S and returns the
+minimizer of n - (o(G-S) - |S|), which both certifies the matching
+number and supplies the parameters s and q used by the extremal-family
+machinery.
 """
 
 from __future__ import annotations
@@ -14,9 +14,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .graphs import Graph, component_masks
+from .graphs import Graph, row_component_masks
 
-ORACLE_EDGE_CAP = 24
 WITNESS_ORDER_CAP = 24
 
 
@@ -126,37 +125,6 @@ def _augment_from(root: int, adj: list[list[int]], match: list[int], n: int) -> 
     return False
 
 
-def matching_number_oracle(g: Graph) -> int:
-    """Exact matching number by exhausting independent edge subsets.
-
-    Complete search, no heuristics; enforced cap of ORACLE_EDGE_CAP edges.
-    """
-    edges = list(g.edges())
-    m = len(edges)
-    if m > ORACLE_EDGE_CAP:
-        raise ValueError(f"oracle supports at most {ORACLE_EDGE_CAP} edges, got {m}")
-    best = 0
-
-    def extend(i: int, used: int, size: int) -> None:
-        nonlocal best
-        if size > best:
-            best = size
-        if i == m or size + (m - i) <= best:
-            return
-        u, v = edges[i]
-        pair = (1 << u) | (1 << v)
-        if not used & pair:
-            extend(i + 1, used | pair, size + 1)
-        extend(i + 1, used, size)
-
-    extend(0, 0, 0)
-    return best
-
-
-def has_perfect_matching(g: Graph) -> bool:
-    return g.n % 2 == 0 and matching_number(g) == g.n // 2
-
-
 def tutte_berge_witness(g: Graph) -> TutteBergeWitness:
     """Scan all 2^n subsets S for the deficiency minimizer.
 
@@ -171,7 +139,7 @@ def tutte_berge_witness(g: Graph) -> TutteBergeWitness:
     best = None
     for mask in range(1 << n):
         s = mask.bit_count()
-        odd = sum(1 for comp in component_masks(g, removed=mask) if comp.bit_count() % 2)
+        odd = sum(1 for comp in row_component_masks(n, g.rows, mask) if comp.bit_count() % 2)
         value = n - (odd - s)
         vertices = tuple(v for v in range(n) if (mask >> v) & 1)
         key = (value, s, vertices)

@@ -13,8 +13,10 @@ size plus the core.  Its top eigenvalue is the one root above the cell
 diagonals of the core's Schur complement, a secular function solved by
 vectorised Newton steps for a whole batch of families at once.  The
 module also holds the closed-form radius of the complete split graph
-K_b v bar(K_{n-b}) and the cubic whose largest root is the radius of
-the one-big-clique family.
+K_b v bar(K_{n-b}).  The paper's own forms of the family radius (the
+cubic of the one-big-clique family, the shift function) and the
+whole-matrix oracle live in ``tests/reference.py``, where the tests
+check them against this module.
 """
 
 from __future__ import annotations
@@ -26,18 +28,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .graphs import (
-    Graph,
-    _bits,
-    bit_matrices,
-    complete_graph,
-    empty_graph,
-    join,
-    row_component_masks,
-)
+from .graphs import Graph, _bits, bit_matrices, row_component_masks
 
 DEFAULT_TOL = 1e-10
-ORACLE_ORDER_CAP = 64
 # Matrix entries stacked by one ``spectral_radii`` slice (512 KB of
 # float64): 1,024 graphs of order 8, 13 of order 70, one of order 256 or
 # more.  Larger slices scan no faster and raise peak memory.
@@ -179,18 +172,6 @@ def spectral_radius(g: Graph, alpha: float, tol: float = DEFAULT_TOL) -> Spectra
                 float(b.rho[i]), tuple(b.vectors[i].tolist()), tuple(b.verts[i].tolist()), float(b.residual[i])
             )
     return max(results, key=lambda r: r.rho)  # the first of equal maxima
-
-
-def spectral_radius_oracle(g: Graph, alpha: float) -> float:
-    """Radius of the whole matrix by ``eigvalsh``, without the component
-    split, the Perron vector or the residual check; used to
-    cross-validate ``spectral_radius``."""
-    alpha = _check_alpha(alpha)
-    if g.n > ORACLE_ORDER_CAP:
-        raise ValueError(f"oracle supports at most {ORACLE_ORDER_CAP} vertices, got {g.n}")
-    if g.n == 0:
-        return 0.0
-    return float(np.linalg.eigvalsh(alpha_matrix(g, alpha))[-1])
 
 
 # -- join families -----------------------------------------------------
@@ -402,67 +383,10 @@ def closed_form_complete_split(n: int, beta: int, alpha: float) -> float:
     """
     if not n > beta >= 1:
         raise ValueError(f"need n > beta >= 1, got n={n}, beta={beta}")
-    b, c = _split_coefficients(n, beta, alpha)
-    return 0.5 * b + 0.5 * sqrt(b * b - 4.0 * c)
-
-
-def split_graph_quadratic(lam: float, n: int, beta: int, alpha: float) -> float:
-    """The quadratic whose larger root is the complete-split radius."""
-    b, c = _split_coefficients(n, beta, alpha)
-    return lam * lam - b * lam + c
-
-
-def _split_coefficients(n: int, beta: int, alpha: float) -> tuple[float, float]:
-    """(b, c) of the complete-split quadratic lambda^2 - b*lambda + c."""
     alpha = _check_alpha(alpha)
     b = alpha * n + (alpha + 1) * beta - (alpha + 1)
     c = (alpha * alpha - 1) * beta * n + (alpha + 1) * beta * beta - alpha * (alpha + 1) * beta
-    return b, c
-
-
-def cubic_f(lam: float, n: int, beta: int, s: int, alpha: float) -> float:
-    """Characteristic cubic of the one-big-clique family, evaluated as
-    written:
-
-    (lam - alpha*n - s + alpha + 1)(lam - alpha*s)[lam - 2(alpha+1)beta + (alpha+2)s]
-      - s(n + s - 2*beta - 1)[lam - 2(alpha+1)beta + (alpha+2)s]
-      - s(2*beta - 2*s + 1)(lam - alpha*s)
-    """
-    alpha = _check_alpha(alpha)
-    t1 = lam - alpha * n - s + alpha + 1
-    t2 = lam - alpha * s
-    t3 = lam - 2.0 * (alpha + 1) * beta + (alpha + 2) * s
-    return t1 * t2 * t3 - s * (n + s - 2 * beta - 1) * t3 - s * (2 * beta - 2 * s + 1) * t2
-
-
-def shift_function_f(delta: float, lam: float, family: JoinFamily, alpha: float) -> float:
-    """Secular function tracking a transfer of ``delta`` vertices from the
-    second-largest part to the largest, at spectral parameter ``lam``.
-
-    Defined for lam >= (alpha+1)(n_q + s - 1) and 0 <= delta <= 2; at
-    delta = 0 its zero is the family radius.  A denominator may still
-    vanish inside the window for small cores; the pole is the caller's
-    lookout and surfaces as ZeroDivisionError.
-    """
-    alpha = _check_alpha(alpha)
-    if family.q < 2:
-        raise ValueError("shift function needs at least two parts")
-    if family.s < 1:
-        raise ValueError("shift function is defined for a nonempty core")
-    if not 0.0 <= delta <= 2.0:
-        raise ValueError(f"delta must lie in [0, 2], got {delta}")
-    s = family.s
-    n = family.order
-    floor_lam = (alpha + 1) * (family.parts[-1] + s - 1)
-    if lam < floor_lam:
-        raise ValueError(f"lambda {lam} below the domain bound {floor_lam}")
-    total = (lam - alpha * n - s + alpha + 1) / s
-    for part in family.parts[:-2]:
-        total -= part / (lam - (alpha + 1) * (part - 1) - alpha * s)
-    p1, p2 = family.parts[-2], family.parts[-1]
-    total -= (p1 - delta) / (lam - (alpha + 1) * (p1 - delta - 1) - alpha * s)
-    total -= (p2 + delta) / (lam - (alpha + 1) * (p2 + delta - 1) - alpha * s)
-    return total
+    return 0.5 * b + 0.5 * sqrt(b * b - 4.0 * c)
 
 
 def _check_tol(tol: float) -> None:
@@ -476,9 +400,3 @@ def _check_alpha(alpha) -> float:
         raise ValueError(f"alpha must be nonnegative, got {alpha}")
     return value
 
-
-def complete_split_graph(n: int, beta: int) -> Graph:
-    """K_beta v bar(K_{n-beta}) with the clique labeled first."""
-    if not n > beta >= 0:
-        raise ValueError(f"need n > beta >= 0, got n={n}, beta={beta}")
-    return join(complete_graph(beta), empty_graph(n - beta))

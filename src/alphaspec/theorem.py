@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import sqrt
 
-from .spectral import JoinFamily, closed_form_complete_split, cubic_f, one_clique_family
+from .spectral import JoinFamily, closed_form_complete_split, one_clique_family
 
 FULL = "FULL"
 BELOW = "BELOW"
@@ -48,19 +48,15 @@ _EXTREMAL_FAMILY = {
     EMPTY_GRAPH: lambda n, beta: one_clique_family(n, beta, 0),
 }
 
-# below this alpha the tight region behind case2_sample_check is empty
+# below this alpha the tight region sampled by the tests
+# (test_sampled_positivity_region) is empty
 CASE2_ALPHA_CUTOFF = (sqrt(5.0) - 1.0) / 2.0
 
 
 def as_fraction(alpha) -> Fraction:
     """Exact rational view of alpha; accepts "p/q" strings, ints, floats
     (binary-exact), and Fractions."""
-    if isinstance(alpha, Fraction):
-        value = alpha
-    elif isinstance(alpha, str):
-        value = Fraction(alpha)
-    else:
-        value = Fraction(alpha)
+    value = Fraction(alpha)
     if value < 0:
         raise ValueError(f"alpha must be nonnegative, got {alpha}")
     return value
@@ -73,7 +69,8 @@ class RegimeVerdict:
     ``sampled_region`` flags parameter points just past the threshold at
     large alpha where the cubic's positivity at the probe value is
     established by sampling rather than a closed sign argument
-    (``case2_applicable`` at core size 1); the prediction itself is
+    (``case2_applicable`` at core size 1); the sampling is the test
+    ``test_sampled_positivity_region``.  The prediction itself is
     unchanged.
     """
 
@@ -152,11 +149,6 @@ def classify_regime(n: int, beta: int, alpha) -> RegimeVerdict:
     )
 
 
-def predicted_bound(n: int, beta: int, alpha) -> float:
-    """The case-appropriate maximal radius over order n, matching beta."""
-    return classify_regime(n, beta, alpha).predicted_rho
-
-
 # -- sampled positivity region ------------------------------------------
 
 
@@ -181,14 +173,3 @@ def case2_applicable(beta: int, alpha: float, s: int, n: int) -> bool:
     low, high = case2_region_bounds(beta, alpha, s)
     return low < n < high
 
-
-def case2_sample_check(beta: int, alpha: float, s: int, n: int) -> bool:
-    """Evaluate the cubic at the probe value
-    alpha*n + (alpha+2)/(alpha+1)*beta - alpha*(alpha+2)/(alpha+1)
-    and report whether it is strictly positive (the claimed sign)."""
-    if not case2_applicable(beta, alpha, s, n):
-        raise ValueError(
-            f"(beta={beta}, alpha={alpha}, s={s}, n={n}) is outside the sampled region"
-        )
-    lam = alpha * n + (alpha + 2.0) / (alpha + 1.0) * beta - alpha * (alpha + 2.0) / (alpha + 1.0)
-    return cubic_f(lam, n, beta, s, alpha) > 0.0

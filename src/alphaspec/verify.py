@@ -1,8 +1,9 @@
 """Desk-scale verification of the extremal bounds.
 
-``exhaustive_max`` maximizes the radius over every isomorphism class of
-order n with matching number beta and compares observed maximum and
-argmax structure against the regime prediction.  ``family_search`` does
+``verify_order`` scans every isomorphism class of order n once and, for
+each matching number beta, maximizes the radius over the classes with
+that beta and compares observed maximum and argmax structure against
+the regime prediction.  ``family_search`` does
 the same over the structured join families at orders where exhaustion is
 impossible.  Reports are machine-checkable records with a stable field
 order, one line per (n, beta, alpha).
@@ -142,38 +143,21 @@ def _scan_order(
     return [_ScanEntry(rows, beta, rho) for rows, (beta, rho) in zip(rows_list, values)]
 
 
-def exhaustive_max(
-    n: int,
-    beta: int,
-    alpha,
-    tol: float = DEFAULT_REPORT_TOL,
-    jobs: int | None = None,
-    source: str | None = None,
-) -> VerificationReport:
-    """Scan every class of order n with matching number beta and compare
-    the observed maximum radius against the regime prediction.
+def _report(entries: list[_ScanEntry], verdict: RegimeVerdict, tol: float, start: float) -> VerificationReport:
+    """The record for ``verdict``'s (n, beta, alpha) from one scan of order
+    n that holds a class with that beta.
 
     Argmax ties are collected within 10*tol of the maximum (exact ties in
     the threshold regime must be caught, distinct near-values must not be
     merged).
     """
-    start = time.perf_counter()
-    verdict = classify_regime(n, beta, as_fraction(alpha))
-    entries = _scan_order(n, verdict.alpha, jobs=jobs, source=source)
-    return _report(entries, verdict, tol, start)
-
-
-def _report(entries: list[_ScanEntry], verdict: RegimeVerdict, tol: float, start: float) -> VerificationReport:
-    """The record for ``verdict``'s (n, beta, alpha) from one scan of order n."""
     n, beta = verdict.n, verdict.beta
     hits = [e for e in entries if e.beta == beta]
-    if not hits:
-        raise ValueError(f"no graphs of order {n} with matching number {beta}")
     observed = max(e.rho for e in hits)
     tie_tol = 10.0 * tol
     argmax = [e for e in hits if e.rho >= observed - tie_tol]
     argmax_certificates = _certificates(Graph._from_valid_rows(n, e.rows) for e in argmax)
-    predicted_certificates = _certificates(_predicted_graphs(verdict))
+    predicted_certificates = _certificates(family.graph() for family in verdict.extremal_families)
     return VerificationReport(
         n=n,
         beta=beta,
@@ -194,14 +178,6 @@ def _certificates(graphs: Iterable[Graph]) -> tuple[str, ...]:
     """Sorted graph6 strings of the canonical forms, so one class prints
     the same whichever labelling it came with."""
     return tuple(sorted(to_graph6(canonical_graph(g)) for g in graphs))
-
-
-def _predicted_graphs(verdict: RegimeVerdict) -> list[Graph]:
-    """The graphs of the verdict's extremal families; at order 0, where
-    no join family exists, the one graph of that order."""
-    if verdict.n == 0:
-        return [Graph(0, ())]
-    return [family.graph() for family in verdict.extremal_families]
 
 
 def verify_order(

@@ -17,33 +17,39 @@ import pytest
 from alphaspec import (
     JoinFamily,
     case2_applicable,
-    case2_sample_check,
     classify_regime,
     closed_form_complete_split,
     complete_graph,
-    complete_split_graph,
-    cubic_f,
     disjoint_union,
     empty_graph,
-    exhaustive_max,
     family_radius,
     family_search,
     from_edges,
-    is_connected,
     isomorphism_classes,
+    join,
     matching_number,
-    matching_number_oracle,
     one_clique_family,
     shift_monotonicity_check,
     spectral_radius,
-    spectral_radius_oracle,
-    split_graph_quadratic,
     tutte_berge_witness,
     verify_order,
 )
+from alphaspec.graphs import row_component_masks
 from alphaspec.theorem import case2_region_bounds
+from reference import (
+    case2_sample_check,
+    cubic_f,
+    matching_number_oracle,
+    spectral_radius_oracle,
+    split_graph_quadratic,
+)
 
 ALPHAS = (Fraction(0), Fraction(1, 2), Fraction(1), Fraction(2))
+
+
+def complete_split(n, beta):
+    """K_beta v bar(K_{n-beta}), the clique first."""
+    return join(complete_graph(beta), empty_graph(n - beta))
 
 
 def report(name: str, ok: bool, detail: str = "") -> None:
@@ -75,10 +81,10 @@ def test_criterion_01_exhaustive_small_orders():
 def test_criterion_02_threshold_tie_order_eight():
     """alpha=0, n=8=3*beta+2 with beta=2: exactly the two predicted
     argmax classes, both at rho = 4 within 1e-9."""
-    rec = exhaustive_max(8, 2, 0, tol=1e-9)
+    (rec,) = [r for r in verify_order(8, 0, tol=1e-9) if r.beta == 2]
     two_classes = len(rec.argmax_certificates) == 2
     certificates_match = set(rec.argmax_certificates) == set(rec.predicted_certificates)
-    split = complete_split_graph(8, 2)
+    split = complete_split(8, 2)
     clique = disjoint_union(complete_graph(5), empty_graph(3))
     both_at_four = all(
         abs(spectral_radius(g, 0.0).rho - 4.0) <= 1e-9 for g in (split, clique)
@@ -98,7 +104,7 @@ def test_criterion_02_threshold_tie_order_eight():
 
 def test_criterion_03_signless_laplacian_tie():
     """alpha=1, beta=3, n=9: both predicted graphs reach 4*beta = 12."""
-    split = complete_split_graph(9, 3)
+    split = complete_split(9, 3)
     clique = disjoint_union(complete_graph(7), empty_graph(2))
     r_split = spectral_radius(split, 1.0).rho
     r_clique = spectral_radius(clique, 1.0).rho
@@ -124,7 +130,7 @@ def test_criterion_04_closed_form_consistency():
         for n in range(2, 41):
             for beta in range(1, n):
                 rho = closed_form_complete_split(n, beta, alpha)
-                oracle = spectral_radius_oracle(complete_split_graph(n, beta), alpha)
+                oracle = spectral_radius_oracle(complete_split(n, beta), alpha)
                 residual = abs(split_graph_quadratic(rho, n, beta, alpha))
                 worst_gap = max(worst_gap, abs(rho - oracle))
                 worst_residual = max(worst_residual, residual)
@@ -247,7 +253,7 @@ def test_criterion_09_radius_monotonicity():
         p = rng.uniform(0.25, 0.7)
         edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
         g = from_edges(n, edges)
-        if not is_connected(g):
+        if len(row_component_masks(n, g.rows)) > 1:
             continue
         non_edges = [(u, v) for u in range(n) for v in range(u + 1, n)
                      if not g.has_edge(u, v)]

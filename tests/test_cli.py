@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from alphaspec.cli import main, sig12
-from alphaspec.graphs import complete_graph, to_edge_list, to_graph6
+from alphaspec.graphs import complete_graph, to_graph6
 from alphaspec.verify import REPORT_FIELDS, VerificationReport
 
 
@@ -29,7 +29,7 @@ class TestSig12:
 class TestRho:
     def test_edge_list_file(self, capsys, tmp_path):
         path = tmp_path / "k4.txt"
-        path.write_text(to_edge_list(complete_graph(4)))
+        path.write_text("4 6\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n")
         code, out, _ = run(capsys, "rho", "--input", str(path), "--alpha", "1")
         assert code == 0
         assert "6.00000000000" in out

@@ -8,23 +8,19 @@ from alphaspec import (
     Graph6Error,
     complement,
     complete_graph,
-    components,
     cycle_graph,
     disjoint_union,
     empty_graph,
     from_edges,
-    induced_subgraph,
-    is_connected,
     join,
     parse_edge_list,
     parse_graph6,
     path_graph,
     star_graph,
-    to_edge_list,
     to_graph6,
 )
 from alphaspec.enumeration import are_isomorphic
-from alphaspec.graphs import MAX_ORDER, read_graph6_file
+from alphaspec.graphs import MAX_ORDER, read_graph6_file, row_component_masks
 
 
 def random_graph(rng, n, p=0.5):
@@ -38,6 +34,11 @@ def graphs(draw, max_n=12):
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     flags = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
     return from_edges(n, [p for p, f in zip(pairs, flags) if f])
+
+
+def edge_list_text(g):
+    """``g`` in the edge-list format that ``parse_edge_list`` reads."""
+    return f"{g.n} {g.num_edges}\n" + "".join(f"{u} {v}\n" for u, v in g.edges())
 
 
 class TestConstruction:
@@ -60,6 +61,28 @@ class TestConstruction:
             Graph(1, (0b1,))
         with pytest.raises(ValueError):
             from_edges(3, [(1, 1)])
+
+    @pytest.mark.parametrize("build", [empty_graph, complete_graph, lambda n: from_edges(n, [])])
+    def test_negative_order_rejected(self, build):
+        with pytest.raises(ValueError, match="vertex count must be nonnegative"):
+            build(-1)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_constructors_build_valid_rows(self, data):
+        # the constructors skip Graph's validation, so the validating path
+        # must accept every graph they build, as the same value
+        def random_edges(n):
+            if n < 2:
+                return []
+            pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1])
+            return data.draw(st.lists(pair, max_size=30))
+
+        n1, n2 = data.draw(st.integers(0, 9)), data.draw(st.integers(0, 9))
+        g1, g2 = from_edges(n1, random_edges(n1)), from_edges(n2, random_edges(n2))
+        built = [g1, g2, empty_graph(n1), complete_graph(n1), disjoint_union(g1, g2), join(g1, g2), complement(g1)]
+        for g in built:
+            assert Graph(g.n, g.rows) == g
 
     def test_order_zero_is_legal(self):
         g = empty_graph(0)
@@ -92,8 +115,7 @@ class TestConstruction:
         # s=1, beta=2, n=6, q=3: core joined to K_3 and two isolated vertices
         g = join(complete_graph(1), disjoint_union(complete_graph(3), empty_graph(2)))
         assert g.n == 6
-        clique = induced_subgraph(g, [1, 2, 3])
-        assert clique == complete_graph(3)
+        assert Graph.from_bit_matrix(g.bit_matrix()[1:4, 1:4]) == complete_graph(3)
 
     def test_join_edge_count(self):
         g1, g2 = cycle_graph(4), path_graph(3)
@@ -115,45 +137,34 @@ class TestComplement:
 
 
 class TestComponents:
+    @staticmethod
+    def masks(g):
+        return row_component_masks(g.n, g.rows)
+
     def test_clique_plus_isolates(self):
         g = disjoint_union(complete_graph(5), empty_graph(3))
-        decomp = components(g)
-        assert sorted(len(p) for p in decomp.components) == [1, 1, 1, 5]
-        assert decomp.odd_count == 4
-        assert decomp.even_count == 0
+        sizes = [m.bit_count() for m in self.masks(g)]
+        assert sorted(sizes) == [1, 1, 1, 5]
+        assert sum(size % 2 for size in sizes) == 4
 
     def test_connected_clique(self):
-        assert components(complete_graph(7)).count == 1
+        assert len(self.masks(complete_graph(7))) == 1
 
     def test_two_even_parts(self):
         g = from_edges(4, [(0, 1), (2, 3)])
-        decomp = components(g)
-        assert decomp.count == 2
-        assert decomp.odd_count == 0
+        masks = self.masks(g)
+        assert len(masks) == 2
+        assert all(m.bit_count() % 2 == 0 for m in masks)
 
     def test_parts_cover_and_are_disjoint(self):
         g = from_edges(7, [(0, 1), (1, 2), (3, 4), (5, 6)])
-        decomp = components(g)
-        seen = sorted(v for part in decomp.components for v in part)
-        assert seen == list(range(7))
-        for part in decomp.components:
-            assert is_connected(induced_subgraph(g, part))
-
-
-class TestInducedSubgraph:
-    def test_empty_selection(self):
-        assert induced_subgraph(complete_graph(4), []).n == 0
-
-    def test_clique_restriction(self):
-        assert induced_subgraph(complete_graph(5), [0, 2, 4]) == complete_graph(3)
-
-    def test_star_minus_center(self):
-        s = star_graph(3)
-        assert induced_subgraph(s, [1, 2, 3]) == empty_graph(3)
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            induced_subgraph(complete_graph(3), [0, 5])
+        masks = self.masks(g)
+        full = (1 << 7) - 1
+        assert sum(m.bit_count() for m in masks) == 7
+        assert sum(masks) == full
+        for m in masks:
+            # the part alone, the rest removed, is one component
+            assert row_component_masks(g.n, g.rows, full & ~m) == [m]
 
 
 class TestGraph6:
@@ -532,7 +543,7 @@ class TestGraph6File:
 class TestEdgeListFormat:
     def test_round_trip(self):
         g = from_edges(5, [(0, 1), (1, 4), (2, 3)])
-        assert parse_edge_list(to_edge_list(g)) == g
+        assert parse_edge_list(edge_list_text(g)) == g
 
     def test_comments_and_blanks(self):
         text = "# a graph\n3 2\n\n0 1  # first\n1 2\n"
@@ -579,7 +590,7 @@ class TestEdgeListFormat:
             g = parse_edge_list(text)
         except ValueError:
             return
-        assert parse_edge_list(to_edge_list(g)) == g
+        assert parse_edge_list(edge_list_text(g)) == g
 
 
 class TestInvariants:

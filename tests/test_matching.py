@@ -10,15 +10,15 @@ from alphaspec import (
     disjoint_union,
     empty_graph,
     from_edges,
-    has_perfect_matching,
+    join,
     matching_number,
-    matching_number_oracle,
     maximum_matching,
     path_graph,
     star_graph,
     tutte_berge_witness,
 )
-from alphaspec.spectral import JoinFamily, complete_split_graph
+from alphaspec.spectral import JoinFamily
+from reference import matching_number_oracle
 
 
 @st.composite
@@ -126,14 +126,15 @@ class TestTutteBerge:
 
 
 class TestPerfectMatching:
+    # a perfect matching covers every vertex: 2 * beta == n
     def test_even_clique(self):
-        assert has_perfect_matching(complete_graph(4))
+        assert 2 * matching_number(complete_graph(4)) == 4
 
     def test_odd_order(self):
-        assert not has_perfect_matching(complete_graph(3))
+        assert 2 * matching_number(complete_graph(3)) < 3
 
     def test_even_cycle(self):
-        assert has_perfect_matching(cycle_graph(6))
+        assert 2 * matching_number(cycle_graph(6)) == 6
 
 
 class TestMonotonicity:
@@ -158,9 +159,8 @@ class TestMonotonicity:
                                if rng.random() < 0.4])
             beta = matching_number(g)
             v = rng.randrange(n)
-            from alphaspec import induced_subgraph
-
-            sub = induced_subgraph(g, [u for u in range(n) if u != v])
+            # G - v, the vertices above v shifted down by one
+            sub = from_edges(n - 1, [(a - (a > v), b - (b > v)) for a, b in g.edges() if v not in (a, b)])
             assert beta - 1 <= matching_number(sub) <= beta
 
 
@@ -177,4 +177,4 @@ class TestFamilyAgreement:
     def test_complete_split(self):
         for beta in range(1, 5):
             for n in range(2 * beta, 2 * beta + 5):
-                assert matching_number(complete_split_graph(n, beta)) == beta
+                assert matching_number(join(complete_graph(beta), empty_graph(n - beta))) == beta

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import random
@@ -11,11 +12,11 @@ from alphaspec import (
     alpha_matrix,
     as_fraction,
     candidate_families,
+    case2_applicable,
     classify_regime,
     closed_form_complete_split,
     complete_graph,
     complete_split_family,
-    cubic_f,
     cycle_graph,
     disjoint_union,
     empty_graph,
@@ -23,23 +24,26 @@ from alphaspec import (
     family_radius,
     family_search,
     from_edges,
-    is_connected,
     isomorphism_classes,
     join,
     path_graph,
     one_clique_family,
-    shift_function_f,
     spectral_radii,
     spectral_radius,
-    spectral_radius_oracle,
-    split_graph_quadratic,
     star_graph,
-    union_all,
 )
 from alphaspec import spectral
-from alphaspec.graphs import _bits, component_masks
-from alphaspec.spectral import SpectralResult
+from alphaspec.graphs import _bits, row_component_masks
+from alphaspec.spectral import SpectralResult, _secular_terms
+from alphaspec.theorem import case2_region_bounds
 from alphaspec.verify import FAMILY_MATCH_TOL, _candidate_batches
+from reference import (
+    case2_probe,
+    cubic_f,
+    shift_function_f,
+    spectral_radius_oracle,
+    split_graph_quadratic,
+)
 
 SQRT3 = math.sqrt(3.0)
 # Allowed gap, in units of the reference's last place, between a family
@@ -54,7 +58,7 @@ def random_connected(rng, n, p=0.4):
     while True:
         g = from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)
                            if rng.random() < p])
-        if is_connected(g):
+        if len(row_component_masks(n, g.rows)) == 1:
             return g
 
 
@@ -128,7 +132,7 @@ def component_loop_spectral_radius(g, alpha, tol=1e-10):
     mat = g.bit_matrix().astype(float)
     mat[np.diag_indices(g.n)] = alpha * mat.sum(axis=1)
     best = None
-    for mask in component_masks(g):
+    for mask in row_component_masks(g.n, g.rows):
         verts = tuple(_bits(mask))
         if len(verts) == 1:
             cand = SpectralResult(0.0, (1.0,) if alpha > 0 else None, verts, 0.0)
@@ -386,7 +390,8 @@ class TestJoinFamily:
         for n in range(1, 21):
             for beta in range(0, (n - 1) // 2 + 1):
                 for fam in candidate_families(n, beta):
-                    fold = join(complete_graph(fam.s), union_all([complete_graph(p) for p in fam.parts]))
+                    union = functools.reduce(disjoint_union, [complete_graph(p) for p in fam.parts], empty_graph(0))
+                    fold = join(complete_graph(fam.s), union)
                     assert fam.graph() == fold, fam
 
 
@@ -620,6 +625,35 @@ class TestCubic:
         alpha, n, beta = 1.5, 12, 3
         for root in (0.0, alpha * n - alpha - 1, 2 * (alpha + 1) * beta):
             assert cubic_f(root, n, beta, 0, alpha) == pytest.approx(0.0, abs=1e-9)
+
+    @pytest.mark.parametrize("alpha", [0.75, 1.0, 1.5, 2.0, 7 / 3, 3.0, 5.0])
+    def test_is_the_secular_function_on_the_sampled_region(self, alpha):
+        # Every (n, beta, s) with beta < 40 of the region where
+        # ``case2_applicable`` holds: s up to its cap, n strictly inside
+        # ``case2_region_bounds``.  There the one-clique family has two
+        # cells, and the cubic is (lam - d_1)(lam - d_2) h(lam) with h
+        # built by ``_secular_terms``; at the probe value both are positive.
+        points = []
+        for beta in range(1, 40):
+            cap = (alpha * alpha + alpha - 1.0) * beta / ((1.0 + alpha) ** 2)
+            for s in range(1, math.floor(cap) + 1):
+                low, high = case2_region_bounds(beta, alpha, s)
+                window = range(math.floor(low) + 1, math.ceil(high))
+                if window:
+                    assert case2_applicable(beta, alpha, s, window[0]) and case2_applicable(beta, alpha, s, window[-1])
+                    assert not case2_applicable(beta, alpha, s, window[0] - 1)
+                    assert not case2_applicable(beta, alpha, s, window[-1] + 1)
+                points.extend((n, beta, s) for n in window)
+        rows = [FamilyBatch.of(one_clique_family(n, beta, s)) for n, beta, s in points]
+        batch = FamilyBatch(*(np.concatenate([getattr(r, f) for r in rows]) for f in ("s", "sizes", "counts")))
+        assert batch.sizes.shape == (len(points), 2)
+        c, (d1, d2), (w1, w2) = _secular_terms(batch, alpha)
+        n, beta, s = np.array(points, dtype=float).T
+        lam = case2_probe(n, beta, alpha)
+        secular = (lam - d1) * (lam - d2) * (lam - c - w1 / (lam - d1) - w2 / (lam - d2))
+        cubic = cubic_f(lam, n, beta, s, alpha)
+        assert np.all(np.abs(cubic - secular) <= 64 * np.finfo(float).eps * np.abs(cubic))
+        assert np.all(cubic > 0) and np.all(secular > 0)
 
 
 class TestLargestRoot:

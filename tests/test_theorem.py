@@ -16,7 +16,6 @@ from alphaspec import (
     closed_form_complete_split,
     complete_graph,
     matching_number,
-    predicted_bound,
     spectral_radius,
     threshold_n_star,
 )
@@ -186,14 +185,14 @@ class TestExtremalFamilies:
 
 class TestPredictedBound:
     def test_full_formula(self):
-        assert predicted_bound(6, 3, 2) == pytest.approx(3 * 5)
+        assert classify_regime(6, 3, 2).predicted_rho == pytest.approx(3 * 5)
 
     def test_below_formula(self):
         # at alpha=1, beta=2 the window [2b+2, n*) = [6, 6.5) holds only n=6
-        assert predicted_bound(6, 2, 1) == pytest.approx(8.0)
+        assert classify_regime(6, 2, 1).predicted_rho == pytest.approx(8.0)
 
     def test_above_formula(self):
-        assert predicted_bound(10, 2, 0) == pytest.approx((1 + 65 ** 0.5) / 2)
+        assert classify_regime(10, 2, 0).predicted_rho == pytest.approx((1 + 65 ** 0.5) / 2)
 
 
 class TestSeamContinuity:

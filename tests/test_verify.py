@@ -15,18 +15,16 @@ from alphaspec import (
     as_fraction,
     candidate_families,
     case2_applicable,
-    case2_sample_check,
     classify_regime,
     complete_graph,
-    complete_split_graph,
     cycle_graph,
     disjoint_union,
     empty_graph,
-    exhaustive_max,
     family_radius,
     family_search,
     from_edges,
     isomorphism_classes,
+    join,
     matching_number,
     one_clique_family,
     shift_monotonicity_check,
@@ -35,74 +33,89 @@ from alphaspec import (
     verify_order,
 )
 from alphaspec.enumeration import are_isomorphic, canonical_graph
+from alphaspec.graphs import row_component_masks
 from alphaspec.theorem import _EXTREMAL_FAMILY, CASE2_ALPHA_CUTOFF, case2_region_bounds
 from alphaspec.verify import (
+    DEFAULT_REPORT_TOL,
     FAMILY_MATCH_TOL,
     FAMILY_MAX_CANDIDATES,
     REPORT_FIELDS,
     _candidate_batches,
     _report,
+    _scan_order,
     _ScanEntry,
     family_count,
     resolve_jobs,
 )
+from reference import case2_sample_check
 
 
 def table_graph(descriptor, n, beta):
     return _EXTREMAL_FAMILY[descriptor](n, beta).graph()
 
 
+def scan_record(n, beta, alpha, **kwargs):
+    """The beta record of ``verify_order``'s scan of order n."""
+    (record,) = [r for r in verify_order(n, alpha, **kwargs) if r.beta == beta]
+    return record
+
+
 class TestExhaustiveMax:
+    # the exhaustive maximum over the classes of one (n, beta): one record
+    # of verify_order's scan
     def test_full_case(self):
-        r = exhaustive_max(5, 2, 0)
+        r = scan_record(5, 2, 0)
         assert r.observed_max == pytest.approx(4.0, abs=1e-9)
         assert r.passed
         assert r.argmax_certificates == (to_graph6(complete_graph(5)),)
 
     def test_below_case(self):
-        r = exhaustive_max(7, 2, 0)
+        r = scan_record(7, 2, 0)
         assert r.observed_max == pytest.approx(4.0, abs=1e-9)
         expected = canonical_graph(disjoint_union(complete_graph(5), empty_graph(2)))
         assert r.argmax_certificates == (to_graph6(expected),)
         assert r.passed
 
     def test_above_case_star(self):
-        r = exhaustive_max(7, 1, 0)
+        r = scan_record(7, 1, 0)
         assert r.observed_max == pytest.approx(math.sqrt(6), abs=1e-9)
         assert r.passed
 
     def test_threshold_tie_has_two_classes(self):
-        r = exhaustive_max(7, 2, "1/2")
+        r = scan_record(7, 2, "1/2")
         assert len(r.argmax_certificates) == 2
         assert r.observed_max == pytest.approx(6.0, abs=1e-9)
         assert r.passed
 
-    @pytest.mark.parametrize("n, certificate", [(0, "?"), (1, "@"), (2, "A?"), (3, "B?")])
+    @pytest.mark.parametrize("n, certificate", [(1, "@"), (2, "A?"), (3, "B?")])
     def test_edgeless_orders(self, n, certificate):
-        # order 0 has no join family, yet its one graph is still predicted
+        # verify_order reports beta >= 1 only; the record of beta = 0 from
+        # the same scan predicts the one edgeless class
         for alpha in (0, "1/2", 2):
-            r = exhaustive_max(n, 0, alpha)
+            a = as_fraction(alpha)
+            r = _report(_scan_order(n, a), classify_regime(n, 0, a), DEFAULT_REPORT_TOL, 0.0)
             assert r.passed
             assert r.predicted_certificates == (certificate,)
             assert r.argmax_certificates == (certificate,)
 
     def test_scan_counts_whole_order(self):
-        r = exhaustive_max(6, 1, 1)
+        r = scan_record(6, 1, 1)
         assert r.graphs_scanned == 156
 
     def test_infeasible_beta(self):
+        assert [r.beta for r in verify_order(5, 0)] == [1, 2]
         with pytest.raises(ValueError):
-            exhaustive_max(5, 3, 0)
+            classify_regime(5, 3, 0)
 
     def test_value_and_structure_recorded_independently(self):
-        r = exhaustive_max(6, 2, 1)
+        r = scan_record(6, 2, 1)
         assert isinstance(r.value_pass, bool)
         assert isinstance(r.structure_pass, bool)
 
     def test_graph6_ingestion_source(self, tmp_path):
         path = tmp_path / "order5.g6"
         path.write_text("\n".join(to_graph6(g) for g in isomorphism_classes(5)) + "\n")
-        r = exhaustive_max(5, 2, 0, source=str(path))
+        r = scan_record(5, 2, 0, source=str(path))
         assert r.observed_max == pytest.approx(4.0, abs=1e-9)
         assert r.graphs_scanned == 34
         assert r.passed
@@ -126,7 +139,7 @@ class TestGraph6FileErrors:
     def test_wrong_order_names_its_line(self, tmp_path):
         source = write_order5_file_with_bad_line_3(tmp_path / "mixed.g6", to_graph6(complete_graph(4)))
         with pytest.raises(ValueError, match=r"^line 3: graph has order 4, expected 5$"):
-            exhaustive_max(5, 2, 0, source=source)
+            verify_order(5, 0, source=source)
 
 
 class TestVerifyOrder:
@@ -158,11 +171,11 @@ class TestVerifyOrder:
     def test_graph6_rows_wider_than_int64(self, tmp_path):
         import random
 
-        from alphaspec import from_edges, spectral_radius, union_all
+        from alphaspec import from_edges, spectral_radius
 
         rng = random.Random(70)
         sparse = from_edges(70, [(u, v) for u in range(70) for v in range(u + 1, 70) if rng.random() < 0.03])
-        cliques = union_all([complete_graph(5), cycle_graph(7), empty_graph(58)])
+        cliques = disjoint_union(complete_graph(5), disjoint_union(cycle_graph(7), empty_graph(58)))
         path = tmp_path / "order70.g6"
         path.write_text(to_graph6(sparse) + "\n" + to_graph6(cliques) + "\n")
         reports = verify_order(70, 1, source=str(path))
@@ -240,7 +253,7 @@ class TestResolveJobs:
 
 class TestReportSerialization:
     def test_json_round_trip(self):
-        r = exhaustive_max(5, 1, "1/2")
+        r = scan_record(5, 1, "1/2")
         again = VerificationReport.from_json_line(r.to_json_line())
         assert again == r
 
@@ -249,7 +262,7 @@ class TestReportSerialization:
 
         from alphaspec.cli import _write
 
-        r = exhaustive_max(5, 1, 0)
+        r = scan_record(5, 1, 0)
         out = io.StringIO()
         _write("csv", [r.record()], [], REPORT_FIELDS, out)
         header, row = out.getvalue().splitlines()
@@ -258,7 +271,7 @@ class TestReportSerialization:
         assert row.startswith("5,1,0,")
 
     def test_human_line_mentions_pass(self):
-        r = exhaustive_max(5, 1, 0)
+        r = scan_record(5, 1, 0)
         assert "[PASS]" in r.to_human()
 
 
@@ -287,7 +300,7 @@ class TestFamilySearch:
     def test_agrees_with_exhaustive(self):
         for n, beta, alpha in [(6, 2, 0), (7, 2, 1), (7, 3, "1/2"), (5, 2, 2)]:
             result = family_search(n, beta, alpha)
-            report = exhaustive_max(n, beta, alpha)
+            report = scan_record(n, beta, alpha)
             assert result.rho == pytest.approx(report.observed_max, abs=1e-8)
 
     def test_candidate_space_is_complete_and_valid(self):
@@ -634,7 +647,7 @@ class TestIsPredictedGraph:
         # exhaustively over all classes at n = 6, 7
         for n, beta in [(6, 1), (6, 2), (7, 1), (7, 2), (7, 3)]:
             targets = {
-                COMPLETE_SPLIT: canonical_graph(complete_split_graph(n, beta)),
+                COMPLETE_SPLIT: canonical_graph(join(complete_graph(beta), empty_graph(n - beta))),
                 ODD_CLIQUE_PLUS_ISOLATES: canonical_graph(
                     disjoint_union(complete_graph(2 * beta + 1), empty_graph(n - 2 * beta - 1))
                 ),
@@ -661,9 +674,7 @@ class TestArgmaxFamilyStructure:
                         removed = 0
                         for v in w.witness_set:
                             removed |= 1 << v
-                        from alphaspec.graphs import component_masks
-
-                        sizes = sorted(m.bit_count() for m in component_masks(g, removed))
+                        sizes = sorted(m.bit_count() for m in row_component_masks(g.n, g.rows, removed))
                         if w.s == 0:
                             continue
                         assert all(size % 2 == 1 for size in sizes)
@@ -679,8 +690,8 @@ class TestParallelDeterminism:
 
     def test_scan_matches_serial(self):
         # worker count must not change any report field except timing
-        parallel = exhaustive_max(6, 2, 3, jobs=2)
-        serial = exhaustive_max(6, 2, 3, jobs=1)
+        parallel = scan_record(6, 2, 3, jobs=2)
+        serial = scan_record(6, 2, 3, jobs=1)
         assert serial.observed_max == parallel.observed_max
         assert serial.argmax_certificates == parallel.argmax_certificates
         assert serial.graphs_scanned == parallel.graphs_scanned
@@ -703,7 +714,7 @@ class TestFailureVisibility:
         kept = [g for g in isomorphism_classes(5) if g.num_edges < 10]
         path = tmp_path / "holey.g6"
         path.write_text("\n".join(to_graph6(g) for g in kept) + "\n")
-        rec = exhaustive_max(5, 2, 0, source=str(path))
+        rec = scan_record(5, 2, 0, source=str(path))
         assert not rec.value_pass
         assert not rec.structure_pass
         assert not rec.passed
