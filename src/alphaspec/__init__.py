@@ -33,8 +33,6 @@ from .spectral import (
     FamilyBatch,
     JoinFamily,
     SpectralResult,
-    alpha_matrix,
-    closed_form_complete_split,
     complete_split_family,
     family_radius,
     one_clique_family,

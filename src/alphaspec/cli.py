@@ -29,7 +29,7 @@ from .enumeration import resolve_jobs
 from .graphs import Graph, Graph6Error, parse_edge_list, parse_graph6
 from .matching import matching_number, tutte_berge_witness
 from .spectral import spectral_radius
-from .theorem import classify_regime
+from .theorem import EXTREMAL_GRAPHS, classify_regime
 from .verify import (
     REPORT_FIELDS,
     FamilySearchResult,
@@ -41,13 +41,6 @@ EXIT_OK = 0
 EXIT_VERIFICATION_FAILED = 1
 EXIT_USAGE = 2
 
-_DESCRIPTOR_NAMES = {
-    "COMPLETE": "K_n",
-    "ODD_CLIQUE_PLUS_ISOLATES": "K_{2b+1} + isolated vertices",
-    "COMPLETE_SPLIT": "K_b joined to an independent set",
-    "EMPTY_GRAPH": "edgeless graph",
-}
-
 
 def sig12(value: float) -> str:
     """12 significant digits, trailing zeros kept; exact zero prints 0."""
@@ -58,6 +51,8 @@ def sig12(value: float) -> str:
 
 # The radius and the bounds are evaluated in floating point, and the
 # sampled-region test squares 1 + alpha, which overflows near 1.3e154.
+# A bound past the threshold also needs (alpha + 1) * n of at most
+# spectral.SECULAR_ORDER_LIMIT (2e154), or it exits 2.
 ALPHA_MAX = 10**150
 
 
@@ -249,7 +244,7 @@ def _verdict_human(verdict) -> list[str]:
         f"bound = {sig12(verdict.predicted_rho)}",
     ]
     for d in verdict.extremal_descriptors:
-        lines.append(f"extremal: {d} ({_DESCRIPTOR_NAMES[d]})")
+        lines.append(f"extremal: {d} ({EXTREMAL_GRAPHS[d][0]})")
     if verdict.sampled_region:
         lines.append("note: tight region, bound cross-checked by sampled positivity")
     return lines

@@ -9,21 +9,22 @@ signless Laplacian spectral radius.
 Beyond the dense computation this module carries the structured join
 family K_s v (K_{n_1} u ... u K_{n_q}), whose equal-size parts collapse
 the eigenproblem to a symmetric quotient with one cell per distinct part
-size plus the core.  Its top eigenvalue is the one root above the cell
-diagonals of the core's Schur complement, a secular function solved by
-vectorised Newton steps for a whole batch of families at once.  The
-module also holds the closed-form radius of the complete split graph
-K_b v bar(K_{n-b}).  The paper's own forms of the family radius (the
-cubic of the one-big-clique family, the shift function) and the
-whole-matrix oracle live in ``tests/reference.py``, where the tests
-check them against this module.
+size plus the core.  A family that is a clique or a disjoint union of
+cliques has the largest clique's radius; any other family's top
+eigenvalue is the one root above the cell diagonals of the core's Schur
+complement, a secular function solved by vectorised Newton steps for a
+whole batch of families at once.  ``family_radius`` is the one route to
+a family's radius, the regime bounds included.  The paper's own forms of
+the family radius (the complete-split quadratic, the cubic of the
+one-big-clique family, the shift function) and the whole-matrix oracle
+live in ``tests/reference.py``, where the tests check them against this
+module.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import groupby
-from math import sqrt
 from typing import Sequence
 
 import numpy as np
@@ -39,6 +40,10 @@ RADII_BATCH_ENTRIES = 1 << 16
 # (64, 24), (80, 30) and (120, 50) at alpha in {0, 1/2, 1, 2} settle
 # within 8.
 _SECULAR_STEPS = 64
+# Largest (alpha + 1) * n of a family solved by the secular function: its
+# start value squares half the core-cell gap, at most (alpha + 1) * n / 2,
+# which stays below the float maximum (1.8e308) up to here.
+SECULAR_ORDER_LIMIT = 2e154
 
 
 @dataclass(frozen=True)
@@ -56,11 +61,6 @@ class SpectralResult:
     perron_vector: tuple[float, ...] | None
     component: tuple[int, ...]
     residual: float
-
-
-def alpha_matrix(g: Graph, alpha: float) -> np.ndarray:
-    """Dense alpha * D + A for the whole graph."""
-    return alpha_matrices(g.n, [g.rows], alpha)[0]
 
 
 def alpha_matrices(n: int, rows_list: Sequence[Sequence[int]], alpha: float) -> np.ndarray:
@@ -306,19 +306,20 @@ class FamilyBatch:
 
 
 def family_radius(family: JoinFamily | FamilyBatch, alpha: float):
-    """Radius of the family graph: the secular root for s >= 1, the
-    largest clique for the disconnected s = 0 case.  A ``JoinFamily``
-    gives a float, a ``FamilyBatch`` the array of its rows' radii,
-    whatever their core sizes; each row's radius is the same float
-    whichever batch it is solved in."""
+    """Radius of the family graph.  A clique-shaped row, one with s = 0
+    (disjoint cliques) or with one part (K_s v K_p = K_{s+p}), has the
+    clique radius (alpha+1)(s + p_max - 1); every other row is the secular
+    root.  A ``JoinFamily`` gives a float, a ``FamilyBatch`` the array of
+    its rows' radii, whatever their shapes; each row's radius is the same
+    float whichever batch it is solved in."""
     if isinstance(family, JoinFamily):
         return float(family_radius(FamilyBatch.of(family), alpha)[0])
     alpha = _check_alpha(alpha)
-    radii = (alpha + 1) * (family.sizes[:, -1] - 1)
-    core = family.s >= 1
-    if core.any():
-        rows = FamilyBatch(family.s[core], family.sizes[core], family.counts[core])
-        radii[core] = _secular_roots(*_secular_terms(rows, alpha))
+    radii = (alpha + 1) * (family.s + family.sizes[:, -1] - 1)
+    secular = (family.s >= 1) & (family.counts.sum(axis=1) > 1)
+    if secular.any():
+        rows = FamilyBatch(family.s[secular], family.sizes[secular], family.counts[secular])
+        radii[secular] = _secular_roots(*_secular_terms(rows, alpha))
     return radii
 
 
@@ -333,13 +334,18 @@ def _secular_terms(batch: FamilyBatch, alpha: float) -> tuple[np.ndarray, np.nda
     sqrt(w_p) with w_p = s * m_p * p between cell p and the core.  Its
     eigenvalues are eigenvalues of the full matrix, and the largest is
     the radius.  For a batch of r rows and k cells ``c`` has shape (r,),
-    ``d`` and ``w`` (k, r), one contiguous row per cell.
+    ``d`` and ``w`` (k, r), one contiguous row per cell.  A row with
+    (alpha + 1) * n above ``SECULAR_ORDER_LIMIT`` raises ValueError.
     """
     s, p, m = batch.s, batch.sizes, batch.counts
+    n = s + (p * m).sum(axis=1)
+    scale = (alpha + 1) * n.max()
+    if scale > SECULAR_ORDER_LIMIT:
+        raise ValueError(f"family radius: (alpha + 1) * n = {scale:.3g} exceeds the limit {SECULAR_ORDER_LIMIT:.0e}")
     core = s[:, None]
     d = (alpha + 1) * (p - 1) + alpha * core
     w = core * m * p
-    c = alpha * (s + (p * m).sum(axis=1) - 1) + s - 1
+    c = alpha * (n - 1) + s - 1
     return c, np.ascontiguousarray(d.T), np.ascontiguousarray(w.T)
 
 
@@ -369,24 +375,6 @@ def _secular_roots(c: np.ndarray, d: np.ndarray, w: np.ndarray) -> np.ndarray:
             return lam
         lam = step
     raise ValueError(f"family radius: Newton's method did not settle within {_SECULAR_STEPS} steps")
-
-
-# -- closed forms ------------------------------------------------------
-
-
-def closed_form_complete_split(n: int, beta: int, alpha: float) -> float:
-    """Radius of K_beta v bar(K_{n-beta}) in closed form.
-
-    The larger root of the quadratic from the two-orbit collapse:
-    lambda^2 - [alpha*n + (alpha+1)*beta - (alpha+1)] * lambda
-             + (alpha^2-1)*beta*n + (alpha+1)*beta^2 - alpha*(alpha+1)*beta.
-    """
-    if not n > beta >= 1:
-        raise ValueError(f"need n > beta >= 1, got n={n}, beta={beta}")
-    alpha = _check_alpha(alpha)
-    b = alpha * n + (alpha + 1) * beta - (alpha + 1)
-    c = (alpha * alpha - 1) * beta * n + (alpha + 1) * beta * beta - alpha * (alpha + 1) * beta
-    return 0.5 * b + 0.5 * sqrt(b * b - 4.0 * c)
 
 
 def _check_tol(tol: float) -> None:

@@ -8,24 +8,26 @@ relative to the threshold n* = ((2*alpha+3)*beta + alpha + 2)/(alpha+1):
   FULL       n in {2b, 2b+1}      max (alpha+1)(n-1)   at K_n
   BELOW      2b+2 <= n < n*       max 2(alpha+1)b      at K_{2b+1} u bar(K)
   THRESHOLD  n = n* (exact)       max 2(alpha+1)b      at both graphs below
-  ABOVE      n > n*               closed form          at K_b v bar(K_{n-b})
+  ABOVE      n > n*               split-graph root     at K_b v bar(K_{n-b})
 
 The threshold test is exact rational arithmetic, never a float compare:
 alpha is carried as a Fraction, so n = n* is decided correctly even for
 alphas like 1/2 where n* is integral only for certain beta.
 
 Each extremal graph is a join family K_s v (K_{n_1} u ... u K_{n_q}), and
-``RegimeVerdict.extremal_families`` is the one table from descriptor to
-family that verification builds and compares against.
+``EXTREMAL_GRAPHS`` is the one table from descriptor to name and family.
+A verdict's bound is no formula of its own: ``predicted_rho`` is the
+largest ``family_radius`` of its extremal families, so a family search
+that finds one of them reports the bound's float exactly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import sqrt
 
-from .spectral import JoinFamily, closed_form_complete_split, one_clique_family
+from .spectral import JoinFamily, family_radius, one_clique_family
 
 FULL = "FULL"
 BELOW = "BELOW"
@@ -40,12 +42,13 @@ EMPTY_GRAPH = "EMPTY_GRAPH"
 
 CASE_NUMBERS = {FULL: 1, BELOW: 2, THRESHOLD: 3, ABOVE: 4, EMPTY: 0}
 
-# Parts are odd, so K_n of even order is a vertex joined to K_{n-1}.
-_EXTREMAL_FAMILY = {
-    COMPLETE: lambda n, beta: JoinFamily(0, ((n, 1),)) if n % 2 else JoinFamily(1, ((n - 1, 1),)),
-    ODD_CLIQUE_PLUS_ISOLATES: lambda n, beta: one_clique_family(n, beta, 0),
-    COMPLETE_SPLIT: lambda n, beta: one_clique_family(n, beta, beta),
-    EMPTY_GRAPH: lambda n, beta: one_clique_family(n, beta, 0),
+# Each descriptor's name and its join family at (n, beta).  Parts are
+# odd, so K_n of even order is a vertex joined to K_{n-1}.
+EXTREMAL_GRAPHS = {
+    COMPLETE: ("K_n", lambda n, beta: JoinFamily(0, ((n, 1),)) if n % 2 else JoinFamily(1, ((n - 1, 1),))),
+    ODD_CLIQUE_PLUS_ISOLATES: ("K_{2b+1} + isolated vertices", lambda n, beta: one_clique_family(n, beta, 0)),
+    COMPLETE_SPLIT: ("K_b joined to an independent set", lambda n, beta: one_clique_family(n, beta, beta)),
+    EMPTY_GRAPH: ("edgeless graph", lambda n, beta: one_clique_family(n, beta, 0)),
 }
 
 # below this alpha the tight region sampled by the tests
@@ -72,6 +75,9 @@ class RegimeVerdict:
     (``case2_applicable`` at core size 1); the sampling is the test
     ``test_sampled_positivity_region``.  The prediction itself is
     unchanged.
+
+    ``predicted_rho``, the bound, is derived on construction: the largest
+    ``family_radius`` of the extremal families, and 0 at order 0.
     """
 
     n: int
@@ -79,9 +85,14 @@ class RegimeVerdict:
     alpha: Fraction
     case_id: str
     n_star: Fraction
-    predicted_rho: float
     extremal_descriptors: tuple[str, ...]
     sampled_region: bool = False
+    predicted_rho: float = field(init=False)
+
+    def __post_init__(self):
+        families = self.extremal_families if self.n else ()
+        rho = max((family_radius(family, float(self.alpha)) for family in families), default=0.0)
+        object.__setattr__(self, "predicted_rho", rho)
 
     @property
     def case_number(self) -> int:
@@ -96,7 +107,7 @@ class RegimeVerdict:
         """
         if self.n == 0:
             raise ValueError("the graph of order 0 is not a join family")
-        return tuple(_EXTREMAL_FAMILY[d](self.n, self.beta) for d in self.extremal_descriptors)
+        return tuple(EXTREMAL_GRAPHS[d][1](self.n, self.beta) for d in self.extremal_descriptors)
 
 
 def threshold_n_star(beta: int, alpha) -> Fraction:
@@ -115,37 +126,17 @@ def classify_regime(n: int, beta: int, alpha) -> RegimeVerdict:
         raise ValueError("n must be nonnegative")
     if beta < 0 or beta > n // 2:
         raise ValueError(f"no graph of order {n} has matching number {beta}")
-    af = float(a)
     if beta == 0:
-        return RegimeVerdict(n, 0, a, EMPTY, threshold_n_star(0, a), 0.0, (EMPTY_GRAPH,))
+        return RegimeVerdict(n, 0, a, EMPTY, threshold_n_star(0, a), (EMPTY_GRAPH,))
     n_star = threshold_n_star(beta, a)
     if n == 2 * beta or n == 2 * beta + 1:
-        return RegimeVerdict(
-            n, beta, a, FULL, n_star, (af + 1.0) * (n - 1), (COMPLETE,)
-        )
+        return RegimeVerdict(n, beta, a, FULL, n_star, (COMPLETE,))
     if Fraction(n) < n_star:
-        return RegimeVerdict(
-            n, beta, a, BELOW, n_star, 2.0 * (af + 1.0) * beta, (ODD_CLIQUE_PLUS_ISOLATES,)
-        )
+        return RegimeVerdict(n, beta, a, BELOW, n_star, (ODD_CLIQUE_PLUS_ISOLATES,))
     if Fraction(n) == n_star:
-        return RegimeVerdict(
-            n,
-            beta,
-            a,
-            THRESHOLD,
-            n_star,
-            2.0 * (af + 1.0) * beta,
-            (COMPLETE_SPLIT, ODD_CLIQUE_PLUS_ISOLATES),
-        )
+        return RegimeVerdict(n, beta, a, THRESHOLD, n_star, (COMPLETE_SPLIT, ODD_CLIQUE_PLUS_ISOLATES))
     return RegimeVerdict(
-        n,
-        beta,
-        a,
-        ABOVE,
-        n_star,
-        closed_form_complete_split(n, beta, af),
-        (COMPLETE_SPLIT,),
-        sampled_region=case2_applicable(beta, af, 1, n),
+        n, beta, a, ABOVE, n_star, (COMPLETE_SPLIT,), sampled_region=case2_applicable(beta, float(a), 1, n)
     )
 
 

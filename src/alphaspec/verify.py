@@ -11,7 +11,6 @@ order, one line per (n, beta, alpha).
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass, fields
 from fractions import Fraction
@@ -33,7 +32,6 @@ from .spectral import spectral_radius  # noqa: F401  (perfbench/tracing.py wraps
 from .theorem import RegimeVerdict, as_fraction, classify_regime
 
 DEFAULT_REPORT_TOL = 1e-9
-FAMILY_MATCH_TOL = 1e-8
 # Candidates a family search may scan: (120, 50) has 1,235,010.  Larger
 # searches are refused before any candidate is generated.
 FAMILY_MAX_CANDIDATES = 2_000_000
@@ -80,17 +78,6 @@ class VerificationReport:
             name: str(value) if isinstance(value, Fraction) else list(value) if isinstance(value, tuple) else value
             for name, value in values
         }
-
-    def to_json_line(self) -> str:
-        return json.dumps(self.record())
-
-    @classmethod
-    def from_json_line(cls, line: str) -> "VerificationReport":
-        record = json.loads(line)
-        record["alpha"] = Fraction(record["alpha"])
-        record["argmax_certificates"] = tuple(record["argmax_certificates"])
-        record["predicted_certificates"] = tuple(record["predicted_certificates"])
-        return cls(**record)
 
     def to_human(self) -> str:
         verdict = "PASS" if self.passed else "FAIL"
@@ -394,10 +381,7 @@ def family_search(n: int, beta: int, alpha) -> FamilySearchResult:
             best_rho, best_index, best = rho, indices[i], batch.family(i)
         scanned += len(indices)
     verdict = classify_regime(n, beta, a)
-    matches = (
-        abs(best_rho - verdict.predicted_rho) <= FAMILY_MATCH_TOL
-        and best in verdict.extremal_families
-    )
+    matches = best in verdict.extremal_families and best_rho == verdict.predicted_rho
     return FamilySearchResult(
         n=n,
         beta=beta,

@@ -2,19 +2,23 @@
 
 None of these is on a path the CLI or a verdict takes.  The oracles
 re-derive a value by a slower, independent route (a whole-matrix
-``eigvalsh``, an exhaustive edge-subset search); the formulas are the
-paper's own forms of the family radius, evaluated as written, which the
-tests tie to ``spectral._secular_terms``, the one builder of the
-secular function h(lam) = lam - c - sum_p w_p / (lam - d_p).
+``eigvalsh``, an exhaustive edge-subset search, the complete split
+graph's radius in closed form); the formulas are the paper's own forms
+of the family radius, evaluated as written, which the tests tie to
+``spectral._secular_terms``, the one builder of the secular function
+h(lam) = lam - c - sum_p w_p / (lam - d_p).
 
 pytest collects only ``test_*.py``, so this module holds no tests.
 """
 
 from __future__ import annotations
 
+from math import sqrt
+
 import numpy as np
 
-from alphaspec import JoinFamily, alpha_matrix, case2_applicable
+from alphaspec import JoinFamily, case2_applicable
+from alphaspec.spectral import alpha_matrices
 from alphaspec.spectral import _check_alpha
 
 ORACLE_ORDER_CAP = 64
@@ -29,7 +33,7 @@ def spectral_radius_oracle(g, alpha: float) -> float:
         raise ValueError(f"oracle supports at most {ORACLE_ORDER_CAP} vertices, got {g.n}")
     if g.n == 0:
         return 0.0
-    return float(np.linalg.eigvalsh(alpha_matrix(g, alpha))[-1])
+    return float(np.linalg.eigvalsh(alpha_matrices(g.n, [g.rows], alpha)[0])[-1])
 
 
 def matching_number_oracle(g) -> int:
@@ -59,14 +63,32 @@ def matching_number_oracle(g) -> int:
     return best
 
 
-def split_graph_quadratic(lam: float, n: int, beta: int, alpha: float) -> float:
-    """The quadratic whose larger root is the complete-split radius:
-    lam^2 - [alpha*n + (alpha+1)*beta - (alpha+1)] * lam
-          + (alpha^2-1)*beta*n + (alpha+1)*beta^2 - alpha*(alpha+1)*beta."""
-    alpha = _check_alpha(alpha)
+def split_graph_coefficients(n: int, beta: int, alpha):
+    """(B, C) of the quadratic lam^2 - B*lam + C whose larger root is the
+    radius of the complete split graph K_beta v bar(K_{n-beta}):
+
+    B = alpha*n + (alpha+1)*beta - (alpha+1)
+    C = (alpha^2-1)*beta*n + (alpha+1)*beta^2 - alpha*(alpha+1)*beta
+
+    in the arithmetic of ``alpha``, so a Fraction gives them exactly."""
     b = alpha * n + (alpha + 1) * beta - (alpha + 1)
     c = (alpha * alpha - 1) * beta * n + (alpha + 1) * beta * beta - alpha * (alpha + 1) * beta
+    return b, c
+
+
+def split_graph_quadratic(lam: float, n: int, beta: int, alpha: float) -> float:
+    """The complete-split quadratic lam^2 - B*lam + C at ``lam``."""
+    b, c = split_graph_coefficients(n, beta, _check_alpha(alpha))
     return lam * lam - b * lam + c
+
+
+def closed_form_complete_split(n: int, beta: int, alpha: float) -> float:
+    """Radius of K_beta v bar(K_{n-beta}) in closed form, the larger root
+    B/2 + sqrt(B^2 - 4C)/2 of the complete-split quadratic."""
+    if not n > beta >= 1:
+        raise ValueError(f"need n > beta >= 1, got n={n}, beta={beta}")
+    b, c = split_graph_coefficients(n, beta, _check_alpha(alpha))
+    return 0.5 * b + 0.5 * sqrt(b * b - 4.0 * c)
 
 
 def cubic_f(lam, n, beta, s, alpha: float):

@@ -18,7 +18,6 @@ from alphaspec import (
     JoinFamily,
     case2_applicable,
     classify_regime,
-    closed_form_complete_split,
     complete_graph,
     disjoint_union,
     empty_graph,
@@ -38,6 +37,7 @@ from alphaspec.graphs import row_component_masks
 from alphaspec.theorem import case2_region_bounds
 from reference import (
     case2_sample_check,
+    closed_form_complete_split,
     cubic_f,
     matching_number_oracle,
     spectral_radius_oracle,

@@ -1,13 +1,14 @@
 import csv
 import io
 import json
+import math
 from fractions import Fraction
 
 import pytest
 
 from alphaspec.cli import main, sig12
 from alphaspec.graphs import complete_graph, to_graph6
-from alphaspec.verify import REPORT_FIELDS, VerificationReport
+from alphaspec.verify import REPORT_FIELDS, VerificationReport, verify_order
 
 
 def run(capsys, *argv):
@@ -131,9 +132,12 @@ class TestVerify:
     def test_json_lines_round_trip(self, capsys):
         code, out, _ = run(capsys, "verify", "5", "--alpha", "1", "--format", "json-lines")
         assert code == 0
-        for line in out.strip().splitlines():
-            report = VerificationReport.from_json_line(line)
-            assert report.to_json_line() == line
+        records = [json.loads(line) for line in out.strip().splitlines()]
+        assert [json.dumps(r) for r in records] == out.strip().splitlines()
+        expected = [r.record() for r in verify_order(5, Fraction(1))]
+        for record in records + expected:
+            record.pop("wall_time")
+        assert records == expected
 
     def test_over_cap_without_file(self, capsys):
         code, _, err = run(capsys, "verify", "9")
@@ -172,10 +176,10 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "9", "--alpha", "0", "--graph6", str(path),
                            "--format", "json-lines")
         assert code == 0
-        (report,) = [VerificationReport.from_json_line(line) for line in out.strip().splitlines()]
-        assert report.beta == 3
-        assert len(report.argmax_certificates) == 1
-        assert report.argmax_certificates == report.predicted_certificates
+        (record,) = [json.loads(line) for line in out.strip().splitlines()]
+        assert record["beta"] == 3
+        assert len(record["argmax_certificates"]) == 1
+        assert record["argmax_certificates"] == record["predicted_certificates"]
 
 
 class TestFamily:
@@ -312,7 +316,7 @@ class TestRecordWriter:
         assert out == expected
 
     def test_json_round_trip(self):
-        assert VerificationReport.from_json_line(self.JSON) == self.REPORT
+        assert json.loads(self.JSON) == self.REPORT.record()
 
 
 CSV_COMMANDS = {
@@ -376,3 +380,23 @@ class TestHugeAlpha:
         code, out, _ = run(capsys, "bound", "10", "3", "--alpha", "1e150", "--format", "json-lines")
         assert code == 0
         assert json.loads(out)["alpha"] == str(10**150)
+
+    def test_secular_order_limit_exits_2(self, capsys):
+        # (alpha + 1) * n = 1e155 is past the limit, where the secular start
+        # would overflow to an infinite bound, which is not JSON
+        code, out, err = run(capsys, "bound", "100000", "10", "--alpha", "1e150", "--format", "json-lines")
+        assert code == 2
+        assert out == ""
+        assert "exceeds the limit 2e+154" in err
+
+    def test_bound_below_the_order_limit_is_finite(self, capsys):
+        code, out, _ = run(capsys, "bound", "10000", "4000", "--alpha", "1e150", "--format", "json-lines")
+        bound = json.loads(out)["bound"]
+        assert code == 0
+        assert math.isfinite(bound) and bound == pytest.approx(9.999e153, rel=1e-12)
+
+    def test_even_complete_graph_at_huge_alpha(self, capsys):
+        # K_10 is held as K_1 v K_9, one part, so it takes the clique radius
+        code, out, _ = run(capsys, "bound", "10", "5", "--alpha", "1e16", "--format", "json-lines")
+        assert code == 0
+        assert json.loads(out)["bound"] == 9e16

@@ -9,12 +9,10 @@ import pytest
 from alphaspec import (
     FamilyBatch,
     JoinFamily,
-    alpha_matrix,
     as_fraction,
     candidate_families,
     case2_applicable,
     classify_regime,
-    closed_form_complete_split,
     complete_graph,
     complete_split_family,
     cycle_graph,
@@ -34,11 +32,12 @@ from alphaspec import (
 )
 from alphaspec import spectral
 from alphaspec.graphs import _bits, row_component_masks
-from alphaspec.spectral import SpectralResult, _secular_terms
+from alphaspec.spectral import SpectralResult, _secular_terms, alpha_matrices
 from alphaspec.theorem import case2_region_bounds
-from alphaspec.verify import FAMILY_MATCH_TOL, _candidate_batches
+from alphaspec.verify import _candidate_batches
 from reference import (
     case2_probe,
+    closed_form_complete_split,
     cubic_f,
     shift_function_f,
     spectral_radius_oracle,
@@ -64,17 +63,17 @@ def random_connected(rng, n, p=0.4):
 
 class TestAlphaMatrix:
     def test_k2_adjacency(self):
-        assert np.array_equal(alpha_matrix(complete_graph(2), 0.0), [[0, 1], [1, 0]])
+        assert np.array_equal(alpha_matrices(2, [complete_graph(2).rows], 0.0)[0], [[0, 1], [1, 0]])
 
     def test_k2_signless_laplacian(self):
-        assert np.array_equal(alpha_matrix(complete_graph(2), 1.0), [[1, 1], [1, 1]])
+        assert np.array_equal(alpha_matrices(2, [complete_graph(2).rows], 1.0)[0], [[1, 1], [1, 1]])
 
     def test_edgeless_is_zero(self):
-        assert not alpha_matrix(empty_graph(3), 2.5).any()
+        assert not alpha_matrices(3, [empty_graph(3).rows], 2.5)[0].any()
 
     def test_negative_alpha_rejected(self):
         with pytest.raises(ValueError):
-            alpha_matrix(complete_graph(2), -0.1)
+            alpha_matrices(2, [complete_graph(2).rows], -0.1)
 
 
 class TestSpectralRadius:
@@ -476,6 +475,18 @@ class TestQuotient:
         fam = JoinFamily.of_parts(0, (1, 3, 5))
         assert family_radius(fam, 1.0) == pytest.approx(8.0)
 
+    def test_one_part_is_a_clique(self):
+        # K_1 v K_9 = K_10 takes the clique radius; at alpha = 1e16 its
+        # core and cell diagonals round to one float, where the secular
+        # start would sit on the pole
+        for alpha in (0.0, 0.5, 1.0, 1e16):
+            assert family_radius(JoinFamily(1, ((9, 1),)), alpha) == (alpha + 1) * 9
+
+    def test_order_limit(self):
+        with pytest.raises(ValueError, match=r"1e\+155 exceeds the limit 2e\+154"):
+            family_radius(complete_split_family(100000, 10), 1e150)
+        assert math.isfinite(family_radius(complete_split_family(10000, 4000), 1e150))
+
     @pytest.mark.parametrize(
         "s, rho_hex",
         [
@@ -534,9 +545,9 @@ class TestSecularSolve:
                 verdict = classify_regime(n, beta, a)
                 assert result.best == best, (n, beta)
                 assert result.canonical_shape == (best == one_clique_family(n, beta, best.s))
-                assert result.matches_prediction == (
-                    abs(rho - verdict.predicted_rho) <= FAMILY_MATCH_TOL and best in verdict.extremal_families
-                )
+                assert result.matches_prediction == (best in verdict.extremal_families)
+                if result.matches_prediction:
+                    assert abs(rho - verdict.predicted_rho) <= ORACLE_ULPS * np.spacing(rho), (n, beta)
 
     @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0, 2.0, 1 / 3, 7 / 3])
     def test_complete_split_rows_match_the_closed_form(self, alpha):

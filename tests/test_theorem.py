@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -13,13 +14,13 @@ from alphaspec import (
     THRESHOLD,
     JoinFamily,
     classify_regime,
-    closed_form_complete_split,
     complete_graph,
     matching_number,
     spectral_radius,
     threshold_n_star,
 )
 from alphaspec.enumeration import are_isomorphic
+from reference import closed_form_complete_split, split_graph_coefficients
 
 
 def extremal_graphs(verdict):
@@ -193,6 +194,26 @@ class TestPredictedBound:
 
     def test_above_formula(self):
         assert classify_regime(10, 2, 0).predicted_rho == pytest.approx((1 + 65 ** 0.5) / 2)
+
+
+class TestBoundAccuracy:
+    @pytest.mark.parametrize("alpha", ["0", "1/2", "1", "2", "1/3", "7/3"])
+    def test_within_two_ulps_of_the_exact_bound(self, alpha):
+        # the exact bound is taken at the float alpha the radius is
+        # computed for, and every comparison is made in Fractions
+        a = Fraction(float(Fraction(alpha)))
+        for n in range(2, 61):
+            for beta in range(1, n // 2 + 1):
+                v = classify_regime(n, beta, alpha)
+                r, u = Fraction(v.predicted_rho), 2 * Fraction(math.ulp(v.predicted_rho))
+                if v.case_id == ABOVE:
+                    b, c = split_graph_coefficients(n, beta, a)
+                    lo, hi = r - u, r + u
+                    # the larger root of lam^2 - b*lam + c lies in (lo, hi)
+                    assert lo * lo - b * lo + c < 0 < hi * hi - b * hi + c and lo > b / 2, (n, beta)
+                else:
+                    exact = (a + 1) * (n - 1) if v.case_id == FULL else 2 * (a + 1) * beta
+                    assert abs(r - exact) <= u, (n, beta, v.case_id)
 
 
 class TestSeamContinuity:
