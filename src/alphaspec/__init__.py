@@ -33,7 +33,6 @@ from .spectral import (
     FamilyBatch,
     JoinFamily,
     SpectralResult,
-    complete_split_family,
     family_radius,
     one_clique_family,
     spectral_radii,

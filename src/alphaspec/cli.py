@@ -105,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("matching", help="matching number of one graph")
     add_graph_input(p)
     p.add_argument("--witness", action="store_true",
-                   help="also print the deficiency witness set (order <= 24)")
+                   help="also print the deficiency witness set (the Gallai-Edmonds set A(G))")
     add_format(p)
 
     p = sub.add_parser("bound", aliases=["classify"], help="bound for (n, beta) at alpha")
@@ -236,11 +236,13 @@ def _verdict_record(verdict) -> dict:
 
 
 def _verdict_human(verdict) -> list[str]:
+    n_star = verdict.n_star
+    exact = f"n* = {n_star}" + (f" = {float(n_star):.6g}" if n_star.denominator != 1 else "")
     lines = [
         f"case ({verdict.case_number}) {verdict.case_id}: "
         f"n={verdict.n} beta={verdict.beta} alpha={verdict.alpha}",
-        f"n* = {verdict.n_star}"
-        + (f" = {float(verdict.n_star):.6g}" if verdict.n_star.denominator != 1 else ""),
+        # an exact n* past 40 characters (over 300 at alpha = 1e150) prints as its float alone
+        exact if len(str(n_star)) <= 40 else f"n* ≈ {float(n_star):.6g}",
         f"bound = {sig12(verdict.predicted_rho)}",
     ]
     for d in verdict.extremal_descriptors:

@@ -187,7 +187,8 @@ def _graph_from_cols(n: int, cols: tuple[int, ...]) -> Graph:
             if (c >> (d - 1 - i)) & 1:
                 rows[d] |= 1 << i
                 rows[i] |= 1 << d
-    return Graph(n, tuple(rows))
+    # each edge sets both bits and never i == d: symmetric and loop-free
+    return Graph._from_valid_rows(n, tuple(rows))
 
 
 def canonical_key(g: Graph) -> tuple:
@@ -283,7 +284,7 @@ def isomorphism_classes(n: int, jobs: int = 1) -> list[Graph]:
             "supply a graph6 file for larger orders"
         )
     _build_level(n, jobs=resolve_jobs(jobs))
-    # the cached rows were checked when ``_graph_from_cols`` built them
+    # the cached rows are valid by construction in ``_graph_from_cols``
     return [Graph._from_valid_rows(n, rows) for rows in _LEVELS[n]]
 
 

@@ -124,11 +124,7 @@ class Graph:
         return tuple(sorted((r.bit_count() for r in self.rows), reverse=True))
 
     def neighbors(self, v: int) -> Iterator[int]:
-        m = self.rows[v]
-        while m:
-            u = (m & -m).bit_length() - 1
-            m &= m - 1
-            yield u
+        return _bits(self.rows[v])
 
     def edges(self) -> Iterator[tuple[int, int]]:
         for v in range(self.n):

@@ -1,22 +1,20 @@
 """Maximum matching and the Tutte-Berge deficiency witness.
 
 ``matching_number`` runs augmenting-path search with blossom contraction
-and works on any graph; the exhaustive edge-subset oracle it is
-cross-checked against lives in ``tests/reference.py``.
-``tutte_berge_witness`` scans every vertex subset S and returns the
-minimizer of n - (o(G-S) - |S|), which both certifies the matching
-number and supplies the parameters s and q used by the extremal-family
-machinery.
+and works on any graph.  ``tutte_berge_witness`` reads the Gallai-Edmonds
+set A(G), a minimizer of n - (o(G-S) - |S|), from the same search: it
+certifies the matching number and supplies the parameters s and q of the
+extremal families.  The exhaustive oracles both are checked against live
+in ``tests/reference.py``.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import compress
 
-from .graphs import Graph, row_component_masks
-
-WITNESS_ORDER_CAP = 24
+from .graphs import Graph, _bits, row_component_masks
 
 
 @dataclass(frozen=True)
@@ -42,8 +40,39 @@ def maximum_matching(g: Graph) -> list[tuple[int, int]]:
     in ascending order, so the returned edge set (not just its size) is
     reproducible.
     """
+    match = _match([list(_bits(r)) for r in g.rows])
+    return sorted((v, match[v]) for v in range(g.n) if match[v] > v)
+
+
+def matching_number(g: Graph) -> int:
+    """Size of a maximum matching (blossom search)."""
+    return len(maximum_matching(g))
+
+
+def tutte_berge_witness(g: Graph) -> TutteBergeWitness:
+    """The Gallai-Edmonds set A(G) = N(D) minus D, where D holds the vertices
+    some maximum matching leaves exposed.  Once the matching is maximum, a
+    blossom search from each exposed vertex finds no augmenting path, and D
+    is the union of their outer vertices (Lovasz & Plummer, *Matching
+    Theory*, 1986, ch. 3)."""
     n = g.n
-    adj = [list(g.neighbors(v)) for v in range(n)]
+    adj = [list(_bits(r)) for r in g.rows]
+    match = _match(adj)
+    outer: set[int] = set()
+    for root in [v for v in range(n) if match[v] == -1]:
+        outer.update(compress(range(n), _augment_from(root, adj, match, n)))
+    witness = sorted({u for v in outer for u in adj[v]} - outer)
+    odd = sum(c.bit_count() % 2 for c in row_component_masks(n, g.rows, sum(1 << v for v in witness)))
+    beta = (n - match.count(-1)) // 2
+    q = n + len(witness) - 2 * beta
+    assert q == odd, "deficiency bookkeeping out of sync"
+    return TutteBergeWitness(tuple(witness), len(witness), odd, beta, q)
+
+
+def _match(adj: list[list[int]]) -> list[int]:
+    """Mate of each vertex (-1 if exposed) in a maximum matching: a greedy
+    seed, then one augmenting search from each exposed vertex."""
+    n = len(adj)
     match = [-1] * n
     for v in range(n):
         if match[v] == -1:
@@ -55,15 +84,14 @@ def maximum_matching(g: Graph) -> list[tuple[int, int]]:
     for root in range(n):
         if match[root] == -1:
             _augment_from(root, adj, match, n)
-    return sorted((v, match[v]) for v in range(n) if match[v] > v)
+    return match
 
 
-def matching_number(g: Graph) -> int:
-    """Size of a maximum matching (blossom search)."""
-    return len(maximum_matching(g))
-
-
-def _augment_from(root: int, adj: list[list[int]], match: list[int], n: int) -> bool:
+def _augment_from(root: int, adj: list[list[int]], match: list[int], n: int) -> bool | list[bool]:
+    """Grow an alternating tree from the exposed ``root``, contracting
+    blossoms.  Augment ``match`` along the first augmenting path and
+    return True; when there is none, return the ``used`` flags, which
+    then mark the tree's outer vertices."""
     used = [False] * n
     parent = [-1] * n
     base = list(range(n))
@@ -122,32 +150,6 @@ def _augment_from(root: int, adj: list[list[int]], match: list[int], n: int) -> 
                     return True
                 used[match[to]] = True
                 queue.append(match[to])
-    return False
+    return used
 
 
-def tutte_berge_witness(g: Graph) -> TutteBergeWitness:
-    """Scan all 2^n subsets S for the deficiency minimizer.
-
-    Ties are broken by smallest |S|, then lexicographically smallest
-    vertex list, so reports are deterministic.  Hard cap of
-    WITNESS_ORDER_CAP vertices: the scan is exhaustive by design.
-    """
-    n = g.n
-    if n > WITNESS_ORDER_CAP:
-        raise ValueError(f"witness scan supports at most {WITNESS_ORDER_CAP} vertices, got {n}")
-    best_key = None
-    best = None
-    for mask in range(1 << n):
-        s = mask.bit_count()
-        odd = sum(1 for comp in row_component_masks(n, g.rows, mask) if comp.bit_count() % 2)
-        value = n - (odd - s)
-        vertices = tuple(v for v in range(n) if (mask >> v) & 1)
-        key = (value, s, vertices)
-        if best_key is None or key < best_key:
-            best_key = key
-            best = (vertices, s, odd, value)
-    vertices, s, odd, value = best
-    beta = value // 2
-    q = n + s - 2 * beta
-    assert q == odd, "deficiency bookkeeping out of sync"
-    return TutteBergeWitness(vertices, s, odd, beta, q)

@@ -261,13 +261,6 @@ class JoinFamily:
         return JoinFamily.of_parts(self.s, sorted(parts))
 
 
-def complete_split_family(n: int, beta: int) -> JoinFamily:
-    """K_beta v bar(K_{n-beta}) seen as a join family (all parts are 1)."""
-    if not n > beta >= 1:
-        raise ValueError(f"need n > beta >= 1, got n={n}, beta={beta}")
-    return JoinFamily(beta, ((1, n - beta),))
-
-
 def one_clique_family(n: int, beta: int, s: int) -> JoinFamily:
     """K_s v (K_{2b-2s+1} u bar(K_{q-1})) with q = n + s - 2*beta."""
     if not 0 <= s <= beta:

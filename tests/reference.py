@@ -2,8 +2,9 @@
 
 None of these is on a path the CLI or a verdict takes.  The oracles
 re-derive a value by a slower, independent route (a whole-matrix
-``eigvalsh``, an exhaustive edge-subset search, the complete split
-graph's radius in closed form); the formulas are the paper's own forms
+``eigvalsh``, an exhaustive edge-subset search, an exhaustive
+vertex-subset deficiency scan, the complete split graph's radius in
+closed form); the formulas are the paper's own forms
 of the family radius, evaluated as written, which the tests tie to
 ``spectral._secular_terms``, the one builder of the secular function
 h(lam) = lam - c - sum_p w_p / (lam - d_p).
@@ -17,12 +18,14 @@ from math import sqrt
 
 import numpy as np
 
-from alphaspec import JoinFamily, case2_applicable
+from alphaspec import JoinFamily, TutteBergeWitness, case2_applicable
+from alphaspec.graphs import row_component_masks
 from alphaspec.spectral import alpha_matrices
 from alphaspec.spectral import _check_alpha
 
 ORACLE_ORDER_CAP = 64
 ORACLE_EDGE_CAP = 24
+WITNESS_ORDER_CAP = 24
 
 
 def spectral_radius_oracle(g, alpha: float) -> float:
@@ -61,6 +64,34 @@ def matching_number_oracle(g) -> int:
 
     extend(0, 0, 0)
     return best
+
+
+def tutte_berge_witness_oracle(g) -> TutteBergeWitness:
+    """Scan all 2^n subsets S for the deficiency minimizer.
+
+    Ties are broken by smallest |S|, then lexicographically smallest
+    vertex list, so the result is deterministic.  Hard cap of
+    WITNESS_ORDER_CAP vertices: the scan is exhaustive by design.
+    """
+    n = g.n
+    if n > WITNESS_ORDER_CAP:
+        raise ValueError(f"witness scan supports at most {WITNESS_ORDER_CAP} vertices, got {n}")
+    best_key = None
+    best = None
+    for mask in range(1 << n):
+        s = mask.bit_count()
+        odd = sum(1 for comp in row_component_masks(n, g.rows, mask) if comp.bit_count() % 2)
+        value = n - (odd - s)
+        vertices = tuple(v for v in range(n) if (mask >> v) & 1)
+        key = (value, s, vertices)
+        if best_key is None or key < best_key:
+            best_key = key
+            best = (vertices, s, odd, value)
+    vertices, s, odd, value = best
+    beta = value // 2
+    q = n + s - 2 * beta
+    assert q == odd, "deficiency bookkeeping out of sync"
+    return TutteBergeWitness(vertices, s, odd, beta, q)
 
 
 def split_graph_coefficients(n: int, beta: int, alpha):

@@ -87,6 +87,15 @@ class TestMatching:
         assert code == 0
         assert "witness S" in out and "q=3" in out
 
+    def test_witness_above_the_old_scan_cap(self, capsys):
+        # K_3 v bar(K_40): 43 vertices, past the 24 the subset scan allowed
+        from alphaspec import empty_graph, join
+
+        g6 = to_graph6(join(complete_graph(3), empty_graph(40)))
+        code, out, _ = run(capsys, "matching", "--graph6", g6, "--witness", "--format", "json-lines")
+        assert code == 0
+        assert json.loads(out) == {"n": 43, "beta": 3, "witness_set": [0, 1, 2], "s": 3, "odd_components": 40, "q": 40}
+
 
 class TestBoundClassify:
     def test_threshold_human(self, capsys):
@@ -115,6 +124,32 @@ class TestBoundClassify:
         code, out, _ = run(capsys, "classify", "7", "2", "--alpha", "1/2")
         assert code == 0
         assert "THRESHOLD" in out
+
+    @pytest.mark.parametrize(
+        "argv,expected",
+        [
+            (["9", "3", "--alpha", "1"], "case (3) THRESHOLD: n=9 beta=3 alpha=1\nn* = 9\nbound = 12.0000000000\n"
+             "extremal: COMPLETE_SPLIT (K_b joined to an independent set)\n"
+             "extremal: ODD_CLIQUE_PLUS_ISOLATES (K_{2b+1} + isolated vertices)\n"),
+            (["8", "2", "--alpha", "1/2"], "case (4) ABOVE: n=8 beta=2 alpha=1/2\nn* = 7\nbound = 6.63104367407\n"
+             "extremal: COMPLETE_SPLIT (K_b joined to an independent set)\n"),
+            (["7", "2", "--alpha", "1/3"], "case (2) BELOW: n=7 beta=2 alpha=1/3\nn* = 29/4 = 7.25\n"
+             "bound = 5.33333333333\nextremal: ODD_CLIQUE_PLUS_ISOLATES (K_{2b+1} + isolated vertices)\n"),
+        ],
+        ids=["threshold", "above", "fractional-n-star"],
+    )
+    def test_human_golden(self, capsys, argv, expected):
+        assert run(capsys, "bound", *argv) == (0, expected, "")
+
+    def test_long_n_star_prints_its_float(self, capsys):
+        # the exact n* at alpha = 1e150 is a 154-digit numerator over a
+        # 151-digit denominator; the human line shows its float alone
+        code, out, _ = run(capsys, "bound", "10000", "4000", "--alpha", "1e150")
+        assert code == 0
+        (line,) = [line for line in out.splitlines() if line.startswith("n*")]
+        assert line == "n* ≈ 8001" and len(line) <= 40
+        _, out, _ = run(capsys, "bound", "10000", "4000", "--alpha", "1e150", "--format", "json-lines")
+        assert len(json.loads(out)["n_star"]) == 306
 
     @pytest.mark.parametrize("fmt", ["human", "json-lines", "csv"])
     def test_classify_is_an_alias_of_bound(self, capsys, fmt):

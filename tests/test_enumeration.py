@@ -6,9 +6,11 @@ import pytest
 
 from alphaspec import (
     KNOWN_CLASS_COUNTS,
+    Graph,
     are_isomorphic,
     canonical_graph,
     canonical_key,
+    complement,
     complete_graph,
     cycle_graph,
     disjoint_union,
@@ -49,6 +51,19 @@ class TestCanonicalForm:
         c = canonical_graph(g)
         assert are_isomorphic(g, c)
         assert canonical_graph(c) == c
+
+    def test_graph_from_cols_equals_the_validating_constructor(self):
+        # _graph_from_cols skips Graph.__post_init__: its rows, from every
+        # class of order <= 7 and from the complements the census halving
+        # canonicalizes, must pass the validating constructor unchanged
+        from alphaspec.enumeration import _canonical_cols, _graph_from_cols
+
+        for n in range(8):
+            for g in isomorphism_classes(n):
+                for h in (g, complement(g)):
+                    built = _graph_from_cols(n, _canonical_cols(n, h.rows))
+                    assert built == Graph(n, built.rows)
+                    assert are_isomorphic(built, h)
 
     def test_symmetric_worst_cases_terminate(self):
         for g in (complete_graph(8), empty_graph(8),

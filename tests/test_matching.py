@@ -10,6 +10,7 @@ from alphaspec import (
     disjoint_union,
     empty_graph,
     from_edges,
+    isomorphism_classes,
     join,
     matching_number,
     maximum_matching,
@@ -18,7 +19,7 @@ from alphaspec import (
     tutte_berge_witness,
 )
 from alphaspec.spectral import JoinFamily
-from reference import matching_number_oracle
+from reference import matching_number_oracle, tutte_berge_witness_oracle
 
 
 @st.composite
@@ -110,9 +111,22 @@ class TestTutteBerge:
         w = tutte_berge_witness(complete_graph(4))
         assert (w.witness_set, w.odd_components, w.beta) == ((), 0, 2)
 
-    def test_cap_enforced(self):
-        with pytest.raises(ValueError):
-            tutte_berge_witness(empty_graph(25))
+    def test_path_takes_the_middle_vertex(self):
+        # A(P_3) is the middle vertex; the oracle's smallest-set tie rule
+        # picks the empty set, of the same deficiency
+        w = tutte_berge_witness(path_graph(3))
+        assert (w.witness_set, w.s, w.odd_components, w.beta, w.q) == ((1,), 1, 2, 1, 2)
+        assert tutte_berge_witness_oracle(path_graph(3)).witness_set == ()
+
+    @pytest.mark.parametrize("n", [25, 40, 400])
+    def test_seeded_gnp_above_the_oracle_cap(self, n):
+        # sparse enough that some vertices stay exposed and A(G) is nonempty
+        rng = random.Random(n)
+        g = from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 1.5 / n])
+        w = tutte_berge_witness(g)
+        assert w.beta == matching_number(g)
+        assert w.q == w.odd_components == n + w.s - 2 * w.beta
+        assert w.s > 0 and 2 * w.beta < n
 
     def test_consistency_random_n10(self):
         rng = random.Random(3)
@@ -123,6 +137,36 @@ class TestTutteBerge:
             w = tutte_berge_witness(g)
             assert w.beta == matching_number(g)
             assert w.s <= w.beta
+
+
+def gallai_edmonds_set(g):
+    """A(G) = N(D) minus D from the definition: D holds the vertices v with
+    beta(G - v) = beta(G), each beta by the blossom search."""
+    beta = matching_number(g)
+    d = set()
+    for v in range(g.n):
+        sub = from_edges(g.n - 1, [(a - (a > v), b - (b > v)) for a, b in g.edges() if v not in (a, b)])
+        if matching_number(sub) == beta:
+            d.add(v)
+    return tuple(sorted({u for v in d for u in g.neighbors(v)} - d))
+
+
+@pytest.fixture(scope="module")
+def classes_to_seven():
+    return [g for n in range(8) for g in isomorphism_classes(n)]
+
+
+class TestWitnessOnEveryClass:
+    def test_witness_is_the_gallai_edmonds_set(self, classes_to_seven):
+        assert len(classes_to_seven) == 1253
+        for g in classes_to_seven:
+            assert tutte_berge_witness(g).witness_set == gallai_edmonds_set(g), g.rows
+
+    def test_deficiency_is_the_oracle_minimum(self, classes_to_seven):
+        for g in classes_to_seven:
+            w, best = tutte_berge_witness(g), tutte_berge_witness_oracle(g)
+            assert g.n + w.s - w.q == g.n + best.s - best.q, g.rows
+            assert w.beta == best.beta, g.rows
 
 
 class TestPerfectMatching:

@@ -14,7 +14,6 @@ from alphaspec import (
     case2_applicable,
     classify_regime,
     complete_graph,
-    complete_split_family,
     cycle_graph,
     disjoint_union,
     empty_graph,
@@ -431,7 +430,7 @@ class TestQuotient:
         for alpha in (0.0, 0.5, 1.0, 2.0):
             for beta in (1, 2, 3):
                 for n in (2 * beta + 1, 2 * beta + 4):
-                    fam = complete_split_family(n, beta)
+                    fam = one_clique_family(n, beta, beta)
                     assert family_radius(fam, alpha) == pytest.approx(
                         closed_form_complete_split(n, beta, alpha), abs=1e-10
                     )
@@ -484,8 +483,8 @@ class TestQuotient:
 
     def test_order_limit(self):
         with pytest.raises(ValueError, match=r"1e\+155 exceeds the limit 2e\+154"):
-            family_radius(complete_split_family(100000, 10), 1e150)
-        assert math.isfinite(family_radius(complete_split_family(10000, 4000), 1e150))
+            family_radius(one_clique_family(100000, 10, 10), 1e150)
+        assert math.isfinite(family_radius(one_clique_family(10000, 4000, 4000), 1e150))
 
     @pytest.mark.parametrize(
         "s, rho_hex",
@@ -554,7 +553,7 @@ class TestSecularSolve:
         for n in list(range(3, 61)) + [10**3, 10**6]:
             for beta in sorted({*range(1, min((n - 1) // 2, 30) + 1), n // 3, (n - 1) // 2}):
                 exact = closed_form_complete_split(n, beta, alpha)
-                rho = family_radius(complete_split_family(n, beta), alpha)
+                rho = family_radius(one_clique_family(n, beta, beta), alpha)
                 assert abs(rho - exact) <= ORACLE_ULPS * np.spacing(exact), (n, beta)
 
     def test_step_bound_raises(self, monkeypatch):
