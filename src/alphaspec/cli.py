@@ -202,11 +202,12 @@ def cmd_rho(args) -> int:
 
 def cmd_matching(args) -> int:
     g = _load_graph(args)
-    beta = matching_number(g)
+    # the witness's blossom search also gives beta
+    witness = tutte_berge_witness(g) if args.witness else None
+    beta = witness.beta if witness else matching_number(g)
     record = {"n": g.n, "beta": beta}
     human = [f"beta = {beta}"]
-    if args.witness:
-        witness = tutte_berge_witness(g)
+    if witness:
         record.update(
             witness_set=list(witness.witness_set),
             s=witness.s,
@@ -235,14 +236,18 @@ def _verdict_record(verdict) -> dict:
     }
 
 
+# An exact value longer than this (n* runs past 300 characters at
+# alpha = 1e150) prints on a human line as its float alone.
+_EXACT_CHARS = 40
+
+
 def _verdict_human(verdict) -> list[str]:
-    n_star = verdict.n_star
+    n_star, alpha = verdict.n_star, verdict.alpha
     exact = f"n* = {n_star}" + (f" = {float(n_star):.6g}" if n_star.denominator != 1 else "")
     lines = [
-        f"case ({verdict.case_number}) {verdict.case_id}: "
-        f"n={verdict.n} beta={verdict.beta} alpha={verdict.alpha}",
-        # an exact n* past 40 characters (over 300 at alpha = 1e150) prints as its float alone
-        exact if len(str(n_star)) <= 40 else f"n* ≈ {float(n_star):.6g}",
+        f"case ({verdict.case_number}) {verdict.case_id}: n={verdict.n} beta={verdict.beta} "
+        + (f"alpha={alpha}" if len(str(alpha)) <= _EXACT_CHARS else f"alpha ≈ {float(alpha):.6g}"),
+        exact if len(str(n_star)) <= _EXACT_CHARS else f"n* ≈ {float(n_star):.6g}",
         f"bound = {sig12(verdict.predicted_rho)}",
     ]
     for d in verdict.extremal_descriptors:

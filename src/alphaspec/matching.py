@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import compress
 
 from .graphs import Graph, _bits, row_component_masks
 
@@ -46,7 +45,7 @@ def maximum_matching(g: Graph) -> list[tuple[int, int]]:
 
 def matching_number(g: Graph) -> int:
     """Size of a maximum matching (blossom search)."""
-    return len(maximum_matching(g))
+    return (g.n - _match([list(_bits(r)) for r in g.rows]).count(-1)) // 2
 
 
 def tutte_berge_witness(g: Graph) -> TutteBergeWitness:
@@ -57,10 +56,11 @@ def tutte_berge_witness(g: Graph) -> TutteBergeWitness:
     Theory*, 1986, ch. 3)."""
     n = g.n
     adj = [list(_bits(r)) for r in g.rows]
-    match = _match(adj)
+    state = _search_state(n)
+    match = _match(adj, state)
     outer: set[int] = set()
     for root in [v for v in range(n) if match[v] == -1]:
-        outer.update(compress(range(n), _augment_from(root, adj, match, n)))
+        _augment_from(root, adj, match, state, outer)
     witness = sorted({u for v in outer for u in adj[v]} - outer)
     odd = sum(c.bit_count() % 2 for c in row_component_masks(n, g.rows, sum(1 << v for v in witness)))
     beta = (n - match.count(-1)) // 2
@@ -69,9 +69,17 @@ def tutte_berge_witness(g: Graph) -> TutteBergeWitness:
     return TutteBergeWitness(tuple(witness), len(witness), odd, beta, q)
 
 
-def _match(adj: list[list[int]]) -> list[int]:
+def _search_state(n: int) -> tuple[list[bool], list[int], list[int]]:
+    """The ``used``, ``parent`` and ``base`` arrays of an alternating-tree
+    search over n vertices, clean: no vertex outer, none with a parent,
+    each its own base.  One set serves every search on a graph."""
+    return [False] * n, [-1] * n, list(range(n))
+
+
+def _match(adj: list[list[int]], state: tuple[list[bool], list[int], list[int]] | None = None) -> list[int]:
     """Mate of each vertex (-1 if exposed) in a maximum matching: a greedy
-    seed, then one augmenting search from each exposed vertex."""
+    seed, then one augmenting search from each exposed vertex, all in
+    ``state``, made here when a vertex is left exposed and none is given."""
     n = len(adj)
     match = [-1] * n
     for v in range(n):
@@ -83,18 +91,30 @@ def _match(adj: list[list[int]]) -> list[int]:
                     break
     for root in range(n):
         if match[root] == -1:
-            _augment_from(root, adj, match, n)
+            state = state or _search_state(n)
+            _augment_from(root, adj, match, state)
     return match
 
 
-def _augment_from(root: int, adj: list[list[int]], match: list[int], n: int) -> bool | list[bool]:
+def _augment_from(
+    root: int,
+    adj: list[list[int]],
+    match: list[int],
+    state: tuple[list[bool], list[int], list[int]],
+    outer: set[int] | None = None,
+) -> bool:
     """Grow an alternating tree from the exposed ``root``, contracting
     blossoms.  Augment ``match`` along the first augmenting path and
-    return True; when there is none, return the ``used`` flags, which
-    then mark the tree's outer vertices."""
-    used = [False] * n
-    parent = [-1] * n
-    base = list(range(n))
+    return True; when there is none, return False and add the tree's
+    outer vertices to ``outer`` if given.
+
+    ``state`` comes from ``_search_state`` and is left clean again: the
+    search lists every vertex it writes and resets only those, so a
+    search that stays small costs no O(n) set-up.
+    """
+    used, parent, base = state
+    n = len(adj)
+    touched = [root]
     used[root] = True
     queue = deque([root])
 
@@ -120,36 +140,45 @@ def _augment_from(root: int, adj: list[list[int]], match: list[int], n: int) -> 
             child = match[v]
             v = parent[match[v]]
 
-    while queue:
-        v = queue.popleft()
-        for to in adj[v]:
-            if base[v] == base[to] or match[v] == to:
-                continue
-            if to == root or (match[to] != -1 and parent[match[to]] != -1):
-                # odd cycle: contract the blossom to its base
-                cur = lca(v, to)
-                in_blossom = [False] * n
-                mark_path(v, cur, to, in_blossom)
-                mark_path(to, cur, v, in_blossom)
-                for i in range(n):
-                    if in_blossom[base[i]]:
-                        base[i] = cur
-                        if not used[i]:
-                            used[i] = True
-                            queue.append(i)
-            elif parent[to] == -1:
-                parent[to] = v
-                if match[to] == -1:
-                    # augment along the alternating path back to the root
-                    while to != -1:
-                        pv = parent[to]
-                        ppv = match[pv]
-                        match[to] = pv
-                        match[pv] = to
-                        to = ppv
-                    return True
-                used[match[to]] = True
-                queue.append(match[to])
-    return used
-
-
+    try:
+        while queue:
+            v = queue.popleft()
+            for to in adj[v]:
+                if base[v] == base[to] or match[v] == to:
+                    continue
+                if to == root or (match[to] != -1 and parent[match[to]] != -1):
+                    # odd cycle: contract the blossom to its base
+                    cur = lca(v, to)
+                    in_blossom = [False] * n
+                    mark_path(v, cur, to, in_blossom)
+                    mark_path(to, cur, v, in_blossom)
+                    for i in range(n):
+                        if in_blossom[base[i]]:
+                            base[i] = cur
+                            touched.append(i)
+                            if not used[i]:
+                                used[i] = True
+                                queue.append(i)
+                elif parent[to] == -1:
+                    parent[to] = v
+                    touched.append(to)
+                    if match[to] == -1:
+                        # augment along the alternating path back to the root
+                        while to != -1:
+                            pv = parent[to]
+                            ppv = match[pv]
+                            match[to] = pv
+                            match[pv] = to
+                            to = ppv
+                        return True
+                    used[match[to]] = True
+                    touched.append(match[to])
+                    queue.append(match[to])
+        if outer is not None:
+            outer.update(v for v in touched if used[v])
+        return False
+    finally:
+        for v in touched:
+            used[v] = False
+            parent[v] = -1
+            base[v] = v

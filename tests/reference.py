@@ -2,9 +2,10 @@
 
 None of these is on a path the CLI or a verdict takes.  The oracles
 re-derive a value by a slower, independent route (a whole-matrix
-``eigvalsh``, an exhaustive edge-subset search, an exhaustive
-vertex-subset deficiency scan, the complete split graph's radius in
-closed form); the formulas are the paper's own forms
+``eigvalsh``, one ``eigh`` per component, an exhaustive edge-subset
+search, an exhaustive vertex-subset deficiency scan, every neighbourhood
+of a census parent, the complete split graph's radius in closed form);
+the formulas are the paper's own forms
 of the family radius, evaluated as written, which the tests tie to
 ``spectral._secular_terms``, the one builder of the secular function
 h(lam) = lam - c - sum_p w_p / (lam - d_p).
@@ -19,8 +20,9 @@ from math import sqrt
 import numpy as np
 
 from alphaspec import JoinFamily, TutteBergeWitness, case2_applicable
-from alphaspec.graphs import row_component_masks
-from alphaspec.spectral import alpha_matrices
+from alphaspec.enumeration import _canonical_search, _half_edges
+from alphaspec.graphs import _bits, row_component_masks
+from alphaspec.spectral import SpectralResult, alpha_matrices
 from alphaspec.spectral import _check_alpha
 
 ORACLE_ORDER_CAP = 64
@@ -37,6 +39,54 @@ def spectral_radius_oracle(g, alpha: float) -> float:
     if g.n == 0:
         return 0.0
     return float(np.linalg.eigvalsh(alpha_matrices(g.n, [g.rows], alpha)[0])[-1])
+
+
+def eigh_spectral_radius(g, alpha: float, tol: float = 1e-10) -> SpectralResult:
+    """``spectral_radius`` by one ``eigh`` per component block, which builds
+    every eigenvector to keep the top one: the first component attaining
+    the maximum, its top eigenvector scaled to sup-norm 1 and the
+    residual of that pair (above ``tol`` it raises ValueError)."""
+    if g.n == 0:
+        return SpectralResult(0.0, None, (), 0.0)
+    mat = alpha_matrices(g.n, [g.rows], alpha)[0]
+    best = None
+    for mask in row_component_masks(g.n, g.rows):
+        verts = tuple(_bits(mask))
+        if len(verts) == 1:
+            cand = SpectralResult(0.0, (1.0,) if alpha > 0 else None, verts, 0.0)
+        else:
+            block = mat[np.ix_(verts, verts)]
+            values, vectors = np.linalg.eigh(block)
+            lam = float(values[-1])
+            x = vectors[:, -1]
+            x = x / x[np.argmax(np.abs(x))]
+            res = float(np.max(np.abs(block @ x - lam * x)))
+            if res > tol:
+                raise ValueError(f"eigenpair residual {res:.3e} exceeds tolerance {tol:g}")
+            cand = SpectralResult(lam, tuple(x.tolist()), verts, res)
+        if best is None or cand.rho > best.rho:
+            best = cand
+    return best
+
+
+def extend_level_all_masks(parents, n: int) -> set:
+    """``enumeration._extend_level`` without the orbit pruning: every
+    neighbourhood ``mask`` of a new vertex of maximum degree is tried on
+    every lower-half parent, and the canonical forms are collected."""
+    out = set()
+    limit = _half_edges(n)
+    for prows in parents:
+        degrees = [r.bit_count() for r in prows]
+        top = max(degrees, default=0)
+        at_top = sum(1 << v for v, d in enumerate(degrees) if d == top)
+        room = limit - sum(degrees) // 2
+        for mask in range(1 << (n - 1)):
+            k = mask.bit_count()
+            if k < top or k > room or (k == top and mask & at_top):
+                continue
+            rows = [r | (((mask >> v) & 1) << (n - 1)) for v, r in enumerate(prows)]
+            out.add(_canonical_search(n, tuple(rows + [mask]))[0])
+    return out
 
 
 def matching_number_oracle(g) -> int:

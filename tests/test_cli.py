@@ -71,7 +71,9 @@ class TestRho:
         assert sorted(record) == ["alpha", "n", "residual", "rho"]
 
     def test_unreachable_tolerance_exits_2(self, capsys):
-        code, _, err = run(capsys, "rho", "--graph6", "C~", "--tol", "1e-300")
+        # P_6: on a regular graph the solve can return the exact constant
+        # vector, whose residual is 0
+        code, _, err = run(capsys, "rho", "--graph6", "EhCG", "--tol", "1e-300")
         assert code == 2
         assert "residual" in err
 
@@ -95,6 +97,17 @@ class TestMatching:
         code, out, _ = run(capsys, "matching", "--graph6", g6, "--witness", "--format", "json-lines")
         assert code == 0
         assert json.loads(out) == {"n": 43, "beta": 3, "witness_set": [0, 1, 2], "s": 3, "odd_components": 40, "q": 40}
+
+    def test_witness_runs_one_matching_search(self, capsys, monkeypatch):
+        # beta comes from the witness's own maximum matching
+        from alphaspec import matching
+
+        calls = []
+        real = matching._match
+        monkeypatch.setattr(matching, "_match", lambda *args: calls.append(1) or real(*args))
+        code, out, _ = run(capsys, "matching", "--graph6", "E?~o", "--witness", "--format", "json-lines")
+        assert code == 0 and len(calls) == 1
+        assert json.loads(out)["beta"] == 2
 
 
 class TestBoundClassify:
@@ -150,6 +163,19 @@ class TestBoundClassify:
         assert line == "n* ≈ 8001" and len(line) <= 40
         _, out, _ = run(capsys, "bound", "10000", "4000", "--alpha", "1e150", "--format", "json-lines")
         assert len(json.loads(out)["n_star"]) == 306
+
+    def test_long_alpha_prints_its_float(self, capsys):
+        # alpha = 1e150 is a 151-digit integer; the case line shows its
+        # float, while the JSON record keeps it exact
+        code, out, _ = run(capsys, "bound", "10000", "4000", "--alpha", "1e150")
+        assert code == 0
+        assert out.splitlines()[0] == "case (4) ABOVE: n=10000 beta=4000 alpha ≈ 1e+150"
+        _, out, _ = run(capsys, "bound", "10000", "4000", "--alpha", "1e150", "--format", "json-lines")
+        assert json.loads(out)["alpha"] == str(10**150)
+        # 40 characters still print exactly
+        alpha = "1/" + "9" * 38
+        _, out, _ = run(capsys, "bound", "10", "2", "--alpha", alpha)
+        assert out.splitlines()[0].endswith(f"alpha={alpha}")
 
     @pytest.mark.parametrize("fmt", ["human", "json-lines", "csv"])
     def test_classify_is_an_alias_of_bound(self, capsys, fmt):

@@ -1,3 +1,4 @@
+import itertools
 import multiprocessing
 import os
 import random
@@ -22,6 +23,7 @@ from alphaspec import (
     path_graph,
     to_graph6,
 )
+from reference import extend_level_all_masks
 
 
 def relabel(g, perm):
@@ -56,12 +58,12 @@ class TestCanonicalForm:
         # _graph_from_cols skips Graph.__post_init__: its rows, from every
         # class of order <= 7 and from the complements the census halving
         # canonicalizes, must pass the validating constructor unchanged
-        from alphaspec.enumeration import _canonical_cols, _graph_from_cols
+        from alphaspec.enumeration import _canonical_search, _graph_from_cols
 
         for n in range(8):
             for g in isomorphism_classes(n):
                 for h in (g, complement(g)):
-                    built = _graph_from_cols(n, _canonical_cols(n, h.rows))
+                    built = _graph_from_cols(n, _canonical_search(n, h.rows)[0])
                     assert built == Graph(n, built.rows)
                     assert are_isomorphic(built, h)
 
@@ -120,7 +122,7 @@ class TestEnumeration:
 def all_masks_levels(top):
     """Reference generator: each class of order n-1 extended by a new vertex
     with every neighbourhood, deduplicated by canonical form, sorted."""
-    from alphaspec.enumeration import _canonical_cols, _graph_from_cols
+    from alphaspec.enumeration import _canonical_search, _graph_from_cols
 
     levels = {0: [()]}
     for n in range(1, top + 1):
@@ -128,7 +130,7 @@ def all_masks_levels(top):
         for prows in levels[n - 1]:
             for mask in range(1 << (n - 1)):
                 rows = [r | (((mask >> v) & 1) << (n - 1)) for v, r in enumerate(prows)]
-                keys.add(_canonical_cols(n, tuple(rows + [mask])))
+                keys.add(_canonical_search(n, tuple(rows + [mask]))[0])
         levels[n] = [_graph_from_cols(n, cols).rows for cols in sorted(keys)]
     return levels
 
@@ -149,6 +151,58 @@ class TestAgainstAllMasks:
         isomorphism_classes(7, jobs=jobs)
         for n in range(1, 8):
             assert enumeration._LEVELS[n] == reference_levels[n], n
+
+
+def generated_group(n, gens):
+    group = {tuple(range(n))}
+    frontier = list(group)
+    while frontier:
+        p = frontier.pop()
+        for g in gens:
+            q = tuple(g[p[v]] for v in range(n))
+            if q not in group:
+                group.add(q)
+                frontier.append(q)
+    return group
+
+
+class TestAutomorphismGenerators:
+    @pytest.mark.parametrize("n", range(7))
+    def test_generate_the_whole_group(self, n):
+        from alphaspec.enumeration import _canonical_search, _graph_from_cols
+
+        rng = random.Random(n)
+        perms = list(itertools.permutations(range(n)))
+        for g in isomorphism_classes(n):
+            # search a relabeled copy: the generators act on the canonical graph
+            shuffled = list(range(n))
+            rng.shuffle(shuffled)
+            cols, gens = _canonical_search(n, relabel(g, shuffled).rows)
+            canon = _graph_from_cols(n, cols)
+            brute = {p for p in perms if relabel(canon, p) == canon}
+            assert set(gens) <= brute
+            assert generated_group(n, gens) == brute, to_graph6(g)
+
+
+class TestOrbitPruning:
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_extend_level_equals_all_masks(self, n):
+        from alphaspec.enumeration import _extend_level, _half_edges
+
+        parents = [g.rows for g in isomorphism_classes(n - 1) if g.num_edges <= _half_edges(n - 1)]
+        assert _extend_level(parents, n) == extend_level_all_masks(parents, n)
+
+    def test_one_child_per_orbit(self, monkeypatch):
+        # the edgeless parent of order 4: its group S_4 has one orbit per
+        # mask size on the 16 masks, and each gives its own star plus
+        # isolated vertices, so 5 children are tried, not 16
+        from alphaspec import enumeration
+
+        seen = []
+        real = enumeration._canonical_search
+        monkeypatch.setattr(enumeration, "_canonical_search", lambda n, rows: seen.append(n) or real(n, rows))
+        forms = enumeration._extend_level([empty_graph(4).rows], 5)
+        assert seen.count(5) == len(forms) == 5
 
 
 class TestPoolGuard:

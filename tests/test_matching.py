@@ -169,6 +169,47 @@ class TestWitnessOnEveryClass:
             assert w.beta == best.beta, g.rows
 
 
+class TestSearchState:
+    """Every search on a graph shares one set of ``used``, ``parent`` and
+    ``base`` arrays, and leaves them clean for the next."""
+
+    GRAPHS = {
+        "edgeless": empty_graph(50),
+        "star": star_graph(49),
+        "blossoms": from_edges(7, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (4, 5), (4, 6), (5, 6)]),
+        "petersen": from_edges(10, [(i, (i + 1) % 5) for i in range(5)] + [(i, i + 5) for i in range(5)]
+                               + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]),
+        "odd cliques": disjoint_union(complete_graph(5), disjoint_union(complete_graph(3), empty_graph(2))),
+    }
+
+    @pytest.mark.parametrize("name", sorted(GRAPHS))
+    def test_one_state_per_graph(self, name, monkeypatch):
+        from alphaspec import matching
+
+        g = self.GRAPHS[name]
+        states = []
+        real = matching._search_state
+        monkeypatch.setattr(matching, "_search_state", lambda n: states.append(real(n)) or states[-1])
+        witness = tutte_berge_witness(g)
+        assert len(states) == 1 and states[0] == real(g.n)
+        assert witness.witness_set == gallai_edmonds_set(g)
+        assert witness.beta == matching_number(g)
+
+    def test_searches_leave_the_state_clean(self):
+        from alphaspec.graphs import _bits
+        from alphaspec.matching import _augment_from, _match, _search_state
+
+        for g in isomorphism_classes(6):
+            adj = [list(_bits(r)) for r in g.rows]
+            state = _search_state(g.n)
+            match = _match(adj, state)
+            assert state == _search_state(g.n)
+            outer = set()
+            for root in [v for v in range(g.n) if match[v] == -1]:
+                assert _augment_from(root, adj, match, state, outer) is False
+                assert state == _search_state(g.n)
+
+
 class TestPerfectMatching:
     # a perfect matching covers every vertex: 2 * beta == n
     def test_even_clique(self):

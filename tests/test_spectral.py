@@ -28,16 +28,18 @@ from alphaspec import (
     spectral_radii,
     spectral_radius,
     star_graph,
+    to_graph6,
 )
 from alphaspec import spectral
 from alphaspec.graphs import _bits, row_component_masks
-from alphaspec.spectral import SpectralResult, _secular_terms, alpha_matrices
+from alphaspec.spectral import DEFAULT_TOL, SpectralResult, _secular_terms, alpha_matrices
 from alphaspec.theorem import case2_region_bounds
 from alphaspec.verify import _candidate_batches
 from reference import (
     case2_probe,
     closed_form_complete_split,
     cubic_f,
+    eigh_spectral_radius,
     shift_function_f,
     spectral_radius_oracle,
     split_graph_quadratic,
@@ -123,8 +125,8 @@ class TestSpectralRadius:
 
 
 def component_loop_spectral_radius(g, alpha, tol=1e-10):
-    """The one-``eigh``-per-component loop that ``spectral_radius``
-    replaced, kept as the reference its results are checked against."""
+    """``spectral_radius`` as one ``_top_eigenpairs`` call per component
+    block, the reference that the stacked solves must match bit for bit."""
     if g.n == 0:
         return SpectralResult(0.0, None, (), 0.0)
     mat = g.bit_matrix().astype(float)
@@ -136,11 +138,8 @@ def component_loop_spectral_radius(g, alpha, tol=1e-10):
             cand = SpectralResult(0.0, (1.0,) if alpha > 0 else None, verts, 0.0)
         else:
             block = mat[np.ix_(verts, verts)]
-            values, vectors = np.linalg.eigh(block)
-            lam = float(values[-1])
-            x = vectors[:, -1]
-            x = x / x[np.argmax(np.abs(x))]
-            res = float(np.max(np.abs(block @ x - lam * x)))
+            rho, vectors, residual = spectral._top_eigenpairs(block[None], tol)
+            lam, x, res = float(rho[0]), vectors[0], float(residual[0])
             if res > tol:
                 raise ValueError(f"eigenpair residual {res:.3e} exceeds tolerance {tol:g}")
             cand = SpectralResult(lam, tuple(x.tolist()), verts, res)
@@ -283,8 +282,122 @@ class TestBatchOfOneUnchanged:
             assert spectral_radius(g, alpha) == component_loop_spectral_radius(g, alpha)
 
     def test_residual_above_tol_raises(self):
+        # an irregular graph: on a regular one the solve can return the
+        # exact constant vector, whose residual is 0
         with pytest.raises(ValueError, match=r"^eigenpair residual .* exceeds tolerance 1e-300$"):
-            spectral_radius(cycle_graph(9), 0.5, tol=1e-300)
+            spectral_radius(path_graph(6), 0.5, tol=1e-300)
+
+
+# Allowed gap, in units of the oracle's last place, between a radius and
+# the one-``eigh``-per-component oracle: ``eigvalsh`` and ``eigh`` run
+# different LAPACK paths, and over the census (n <= 8, four alpha) the
+# radii differ by at most 16 units.
+EIGH_ULPS = 32
+
+
+def within_eigh_ulps(value, reference):
+    return abs(value - reference) <= EIGH_ULPS * np.spacing(reference)
+
+
+class TestAgainstEighOracle:
+    """Every radius stays within ``EIGH_ULPS`` of the ``eigh`` loop it
+    replaced."""
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0, 2.0])
+    def test_every_class_up_to_seven(self, alpha):
+        for n in range(8):
+            classes = isomorphism_classes(n)
+            radii = spectral_radii(n, [g.rows for g in classes], alpha)
+            for g, rho in zip(classes, radii.tolist()):
+                assert within_eigh_ulps(rho, eigh_spectral_radius(g, alpha).rho), to_graph6(g)
+
+    @pytest.mark.parametrize("n,p", TestBatchOfOneUnchanged.SHAPES)
+    def test_gnp(self, n, p):
+        rng = random.Random(n)
+        g = from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+        for alpha in (0.0, 0.5, 1.0, 2.0):
+            result = spectral_radius(g, alpha)
+            expected = eigh_spectral_radius(g, alpha)
+            assert within_eigh_ulps(result.rho, expected.rho)
+            assert result.component == expected.component
+            assert result.residual <= 1e-10
+
+
+class TestPerronPairEdgeCases:
+    """The shifted solve gives a strictly positive Perron vector with a
+    small residual where the spectrum is awkward for it."""
+
+    GRAPHS = {
+        # bipartite: at alpha = 0, -rho is an eigenvalue too
+        "path": (path_graph(7), 0.0),
+        "even cycle": (cycle_graph(8), 0.0),
+        "complete bipartite": (join(empty_graph(3), empty_graph(4)), 0.0),
+        # the second eigenvalue is repeated n - 1 times
+        "complete": (complete_graph(7), 0.0),
+        "complete, alpha 2": (complete_graph(7), 2.0),
+        "star": (star_graph(6), 0.0),
+        "star, alpha 1": (star_graph(6), 1.0),
+        "large star": (star_graph(299), 0.0),
+    }
+
+    @pytest.mark.parametrize("name", sorted(GRAPHS))
+    def test_positive_vector_small_residual(self, name):
+        g, alpha = self.GRAPHS[name]
+        result = spectral_radius(g, alpha)
+        assert result.component == tuple(range(g.n))
+        assert min(result.perron_vector) > 0 and max(result.perron_vector) == 1.0
+        assert result.residual <= DEFAULT_TOL
+        assert within_eigh_ulps(result.rho, eigh_spectral_radius(g, alpha).rho)
+
+    @pytest.mark.parametrize("alpha", [1e4, 1e5, 3e5])
+    def test_large_alpha_takes_another_step(self, alpha, monkeypatch):
+        # at alpha = 1e5 one step leaves P_6 a residual of 6.3e-10
+        steps = []
+        real = spectral._inverse_step
+        monkeypatch.setattr(spectral, "_inverse_step", lambda *args: steps.append(1) or real(*args))
+        g = path_graph(6)
+        result = spectral_radius(g, alpha)
+        assert result.residual <= DEFAULT_TOL and min(result.perron_vector) > 0
+        # the eigh loop's own residual exceeds 1e-10 at alpha = 3e5
+        assert within_eigh_ulps(result.rho, eigh_spectral_radius(g, alpha, tol=1.0).rho)
+        assert len(steps) == (1 if alpha < 1e5 else 2)
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 2.0])
+    def test_equal_size_components_in_one_solve(self, alpha):
+        parts = [cycle_graph(6), join(empty_graph(3), empty_graph(3)), path_graph(6), complete_graph(6), star_graph(5)]
+        g = functools.reduce(disjoint_union, parts)
+        comps, solves = spectral._solve_components(g.n, [g.rows], alpha, DEFAULT_TOL)
+        assert len(comps) == 5 and [len(b.seq) for b in solves] == [5]
+        block = solves[0]
+        assert (block.vectors > 0).all() and (block.vectors.max(axis=1) == 1.0).all()
+        assert (block.residual <= DEFAULT_TOL).all()
+        for i, part in enumerate(parts):
+            assert block.rho[i].hex() == component_loop_spectral_radius(part, alpha).rho.hex()
+
+    def test_sigma_below_the_top_eigenvalue(self):
+        # sigma just under rho = 2 of K_3: the solve returns the Perron
+        # vector negated, and the signed scaling turns it back
+        k3 = alpha_matrices(3, [complete_graph(3).rows], 0.0)
+        x = spectral._inverse_step(k3, np.array([2.0 - 2.0**-40]), np.ones((1, 3)), spectral._PERRON_SHIFT)
+        assert x.tolist() == [[1.0, 1.0, 1.0]]
+
+    def test_exactly_singular_solve_widens_the_shift(self):
+        # with rho one shift below the top eigenvalue 1 of K_2, sigma is
+        # exactly 1 and sigma*I - B exactly singular
+        k2 = alpha_matrices(2, [complete_graph(2).rows], 0.0)
+        rho = np.array([1.0 - spectral._PERRON_SHIFT])
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(np.eye(2) - k2[0], np.ones(2))
+        ones = np.ones((2, 2))
+        assert spectral._inverse_step(k2, rho, ones[:1], spectral._PERRON_SHIFT).tolist() == [[1.0, 1.0]]
+        # in a stack, the other blocks keep the floats they get alone
+        blocks = np.concatenate([alpha_matrices(2, [complete_graph(2).rows], 2.0), k2])
+        rho = np.array([3.0, rho[0]])
+        stacked = spectral._inverse_step(blocks, rho, ones, spectral._PERRON_SHIFT)
+        alone = [spectral._inverse_step(blocks[i : i + 1], rho[i : i + 1], ones[:1], spectral._PERRON_SHIFT)[0]
+                 for i in range(2)]
+        assert hex_list(stacked.ravel()) == hex_list(np.concatenate(alone))
+        assert stacked.tolist() == [[1.0, 1.0], [1.0, 1.0]]
 
 
 class TestOracle:
