@@ -11,22 +11,17 @@ from .graphs import (
     Graph6Error,
     complement,
     complete_graph,
-    cycle_graph,
-    disjoint_union,
     empty_graph,
     from_edges,
     join,
     parse_edge_list,
     parse_graph6,
-    path_graph,
     read_graph6_file,
-    star_graph,
     to_graph6,
 )
 from .matching import (
     TutteBergeWitness,
     matching_number,
-    maximum_matching,
     tutte_berge_witness,
 )
 from .spectral import (
@@ -56,7 +51,6 @@ from .theorem import (
 )
 from .enumeration import (
     KNOWN_CLASS_COUNTS,
-    are_isomorphic,
     canonical_graph,
     canonical_key,
     enumerate_graphs,
@@ -68,7 +62,6 @@ from .verify import (
     candidate_families,
     family_count,
     family_search,
-    shift_monotonicity_check,
     verify_order,
 )
 

@@ -231,10 +231,6 @@ def canonical_graph(g: Graph) -> Graph:
     return _graph_from_cols(g.n, _canonical_search(g.n, g.rows)[0])
 
 
-def are_isomorphic(g1: Graph, g2: Graph) -> bool:
-    return g1.n == g2.n and canonical_key(g1) == canonical_key(g2)
-
-
 def _half_edges(n: int) -> int:
     """floor(M/2), M = n(n-1)/2: the most edges of a lower-half graph of order n."""
     return n * (n - 1) // 4

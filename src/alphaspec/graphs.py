@@ -1,5 +1,5 @@
 """Simple undirected graphs as immutable bit-row adjacency, plus the
-constructors (complete graph, complement, disjoint union, join) and the
+constructors (empty and complete graph, complement, join) and the
 graph6 / edge-list text formats.
 
 Vertices are dense 0-based integers.  Row ``rows[v]`` is an int whose bit
@@ -189,12 +189,6 @@ def complete_graph(n: int) -> Graph:
     return Graph._from_valid_rows(n, tuple(full ^ (1 << v) for v in range(n)))
 
 
-def disjoint_union(g1: Graph, g2: Graph) -> Graph:
-    """Vertices of ``g2`` are relabeled by offset ``g1.n``; no cross edges."""
-    rows = list(g1.rows) + [r << g1.n for r in g2.rows]
-    return Graph._from_valid_rows(g1.n + g2.n, tuple(rows))
-
-
 def join(g1: Graph, g2: Graph) -> Graph:
     """Disjoint union plus all n1*n2 cross edges (g1 vertices come first)."""
     n1, n2 = g1.n, g2.n
@@ -207,21 +201,6 @@ def join(g1: Graph, g2: Graph) -> Graph:
 def complement(g: Graph) -> Graph:
     full = (1 << g.n) - 1
     return Graph._from_valid_rows(g.n, tuple((full ^ r) & ~(1 << v) for v, r in enumerate(g.rows)))
-
-
-def cycle_graph(n: int) -> Graph:
-    if n < 3:
-        raise ValueError("cycle needs at least 3 vertices")
-    return from_edges(n, [(i, (i + 1) % n) for i in range(n)])
-
-
-def path_graph(n: int) -> Graph:
-    return from_edges(n, [(i, i + 1) for i in range(n - 1)])
-
-
-def star_graph(leaves: int) -> Graph:
-    """Star with a center (vertex 0) and ``leaves`` pendant vertices."""
-    return join(complete_graph(1), empty_graph(leaves))
 
 
 # -- connectivity ------------------------------------------------------

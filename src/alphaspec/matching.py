@@ -32,17 +32,6 @@ class TutteBergeWitness:
     q: int
 
 
-def maximum_matching(g: Graph) -> list[tuple[int, int]]:
-    """A maximum matching as a sorted edge list.
-
-    Deterministic: the greedy seed and every augmentation scan vertices
-    in ascending order, so the returned edge set (not just its size) is
-    reproducible.
-    """
-    match = _match([list(_bits(r)) for r in g.rows])
-    return sorted((v, match[v]) for v in range(g.n) if match[v] > v)
-
-
 def matching_number(g: Graph) -> int:
     """Size of a maximum matching (blossom search)."""
     return (g.n - _match([list(_bits(r)) for r in g.rows]).count(-1)) // 2
@@ -110,32 +99,35 @@ def _augment_from(
 
     ``state`` comes from ``_search_state`` and is left clean again: the
     search lists every vertex it writes and resets only those, so a
-    search that stays small costs no O(n) set-up.
+    search that stays small costs no O(n) set-up.  A contraction likewise
+    costs the size of the blossom, not n: ``members`` lists the vertices
+    contracted into each base, and they are relabelled in ascending
+    order, as a scan of all n vertices would meet them.
     """
     used, parent, base = state
-    n = len(adj)
     touched = [root]
     used[root] = True
     queue = deque([root])
+    members: dict[int, set[int]] = {}
 
     def lca(a: int, b: int) -> int:
-        seen = [False] * n
+        seen = set()
         while True:
             a = base[a]
-            seen[a] = True
+            seen.add(a)
             if match[a] == -1:
                 break
             a = parent[match[a]]
         while True:
             b = base[b]
-            if seen[b]:
+            if b in seen:
                 return b
             b = parent[match[b]]
 
-    def mark_path(v: int, b: int, child: int, in_blossom: list[bool]) -> None:
+    def mark_path(v: int, b: int, child: int, in_blossom: set[int]) -> None:
         while base[v] != b:
-            in_blossom[base[v]] = True
-            in_blossom[base[match[v]]] = True
+            in_blossom.add(base[v])
+            in_blossom.add(base[match[v]])
             parent[v] = child
             child = match[v]
             v = parent[match[v]]
@@ -149,16 +141,17 @@ def _augment_from(
                 if to == root or (match[to] != -1 and parent[match[to]] != -1):
                     # odd cycle: contract the blossom to its base
                     cur = lca(v, to)
-                    in_blossom = [False] * n
+                    in_blossom: set[int] = set()
                     mark_path(v, cur, to, in_blossom)
                     mark_path(to, cur, v, in_blossom)
-                    for i in range(n):
-                        if in_blossom[base[i]]:
-                            base[i] = cur
-                            touched.append(i)
-                            if not used[i]:
-                                used[i] = True
-                                queue.append(i)
+                    blossom = sorted(i for b in in_blossom for i in members.pop(b, (b,)))
+                    members.setdefault(cur, {cur}).update(blossom)
+                    for i in blossom:
+                        base[i] = cur
+                        touched.append(i)
+                        if not used[i]:
+                            used[i] = True
+                            queue.append(i)
                 elif parent[to] == -1:
                     parent[to] = v
                     touched.append(to)

@@ -310,17 +310,6 @@ class JoinFamily:
         np.fill_diagonal(mat, False)
         return Graph.from_bit_matrix(mat)
 
-    def shifted(self) -> "JoinFamily":
-        """Move two vertices from the second-largest part to the largest."""
-        if self.q < 2:
-            raise ValueError("need at least two parts to shift")
-        parts = list(self.parts)
-        if parts[-2] < 3:
-            raise ValueError("second-largest part must have at least 3 vertices")
-        parts[-2] -= 2
-        parts[-1] += 2
-        return JoinFamily.of_parts(self.s, sorted(parts))
-
 
 def one_clique_family(n: int, beta: int, s: int) -> JoinFamily:
     """K_s v (K_{2b-2s+1} u bar(K_{q-1})) with q = n + s - 2*beta."""
@@ -337,11 +326,13 @@ def one_clique_family(n: int, beta: int, s: int) -> JoinFamily:
 
 @dataclass(frozen=True, eq=False)
 class FamilyBatch:
-    """Join families with one number k of distinct part sizes, as rows of
-    cells: family i has core size ``s[i]`` and ``counts[i, j]`` parts of
-    size ``sizes[i, j]``, sizes ascending along j.  ``s`` has shape (m,)
-    and the cell arrays (m, k), all float64, exact for integers below
-    2**53, so products never wrap as fixed-width integers would."""
+    """Join families as rows of k cells: family i has core size ``s[i]``
+    and ``counts[i, j]`` parts of size ``sizes[i, j]``, the sizes of its
+    nonempty cells ascending along j and the last cell its largest part.
+    A cell of count 0 is empty: its secular term is 0, so it changes no
+    radius if its size is at most the row's largest.  ``s`` has shape
+    (m,) and the cell arrays (m, k), all float64, exact for integers
+    below 2**53, so products never wrap as fixed-width integers would."""
 
     s: np.ndarray
     sizes: np.ndarray
@@ -354,9 +345,9 @@ class FamilyBatch:
         return cls(np.array([family.s], dtype=float), cells[:, :, 0], cells[:, :, 1])
 
     def family(self, i: int) -> JoinFamily:
-        """Row ``i`` as a ``JoinFamily``."""
+        """Row ``i`` as a ``JoinFamily``, its empty cells left out."""
         cells = zip(self.sizes[i].tolist(), self.counts[i].tolist())
-        return JoinFamily(int(self.s[i]), tuple((int(p), int(count)) for p, count in cells))
+        return JoinFamily(int(self.s[i]), tuple((int(p), int(count)) for p, count in cells if count))
 
 
 def family_radius(family: JoinFamily | FamilyBatch, alpha: float):

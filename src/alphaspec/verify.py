@@ -14,7 +14,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from math import inf
+from math import inf, isqrt
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -35,9 +35,10 @@ DEFAULT_REPORT_TOL = 1e-9
 # Candidates a family search may scan: (120, 50) has 1,235,010.  Larger
 # searches are refused before any candidate is generated.
 FAMILY_MAX_CANDIDATES = 2_000_000
-# Candidate-table rows turned into batches at a time, so the cell arrays
-# and the secular terms of a large search stay a few tens of megabytes.
-FAMILY_CHUNK_ROWS = 1 << 14
+# Candidate-table rows solved as one batch, so each cell array and
+# secular-term array of a batch stays below a megabyte (at most 16 cells
+# a row under the cap).
+FAMILY_CHUNK_ROWS = 1 << 12
 
 
 # -- reports -----------------------------------------------------------
@@ -255,15 +256,20 @@ def _check_cap(n: int, beta: int) -> None:
 class _CandidateTable:
     """Every candidate of one search as a row, in candidate order.
 
-    Row i has core size ``core[i]``, ``mult[i, h]`` parts of size 2h + 1
-    for each half h >= 1, and ``parts[i]`` parts of size 3 or more; the
-    q - parts[i] parts of size 1 (q = n + s - 2*beta) are left out, and
-    column 0 is zero.  Within one core size the rows are the partitions
-    of beta - s into at most q parts, in decreasing lexicographic order
-    of their nonincreasing halves.
+    Row i has core size ``core[i]`` and ``parts[i]`` parts of size 3 or
+    more, held as cells: ``count[i, j]`` parts of size 2 * ``half[i, j]``
+    + 1.  The cells are right-aligned with halves ascending, so the last
+    column holds the largest part; the columns left of the row's cells
+    are empty (half 0, count 0).  A partition of beta has at most W
+    distinct halves, W(W + 1)/2 <= beta, which is the table's width.  The
+    q - parts[i] parts of size 1 (q = n + s - 2*beta) are left out.
+    Within one core size the rows are the partitions of beta - s into at
+    most q parts, in decreasing lexicographic order of their nonincreasing
+    halves.
     """
 
-    mult: np.ndarray
+    half: np.ndarray
+    count: np.ndarray
     core: np.ndarray
     parts: np.ndarray
 
@@ -275,17 +281,23 @@ def _candidate_table(n: int, beta: int) -> _CandidateTable:
     half v are v prepended to the partitions of t - v with largest half
     at most v, which are a suffix of block s + v (rows are in decreasing
     lexicographic order), so each block is built from slices of blocks
-    already built, smallest t first.  Block s + v keeps every partition
-    with at most q + v parts, which covers the q - 1 that block s needs.
-    The cap bounds beta by 129 (p(65) > ``FAMILY_MAX_CANDIDATES``), so
-    multiplicities and part counts fit a uint8.
+    already built, smallest t first.  Within that suffix the rows whose
+    largest half is v come first: each takes one more part in its last
+    cell, and every later row shifts its cells one column left and ends
+    with the new cell (v, 1).  Block s + v keeps every partition with at
+    most q + v parts, which covers the q - 1 that block s needs.  The cap
+    bounds beta by 129 (p(65) > ``FAMILY_MAX_CANDIDATES``), so halves,
+    counts and part counts fit a uint8.
     """
     counts = list(_core_counts(n, beta))[::-1]
     start = np.concatenate(([0], np.cumsum(counts))).tolist()
-    mult = np.zeros((start[-1], beta + 1), dtype=np.uint8)
+    width = (isqrt(8 * beta + 1) - 1) // 2
+    half = np.zeros((start[-1], width), dtype=np.uint8)
+    count = np.zeros((start[-1], width), dtype=np.uint8)
     parts = np.zeros(start[-1], dtype=np.uint8)
     # tails[t][v]: the first row of block beta - t whose largest half is
-    # at most v, relative to the block
+    # at most v, relative to the block (for v = 0 the block's end unless
+    # t = 0, whose one row is the empty partition)
     tails: list[list[int]] = [[0]]
     for t in range(1, beta + 1):
         s = beta - t
@@ -294,65 +306,59 @@ def _candidate_table(n: int, beta: int) -> _CandidateTable:
         tail = [0] * (t + 1)
         for v in range(t, 0, -1):
             tail[v] = row - start[s]
-            lo, hi = start[s + v] + tails[t - v][min(v, t - v)], start[s + v + 1]
-            sub_mult, sub_parts = mult[lo:hi], parts[lo:hi]
+            base, tail_v = start[s + v], tails[t - v]
+            lo, hi = base + tail_v[min(v, t - v)], start[s + v + 1]
+            sub_half, sub_count, sub_parts = half[lo:hi], count[lo:hi], parts[lo:hi]
+            same = tail_v[min(v - 1, t - v)] - (lo - base)  # rows whose largest half is v
             if limit <= t:  # else no partition of t has too many parts
                 keep = sub_parts < limit
-                sub_mult, sub_parts = sub_mult[keep], sub_parts[keep]
-            end = row + len(sub_parts)
-            mult[row:end] = sub_mult
-            mult[row:end, v] += 1
+                same = int(np.count_nonzero(keep[:same]))
+                sub_half, sub_count, sub_parts = sub_half[keep], sub_count[keep], sub_parts[keep]
+            mid, end = row + same, row + len(sub_parts)
+            half[row:mid] = sub_half[:same]
+            count[row:mid] = sub_count[:same]
+            count[row:mid, -1] += 1
+            half[mid:end, :-1] = sub_half[same:, 1:]
+            count[mid:end, :-1] = sub_count[same:, 1:]
+            half[mid:end, -1] = v
+            count[mid:end, -1] = 1
             parts[row:end] = sub_parts + 1
             row = end
+        tail[0] = row - start[s]
         tails.append(tail)
     core = np.repeat(np.arange(beta + 1, dtype=np.uint8), counts)
-    return _CandidateTable(mult, core, parts)
+    return _CandidateTable(half, count, core, parts)
 
 
-def candidate_families(n: int, beta: int) -> Iterator[JoinFamily]:
-    """Every join family of order n realizing matching number beta:
-    core size s in [0, beta], q = n + s - 2*beta odd parts.  Like
-    ``family_search`` it refuses more than ``FAMILY_MAX_CANDIDATES``."""
-    _check_cap(n, beta)
-    table = _candidate_table(n, beta)
-    for first in range(0, len(table.core), FAMILY_CHUNK_ROWS):
-        chunk = slice(first, first + FAMILY_CHUNK_ROWS)
-        rows = zip(table.mult[chunk].tolist(), table.core[chunk].tolist(), table.parts[chunk].tolist())
-        for mult, s, parts in rows:
-            mult[0] = n + s - 2 * beta - parts
-            yield JoinFamily(s, tuple((2 * h + 1, count) for h, count in enumerate(mult) if count))
+def _candidate_batches(n: int, beta: int) -> Iterator[FamilyBatch]:
+    """The candidates of the search as batches, in candidate order.
 
-
-def _candidate_batches(n: int, beta: int) -> Iterator[tuple[np.ndarray, FamilyBatch]]:
-    """(candidate indices, batch) for every batch of the search.
-
-    The table is read ``FAMILY_CHUNK_ROWS`` rows at a time.  A chunk's
-    rows are sorted by their number of cells, stably, so each cell count
-    is one run of rows in candidate order whatever their core sizes;
-    ``np.nonzero`` lists the cells of those rows in the same order, each
-    row's ascending.  Each run is one batch.
+    The table is read ``FAMILY_CHUNK_ROWS`` rows at a time and each chunk
+    is one batch: cell 0 holds the parts of size 1 and the table's cells
+    follow.  An empty cell takes its row's largest part size with count
+    0.  Its secular term w_p / (lam - d_p) is then exactly 0, and its
+    2 x 2 start value is at most that of the row's largest cell, so each
+    row's radius is the float it has without the empty cells.
     """
     table = _candidate_table(n, beta)
     for first in range(0, len(table.core), FAMILY_CHUNK_ROWS):
         chunk = slice(first, first + FAMILY_CHUNK_ROWS)
         core = table.core[chunk].astype(float)
         ones = core + (n - 2 * beta) - table.parts[chunk]
-        cells = np.count_nonzero(table.mult[chunk], axis=1) + (ones > 0)
-        order = np.argsort(cells, kind="stable")
-        mult, ones, core = table.mult[chunk][order], ones[order], core[order]
-        mult[:, 0] = ones > 0
-        row, col = np.nonzero(mult)
-        counts = mult[row, col].astype(float)
-        size_one = col == 0
-        counts[size_one] = ones[row[size_one]]
-        sizes = 2.0 * col + 1
-        k_values, k_rows = np.unique(cells[order], return_counts=True)
-        lo = cell_lo = 0  # first row and first cell of the run
-        for k, rows in zip(k_values.tolist(), k_rows.tolist()):
-            run, cell = slice(lo, lo + rows), slice(cell_lo, cell_lo + rows * k)
-            yield first + order[run], FamilyBatch(core[run], sizes[cell].reshape(-1, k), counts[cell].reshape(-1, k))
-            lo += rows
-            cell_lo += rows * k
+        counts = np.column_stack((ones, table.count[chunk]))
+        sizes = np.column_stack((np.ones_like(ones), 2.0 * table.half[chunk] + 1))
+        yield FamilyBatch(core, np.where(counts > 0, sizes, sizes[:, -1:]), counts)
+
+
+def candidate_families(n: int, beta: int) -> Iterator[JoinFamily]:
+    """Every join family of order n realizing matching number beta:
+    core size s in [0, beta], q = n + s - 2*beta odd parts, in candidate
+    order.  Like ``family_search`` it refuses more than
+    ``FAMILY_MAX_CANDIDATES``."""
+    _check_cap(n, beta)
+    for batch in _candidate_batches(n, beta):
+        for i in range(len(batch.s)):
+            yield batch.family(i)
 
 
 def family_search(n: int, beta: int, alpha) -> FamilySearchResult:
@@ -362,24 +368,22 @@ def family_search(n: int, beta: int, alpha) -> FamilySearchResult:
 
     The candidate count is checked against ``FAMILY_MAX_CANDIDATES``
     before any is generated.  The candidates are rows of one array table,
-    read ``FAMILY_CHUNK_ROWS`` at a time and grouped by their number of
-    distinct part sizes across all core sizes, and each group is one
-    ``FamilyBatch`` whose radii come from one vectorised Newton solve of
-    the rows' secular functions.  The winner is the first maximum in
-    candidate order, as in a one-family-at-a-time scan.
+    read ``FAMILY_CHUNK_ROWS`` at a time as one ``FamilyBatch`` whose
+    radii come from one vectorised Newton solve of the rows' secular
+    functions.  The winner is the first maximum in candidate order, as in
+    a one-family-at-a-time scan.
     """
     a = as_fraction(alpha)
     af = float(a)
     _check_cap(n, beta)
-    best_rho, best_index, best = -inf, -1, None
+    best_rho, best = -inf, None
     scanned = 0
-    for indices, batch in _candidate_batches(n, beta):
+    for batch in _candidate_batches(n, beta):
         radii = family_radius(batch, af)
         i = int(np.argmax(radii))
-        rho = float(radii[i])
-        if rho > best_rho or (rho == best_rho and indices[i] < best_index):
-            best_rho, best_index, best = rho, indices[i], batch.family(i)
-        scanned += len(indices)
+        if radii[i] > best_rho:
+            best_rho, best = float(radii[i]), batch.family(i)
+        scanned += len(radii)
     verdict = classify_regime(n, beta, a)
     matches = best in verdict.extremal_families and best_rho == verdict.predicted_rho
     return FamilySearchResult(
@@ -392,11 +396,3 @@ def family_search(n: int, beta: int, alpha) -> FamilySearchResult:
         canonical_shape=best == one_clique_family(n, beta, best.s),
         matches_prediction=matches,
     )
-
-
-def shift_monotonicity_check(family: JoinFamily, alpha) -> bool:
-    """True iff moving two vertices from the second-largest part to the
-    largest strictly raises the radius (evaluated on both quotients);
-    ``JoinFamily.shifted`` rejects a family that has no such move."""
-    af = float(as_fraction(alpha))
-    return family_radius(family.shifted(), af) > family_radius(family, af)

@@ -1,6 +1,11 @@
 """Reference implementations the tests check alphaspec against.
 
-None of these is on a path the CLI or a verdict takes.  The oracles
+None of these is on a path the CLI or a verdict takes.  The small
+graph constructors (path, cycle, star, disjoint union), the isomorphism
+test, the edge list of a maximum matching and the shift-monotonicity
+check build test inputs and read results.  ``augment_from_full_scan`` is
+the blossom search with the O(n) contraction it had before, against
+which the matchings are compared.  The oracles
 re-derive a value by a slower, independent route (a whole-matrix
 ``eigvalsh``, one ``eigh`` per component, an exhaustive edge-subset
 search, an exhaustive vertex-subset deficiency scan, every neighbourhood
@@ -15,19 +20,154 @@ pytest collects only ``test_*.py``, so this module holds no tests.
 
 from __future__ import annotations
 
+from collections import deque
 from math import sqrt
 
 import numpy as np
 
-from alphaspec import JoinFamily, TutteBergeWitness, case2_applicable
-from alphaspec.enumeration import _canonical_search, _half_edges
-from alphaspec.graphs import _bits, row_component_masks
+from alphaspec import JoinFamily, TutteBergeWitness, as_fraction, case2_applicable, family_radius
+from alphaspec.enumeration import _canonical_search, _half_edges, canonical_key
+from alphaspec.graphs import Graph, _bits, complete_graph, empty_graph, from_edges, join, row_component_masks
+from alphaspec.matching import _match
 from alphaspec.spectral import SpectralResult, alpha_matrices
 from alphaspec.spectral import _check_alpha
 
 ORACLE_ORDER_CAP = 64
 ORACLE_EDGE_CAP = 24
 WITNESS_ORDER_CAP = 24
+
+
+def disjoint_union(g1, g2):
+    """Vertices of ``g2`` are relabeled by offset ``g1.n``; no cross edges."""
+    rows = list(g1.rows) + [r << g1.n for r in g2.rows]
+    return Graph._from_valid_rows(g1.n + g2.n, tuple(rows))
+
+
+def cycle_graph(n: int):
+    if n < 3:
+        raise ValueError("cycle needs at least 3 vertices")
+    return from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def path_graph(n: int):
+    return from_edges(n, [(i, i + 1) for i in range(n - 1)])
+
+
+def star_graph(leaves: int):
+    """Star with a center (vertex 0) and ``leaves`` pendant vertices."""
+    return join(complete_graph(1), empty_graph(leaves))
+
+
+def are_isomorphic(g1, g2) -> bool:
+    return g1.n == g2.n and canonical_key(g1) == canonical_key(g2)
+
+
+def maximum_matching(g) -> list[tuple[int, int]]:
+    """The blossom search's maximum matching as a sorted edge list.
+
+    Deterministic: the greedy seed and every augmentation scan vertices
+    in ascending order, so the returned edge set (not just its size) is
+    reproducible.
+    """
+    match = _match([list(_bits(r)) for r in g.rows])
+    return sorted((v, match[v]) for v in range(g.n) if match[v] > v)
+
+
+def augment_from_full_scan(root, adj, match, state, outer=None) -> bool:
+    """``matching._augment_from`` as it was with an O(n) blossom
+    contraction: the common base is found with an n-length ``seen`` list,
+    and each contraction marks the blossom's bases in an n-length list and
+    scans every vertex in ascending order for those to relabel.  Patched
+    in for ``_augment_from``, it gives the matchings to compare with."""
+    used, parent, base = state
+    n = len(adj)
+    touched = [root]
+    used[root] = True
+    queue = deque([root])
+
+    def lca(a, b):
+        seen = [False] * n
+        while True:
+            a = base[a]
+            seen[a] = True
+            if match[a] == -1:
+                break
+            a = parent[match[a]]
+        while True:
+            b = base[b]
+            if seen[b]:
+                return b
+            b = parent[match[b]]
+
+    def mark_path(v, b, child, in_blossom):
+        while base[v] != b:
+            in_blossom[base[v]] = True
+            in_blossom[base[match[v]]] = True
+            parent[v] = child
+            child = match[v]
+            v = parent[match[v]]
+
+    try:
+        while queue:
+            v = queue.popleft()
+            for to in adj[v]:
+                if base[v] == base[to] or match[v] == to:
+                    continue
+                if to == root or (match[to] != -1 and parent[match[to]] != -1):
+                    cur = lca(v, to)
+                    in_blossom = [False] * n
+                    mark_path(v, cur, to, in_blossom)
+                    mark_path(to, cur, v, in_blossom)
+                    for i in range(n):
+                        if in_blossom[base[i]]:
+                            base[i] = cur
+                            touched.append(i)
+                            if not used[i]:
+                                used[i] = True
+                                queue.append(i)
+                elif parent[to] == -1:
+                    parent[to] = v
+                    touched.append(to)
+                    if match[to] == -1:
+                        while to != -1:
+                            pv = parent[to]
+                            ppv = match[pv]
+                            match[to] = pv
+                            match[pv] = to
+                            to = ppv
+                        return True
+                    used[match[to]] = True
+                    touched.append(match[to])
+                    queue.append(match[to])
+        if outer is not None:
+            outer.update(v for v in touched if used[v])
+        return False
+    finally:
+        for v in touched:
+            used[v] = False
+            parent[v] = -1
+            base[v] = v
+
+
+def shifted(family):
+    """``family`` with two vertices moved from the second-largest part to
+    the largest."""
+    if family.q < 2:
+        raise ValueError("need at least two parts to shift")
+    parts = list(family.parts)
+    if parts[-2] < 3:
+        raise ValueError("second-largest part must have at least 3 vertices")
+    parts[-2] -= 2
+    parts[-1] += 2
+    return JoinFamily.of_parts(family.s, sorted(parts))
+
+
+def shift_monotonicity_check(family, alpha) -> bool:
+    """True iff moving two vertices from the second-largest part to the
+    largest strictly raises the radius (evaluated on both quotients);
+    ``shifted`` rejects a family that has no such move."""
+    af = float(as_fraction(alpha))
+    return family_radius(shifted(family), af) > family_radius(family, af)
 
 
 def spectral_radius_oracle(g, alpha: float) -> float:

@@ -19,7 +19,6 @@ from alphaspec import (
     case2_applicable,
     classify_regime,
     complete_graph,
-    disjoint_union,
     empty_graph,
     family_radius,
     family_search,
@@ -28,7 +27,6 @@ from alphaspec import (
     join,
     matching_number,
     one_clique_family,
-    shift_monotonicity_check,
     spectral_radius,
     tutte_berge_witness,
     verify_order,
@@ -39,7 +37,9 @@ from reference import (
     case2_sample_check,
     closed_form_complete_split,
     cubic_f,
+    disjoint_union,
     matching_number_oracle,
+    shift_monotonicity_check,
     spectral_radius_oracle,
     split_graph_quadratic,
 )

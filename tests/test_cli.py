@@ -9,6 +9,7 @@ import pytest
 from alphaspec.cli import main, sig12
 from alphaspec.graphs import complete_graph, to_graph6
 from alphaspec.verify import REPORT_FIELDS, VerificationReport, verify_order
+from reference import disjoint_union, star_graph
 
 
 def run(capsys, *argv):
@@ -36,7 +37,7 @@ class TestRho:
         assert "6.00000000000" in out
 
     def test_inline_graph6_star(self, capsys):
-        code, out, _ = run(capsys, "rho", "--graph6", to_graph6(__import__("alphaspec").star_graph(3)))
+        code, out, _ = run(capsys, "rho", "--graph6", to_graph6(star_graph(3)))
         assert code == 0
         assert "1.73205080757" in out
 
@@ -85,7 +86,7 @@ class TestMatching:
         assert "beta = 2" in out
 
     def test_witness(self, capsys):
-        code, out, _ = run(capsys, "matching", "--graph6", to_graph6(__import__("alphaspec").star_graph(3)), "--witness")
+        code, out, _ = run(capsys, "matching", "--graph6", to_graph6(star_graph(3)), "--witness")
         assert code == 0
         assert "witness S" in out and "q=3" in out
 
@@ -226,7 +227,7 @@ class TestVerify:
         # K_7 + 2K_1 in either labelling, and the complete split graph
         # K_3 v co-K_6 with its clique last: both have matching number 3,
         # so one beta is scanned from a file of order 9
-        from alphaspec.graphs import disjoint_union, empty_graph, join
+        from alphaspec.graphs import empty_graph, join
 
         parts = (empty_graph(2), complete_graph(7))
         clique_graph = disjoint_union(*(parts if isolates_first else parts[::-1]))

@@ -8,22 +8,18 @@ import pytest
 from alphaspec import (
     KNOWN_CLASS_COUNTS,
     Graph,
-    are_isomorphic,
     canonical_graph,
     canonical_key,
     complement,
     complete_graph,
-    cycle_graph,
-    disjoint_union,
     empty_graph,
     enumerate_graphs,
     from_edges,
     isomorphism_classes,
     join,
-    path_graph,
     to_graph6,
 )
-from reference import extend_level_all_masks
+from reference import are_isomorphic, cycle_graph, disjoint_union, extend_level_all_masks, path_graph
 
 
 def relabel(g, perm):

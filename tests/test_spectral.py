@@ -14,8 +14,6 @@ from alphaspec import (
     case2_applicable,
     classify_regime,
     complete_graph,
-    cycle_graph,
-    disjoint_union,
     empty_graph,
     family_count,
     family_radius,
@@ -23,11 +21,9 @@ from alphaspec import (
     from_edges,
     isomorphism_classes,
     join,
-    path_graph,
     one_clique_family,
     spectral_radii,
     spectral_radius,
-    star_graph,
     to_graph6,
 )
 from alphaspec import spectral
@@ -39,10 +35,14 @@ from reference import (
     case2_probe,
     closed_form_complete_split,
     cubic_f,
+    cycle_graph,
+    disjoint_union,
     eigh_spectral_radius,
+    path_graph,
     shift_function_f,
     spectral_radius_oracle,
     split_graph_quadratic,
+    star_graph,
 )
 
 SQRT3 = math.sqrt(3.0)
@@ -509,7 +509,8 @@ class TestJoinFamily:
 def quotient_matrices(batch, alpha):
     """The reference for ``family_radius``: symmetrised equitable quotients
     of a batch of join families, stacked as (m, k + 1, k + 1), one cell
-    per distinct part size (ascending) and the core last.  Cell p has
+    per column of the batch and the core last (a cell of count 0 is cut
+    off from the core, and its eigenvalue d_p lies below the radius).  Cell p has
     diagonal (alpha+1)(p-1) + alpha*s, the core alpha*(n-1) + s - 1, and
     sqrt(s * m_p * p) joins cell p to the core; the top ``eigvalsh``
     eigenvalue is the radius."""
@@ -622,12 +623,14 @@ def oracle_search(n, beta, alpha):
     """(winner, radius) of the first maximum in candidate order, every
     core radius from the stacked ``eigvalsh`` oracle."""
     rho = np.empty(family_count(n, beta))
-    for indices, batch in _candidate_batches(n, beta):
+    offset = 0
+    for batch in _candidate_batches(n, beta):
         radii = (alpha + 1) * (batch.sizes[:, -1] - 1)
         core = batch.s >= 1
         if core.any():
             radii[core] = oracle_radii(FamilyBatch(batch.s[core], batch.sizes[core], batch.counts[core]), alpha)
-        rho[indices] = radii
+        rho[offset : offset + len(radii)] = radii
+        offset += len(radii)
     best = int(np.argmax(rho))  # the first of equal maxima
     return next(itertools.islice(candidate_families(n, beta), best, None)), float(rho[best])
 
@@ -637,7 +640,7 @@ class TestSecularSolve:
     @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0, 2.0])
     def test_every_core_candidate_near_the_oracle(self, n, beta, rows, alpha):
         seen = 0
-        for _, batch in _candidate_batches(n, beta):
+        for batch in _candidate_batches(n, beta):
             core = batch.s >= 1
             if not core.any():
                 continue

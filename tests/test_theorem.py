@@ -19,8 +19,7 @@ from alphaspec import (
     spectral_radius,
     threshold_n_star,
 )
-from alphaspec.enumeration import are_isomorphic
-from reference import closed_form_complete_split, split_graph_coefficients
+from reference import are_isomorphic, closed_form_complete_split, split_graph_coefficients
 
 
 def extremal_graphs(verdict):

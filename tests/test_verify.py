@@ -17,8 +17,6 @@ from alphaspec import (
     case2_applicable,
     classify_regime,
     complete_graph,
-    cycle_graph,
-    disjoint_union,
     empty_graph,
     family_radius,
     family_search,
@@ -27,12 +25,11 @@ from alphaspec import (
     join,
     matching_number,
     one_clique_family,
-    shift_monotonicity_check,
     to_graph6,
     tutte_berge_witness,
     verify_order,
 )
-from alphaspec.enumeration import are_isomorphic, canonical_graph
+from alphaspec.enumeration import canonical_graph
 from alphaspec.graphs import row_component_masks
 from alphaspec.theorem import CASE2_ALPHA_CUTOFF, EXTREMAL_GRAPHS, case2_region_bounds
 from alphaspec.verify import (
@@ -40,13 +37,20 @@ from alphaspec.verify import (
     FAMILY_MAX_CANDIDATES,
     REPORT_FIELDS,
     _candidate_batches,
+    _candidate_table,
     _report,
     _scan_order,
     _ScanEntry,
     family_count,
     resolve_jobs,
 )
-from reference import case2_sample_check
+from reference import (
+    are_isomorphic,
+    case2_sample_check,
+    cycle_graph,
+    disjoint_union,
+    shift_monotonicity_check,
+)
 
 
 def table_graph(descriptor, n, beta):
@@ -359,6 +363,16 @@ def _old_family_search(n, beta, alpha):
     return best, best_rho, scanned
 
 
+def numbered_batches(n, beta):
+    """(candidate index of the first row, batch) for every batch of the
+    search: the batches follow candidate order, so the index is a running
+    offset."""
+    offset = 0
+    for batch in _candidate_batches(n, beta):
+        yield offset, batch
+        offset += len(batch.s)
+
+
 THRESHOLD_POINTS = [
     (n, beta, alpha)
     for n in range(3, 31)
@@ -391,8 +405,7 @@ class TestFamilySearchAgainstLoop:
         import alphaspec.verify as verify
 
         # tie the last two-cell and the first three-cell family of core 0:
-        # their batches are solved two-cell first, yet the three-cell one
-        # comes first in candidate order and must win
+        # the three-cell one comes first in candidate order and must win
         core0 = [f for f in candidate_families(20, 6) if f.s == 0]
         cells = [len(f.cells) for f in core0]
         last_two = max(i for i, k in enumerate(cells) if k == 2)
@@ -425,22 +438,22 @@ class TestFamilySearchAgainstLoop:
     def test_batched_radius_equals_single(self, n, beta, alpha):
         af = float(as_fraction(alpha))
         seen = 0
-        for indices, batch in _candidate_batches(n, beta):
+        for batch in _candidate_batches(n, beta):
             radii = family_radius(batch, af)
             for i, rho in enumerate(radii.tolist()):
                 assert family_radius(batch.family(i), af) == rho
-            seen += len(indices)
+            seen += len(radii)
         assert seen == family_count(n, beta)
 
     @pytest.mark.parametrize("rows", [1, 3])
     def test_small_batches(self, monkeypatch, rows):
         import alphaspec.verify as verify
 
-        # a batch is a cell-count run of one chunk, so chunks of `rows`
-        # rows bound every batch's row count by `rows`
+        # a batch is one chunk, so chunks of `rows` rows bound every
+        # batch's row count by `rows`
         monkeypatch.setattr(verify, "FAMILY_CHUNK_ROWS", rows)
         for n, beta, alpha in [(20, 6, "0"), (21, 7, "1/2"), (14, 5, "1"), (9, 3, "1")]:
-            sizes = [len(indices) for indices, _ in _candidate_batches(n, beta)]
+            sizes = [len(batch.s) for batch in _candidate_batches(n, beta)]
             assert max(sizes) <= rows and sum(sizes) == family_count(n, beta)
             self.check(n, beta, alpha)
 
@@ -448,7 +461,7 @@ class TestFamilySearchAgainstLoop:
     def test_small_chunks(self, monkeypatch, rows):
         import alphaspec.verify as verify
 
-        # chunk boundaries fall inside core sizes and cut cell-count runs
+        # chunk boundaries fall inside core sizes
         monkeypatch.setattr(verify, "FAMILY_CHUNK_ROWS", rows)
         for n, beta, alpha in [(20, 6, "0"), (21, 7, "1/2"), (14, 5, "1"), (9, 3, "1")]:
             self.check(n, beta, alpha)
@@ -456,16 +469,16 @@ class TestFamilySearchAgainstLoop:
 
     def test_batches_follow_candidate_order(self):
         for n, beta in [(20, 6), (21, 7), (9, 3)]:
-            families = list(candidate_families(n, beta))
+            families = list(_old_candidate_families(n, beta))
             seen = []
-            for indices, batch in _candidate_batches(n, beta):
-                assert list(indices) == sorted(indices)
+            for first, batch in numbered_batches(n, beta):
+                indices = list(range(first, first + len(batch.s)))
                 assert [batch.family(i) for i in range(len(indices))] == [families[j] for j in indices]
-                seen.extend(indices.tolist())
-            assert sorted(seen) == list(range(len(families)))
+                seen.extend(indices)
+            assert seen == list(range(len(families)))
 
     def test_batches_span_core_sizes(self):
-        cores = [set(batch.s.tolist()) for _, batch in _candidate_batches(20, 6)]
+        cores = [set(batch.s.tolist()) for batch in _candidate_batches(20, 6)]
         assert any(len(c) > 1 and 0 in c for c in cores)
 
     @pytest.mark.parametrize("alpha", [0, 0.5, 1, 2])
@@ -491,11 +504,9 @@ class TestFamilySearchAgainstLoop:
         import alphaspec.verify as verify
 
         families = list(candidate_families(20, 6))
-        indices, batch = next(
-            (idx, b) for idx, b in _candidate_batches(20, 6) if len(set(b.s.tolist())) > 1
-        )
-        first, last = batch.family(0), batch.family(len(indices) - 1)
-        assert first.s < last.s and indices[0] < indices[-1]
+        offset, batch = next((i, b) for i, b in numbered_batches(20, 6) if len(set(b.s.tolist())) > 1)
+        first, last = batch.family(0), batch.family(len(batch.s) - 1)
+        assert first.s < last.s and len(batch.s) > 1
         tied = {first, last}
 
         def radius(batch, alpha):
@@ -503,8 +514,69 @@ class TestFamilySearchAgainstLoop:
 
         monkeypatch.setattr(verify, "family_radius", radius)
         result = family_search(20, 6, 0)
-        assert result.best == first == families[indices[0]]
+        assert result.best == first == families[offset]
         assert result.rho == 1.0
+
+    def test_tie_across_chunks(self, monkeypatch):
+        import alphaspec.verify as verify
+
+        # chunks of 5 rows: rows 3 and 12 of (20, 6) tie in the first and
+        # the third chunk, and the earlier row wins, however the later
+        # chunk's maximum compares
+        monkeypatch.setattr(verify, "FAMILY_CHUNK_ROWS", 5)
+        families = list(candidate_families(20, 6))
+        tied = {families[3], families[12]}
+
+        def radius(batch, alpha):
+            return np.array([float(batch.family(i) in tied) for i in range(len(batch.sizes))])
+
+        monkeypatch.setattr(verify, "family_radius", radius)
+        result = family_search(20, 6, 0)
+        assert result.best == families[3]
+        assert result.rho == 1.0
+
+    @pytest.mark.parametrize("alpha", [0, 0.5, 1, 2, 1e12])
+    def test_empty_cells_leave_the_radius(self, alpha):
+        # empty cells take the row's largest size with count 0, before the
+        # size-1 cell and between it and the rest, as the candidate
+        # batches place them; the size-1 cell may itself be empty
+        families = [
+            JoinFamily(2, ((1, 3), (3, 2), (7, 1))),
+            JoinFamily(1, ((3, 1), (5, 2))),
+            JoinFamily(3, ((1, 5),)),
+            JoinFamily(0, ((1, 4), (9, 1))),
+        ]
+        padded = [
+            [(7, 0), (1, 3), (7, 0), (3, 2), (7, 1)],
+            [(5, 0), (5, 0), (5, 0), (3, 1), (5, 2)],
+            [(1, 5), (1, 0), (1, 0), (1, 0), (1, 0)],
+            [(1, 4), (9, 0), (9, 0), (9, 0), (9, 1)],
+        ]
+        cells = np.array(padded, dtype=float)
+        batch = FamilyBatch(np.array([f.s for f in families], dtype=float), cells[:, :, 0], cells[:, :, 1])
+        assert [batch.family(i) for i in range(len(families))] == families
+        radii = family_radius(batch, alpha).tolist()
+        assert radii == [family_radius(f, alpha) for f in families]
+        assert radii[:2] == family_radius(FamilyBatch(batch.s[:2], batch.sizes[:2], batch.counts[:2]), alpha).tolist()
+
+    def test_table_cells(self):
+        # one byte per cell half and count, W = 10 of each for beta = 58
+        # (1 + ... + 10 <= 58 < 1 + ... + 11), plus the core size and the
+        # part count
+        table = _candidate_table(123, 58)
+        assert table.half.shape == table.count.shape == (family_count(123, 58), 10)
+        width = table.half.shape[1]
+        size = table.half.nbytes + table.count.nbytes + table.core.nbytes + table.parts.nbytes
+        assert size <= (2 * width + 2) * len(table.core)
+
+    @pytest.mark.parametrize("n", [1, 2, 7])
+    def test_no_matching_edge(self, n):
+        # beta = 0: one row, n parts of size 1
+        table = _candidate_table(n, 0)
+        assert len(table.core) == 1 and table.half.shape == (1, 0)
+        (batch,) = _candidate_batches(n, 0)
+        assert batch.counts.tolist() == [[n]] and batch.sizes.tolist() == [[1]]
+        assert list(candidate_families(n, 0)) == [JoinFamily(0, ((1, n),))]
 
 
 class TestFamilyCount:
