@@ -25,7 +25,7 @@ import os
 import sys
 from fractions import Fraction
 
-from .enumeration import resolve_jobs
+from .enumeration import BUILTIN_ORDER_CAP, resolve_jobs
 from .graphs import Graph, Graph6Error, parse_edge_list, parse_graph6
 from .matching import matching_number, tutte_berge_witness
 from .spectral import spectral_radius
@@ -70,8 +70,8 @@ def _alpha_arg(text: str) -> Fraction:
 
 def _positive_float(text: str) -> float:
     value = float(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError("must be positive")
+    if not 0 < value < float("inf"):
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text!r}")
     return value
 
 
@@ -304,6 +304,10 @@ def cmd_report(args) -> int:
     except argparse.ArgumentTypeError as exc:
         raise SystemExit2(str(exc))
     jobs = resolve_jobs(args.jobs)
+    if args.n_min > args.n_max:
+        raise SystemExit2(f"empty order range: --n-min {args.n_min} is above --n-max {args.n_max}")
+    if args.n_max > BUILTIN_ORDER_CAP:
+        raise SystemExit2(f"--n-max {args.n_max} exceeds BUILTIN_ORDER_CAP = {BUILTIN_ORDER_CAP}; use verify --graph6")
     # --output is written to a temporary file beside it and renamed into
     # place only once every record is written
     temp = f"{args.output}.{os.getpid()}.tmp" if args.output else None

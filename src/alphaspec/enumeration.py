@@ -25,7 +25,9 @@ interchangeable-twin class; refinement classes are canonically ordered,
 so the restriction keeps the form exact while making unions of cliques
 and other symmetric graphs cheap instead of factorial.  The same search
 yields generators of the automorphism group: the leaves that tie with
-the best ordering and the twin transpositions.
+the best ordering and the twin transpositions.  A graph with 2m > M
+takes its complement's form with every bit flipped, so the search only
+runs on graphs with at most half the edges.
 
 ``map_chunks`` is the one place a worker pool is started, for building a
 level here and for the scans in ``verify``; it checks the worker count
@@ -131,9 +133,14 @@ def _canonical_search(n: int, rows: tuple[int, ...]) -> tuple[tuple[int, ...], l
     the best ordering to a leaf with the best columns, and twin swaps sort
     that leaf into one the search visits, so the generators generate the
     whole group.  A generator is a tuple of images: vertex i maps to g[i].
+    A graph with 2m > M takes its complement's flipped form and its
+    generators: complementing keeps isomorphism and automorphisms.
     """
     if n <= 1:
         return (0,) * n, []
+    if sum(r.bit_count() for r in rows) > n * (n - 1) // 2:
+        cols, gens = _canonical_search(n, tuple(((1 << n) - 1) ^ r ^ (1 << v) for v, r in enumerate(rows)))
+        return _flip(cols), gens
     colors = _wl_colors(n, rows)
     order = sorted(range(n), key=lambda v: colors[v])
     if len(set(colors)) == n:
@@ -293,12 +300,9 @@ def _mask_images(g: tuple[int, ...]) -> list[int]:
     return images
 
 
-def _complement_forms(forms: Sequence[tuple[int, ...]], n: int) -> list[tuple[int, ...]]:
-    """The canonical forms of the complements of the classes ``forms``."""
-    return [
-        _canonical_search(n, _graph_from_cols(n, tuple(c ^ ((1 << d) - 1) for d, c in enumerate(cols))).rows)[0]
-        for cols in forms
-    ]
+def _flip(cols: tuple[int, ...]) -> tuple[int, ...]:
+    """The column bit-string of the complement of the graph ``cols``."""
+    return tuple(c ^ ((1 << d) - 1) for d, c in enumerate(cols))
 
 
 def _build_level(n: int, jobs: int = 1) -> None:
@@ -309,10 +313,8 @@ def _build_level(n: int, jobs: int = 1) -> None:
     parent_limit = _half_edges(n - 1)
     parents = [rows for rows in _LEVELS[n - 1] if sum(r.bit_count() for r in rows) // 2 <= parent_limit]
     lower = set().union(*map_chunks(_extend_level, parents, jobs, n))
-    # a lower-half class with 2m < M has its complement in the upper half
-    total = n * (n - 1) // 2
-    strict = [cols for cols in lower if 2 * sum(c.bit_count() for c in cols) < total]
-    keys = lower.union(*map_chunks(_complement_forms, strict, jobs, n))
+    # a lower-half class with 2m < M has its flipped form in the upper half
+    keys = lower.union(_flip(cols) for cols in lower if 2 * sum(c.bit_count() for c in cols) < n * (n - 1) // 2)
     reps = [_graph_from_cols(n, cols).rows for cols in sorted(keys)]
     if n in KNOWN_CLASS_COUNTS and len(reps) != KNOWN_CLASS_COUNTS[n]:
         raise RuntimeError(

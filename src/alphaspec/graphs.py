@@ -123,7 +123,7 @@ class Graph:
         """Degrees sorted descending (the usual comparison form)."""
         return tuple(sorted((r.bit_count() for r in self.rows), reverse=True))
 
-    def neighbors(self, v: int) -> Iterator[int]:
+    def neighbors(self, v: int) -> list[int]:
         return _bits(self.rows[v])
 
     def edges(self) -> Iterator[tuple[int, int]]:
@@ -227,11 +227,12 @@ def row_component_masks(n: int, rows: Sequence[int], removed: int = 0) -> list[i
     return out
 
 
-def _bits(mask: int) -> Iterator[int]:
+def _bits(mask: int) -> list[int]:
+    out = []
     while mask:
-        v = (mask & -mask).bit_length() - 1
+        out.append((mask & -mask).bit_length() - 1)
         mask &= mask - 1
-        yield v
+    return out
 
 
 # -- graph6 format -----------------------------------------------------

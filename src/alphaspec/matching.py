@@ -34,7 +34,7 @@ class TutteBergeWitness:
 
 def matching_number(g: Graph) -> int:
     """Size of a maximum matching (blossom search)."""
-    return (g.n - _match([list(_bits(r)) for r in g.rows]).count(-1)) // 2
+    return (g.n - _match([_bits(r) for r in g.rows]).count(-1)) // 2
 
 
 def tutte_berge_witness(g: Graph) -> TutteBergeWitness:
@@ -44,7 +44,7 @@ def tutte_berge_witness(g: Graph) -> TutteBergeWitness:
     is the union of their outer vertices (Lovasz & Plummer, *Matching
     Theory*, 1986, ch. 3)."""
     n = g.n
-    adj = [list(_bits(r)) for r in g.rows]
+    adj = [_bits(r) for r in g.rows]
     state = _search_state(n)
     match = _match(adj, state)
     outer: set[int] = set()

@@ -423,8 +423,8 @@ def _secular_roots(c: np.ndarray, d: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 def _check_tol(tol: float) -> None:
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
+    if not 0 < tol < np.inf:
+        raise ValueError(f"tolerance must be positive and finite, got {tol}")
 
 
 def _check_alpha(alpha) -> float:

@@ -27,7 +27,7 @@ from .enumeration import (
 )
 from .graphs import Graph, read_graph6_file, to_graph6
 from .matching import matching_number
-from .spectral import FamilyBatch, JoinFamily, family_radius, one_clique_family, spectral_radii
+from .spectral import FamilyBatch, JoinFamily, _check_tol, family_radius, one_clique_family, spectral_radii
 from .spectral import spectral_radius  # noqa: F401  (perfbench/tracing.py wraps this name here)
 from .theorem import RegimeVerdict, as_fraction, classify_regime
 
@@ -176,6 +176,7 @@ def verify_order(
     source: str | None = None,
 ) -> list[VerificationReport]:
     """One report per feasible beta >= 1 at order n, all from one scan."""
+    _check_tol(tol)
     start = time.perf_counter()
     a = as_fraction(alpha)
     entries = _scan_order(n, a, jobs=jobs, source=source)

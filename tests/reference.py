@@ -69,7 +69,7 @@ def maximum_matching(g) -> list[tuple[int, int]]:
     in ascending order, so the returned edge set (not just its size) is
     reproducible.
     """
-    match = _match([list(_bits(r)) for r in g.rows])
+    match = _match([_bits(r) for r in g.rows])
     return sorted((v, match[v]) for v in range(g.n) if match[v] > v)
 
 

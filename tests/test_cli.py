@@ -79,6 +79,22 @@ class TestRho:
         assert "residual" in err
 
 
+class TestNonFiniteTolerance:
+    # NaN and inf used to pass the positivity check, so every residual
+    # passed and `verify` wrote "tol": NaN, which is not JSON
+    @pytest.mark.parametrize("tol", ["nan", "inf", "NaN", "Infinity"])
+    @pytest.mark.parametrize(
+        "argv",
+        [["rho", "--graph6", "EhCG", "--alpha", "1e6"], ["verify", "5"], ["report", "--n-max", "3"]],
+        ids=["rho", "verify", "report"],
+    )
+    def test_rejected_with_exit_2(self, capsys, argv, tol):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--tol", tol])
+        assert exc.value.code == 2
+        assert f"must be positive and finite, got '{tol}'" in capsys.readouterr().err
+
+
 class TestMatching:
     def test_basic(self, capsys):
         code, out, _ = run(capsys, "matching", "--graph6", "C~")
@@ -321,6 +337,25 @@ class TestReport:
         assert code == 0
         assert [json.loads(line)["n"] for line in out_path.read_text().splitlines()] == [3, 4, 4, 5, 5]
         assert sorted(p.name for p in tmp_path.iterdir()) == ["records.jsonl"]
+
+    @pytest.mark.parametrize(
+        "n_min,n_max,message",
+        [("7", "9", "BUILTIN_ORDER_CAP = 8"), ("5", "3", "empty order range")],
+        ids=["above-cap", "empty"],
+    )
+    def test_order_range_checked_before_any_scan(self, capsys, tmp_path, monkeypatch, n_min, n_max, message):
+        import alphaspec.cli as cli
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an order was scanned")
+
+        monkeypatch.setattr(cli, "verify_order", refuse)
+        out_path = tmp_path / "records.jsonl"
+        code, out, err = run(capsys, "report", "--n-min", n_min, "--n-max", n_max, "--output", str(out_path))
+        assert code == 2
+        assert out == ""
+        assert message in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_malformed_environment_exits_2(self, capsys, monkeypatch):
         monkeypatch.setenv("ALPHASPEC_JOBS", "many")

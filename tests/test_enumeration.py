@@ -52,8 +52,8 @@ class TestCanonicalForm:
 
     def test_graph_from_cols_equals_the_validating_constructor(self):
         # _graph_from_cols skips Graph.__post_init__: its rows, from every
-        # class of order <= 7 and from the complements the census halving
-        # canonicalizes, must pass the validating constructor unchanged
+        # class of order <= 7 and from their complements (whose forms the
+        # search flips), must pass the validating constructor unchanged
         from alphaspec.enumeration import _canonical_search, _graph_from_cols
 
         for n in range(8):
@@ -199,6 +199,49 @@ class TestOrbitPruning:
         monkeypatch.setattr(enumeration, "_canonical_search", lambda n, rows: seen.append(n) or real(n, rows))
         forms = enumeration._extend_level([empty_graph(4).rows], 5)
         assert seen.count(5) == len(forms) == 5
+
+
+def edge_excess(g):
+    """2m - M: positive exactly for the upper half."""
+    return 2 * g.num_edges - g.n * (g.n - 1) // 2
+
+
+class TestComplementClosedForm:
+    # a graph with 2m > M takes its complement's form, flipped, so the
+    # census's upper half is a bit flip of its lower half
+    @pytest.mark.parametrize("n", range(8))
+    def test_form_of_complement_is_complement_of_form(self, n):
+        for g in isomorphism_classes(n):
+            if edge_excess(g) != 0:
+                assert canonical_graph(complement(g)) == complement(canonical_graph(g)), to_graph6(g)
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_upper_half_keys_survive_relabeling(self, n):
+        rng = random.Random(100 + n)
+        for g in isomorphism_classes(n):
+            if edge_excess(g) > 0:
+                perm = list(range(n))
+                rng.shuffle(perm)
+                assert canonical_key(relabel(g, perm)) == canonical_key(g), to_graph6(g)
+
+    def test_build_searches_no_upper_half_graph(self, monkeypatch):
+        # building order 8 from order 7: 10,296 children and 522 parents,
+        # not the 5,350 complements more the build ran before
+        from alphaspec import enumeration
+
+        isomorphism_classes(7)
+        monkeypatch.setattr(enumeration, "_LEVELS", {n: enumeration._LEVELS[n] for n in range(8)})
+        excess = []
+        real = enumeration._canonical_search
+
+        def recording(n, rows):
+            excess.append(sum(r.bit_count() for r in rows) - n * (n - 1) // 2)
+            return real(n, rows)
+
+        monkeypatch.setattr(enumeration, "_canonical_search", recording)
+        assert len(isomorphism_classes(8)) == 12346
+        assert len(excess) == 10818
+        assert max(excess) <= 0
 
 
 class TestPoolGuard:

@@ -204,7 +204,7 @@ class TestSearchState:
         from alphaspec.matching import _augment_from, _match, _search_state
 
         for g in isomorphism_classes(6):
-            adj = [list(_bits(r)) for r in g.rows]
+            adj = [_bits(r) for r in g.rows]
             state = _search_state(g.n)
             match = _match(adj, state)
             assert state == _search_state(g.n)

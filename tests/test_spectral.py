@@ -123,6 +123,14 @@ class TestSpectralRadius:
         with pytest.raises(ValueError):
             spectral_radius(complete_graph(2), 1.0, tol=0.0)
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf])
+    def test_non_finite_tolerance_rejected(self, tol):
+        # a NaN or infinite tolerance would pass any residual
+        with pytest.raises(ValueError, match="tolerance must be positive and finite"):
+            spectral_radius(path_graph(6), 1e6, tol=tol)
+        with pytest.raises(ValueError, match="tolerance must be positive and finite"):
+            spectral_radii(6, [path_graph(6).rows], 1e6, tol=tol)
+
 
 def component_loop_spectral_radius(g, alpha, tol=1e-10):
     """``spectral_radius`` as one ``_top_eigenpairs`` call per component

@@ -101,6 +101,17 @@ class TestExhaustiveMax:
             assert r.predicted_certificates == (certificate,)
             assert r.argmax_certificates == (certificate,)
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0])
+    def test_tolerance_checked_before_the_scan(self, tol, monkeypatch):
+        import alphaspec.verify as verify
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the order was scanned")
+
+        monkeypatch.setattr(verify, "_scan_order", refuse)
+        with pytest.raises(ValueError, match="tolerance must be positive and finite"):
+            verify_order(5, 0, tol=tol)
+
     def test_scan_counts_whole_order(self):
         r = scan_record(6, 1, 1)
         assert r.graphs_scanned == 156
