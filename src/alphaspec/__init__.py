@@ -52,7 +52,6 @@ from .theorem import (
 from .enumeration import (
     KNOWN_CLASS_COUNTS,
     canonical_graph,
-    canonical_key,
     enumerate_graphs,
     isomorphism_classes,
 )

@@ -303,6 +303,8 @@ def cmd_report(args) -> int:
         alphas = [_alpha_arg(tok.strip()) for tok in args.alphas.split(",") if tok.strip()]
     except argparse.ArgumentTypeError as exc:
         raise SystemExit2(str(exc))
+    if not alphas:
+        raise SystemExit2(f"no alpha given in --alphas {args.alphas!r}")
     jobs = resolve_jobs(args.jobs)
     if args.n_min > args.n_max:
         raise SystemExit2(f"empty order range: --n-min {args.n_min} is above --n-max {args.n_max}")

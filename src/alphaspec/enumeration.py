@@ -17,17 +17,18 @@ the known census (1, 2, 4, 11, 34, 156, 1044, 12346 for n = 1..8) every
 time a level is built, so a canonicalization or generation bug cannot
 pass silently.
 
-The canonical form is the minimum adjacency bit-string, column by column,
-over vertex orderings compatible with the stable color refinement
-(degree, then sorted neighbor colors, iterated to a fixed point).  The
-search prunes on bit-string prefixes and explores one representative per
-interchangeable-twin class; refinement classes are canonically ordered,
-so the restriction keeps the form exact while making unions of cliques
-and other symmetric graphs cheap instead of factorial.  The same search
-yields generators of the automorphism group: the leaves that tie with
-the best ordering and the twin transpositions.  A graph with 2m > M
-takes its complement's form with every bit flipped, so the search only
-runs on graphs with at most half the edges.
+The canonical graph relabels the input by the vertex ordering with the
+minimum adjacency bit-string, column by column, among the orderings
+compatible with the stable color refinement (degree, then sorted neighbor
+colors, iterated to a fixed point).  The search prunes on bit-string
+prefixes and explores one representative per interchangeable-twin class;
+refinement classes are canonically ordered, so the restriction keeps the
+form exact while making unions of cliques and other symmetric graphs
+cheap instead of factorial.  The same search yields generators of the
+automorphism group: the leaves that tie with the best ordering and the
+twin transpositions.  A graph with 2m > M takes the complement of its
+complement's canonical graph, so the search only runs on graphs with at
+most half the edges.
 
 ``map_chunks`` is the one place a worker pool is started, for building a
 level here and for the scans in ``verify``; it checks the worker count
@@ -39,7 +40,7 @@ from __future__ import annotations
 import os
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .graphs import Graph
+from .graphs import Graph, _complement_rows
 
 KNOWN_CLASS_COUNTS = {0: 1, 1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044, 8: 12346}
 BUILTIN_ORDER_CAP = 8
@@ -84,7 +85,8 @@ def map_chunks(func: Callable, items: Sequence, jobs: int, *args) -> list:
 
 
 def _wl_colors(n: int, rows: tuple[int, ...]) -> list[int]:
-    """Stable, label-independent vertex colors (iterated refinement)."""
+    """Stable, label-independent vertex colors (iterated refinement),
+    ranked 0, 1, ... in sorted order."""
     colors = [rows[v].bit_count() for v in range(n)]
     while True:
         sigs = []
@@ -124,37 +126,30 @@ def _twin_ids(n: int, rows: tuple[int, ...]) -> list[int]:
 
 
 def _canonical_search(n: int, rows: tuple[int, ...]) -> tuple[tuple[int, ...], list[tuple[int, ...]]]:
-    """Canonical column bit-string (entry d holds the d bits of column d)
-    and automorphism generators of the canonical graph.
+    """Bit rows of the canonical graph and automorphism generators of it.
 
-    Canonical vertex i is the vertex at position i of the best ordering.
-    Each other leaf with the best columns gives the automorphism best ->
-    leaf, and each twin pair its transposition; every automorphism maps
-    the best ordering to a leaf with the best columns, and twin swaps sort
-    that leaf into one the search visits, so the generators generate the
-    whole group.  A generator is a tuple of images: vertex i maps to g[i].
-    A graph with 2m > M takes its complement's flipped form and its
-    generators: complementing keeps isomorphism and automorphisms.
+    The best ordering has the least column bit-string (entry d holds the
+    d bits of column d), and canonical vertex i is the vertex at position
+    i of it.  Each other leaf with the best columns gives the automorphism
+    best -> leaf, and each twin pair its transposition; every automorphism
+    maps the best ordering to a leaf with the best columns, and twin swaps
+    sort that leaf into one the search visits, so the generators generate
+    the whole group.  A generator is a tuple of images: vertex i maps to
+    g[i].  A graph with 2m > M takes the complement of its complement's
+    canonical graph and its generators: complementing keeps isomorphism
+    and automorphisms.
     """
     if n <= 1:
-        return (0,) * n, []
+        return tuple(rows), []
     if sum(r.bit_count() for r in rows) > n * (n - 1) // 2:
-        cols, gens = _canonical_search(n, tuple(((1 << n) - 1) ^ r ^ (1 << v) for v, r in enumerate(rows)))
-        return _flip(cols), gens
+        canon, gens = _canonical_search(n, _complement_rows(n, rows))
+        return _complement_rows(n, canon), gens
     colors = _wl_colors(n, rows)
-    order = sorted(range(n), key=lambda v: colors[v])
     if len(set(colors)) == n:
-        # discrete refinement: the ordering is forced and only the identity
-        # preserves the colors
-        cols = [0] * n
-        for d in range(1, n):
-            rv = rows[order[d]]
-            c = 0
-            for i in range(d):
-                c = (c << 1) | ((rv >> order[i]) & 1)
-            cols[d] = c
-        return tuple(cols), []
-    pos_color = [colors[v] for v in order]
+        # discrete refinement: the ordering is forced, vertex v to place
+        # colors[v], and only the identity preserves the colors
+        return _relabel(rows, colors), []
+    pos_color = sorted(colors)
     twin = _twin_ids(n, rows)
     best: list[int] | None = None
     best_perm: list[int] = []
@@ -213,29 +208,26 @@ def _canonical_search(n: int, rows: tuple[int, ...]) -> tuple[tuple[int, ...], l
             a, b = place[v], place[twin[v]]
             swap[a], swap[b] = b, a
             gens.append(tuple(swap))
-    return tuple(best), gens
+    return _relabel(rows, place), gens
 
 
-def _graph_from_cols(n: int, cols: tuple[int, ...]) -> Graph:
-    rows = [0] * n
-    for d in range(1, n):
-        c = cols[d]
-        for i in range(d):
-            if (c >> (d - 1 - i)) & 1:
-                rows[d] |= 1 << i
-                rows[i] |= 1 << d
-    # each edge sets both bits and never i == d: symmetric and loop-free
-    return Graph._from_valid_rows(n, tuple(rows))
-
-
-def canonical_key(g: Graph) -> tuple:
-    """Hashable isomorphism invariant: equal keys iff isomorphic graphs."""
-    return (g.n, _canonical_search(g.n, g.rows)[0])
+def _relabel(rows: tuple[int, ...], place: list[int]) -> tuple[int, ...]:
+    """The bit rows of the graph ``rows`` with vertex v renamed ``place[v]``."""
+    out = [0] * len(rows)
+    for v, m in enumerate(rows):
+        r = 0
+        while m:
+            low = m & -m
+            r |= 1 << place[low.bit_length() - 1]
+            m ^= low
+        out[place[v]] = r
+    return tuple(out)
 
 
 def canonical_graph(g: Graph) -> Graph:
-    """The canonically relabeled copy of g (deterministic certificate)."""
-    return _graph_from_cols(g.n, _canonical_search(g.n, g.rows)[0])
+    """The canonically relabeled copy of g: equal for isomorphic graphs
+    only, so it serves as the class key and as the certificate."""
+    return Graph._from_valid_rows(g.n, _canonical_search(g.n, g.rows)[0])
 
 
 def _half_edges(n: int) -> int:
@@ -244,8 +236,8 @@ def _half_edges(n: int) -> int:
 
 
 def _extend_level(parents: list[tuple[int, ...]], n: int) -> set[tuple[int, ...]]:
-    """Order-n canonical forms with at most ``_half_edges(n)`` edges,
-    from the lower-half order-(n-1) ``parents``, canonical graphs each.
+    """Rows of the order-n canonical graphs with at most ``_half_edges(n)``
+    edges, from the lower-half order-(n-1) ``parents``, canonical each.
 
     A child (parent plus a new vertex with neighborhood ``mask``) is
     canonicalized only when the new vertex has maximum degree: no
@@ -300,11 +292,6 @@ def _mask_images(g: tuple[int, ...]) -> list[int]:
     return images
 
 
-def _flip(cols: tuple[int, ...]) -> tuple[int, ...]:
-    """The column bit-string of the complement of the graph ``cols``."""
-    return tuple(c ^ ((1 << d) - 1) for d, c in enumerate(cols))
-
-
 def _build_level(n: int, jobs: int = 1) -> None:
     if n in _LEVELS:
         return
@@ -313,9 +300,9 @@ def _build_level(n: int, jobs: int = 1) -> None:
     parent_limit = _half_edges(n - 1)
     parents = [rows for rows in _LEVELS[n - 1] if sum(r.bit_count() for r in rows) // 2 <= parent_limit]
     lower = set().union(*map_chunks(_extend_level, parents, jobs, n))
-    # a lower-half class with 2m < M has its flipped form in the upper half
-    keys = lower.union(_flip(cols) for cols in lower if 2 * sum(c.bit_count() for c in cols) < n * (n - 1) // 2)
-    reps = [_graph_from_cols(n, cols).rows for cols in sorted(keys)]
+    # a lower-half class with 2m < M (2m row bits) has its complement in the upper half
+    pairs = n * (n - 1) // 2
+    reps = sorted(lower.union(_complement_rows(n, rows) for rows in lower if sum(r.bit_count() for r in rows) < pairs))
     if n in KNOWN_CLASS_COUNTS and len(reps) != KNOWN_CLASS_COUNTS[n]:
         raise RuntimeError(
             f"enumeration produced {len(reps)} classes of order {n}, "
@@ -338,7 +325,7 @@ def isomorphism_classes(n: int, jobs: int = 1) -> list[Graph]:
             "supply a graph6 file for larger orders"
         )
     _build_level(n, jobs=resolve_jobs(jobs))
-    # the cached rows are valid by construction in ``_graph_from_cols``
+    # the cached rows are relabeled or complemented rows of valid graphs
     return [Graph._from_valid_rows(n, rows) for rows in _LEVELS[n]]
 
 

@@ -199,8 +199,14 @@ def join(g1: Graph, g2: Graph) -> Graph:
 
 
 def complement(g: Graph) -> Graph:
-    full = (1 << g.n) - 1
-    return Graph._from_valid_rows(g.n, tuple((full ^ r) & ~(1 << v) for v, r in enumerate(g.rows)))
+    return Graph._from_valid_rows(g.n, _complement_rows(g.n, g.rows))
+
+
+def _complement_rows(n: int, rows: Sequence[int]) -> tuple[int, ...]:
+    """The bit rows of the complement of the loop-free graph of order n
+    with bit rows ``rows``."""
+    full = (1 << n) - 1
+    return tuple(full ^ r ^ (1 << v) for v, r in enumerate(rows))
 
 
 # -- connectivity ------------------------------------------------------

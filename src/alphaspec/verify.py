@@ -124,6 +124,8 @@ def _scan_order(
     jobs = resolve_jobs(jobs)
     graphs = None if source is None else read_graph6_file(source)
     rows_list = [g.rows for g in enumerate_graphs(n, jobs=jobs, source=graphs)]
+    if source is not None and not rows_list:
+        raise ValueError(f"graph6 file {source} holds no graph: nothing to verify")
     parts = map_chunks(_scan_chunk, rows_list, jobs, n, float(alpha))
     values: list[tuple[int, float]] = [None] * len(rows_list)
     for start, part in enumerate(parts):

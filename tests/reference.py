@@ -9,7 +9,8 @@ which the matchings are compared.  The oracles
 re-derive a value by a slower, independent route (a whole-matrix
 ``eigvalsh``, one ``eigh`` per component, an exhaustive edge-subset
 search, an exhaustive vertex-subset deficiency scan, every neighbourhood
-of a census parent, the complete split graph's radius in closed form);
+of a census parent, every ordering within the color classes for the
+canonical graph, the complete split graph's radius in closed form);
 the formulas are the paper's own forms
 of the family radius, evaluated as written, which the tests tie to
 ``spectral._secular_terms``, the one builder of the secular function
@@ -21,12 +22,13 @@ pytest collects only ``test_*.py``, so this module holds no tests.
 from __future__ import annotations
 
 from collections import deque
+from itertools import permutations, product
 from math import sqrt
 
 import numpy as np
 
 from alphaspec import JoinFamily, TutteBergeWitness, as_fraction, case2_applicable, family_radius
-from alphaspec.enumeration import _canonical_search, _half_edges, canonical_key
+from alphaspec.enumeration import _canonical_search, _half_edges, _wl_colors, canonical_graph
 from alphaspec.graphs import Graph, _bits, complete_graph, empty_graph, from_edges, join, row_component_masks
 from alphaspec.matching import _match
 from alphaspec.spectral import SpectralResult, alpha_matrices
@@ -59,7 +61,7 @@ def star_graph(leaves: int):
 
 
 def are_isomorphic(g1, g2) -> bool:
-    return g1.n == g2.n and canonical_key(g1) == canonical_key(g2)
+    return canonical_graph(g1) == canonical_graph(g2)
 
 
 def maximum_matching(g) -> list[tuple[int, int]]:
@@ -212,7 +214,8 @@ def eigh_spectral_radius(g, alpha: float, tol: float = 1e-10) -> SpectralResult:
 def extend_level_all_masks(parents, n: int) -> set:
     """``enumeration._extend_level`` without the orbit pruning: every
     neighbourhood ``mask`` of a new vertex of maximum degree is tried on
-    every lower-half parent, and the canonical forms are collected."""
+    every lower-half parent, and the rows of the canonical graphs are
+    collected."""
     out = set()
     limit = _half_edges(n)
     for prows in parents:
@@ -227,6 +230,34 @@ def extend_level_all_masks(parents, n: int) -> set:
             rows = [r | (((mask >> v) & 1) << (n - 1)) for v, r in enumerate(prows)]
             out.add(_canonical_search(n, tuple(rows + [mask]))[0])
     return out
+
+
+def canonical_rows_oracle(g) -> tuple[int, ...]:
+    """The rows of the canonical graph of ``g`` by the certificate's
+    definition, without the search's pruning or twin classes.
+
+    Every ordering that lists the vertices by ascending ``_wl_colors``
+    color, with every permutation within each color class, is compared by
+    its columns (column d holds the adjacencies of its vertex d to
+    vertices 0..d-1), and the least one is returned as the rows of that
+    ordering.  A graph with 2m > M returns the complement of its
+    complement's value.
+    """
+    n = g.n
+    if 2 * g.num_edges > n * (n - 1) // 2:
+        co = from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n) if not g.has_edge(u, v)])
+        rows = canonical_rows_oracle(co)
+        return tuple(((1 << n) - 1) & ~r & ~(1 << v) for v, r in enumerate(rows))
+    colors = _wl_colors(n, g.rows)
+    classes = [[v for v in range(n) if colors[v] == c] for c in sorted(set(colors))]
+    best = None
+    for parts in product(*(permutations(c) for c in classes)):
+        order = [v for part in parts for v in part]
+        cols = tuple(tuple(g.has_edge(order[d], order[i]) for i in range(d)) for d in range(n))
+        if best is None or cols < best[0]:
+            best = (cols, order)
+    order = best[1]
+    return from_edges(n, [(i, j) for i in range(n) for j in range(i) if g.has_edge(order[i], order[j])]).rows
 
 
 def matching_number_oracle(g) -> int:

@@ -260,6 +260,30 @@ class TestVerify:
         assert record["argmax_certificates"] == record["predicted_certificates"]
 
 
+    @pytest.mark.parametrize("text", ["", "\n\n"], ids=["empty", "blank-lines"])
+    def test_graph6_file_without_graphs_exits_2_before_any_scan(self, capsys, tmp_path, monkeypatch, text):
+        import alphaspec.verify as verify
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a radius or matching was computed")
+
+        monkeypatch.setattr(verify, "spectral_radii", refuse)
+        monkeypatch.setattr(verify, "matching_number", refuse)
+        path = tmp_path / "EMPTY.g6"
+        path.write_text(text)
+        code, out, err = run(capsys, "verify", "3", "--graph6", str(path))
+        assert code == 2
+        assert out == ""
+        assert str(path) in err and "no graph" in err
+
+    @pytest.mark.parametrize("n", ["0", "1"])
+    def test_census_orders_without_an_edge_pass_with_no_records(self, capsys, n):
+        # no class of order 0 or 1 has matching number 1 or more
+        code, out, _ = run(capsys, "verify", n)
+        assert code == 0
+        assert out.splitlines() == [f"all pass (0 records, n={n}, alpha=0)"]
+
+
 class TestFamily:
     def test_above(self, capsys):
         code, out, _ = run(capsys, "family", "10", "2", "--alpha", "0")
@@ -355,6 +379,21 @@ class TestReport:
         assert code == 2
         assert out == ""
         assert message in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("alphas", [",", "", " , "])
+    def test_no_alpha_exits_2_before_any_scan(self, capsys, tmp_path, monkeypatch, alphas):
+        import alphaspec.cli as cli
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an order was scanned")
+
+        monkeypatch.setattr(cli, "verify_order", refuse)
+        out_path = tmp_path / "records.jsonl"
+        code, out, err = run(capsys, "report", "--alphas", alphas, "--output", str(out_path))
+        assert code == 2
+        assert out == ""
+        assert "no alpha given" in err
         assert list(tmp_path.iterdir()) == []
 
     def test_malformed_environment_exits_2(self, capsys, monkeypatch):

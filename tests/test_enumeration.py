@@ -9,7 +9,6 @@ from alphaspec import (
     KNOWN_CLASS_COUNTS,
     Graph,
     canonical_graph,
-    canonical_key,
     complement,
     complete_graph,
     empty_graph,
@@ -19,7 +18,14 @@ from alphaspec import (
     join,
     to_graph6,
 )
-from reference import are_isomorphic, cycle_graph, disjoint_union, extend_level_all_masks, path_graph
+from reference import (
+    are_isomorphic,
+    canonical_rows_oracle,
+    cycle_graph,
+    disjoint_union,
+    extend_level_all_masks,
+    path_graph,
+)
 
 
 def relabel(g, perm):
@@ -36,11 +42,11 @@ class TestCanonicalForm:
                                if rng.random() < 0.5])
             perm = list(range(n))
             rng.shuffle(perm)
-            assert canonical_key(g) == canonical_key(relabel(g, perm))
+            assert canonical_graph(g) == canonical_graph(relabel(g, perm))
 
     def test_distinguishes_nonisomorphic(self):
-        assert canonical_key(path_graph(4)) != canonical_key(star_like())
-        assert canonical_key(cycle_graph(6)) != canonical_key(
+        assert canonical_graph(path_graph(4)) != canonical_graph(star_like())
+        assert canonical_graph(cycle_graph(6)) != canonical_graph(
             disjoint_union(cycle_graph(3), cycle_graph(3))
         )
 
@@ -50,16 +56,15 @@ class TestCanonicalForm:
         assert are_isomorphic(g, c)
         assert canonical_graph(c) == c
 
-    def test_graph_from_cols_equals_the_validating_constructor(self):
-        # _graph_from_cols skips Graph.__post_init__: its rows, from every
-        # class of order <= 7 and from their complements (whose forms the
-        # search flips), must pass the validating constructor unchanged
-        from alphaspec.enumeration import _canonical_search, _graph_from_cols
-
+    def test_canonical_graph_equals_the_validating_constructor(self):
+        # canonical_graph skips Graph.__post_init__: its rows, from every
+        # class of order <= 7 and from their complements (whose canonical
+        # graphs the search complements), must pass the validating
+        # constructor unchanged
         for n in range(8):
             for g in isomorphism_classes(n):
                 for h in (g, complement(g)):
-                    built = _graph_from_cols(n, _canonical_search(n, h.rows)[0])
+                    built = canonical_graph(h)
                     assert built == Graph(n, built.rows)
                     assert are_isomorphic(built, h)
 
@@ -69,6 +74,24 @@ class TestCanonicalForm:
                   disjoint_union(complete_graph(4), complete_graph(4)),
                   cycle_graph(8)):
             assert are_isomorphic(g, canonical_graph(g))
+
+
+class TestCertificateDefinition:
+    # the certificates are the canonical graphs: these pin them to the
+    # definition by an exhaustive oracle, apart from the search itself
+    @pytest.mark.parametrize("n", range(7))
+    def test_canonical_graph_equals_the_oracle(self, n):
+        rng = random.Random(200 + n)
+        for g in isomorphism_classes(n):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            for h in (g, relabel(g, perm)):
+                assert canonical_graph(h).rows == canonical_rows_oracle(h), to_graph6(h)
+
+    @pytest.mark.parametrize("n", range(8))
+    def test_every_class_is_its_own_canonical_graph(self, n):
+        for g in isomorphism_classes(n):
+            assert canonical_graph(g) == g, to_graph6(g)
 
 
 def star_like():
@@ -85,16 +108,16 @@ class TestEnumeration:
 
     def test_classes_are_pairwise_nonisomorphic(self):
         classes = isomorphism_classes(5)
-        keys = {canonical_key(g) for g in classes}
+        keys = {canonical_graph(g) for g in classes}
         assert len(keys) == len(classes)
 
     def test_every_small_graph_is_represented(self):
         rng = random.Random(43)
-        keys = {canonical_key(g) for g in isomorphism_classes(5)}
+        keys = {canonical_graph(g) for g in isomorphism_classes(5)}
         for _ in range(50):
             g = from_edges(5, [(u, v) for u in range(5) for v in range(u + 1, 5)
                                if rng.random() < 0.5])
-            assert canonical_key(g) in keys
+            assert canonical_graph(g) in keys
 
     def test_cap_error_without_file(self):
         with pytest.raises(ValueError):
@@ -117,8 +140,9 @@ class TestEnumeration:
 
 def all_masks_levels(top):
     """Reference generator: each class of order n-1 extended by a new vertex
-    with every neighbourhood, deduplicated by canonical form, sorted."""
-    from alphaspec.enumeration import _canonical_search, _graph_from_cols
+    with every neighbourhood, deduplicated by canonical graph, its rows
+    sorted."""
+    from alphaspec.enumeration import _canonical_search
 
     levels = {0: [()]}
     for n in range(1, top + 1):
@@ -127,7 +151,7 @@ def all_masks_levels(top):
             for mask in range(1 << (n - 1)):
                 rows = [r | (((mask >> v) & 1) << (n - 1)) for v, r in enumerate(prows)]
                 keys.add(_canonical_search(n, tuple(rows + [mask]))[0])
-        levels[n] = [_graph_from_cols(n, cols).rows for cols in sorted(keys)]
+        levels[n] = sorted(keys)
     return levels
 
 
@@ -165,7 +189,7 @@ def generated_group(n, gens):
 class TestAutomorphismGenerators:
     @pytest.mark.parametrize("n", range(7))
     def test_generate_the_whole_group(self, n):
-        from alphaspec.enumeration import _canonical_search, _graph_from_cols
+        from alphaspec.enumeration import _canonical_search
 
         rng = random.Random(n)
         perms = list(itertools.permutations(range(n)))
@@ -173,8 +197,8 @@ class TestAutomorphismGenerators:
             # search a relabeled copy: the generators act on the canonical graph
             shuffled = list(range(n))
             rng.shuffle(shuffled)
-            cols, gens = _canonical_search(n, relabel(g, shuffled).rows)
-            canon = _graph_from_cols(n, cols)
+            rows, gens = _canonical_search(n, relabel(g, shuffled).rows)
+            canon = Graph(n, rows)
             brute = {p for p in perms if relabel(canon, p) == canon}
             assert set(gens) <= brute
             assert generated_group(n, gens) == brute, to_graph6(g)
@@ -207,8 +231,9 @@ def edge_excess(g):
 
 
 class TestComplementClosedForm:
-    # a graph with 2m > M takes its complement's form, flipped, so the
-    # census's upper half is a bit flip of its lower half
+    # a graph with 2m > M takes the complement of its complement's
+    # canonical graph, so the census's upper half is the complements of
+    # its lower half
     @pytest.mark.parametrize("n", range(8))
     def test_form_of_complement_is_complement_of_form(self, n):
         for g in isomorphism_classes(n):
@@ -222,7 +247,7 @@ class TestComplementClosedForm:
             if edge_excess(g) > 0:
                 perm = list(range(n))
                 rng.shuffle(perm)
-                assert canonical_key(relabel(g, perm)) == canonical_key(g), to_graph6(g)
+                assert canonical_graph(relabel(g, perm)) == canonical_graph(g), to_graph6(g)
 
     def test_build_searches_no_upper_half_graph(self, monkeypatch):
         # building order 8 from order 7: 10,296 children and 522 parents,
