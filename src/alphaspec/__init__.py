@@ -52,7 +52,6 @@ from .theorem import (
 from .enumeration import (
     KNOWN_CLASS_COUNTS,
     canonical_graph,
-    enumerate_graphs,
     isomorphism_classes,
 )
 from .verify import (

@@ -13,8 +13,7 @@ Subcommands::
 Alpha is accepted as a decimal or an exact rational like ``1/2``; the
 rational form is preferred because the threshold regime is decided by
 exact arithmetic.  Exit codes: 0 success / all pass, 1 verification
-failure, 2 usage or parse error.  ALPHASPEC_JOBS sets the default worker
-count for the scans.
+failure, 2 usage or parse error.
 """
 
 from __future__ import annotations
@@ -122,8 +121,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="value tolerance (default %(default)s)")
     p.add_argument("--graph6", metavar="FILE",
                    help="graph6 file with one class per line (required for n > 8)")
-    p.add_argument("--jobs", type=int, default=None,
-                   help="worker count, at most the CPU count (default ALPHASPEC_JOBS or 1)")
+    p.add_argument("--jobs", type=int, default=1,
+                   help="worker count, at most the CPU count (default %(default)s)")
     add_format(p)
 
     p = sub.add_parser("family", help="best join family for (n, beta) at alpha")
@@ -138,7 +137,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alphas", default="0,1/2,1,2",
                    help="comma-separated alpha list (default %(default)s)")
     p.add_argument("--tol", type=_positive_float, default=1e-9)
-    p.add_argument("--jobs", type=int, default=None)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="worker count, at most the CPU count (default %(default)s)")
     p.add_argument("--output", metavar="PATH", help="write records here instead of stdout")
     add_format(p)
     return parser

@@ -38,7 +38,7 @@ with ``resolve_jobs`` first.
 from __future__ import annotations
 
 import os
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Sequence
 
 from .graphs import Graph, _complement_rows
 
@@ -48,23 +48,12 @@ BUILTIN_ORDER_CAP = 8
 _LEVELS: dict[int, list[tuple[int, ...]]] = {0: [()]}
 
 
-def resolve_jobs(jobs: int | None = None) -> int:
-    """Worker count for the scans: ``jobs`` if given, else ALPHASPEC_JOBS,
-    else 1.  Anything but an integer in [1, os.cpu_count()] raises
-    ValueError naming where the value came from."""
-    source = "jobs"
-    if jobs is None:
-        env = os.environ.get("ALPHASPEC_JOBS")
-        if not env:
-            return 1
-        source = "ALPHASPEC_JOBS"
-        try:
-            jobs = int(env)
-        except ValueError:
-            raise ValueError(f"ALPHASPEC_JOBS must be an integer, got {env!r}") from None
+def resolve_jobs(jobs: int) -> int:
+    """The worker count ``jobs`` for the scans, checked to lie in
+    [1, os.cpu_count()]; ValueError otherwise."""
     limit = os.cpu_count() or 1
     if not 1 <= jobs <= limit:
-        raise ValueError(f"{source} must be between 1 and {limit} (the CPU count), got {jobs}")
+        raise ValueError(f"jobs must be between 1 and {limit} (the CPU count), got {jobs}")
     return jobs
 
 
@@ -327,24 +316,3 @@ def isomorphism_classes(n: int, jobs: int = 1) -> list[Graph]:
     _build_level(n, jobs=resolve_jobs(jobs))
     # the cached rows are relabeled or complemented rows of valid graphs
     return [Graph._from_valid_rows(n, rows) for rows in _LEVELS[n]]
-
-
-def enumerate_graphs(
-    n: int, jobs: int = 1, source: Iterable[Graph | tuple[int, Graph]] | None = None
-) -> Iterator[Graph]:
-    """Stream of isomorphism-class representatives of order n.
-
-    ``source`` overrides the built-in path.  It holds graphs, or the
-    (line, graph) pairs of ``read_graph6_file``; each graph is checked for
-    the right order, and a wrong one is named by its line, else by its
-    0-based position.  Class uniqueness of a file is trusted as documented.
-    """
-    if source is not None:
-        for i, item in enumerate(source):
-            line, g = item if isinstance(item, tuple) else (None, item)
-            if g.n != n:
-                where = f"graph {i} in source" if line is None else f"line {line}: graph"
-                raise ValueError(f"{where} has order {g.n}, expected {n}")
-            yield g
-        return
-    yield from isomorphism_classes(n, jobs=jobs)

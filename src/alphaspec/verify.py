@@ -19,12 +19,8 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .enumeration import (
-    canonical_graph,
-    enumerate_graphs,
-    map_chunks,
-    resolve_jobs,
-)
+from . import enumeration
+from .enumeration import canonical_graph, map_chunks, resolve_jobs
 from .graphs import Graph, read_graph6_file, to_graph6
 from .matching import matching_number
 from .spectral import FamilyBatch, JoinFamily, _check_tol, family_radius, one_clique_family, spectral_radii
@@ -113,19 +109,21 @@ def _scan_chunk(rows_list: Sequence[tuple[int, ...]], n: int, alpha: float) -> l
     return [(matching_number(Graph._from_valid_rows(n, rows)), rho) for rows, rho in zip(rows_list, radii)]
 
 
-def _scan_order(
-    n: int,
-    alpha: Fraction,
-    jobs: int | None = None,
-    source: str | None = None,
-) -> list[_ScanEntry]:
+def _scan_order(n: int, alpha: Fraction, jobs: int = 1, source: str | None = None) -> list[_ScanEntry]:
     """Per-class (matching number, radius) for every class of order n,
     from the built-in census or from the graph6 file ``source``."""
-    jobs = resolve_jobs(jobs)
-    graphs = None if source is None else read_graph6_file(source)
-    rows_list = [g.rows for g in enumerate_graphs(n, jobs=jobs, source=graphs)]
-    if source is not None and not rows_list:
-        raise ValueError(f"graph6 file {source} holds no graph: nothing to verify")
+    resolve_jobs(jobs)
+    if source is None:
+        # looked up on the module, so a wrapper placed there (perfbench/tracing.py) is reached
+        rows_list = [g.rows for g in enumeration.isomorphism_classes(n, jobs=jobs)]
+    else:
+        rows_list = []
+        for line, g in read_graph6_file(source):
+            if g.n != n:
+                raise ValueError(f"line {line}: graph has order {g.n}, expected {n}")
+            rows_list.append(g.rows)
+        if not rows_list:
+            raise ValueError(f"graph6 file {source} holds no graph: nothing to verify")
     parts = map_chunks(_scan_chunk, rows_list, jobs, n, float(alpha))
     values: list[tuple[int, float]] = [None] * len(rows_list)
     for start, part in enumerate(parts):
@@ -174,20 +172,28 @@ def verify_order(
     n: int,
     alpha,
     tol: float = DEFAULT_REPORT_TOL,
-    jobs: int | None = None,
+    jobs: int = 1,
     source: str | None = None,
 ) -> list[VerificationReport]:
-    """One report per feasible beta >= 1 at order n, all from one scan."""
+    """One report per feasible beta >= 1 at order n, all from one scan.
+
+    The census of order n holds no class with beta >= 1 only at n <= 1,
+    where the empty list is the complete answer; a graph6 file without
+    such a graph raises ValueError instead.
+    """
     _check_tol(tol)
     start = time.perf_counter()
     a = as_fraction(alpha)
     entries = _scan_order(n, a, jobs=jobs, source=source)
     present = {e.beta for e in entries}
-    return [
+    reports = [
         _report(entries, classify_regime(n, beta, a), tol, start)
         for beta in range(1, n // 2 + 1)
         if beta in present
     ]
+    if source is not None and not reports:
+        raise ValueError(f"graph6 file {source} holds no graph with matching number 1 or more: nothing to verify")
+    return reports
 
 
 # -- family search -----------------------------------------------------

@@ -276,6 +276,15 @@ class TestVerify:
         assert out == ""
         assert str(path) in err and "no graph" in err
 
+    def test_graph6_file_without_an_edge_exits_2(self, capsys, tmp_path):
+        # A? is the edgeless graph of order 2: no beta >= 1 to verify
+        path = tmp_path / "EDGELESS.g6"
+        path.write_text("A?\n")
+        code, out, err = run(capsys, "verify", "2", "--graph6", str(path))
+        assert code == 2
+        assert out == ""
+        assert str(path) in err and "matching number 1 or more" in err
+
     @pytest.mark.parametrize("n", ["0", "1"])
     def test_census_orders_without_an_edge_pass_with_no_records(self, capsys, n):
         # no class of order 0 or 1 has matching number 1 or more
@@ -396,11 +405,11 @@ class TestReport:
         assert "no alpha given" in err
         assert list(tmp_path.iterdir()) == []
 
-    def test_malformed_environment_exits_2(self, capsys, monkeypatch):
+    def test_environment_does_not_set_jobs(self, capsys, monkeypatch):
         monkeypatch.setenv("ALPHASPEC_JOBS", "many")
-        code, _, err = run(capsys, "verify", "5")
-        assert code == 2
-        assert "ALPHASPEC_JOBS" in err
+        code, out, _ = run(capsys, "verify", "5", "--format", "json-lines")
+        assert code == 0
+        assert len(out.splitlines()) == 2
 
 
 class TestRecordWriter:

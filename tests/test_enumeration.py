@@ -12,7 +12,6 @@ from alphaspec import (
     complement,
     complete_graph,
     empty_graph,
-    enumerate_graphs,
     from_edges,
     isomorphism_classes,
     join,
@@ -122,20 +121,6 @@ class TestEnumeration:
     def test_cap_error_without_file(self):
         with pytest.raises(ValueError):
             isomorphism_classes(9)
-
-    def test_stream_source_checks_order(self):
-        src = [complete_graph(4)]
-        with pytest.raises(ValueError):
-            list(enumerate_graphs(5, source=src))
-
-    def test_numbered_source_names_the_line(self):
-        src = [(1, complete_graph(5)), (3, complete_graph(4))]
-        with pytest.raises(ValueError, match=r"^line 3: graph has order 4, expected 5$"):
-            list(enumerate_graphs(5, source=src))
-
-    def test_stream_source_passthrough(self):
-        src = [complete_graph(4), cycle_graph(4)]
-        assert list(enumerate_graphs(4, source=src)) == src
 
 
 def all_masks_levels(top):

@@ -182,6 +182,23 @@ class TestVerifyOrder:
         assert [r.beta for r in reports] == [1, 2, 3]
         assert all(r.passed and r.graphs_scanned == 156 for r in reports)
 
+    def test_census_reached_through_the_module_attribute(self, monkeypatch):
+        # the benchmark tracer wraps enumeration.isomorphism_classes there;
+        # a name imported into verify would bypass its wrapper
+        import alphaspec.enumeration as enumeration
+
+        calls = []
+        real = enumeration.isomorphism_classes
+
+        def counting(n, jobs=1):
+            calls.append((n, jobs))
+            return real(n, jobs=jobs)
+
+        monkeypatch.setattr(enumeration, "isomorphism_classes", counting)
+        reports = verify_order(5, 0)
+        assert calls == [(5, 1)]
+        assert [r.graphs_scanned for r in reports] == [34, 34]
+
     def test_graph6_rows_wider_than_int64(self, tmp_path):
         import random
 
@@ -233,36 +250,42 @@ class TestResolveJobs:
     @pytest.fixture(autouse=True)
     def four_cpus(self, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: 4)
-        monkeypatch.delenv("ALPHASPEC_JOBS", raising=False)
 
-    def test_default_is_one(self):
-        assert resolve_jobs() == 1
+    def test_default_is_one(self, monkeypatch):
+        # the environment sets nothing: only jobs= does
+        import alphaspec.verify as verify
 
-    def test_environment_and_explicit(self, monkeypatch):
         monkeypatch.setenv("ALPHASPEC_JOBS", "3")
-        assert resolve_jobs() == 3
-        assert resolve_jobs(4) == 4
+        counts = []
+        real = verify.map_chunks
 
-    @pytest.mark.parametrize("value", ["abc", "1.5", "0", "-2", "5"])
-    def test_bad_environment_rejected(self, monkeypatch, value):
-        monkeypatch.setenv("ALPHASPEC_JOBS", value)
-        with pytest.raises(ValueError, match="ALPHASPEC_JOBS"):
-            resolve_jobs()
+        def recording(func, items, jobs, *args):
+            counts.append(jobs)
+            return real(func, items, jobs, *args)
+
+        monkeypatch.setattr(verify, "map_chunks", recording)
+        verify_order(5, 0)
+        assert counts == [1]
 
     @pytest.mark.parametrize("value", [0, -1, 5])
     def test_bad_explicit_rejected(self, value):
         with pytest.raises(ValueError, match="between 1 and 4"):
             resolve_jobs(value)
 
-    def test_checked_before_any_scan(self, monkeypatch):
+    def test_checked_before_any_scan(self, monkeypatch, tmp_path):
+        import alphaspec.enumeration as enumeration
         import alphaspec.verify as verify
 
         def no_scan(*args, **kwargs):
             raise AssertionError("scan started before the worker count was checked")
 
-        monkeypatch.setattr(verify, "enumerate_graphs", no_scan)
-        with pytest.raises(ValueError, match="jobs"):
-            verify_order(6, 0, jobs=5)
+        monkeypatch.setattr(enumeration, "isomorphism_classes", no_scan)
+        monkeypatch.setattr(verify, "read_graph6_file", no_scan)
+        path = tmp_path / "order6.g6"
+        path.write_text(to_graph6(complete_graph(6)) + "\n")
+        for source in (None, str(path)):
+            with pytest.raises(ValueError, match="jobs"):
+                verify_order(6, 0, jobs=5, source=source)
 
 
 class TestReportSerialization:
