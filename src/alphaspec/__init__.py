@@ -22,6 +22,7 @@ from .graphs import (
 from .matching import (
     TutteBergeWitness,
     matching_number,
+    matching_numbers,
     tutte_berge_witness,
 )
 from .spectral import (

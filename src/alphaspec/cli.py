@@ -145,9 +145,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_graph(args) -> Graph:
-    if bool(args.input) == bool(args.graph6):
+    if (args.input is None) == (args.graph6 is None):
         raise SystemExit2("exactly one of --input or --graph6 is required")
-    if args.graph6:
+    if args.graph6 is not None:
         return parse_graph6(args.graph6)
     if args.input == "-":
         return parse_edge_list(sys.stdin.read())

@@ -142,14 +142,18 @@ class Graph:
         return f"Graph(n={self.n}, m={self.num_edges})"
 
 
-def bit_matrices(n: int, rows_list: Sequence[Sequence[int]]) -> np.ndarray:
-    """The (m, n, n) uint8 adjacency matrices of m graphs of order n given
-    by their bit rows, unpacked from the rows' little-endian bytes in one
-    step, so rows of any width convert alike."""
+def row_bytes(n: int, rows_list: Sequence[Sequence[int]]) -> np.ndarray:
+    """The (m, n, ceil(n/8)) uint8 little-endian bytes of the bit rows of
+    m graphs of order n, so rows of any width convert alike."""
     width = (n + 7) // 8
     packed = b"".join(r.to_bytes(width, "little") for rows in rows_list for r in rows)
-    packed = np.frombuffer(packed, dtype=np.uint8).reshape(len(rows_list), n, width)
-    return np.unpackbits(packed, axis=2, count=n, bitorder="little")
+    return np.frombuffer(packed, dtype=np.uint8).reshape(len(rows_list), n, width)
+
+
+def bit_matrices(n: int, rows_list: Sequence[Sequence[int]]) -> np.ndarray:
+    """The (m, n, n) uint8 adjacency matrices of m graphs of order n given
+    by their bit rows, unpacked from ``row_bytes`` in one step."""
+    return np.unpackbits(row_bytes(n, rows_list), axis=2, count=n, bitorder="little")
 
 
 # -- constructors ------------------------------------------------------

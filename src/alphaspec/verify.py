@@ -3,7 +3,9 @@
 ``verify_order`` scans every isomorphism class of order n once and, for
 each matching number beta, maximizes the radius over the classes with
 that beta and compares observed maximum and argmax structure against
-the regime prediction.  ``family_search`` does
+the regime prediction.  Each scan chunk takes its matching numbers from
+one ``matching_numbers`` call and its radii from one ``spectral_radii``
+call, so no ``Graph`` is built per class.  ``family_search`` does
 the same over the structured join families at orders where exhaustion is
 impossible.  Reports are machine-checkable records with a stable field
 order, one line per (n, beta, alpha).
@@ -22,7 +24,8 @@ import numpy as np
 from . import enumeration
 from .enumeration import canonical_graph, map_chunks, resolve_jobs
 from .graphs import Graph, read_graph6_file, to_graph6
-from .matching import matching_number
+from .matching import matching_number  # noqa: F401  (perfbench/tracing.py wraps this name here)
+from .matching import matching_numbers
 from .spectral import FamilyBatch, JoinFamily, _check_tol, family_radius, one_clique_family, spectral_radii
 from .spectral import spectral_radius  # noqa: F401  (perfbench/tracing.py wraps this name here)
 from .theorem import RegimeVerdict, as_fraction, classify_regime
@@ -103,10 +106,11 @@ class _ScanEntry:
 
 def _scan_chunk(rows_list: Sequence[tuple[int, ...]], n: int, alpha: float) -> list[tuple[int, float]]:
     """(matching number, radius) per class of order n, given by the rows of
-    graphs already built; the radii of the whole chunk come from one
-    ``spectral_radii`` call."""
+    graphs already built; the chunk's matching numbers come from one
+    ``matching_numbers`` call and its radii from one ``spectral_radii``
+    call."""
     radii = spectral_radii(n, rows_list, alpha).tolist()
-    return [(matching_number(Graph._from_valid_rows(n, rows)), rho) for rows, rho in zip(rows_list, radii)]
+    return list(zip(matching_numbers(n, rows_list).tolist(), radii))
 
 
 def _scan_order(n: int, alpha: Fraction, jobs: int = 1, source: str | None = None) -> list[_ScanEntry]:

@@ -127,6 +127,21 @@ class TestMatching:
         assert json.loads(out)["beta"] == 2
 
 
+@pytest.mark.parametrize("command", ["rho", "matching"])
+class TestEmptyGraphInput:
+    # an empty option value is given, not absent: it used to count as
+    # absent, so "--input ''" beside --graph6 passed the one-input check
+    def test_empty_input_beside_graph6_exits_2(self, capsys, command):
+        code, out, err = run(capsys, command, "--input", "", "--graph6", "A_")
+        assert code == 2 and out == ""
+        assert "exactly one of --input or --graph6 is required" in err
+
+    def test_empty_graph6_is_a_parse_error_at_offset_0(self, capsys, command):
+        code, out, err = run(capsys, command, "--graph6", "")
+        assert code == 2 and out == ""
+        assert "empty graph6 input (byte offset 0)" in err
+
+
 class TestBoundClassify:
     def test_threshold_human(self, capsys):
         code, out, _ = run(capsys, "bound", "8", "2", "--alpha", "0")

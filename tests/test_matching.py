@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,10 +12,15 @@ from alphaspec import (
     isomorphism_classes,
     join,
     matching_number,
+    matching_numbers,
+    to_graph6,
     tutte_berge_witness,
 )
+from alphaspec.cli import main
+from alphaspec.graphs import _bits
 from alphaspec.spectral import JoinFamily
 from reference import (
+    ORACLE_EDGE_CAP,
     augment_from_full_scan,
     cycle_graph,
     disjoint_union,
@@ -100,6 +106,98 @@ class TestOracle:
         assert matching_number(g) == matching_number_oracle(g)
 
 
+def seeded_graph(rng, n, p):
+    return from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+
+
+class TestMatchingNumbers:
+    """The stacked subset DP up to order ``_SUBSET_DP_MAX_ORDER``, the
+    blossom search above it."""
+
+    def test_every_class_to_order_eight(self, classes_to_eight):
+        assert len(classes_to_eight) == 13_599
+        for n in range(9):
+            classes = [g for g in classes_to_eight if g.n == n]
+            assert matching_numbers(n, [g.rows for g in classes]).tolist() == [matching_number(g) for g in classes], n
+
+    @pytest.mark.parametrize("n", range(12))
+    def test_seeded_graphs_against_the_oracle(self, n, monkeypatch):
+        from alphaspec import matching
+
+        blossom = []
+        real = matching.matching_number
+        monkeypatch.setattr(matching, "matching_number", lambda g: blossom.append(g) or real(g))
+        rng = random.Random(100 + n)
+        graphs = [empty_graph(n), complete_graph(n)]
+        while len(graphs) < 40:
+            g = seeded_graph(rng, n, rng.choice((0.1, 0.3, 0.5)))
+            if g.num_edges <= ORACLE_EDGE_CAP:
+                graphs.append(g)
+        expected = [0, n // 2] + [matching_number_oracle(g) for g in graphs[2:]]
+        assert matching_numbers(n, [g.rows for g in graphs]).tolist() == expected
+        assert len(blossom) == (len(graphs) if n > matching._SUBSET_DP_MAX_ORDER else 0)
+        if complete_graph(n).num_edges <= ORACLE_EDGE_CAP:
+            assert matching_number_oracle(complete_graph(n)) == n // 2
+
+    @pytest.mark.parametrize("n", [0, 1, 5, 9, 10])
+    def test_no_graphs(self, n):
+        out = matching_numbers(n, [])
+        assert isinstance(out, np.ndarray) and out.shape == (0,)
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_orders_below_two_are_zero(self, n):
+        assert matching_numbers(n, [empty_graph(n).rows] * 3).tolist() == [0, 0, 0]
+
+    def test_slices_agree_with_single_graphs(self):
+        from alphaspec.matching import _SUBSET_DP_MAX_ENTRIES
+
+        n = 9
+        per_slice = _SUBSET_DP_MAX_ENTRIES >> n
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        rng = random.Random(9)
+        graphs = []
+        for _ in range(2 * per_slice + 5):
+            # each pair an edge with probability 1/2, 1/4, 1/8 or 1/16
+            mask = ~0
+            for _ in range(rng.randint(1, 4)):
+                mask &= rng.getrandbits(len(pairs))
+            graphs.append(from_edges(n, [e for i, e in enumerate(pairs) if mask >> i & 1]))
+        together = matching_numbers(n, [g.rows for g in graphs]).tolist()
+        assert set(together) == {0, 1, 2, 3, 4}
+        assert together == [matching_number(g) for g in graphs]
+        boundary = [i for k in (1, 2) for i in range(k * per_slice - 2, k * per_slice + 2)] + [len(graphs) - 1]
+        assert [together[i] for i in boundary] == [int(matching_numbers(n, [graphs[i].rows])[0]) for i in boundary]
+
+
+class TestNeighborLists:
+    """The blossom search's neighbour lists, read from the row bytes, are
+    the ascending lists ``Graph.neighbors`` gives."""
+
+    @pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 63, 64, 65, 400])
+    def test_equal_to_neighbors(self, n):
+        from alphaspec.matching import _neighbor_lists
+
+        rng = random.Random(n)
+        for g in (empty_graph(n), complete_graph(n), seeded_graph(rng, n, 0.05), seeded_graph(rng, n, 0.5)):
+            assert _neighbor_lists(n, g.rows) == [g.neighbors(v) for v in range(n)]
+
+    def test_witness_records_unchanged(self, capsys, monkeypatch):
+        from alphaspec import matching
+
+        rng = random.Random(500)
+        texts = [to_graph6(seeded_graph(rng, n, p / n)) for n in (10, 60, 200, 500) for p in (0.5, 1.5, 4)]
+
+        def records():
+            for text in texts:
+                assert main(["matching", "--graph6", text, "--witness", "--format", "json-lines"]) == 0
+            return capsys.readouterr().out.splitlines()
+
+        ours = records()
+        monkeypatch.setattr(matching, "_neighbor_lists", lambda n, rows: [_bits(r) for r in rows])
+        assert ours == records()
+        assert len(ours) == len(texts)
+
+
 class TestTutteBerge:
     def test_star(self):
         w = tutte_berge_witness(star_graph(3))
@@ -156,8 +254,13 @@ def gallai_edmonds_set(g):
 
 
 @pytest.fixture(scope="module")
-def classes_to_seven():
-    return [g for n in range(8) for g in isomorphism_classes(n)]
+def classes_to_eight():
+    return [g for n in range(9) for g in isomorphism_classes(n)]
+
+
+@pytest.fixture(scope="module")
+def classes_to_seven(classes_to_eight):
+    return [g for g in classes_to_eight if g.n < 8]
 
 
 class TestWitnessOnEveryClass:
