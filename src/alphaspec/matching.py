@@ -24,11 +24,11 @@ from .graphs import Graph, row_bytes, row_component_masks
 
 # Largest order whose matching numbers come from the stacked subset DP;
 # each graph above it takes the blossom search.  Per graph, over 2,000
-# seeded random graphs of each order (2 cores, Python 3.11, numpy 2.4),
-# the DP took 0.5 and 0.8 us at n = 8 and 9 against 21 and 29 us for the
-# blossom search.  It stays ahead up to n = 13 (17 against 42 us), orders
-# only a graph6 file brings to the scan; raising the cap is a ROADMAP item.
-_SUBSET_DP_MAX_ORDER = 9
+# seeded random graphs of each order with p in {0.1, 0.3, 0.5} (2 cores,
+# Python 3.11, numpy 2.4), the DP took 2.3, 5.0, 19 and 41 us at n = 9,
+# 11, 13 and 14 against 26, 32, 43 and 39 us for the blossom search.
+# Orders 10 to 13 reach the scan only from a graph6 file.
+_SUBSET_DP_MAX_ORDER = 13
 # Entries (2**n subsets times graphs) of one DP table: 4 MB of uint8.
 _SUBSET_DP_MAX_ENTRIES = 1 << 22
 
@@ -71,7 +71,7 @@ def matching_numbers(n: int, rows_list: Sequence[Sequence[int]]) -> np.ndarray:
     step = _SUBSET_DP_MAX_ENTRIES >> n
     parts = [np.zeros(0, dtype=int)]
     for first in range(0, len(rows_list), step):
-        rows = np.array(rows_list[first : first + step], dtype=np.uint16)  # rows below 2**9
+        rows = np.array(rows_list[first : first + step], dtype=np.uint16)  # rows below 2**13
         f = np.zeros((1 << n, len(rows)), dtype=np.uint8)
         for v in range(n - 1, -1, -1):
             low = f.reshape(1 << (n - v - 1), 2, 1 << v, -1)

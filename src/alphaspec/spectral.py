@@ -5,10 +5,12 @@ For a graph G and alpha >= 0 the matrix of interest is
 matrix; its largest eigenvalue is the alpha-spectral radius rho.  At
 alpha = 0 this is the adjacency spectral radius, at alpha = 1 the
 signless Laplacian spectral radius.  A graph's rho is the largest over
-its connected components of the top eigenvalue from ``eigvalsh``; the
-Perron vector that evidences it comes from shifted solves (inverse
-iteration, one step unless the residual asks for more), and its
-residual is measured.
+its connected components of the top eigenvalue of the component's
+block: from ``eigvalsh`` for a small block, and from Lanczos with
+``eigvalsh`` as its fallback for a block of ``_KRYLOV_MIN_ORDER``
+vertices or more.  The Perron vector that evidences it comes from
+shifted solves (inverse iteration, one step unless the residual asks
+for more), and its residual is measured.
 
 Beyond the dense computation this module carries the structured join
 family K_s v (K_{n_1} u ... u K_{n_q}), whose equal-size parts collapse
@@ -27,6 +29,7 @@ module.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import groupby
 from typing import Sequence
@@ -58,6 +61,29 @@ _PERRON_SHIFT = 2.0**-48
 # a large alpha * degree takes a second (P_6 at alpha = 1e5: 6.3e-10
 # after one step).
 _INVERSE_STEPS = 3
+# Smallest component block whose top eigenvalue comes from Lanczos
+# instead of ``eigvalsh``.  Over seeded G(k, p) blocks of average degree
+# 4, 8, 16, k/4 and k/2 at alpha 0 and 2 (2 cores, numpy 2.4 with one or
+# two OpenBLAS threads, fallback included), the median ratio of Lanczos
+# time to ``eigvalsh`` time was 0.98-1.13 at k = 128, 0.89-0.96 at 144,
+# 0.64-0.90 at 160 and 0.49-0.60 at 192; the sparsest blocks, which need
+# the most steps, stay slower up to k = 160.
+_KRYLOV_MIN_ORDER = 160
+# Lanczos steps allowed per block before it falls back to ``eigvalsh``.
+# Over seeds 1-20 of G(n, p) with (n, p) from (160, 0.5) to (400, 0.05)
+# at alpha in {0, 1/2, 1, 2}, the first step that met the test was 14 to
+# 54.  A block that never converges, such as a long path, pays the
+# steps on top of ``eigvalsh``.
+_KRYLOV_MAX_STEPS = 64
+# Steps after which the top Ritz pair is tested, about a quarter apart:
+# an ``eigh`` of T took 17 us at 8 steps and 305 us at 64, against about
+# 55 us per step at k = 400, so testing every step would cost more than
+# the steps it saves.
+_KRYLOV_CHECKS = frozenset((8, 12, 16, 20, 25, 32, 40, 50, _KRYLOV_MAX_STEPS))
+# Ritz residual, relative to max(1, theta), at which theta is taken as
+# rho: theta is then within that residual of an eigenvalue, and within
+# its square over the spectral gap of rho.
+_RITZ_TOL = 2.0**-50
 
 
 @dataclass(frozen=True)
@@ -138,9 +164,12 @@ def _solve_components(
 
 def _top_eigenpairs(blocks: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The top eigenvalue of each connected block of a stack (m, k, k),
-    by ``eigvalsh``, its eigenvector scaled to sup-norm 1, and the
-    residual ``max|B x - rho x|`` of the pair.
+    its eigenvector scaled to sup-norm 1, and the residual
+    ``max|B x - rho x|`` of the pair.
 
+    Below ``_KRYLOV_MIN_ORDER`` the top eigenvalues come from one stacked
+    ``eigvalsh``; from that order on each block tries ``_lanczos_top``
+    first, and only a block it leaves unconverged takes ``eigvalsh``.
     On a connected block the top eigenvalue rho is simple with a positive
     eigenvector (Perron-Frobenius), so inverse iteration from the
     all-ones vector, solves of (sigma I - B) x_new = x with sigma just
@@ -151,7 +180,13 @@ def _top_eigenpairs(blocks: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndar
     direction; blocks still above ``tol`` take another step, up to
     ``_INVERSE_STEPS`` in all.
     """
-    rho = np.linalg.eigvalsh(blocks)[:, -1]
+    if blocks.shape[-1] < _KRYLOV_MIN_ORDER:
+        rho = np.linalg.eigvalsh(blocks)[:, -1]
+    else:
+        rho = np.array([_lanczos_top(block) for block in blocks])
+        slow = np.isnan(rho)
+        if slow.any():
+            rho[slow] = np.linalg.eigvalsh(blocks[slow])[:, -1]
     x = _inverse_step(blocks, rho, np.ones(blocks.shape[:2]), _PERRON_SHIFT)
     residual = _residuals(blocks, rho, x)
     for _ in range(_INVERSE_STEPS - 1):
@@ -161,6 +196,52 @@ def _top_eigenpairs(blocks: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndar
         x[again] = _inverse_step(blocks[again], rho[again], x[again], _PERRON_SHIFT)
         residual[again] = _residuals(blocks[again], rho[again], x[again])
     return rho, x, residual
+
+
+def _lanczos_top(block: np.ndarray) -> float:
+    """The top eigenvalue of one connected block B by Lanczos with full
+    reorthogonalisation from the all-ones vector, or NaN if it has not
+    converged within ``_KRYLOV_MAX_STEPS`` steps or a squared norm
+    overflows (``eigvalsh`` scales such a block; this iteration does not).
+
+    Step j extends the orthonormal rows q_0..q_j, stacked in one
+    C-contiguous array, by B q_j made orthogonal to all of them (two
+    Gram-Schmidt passes), and the tridiagonal T of the projected B by
+    its diagonal entry q_j . B q_j and the norm beta_j of the remainder.
+    The cosine of the ones vector with the positive Perron vector is at
+    least 1 / sqrt(k), so T's top eigenvalue theta approaches rho first
+    (Kaniel-Paige-Saad; Parlett, *The Symmetric Eigenvalue Problem*,
+    1980, ch. 13).  The top Ritz pair (theta, s) is tested at the steps
+    of ``_KRYLOV_CHECKS``, and theta is returned once its residual
+    beta_j |s_j| is at most ``_RITZ_TOL`` * max(1, theta).  A remainder
+    that small on its own means the rows span an invariant subspace,
+    which holds rho; on a regular block that happens at the first step,
+    where the ones vector is the Perron vector.
+    """
+    k = len(block)
+    steps = min(k, _KRYLOV_MAX_STEPS)
+    q = np.empty((steps, k))
+    q[0] = 1 / math.sqrt(k)
+    t = np.zeros((steps, steps))
+    for j in range(steps):
+        basis = q[: j + 1]
+        w = block @ q[j]
+        h = basis @ w
+        w -= h @ basis
+        w -= (basis @ w) @ basis
+        with np.errstate(over="ignore"):
+            t[j, j], beta = h[j], math.sqrt(w @ w)
+        if beta == math.inf:  # |w|^2 overflows once rho passes about 1e154
+            return math.nan
+        invariant = beta <= _RITZ_TOL * max(1.0, t[0, 0])  # t[0, 0] <= theta
+        if invariant or j + 1 in _KRYLOV_CHECKS:
+            theta, s = np.linalg.eigh(t[: j + 1, : j + 1])
+            if invariant or beta * abs(s[-1, -1]) <= _RITZ_TOL * max(1.0, theta[-1]):
+                return float(theta[-1])
+        if j + 1 < steps:
+            q[j + 1] = w / beta
+            t[j, j + 1] = t[j + 1, j] = beta
+    return math.nan
 
 
 def _inverse_step(blocks: np.ndarray, rho: np.ndarray, start: np.ndarray, shift: float) -> np.ndarray:
@@ -215,10 +296,12 @@ def spectral_radii(
 def spectral_radius(g: Graph, alpha: float, tol: float = DEFAULT_TOL) -> SpectralResult:
     """Largest eigenvalue of alpha * D + A with its Perron vector.
 
-    The batch of one of ``spectral_radii``: each connected component
-    block is solved by ``eigvalsh`` and shifted solves, and the first
-    component that attains the maximum is reported, with its eigenpair's
-    residual (a residual above ``tol`` raises ValueError).
+    The batch of one of ``spectral_radii``: the top eigenvalue of each
+    connected component block comes from ``eigvalsh``, or from Lanczos
+    for a block of ``_KRYLOV_MIN_ORDER`` vertices or more, its Perron
+    vector from shifted solves, and the first component that attains the
+    maximum is reported, with its eigenpair's residual (a residual above
+    ``tol`` raises ValueError).
     """
     alpha = _check_alpha(alpha)
     _check_tol(tol)

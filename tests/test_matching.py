@@ -120,7 +120,7 @@ class TestMatchingNumbers:
             classes = [g for g in classes_to_eight if g.n == n]
             assert matching_numbers(n, [g.rows for g in classes]).tolist() == [matching_number(g) for g in classes], n
 
-    @pytest.mark.parametrize("n", range(12))
+    @pytest.mark.parametrize("n", range(16))
     def test_seeded_graphs_against_the_oracle(self, n, monkeypatch):
         from alphaspec import matching
 

@@ -2,6 +2,7 @@ import functools
 import itertools
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -406,6 +407,129 @@ class TestPerronPairEdgeCases:
                  for i in range(2)]
         assert hex_list(stacked.ravel()) == hex_list(np.concatenate(alone))
         assert stacked.tolist() == [[1.0, 1.0], [1.0, 1.0]]
+
+
+@pytest.fixture
+def eigvalsh_shapes(monkeypatch):
+    """The shape of every array passed to ``np.linalg.eigvalsh``."""
+    shapes = []
+    real = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a, *args, **kw: shapes.append(a.shape) or real(a, *args, **kw))
+    return shapes
+
+
+def within_one_matvec(value, reference, k):
+    """|value - reference| within k * 2**-52 * reference, the rounding of
+    one product of a k-vertex block with a vector, whose entries each sum
+    up to k terms."""
+    return abs(value - reference) <= k * 2.0**-52 * reference
+
+
+def lollipop(clique, tail):
+    """K_clique with a path of ``tail`` vertices hung from its last vertex."""
+    edges = [(u, v) for u in range(clique) for v in range(u + 1, clique)]
+    return from_edges(clique + tail, edges + [(v, v + 1) for v in range(clique - 1, clique + tail - 1)])
+
+
+class TestKrylovPath:
+    """Blocks of order ``_KRYLOV_MIN_ORDER`` and above take their top
+    eigenvalue from Lanczos, and ``eigvalsh`` only where it does not
+    converge; the Perron vector and residual come from the same shifted
+    solve as below that order."""
+
+    ALPHAS = [0.0, 0.5, 1.0, 2.0]
+
+    def check_pair(self, g, alpha, reference):
+        result = spectral_radius(g, alpha)
+        assert result.component == tuple(range(g.n))
+        assert within_one_matvec(result.rho, reference, g.n), (result.rho, reference)
+        assert min(result.perron_vector) > 0 and max(result.perron_vector) == 1.0
+        assert result.residual <= DEFAULT_TOL
+        return result
+
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    @pytest.mark.parametrize("name", ["cycle", "complete", "complete bipartite"])
+    def test_regular_blocks_stop_at_the_first_step(self, name, alpha, monkeypatch, eigvalsh_shapes):
+        # the ones vector is the Perron vector: beta_0 vanishes, so the
+        # only tridiagonal solved is 1 x 1; at alpha = 0, -rho is an
+        # eigenvalue of the bipartite K_{150,150} too
+        g = {"cycle": cycle_graph(300), "complete": complete_graph(300),
+             "complete bipartite": join(empty_graph(150), empty_graph(150))}[name]
+        reference = eigh_spectral_radius(g, alpha).rho
+        tridiagonal = []
+        real = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a, *args: tridiagonal.append(a.shape) or real(a, *args))
+        self.check_pair(g, alpha, reference)
+        assert tridiagonal == [(1, 1)] and eigvalsh_shapes == []
+
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    def test_star_against_its_closed_form(self, alpha, eigvalsh_shapes):
+        # K_{1,299} = K_1 v bar(K_299), whose Krylov space from the ones
+        # vector is two-dimensional
+        self.check_pair(star_graph(299), alpha, closed_form_complete_split(300, 1, alpha))
+        assert eigvalsh_shapes == []
+
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    def test_lollipop_vector_stays_positive(self, alpha, eigvalsh_shapes):
+        # the tail's Perron entries fall to about 1e-15: a Ritz vector would
+        # have negative entries there
+        g = lollipop(60, 140)
+        result = self.check_pair(g, alpha, eigh_spectral_radius(g, alpha).rho)
+        assert min(result.perron_vector) < 1e-12
+        assert eigvalsh_shapes == []
+
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    def test_path_falls_back_to_eigvalsh(self, alpha, eigvalsh_shapes):
+        g = path_graph(300)
+        reference = eigh_spectral_radius(g, alpha).rho
+        block = alpha_matrices(g.n, [g.rows], alpha)[0]
+        assert math.isnan(spectral._lanczos_top(block))
+        eigvalsh_shapes.clear()
+        result = self.check_pair(g, alpha, reference)
+        assert eigvalsh_shapes == [(1, 300, 300)]
+        assert within_eigh_ulps(result.rho, reference)
+
+    def test_overflowing_block_falls_back_to_eigvalsh(self, eigvalsh_shapes):
+        # at alpha = 1e160, |B q|^2 overflows; eigvalsh, which scales the
+        # block, takes it, and no overflow warning escapes
+        g = random_connected(random.Random(200), 200, 0.1)
+        reference = eigh_spectral_radius(g, 1e160, tol=1e300).rho
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert math.isnan(spectral._lanczos_top(alpha_matrices(g.n, [g.rows], 1e160)[0]))
+            result = spectral_radius(g, 1e160, tol=1e300)
+        assert eigvalsh_shapes == [(1, 200, 200)]
+        assert within_eigh_ulps(result.rho, reference)
+
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    def test_random_block_needs_no_eigvalsh(self, alpha, eigvalsh_shapes):
+        g = random_connected(random.Random(400), 400, 0.05)
+        self.check_pair(g, alpha, eigh_spectral_radius(g, alpha).rho)
+        assert eigvalsh_shapes == []
+
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    def test_equal_components_first_wins(self, alpha):
+        k = spectral._KRYLOV_MIN_ORDER
+        part = random_connected(random.Random(k), k, 0.05)
+        result = spectral_radius(disjoint_union(part, part), alpha)
+        assert result == spectral_radius(part, alpha)
+        assert result.component == tuple(range(k))
+
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    @pytest.mark.parametrize("per_slice", [1, 4])
+    def test_stacked_blocks_match_single_graphs(self, alpha, per_slice, monkeypatch):
+        k = spectral._KRYLOV_MIN_ORDER
+        n = k + 40
+        graphs = [
+            random_connected(random.Random(n), n, 0.05),
+            disjoint_union(random_connected(random.Random(k), k, 0.1), cycle_graph(40)),
+            path_graph(n),
+            disjoint_union(random_connected(random.Random(k - 1), k - 1, 0.1), complete_graph(41)),
+            complete_graph(n),
+        ]
+        expected = [spectral_radius(g, alpha).rho for g in graphs]
+        monkeypatch.setattr(spectral, "RADII_BATCH_ENTRIES", per_slice * n * n)
+        assert hex_list(spectral_radii(n, [g.rows for g in graphs], alpha)) == hex_list(expected)
 
 
 class TestOracle:
