@@ -8,9 +8,11 @@ signless Laplacian spectral radius.  A graph's rho is the largest over
 its connected components of the top eigenvalue of the component's
 block: from ``eigvalsh`` for a small block, and from Lanczos with
 ``eigvalsh`` as its fallback for a block of ``_KRYLOV_MIN_ORDER``
-vertices or more.  The Perron vector that evidences it comes from
-shifted solves (inverse iteration, one step unless the residual asks
-for more), and its residual is measured.
+vertices or more.  The Perron vector that evidences it is the converged
+Ritz vector of a Lanczos block where that vector is positive and its
+residual within the tolerance; every other block's comes from shifted
+solves (inverse iteration, one step unless the residual asks for more).
+Either way its residual is measured.
 
 Beyond the dense computation this module carries the structured join
 family K_s v (K_{n_1} u ... u K_{n_q}), whose equal-size parts collapse
@@ -135,8 +137,9 @@ def _solve_components(
     the top eigenpairs of the blocks of two or more vertices.
 
     The blocks of one size are gathered from the stacked matrices by one
-    fancy index and solved by ``_top_eigenpairs`` as one stack, which
-    gives the same floats as one block at a time.  The residual
+    fancy index (whole connected graphs are taken as they are) and solved
+    by ``_top_eigenpairs`` as one stack, which gives the same floats as
+    one block at a time.  The residual
     ``max|A_alpha x - rho x|`` of each pair is measured, not assumed: if
     one exceeds ``tol``, ValueError names the first in walk order.
     """
@@ -152,7 +155,10 @@ def _solve_components(
     for k, seq in groups.items():
         owner = np.array([comps[j][0] for j in seq])
         verts = np.array([v for j in seq for v in _bits(comps[j][1])]).reshape(-1, k)
-        blocks = mats[owner[:, None, None], verts[:, :, None], verts[:, None, :]]
+        if k < n:
+            blocks = mats[owner[:, None, None], verts[:, :, None], verts[:, None, :]]
+        else:  # whole graphs, each connected: the same values without the gather
+            blocks = mats if len(owner) == len(mats) else mats[owner]
         rho, x, residual = _top_eigenpairs(blocks, tol)
         solves.append(_BlockSolve(np.array(seq), owner, verts, rho, x, residual))
     failed = [(int(b.seq[i]), float(b.residual[i])) for b in solves for i in np.flatnonzero(b.residual > tol)]
@@ -170,39 +176,53 @@ def _top_eigenpairs(blocks: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndar
     Below ``_KRYLOV_MIN_ORDER`` the top eigenvalues come from one stacked
     ``eigvalsh``; from that order on each block tries ``_lanczos_top``
     first, and only a block it leaves unconverged takes ``eigvalsh``.
-    On a connected block the top eigenvalue rho is simple with a positive
-    eigenvector (Perron-Frobenius), so inverse iteration from the
-    all-ones vector, solves of (sigma I - B) x_new = x with sigma just
-    above rho, returns that eigenvector; each step shrinks the other
-    directions by (sigma - rho) / (sigma - lambda) against it.  ``eigh``
-    would build all k eigenvectors to keep one.  One step leaves a
-    residual of about sigma - rho times the start's weight off the Perron
-    direction; blocks still above ``tol`` take another step, up to
-    ``_INVERSE_STEPS`` in all.
+    A converged block keeps the Ritz vector as its eigenvector when,
+    scaled to sup-norm 1, every entry is positive and its measured
+    residual is at most ``tol``; on a graph with a long thin tail the
+    Perron entries there fall below the Ritz vector's rounding, which can
+    leave some at or below zero.  Every other block gets its eigenvector
+    by inverse iteration from the all-ones vector: on a connected block
+    the top eigenvalue rho is simple with a positive eigenvector
+    (Perron-Frobenius), and solves of (sigma I - B) x_new = x with sigma
+    just above rho return it, each step shrinking the other directions by
+    (sigma - rho) / (sigma - lambda) against it.  ``eigh`` would build
+    all k eigenvectors to keep one.  One step leaves a residual of about
+    sigma - rho times the start's weight off the Perron direction; blocks
+    still above ``tol`` take another step, up to ``_INVERSE_STEPS`` in
+    all.
     """
-    if blocks.shape[-1] < _KRYLOV_MIN_ORDER:
+    m, k = blocks.shape[:2]
+    x, residual = np.ones((m, k)), np.full(m, np.inf)
+    if k < _KRYLOV_MIN_ORDER:
         rho = np.linalg.eigvalsh(blocks)[:, -1]
     else:
-        rho = np.array([_lanczos_top(block) for block in blocks])
+        rho = np.empty(m)
+        for i, block in enumerate(blocks):
+            rho[i], ritz = _lanczos_top(block)
+            if ritz is not None:
+                y = _sup_scaled(ritz[None])
+                r = _residuals(blocks[i : i + 1], rho[i : i + 1], y)[0]
+                if y.min() > 0 and r <= tol:
+                    x[i], residual[i] = y[0], r
         slow = np.isnan(rho)
         if slow.any():
             rho[slow] = np.linalg.eigvalsh(blocks[slow])[:, -1]
-    x = _inverse_step(blocks, rho, np.ones(blocks.shape[:2]), _PERRON_SHIFT)
-    residual = _residuals(blocks, rho, x)
-    for _ in range(_INVERSE_STEPS - 1):
+    for _ in range(_INVERSE_STEPS):
         again = np.flatnonzero(residual > tol)
         if not again.size:
             break
-        x[again] = _inverse_step(blocks[again], rho[again], x[again], _PERRON_SHIFT)
-        residual[again] = _residuals(blocks[again], rho[again], x[again])
+        part = blocks if again.size == m else blocks[again]
+        x[again] = _inverse_step(part, rho[again], x[again], _PERRON_SHIFT)
+        residual[again] = _residuals(part, rho[again], x[again])
     return rho, x, residual
 
 
-def _lanczos_top(block: np.ndarray) -> float:
-    """The top eigenvalue of one connected block B by Lanczos with full
-    reorthogonalisation from the all-ones vector, or NaN if it has not
-    converged within ``_KRYLOV_MAX_STEPS`` steps or a squared norm
-    overflows (``eigvalsh`` scales such a block; this iteration does not).
+def _lanczos_top(block: np.ndarray) -> tuple[float, np.ndarray | None]:
+    """The top Ritz pair (theta, y) of one connected block B by Lanczos
+    with full reorthogonalisation from the all-ones vector, y of unit
+    2-norm and either sign, or (NaN, None) if it has not converged within
+    ``_KRYLOV_MAX_STEPS`` steps or a squared norm overflows (``eigvalsh``
+    scales such a block; this iteration does not).
 
     Step j extends the orthonormal rows q_0..q_j, stacked in one
     C-contiguous array, by B q_j made orthogonal to all of them (two
@@ -212,11 +232,13 @@ def _lanczos_top(block: np.ndarray) -> float:
     least 1 / sqrt(k), so T's top eigenvalue theta approaches rho first
     (Kaniel-Paige-Saad; Parlett, *The Symmetric Eigenvalue Problem*,
     1980, ch. 13).  The top Ritz pair (theta, s) is tested at the steps
-    of ``_KRYLOV_CHECKS``, and theta is returned once its residual
-    beta_j |s_j| is at most ``_RITZ_TOL`` * max(1, theta).  A remainder
-    that small on its own means the rows span an invariant subspace,
-    which holds rho; on a regular block that happens at the first step,
-    where the ones vector is the Perron vector.
+    of ``_KRYLOV_CHECKS``, and theta is returned with y = s . q_0..q_j
+    once the residual beta_j |s_j| is at most ``_RITZ_TOL`` * max(1,
+    theta); that is |B y - theta y| in the 2-norm, up to the rounding of
+    the rows' orthogonality.  A remainder that small on its own means the
+    rows span an invariant subspace, which holds rho; on a regular block
+    that happens at the first step, where the ones vector is the Perron
+    vector.
     """
     k = len(block)
     steps = min(k, _KRYLOV_MAX_STEPS)
@@ -232,25 +254,25 @@ def _lanczos_top(block: np.ndarray) -> float:
         with np.errstate(over="ignore"):
             t[j, j], beta = h[j], math.sqrt(w @ w)
         if beta == math.inf:  # |w|^2 overflows once rho passes about 1e154
-            return math.nan
+            return math.nan, None
         invariant = beta <= _RITZ_TOL * max(1.0, t[0, 0])  # t[0, 0] <= theta
         if invariant or j + 1 in _KRYLOV_CHECKS:
             theta, s = np.linalg.eigh(t[: j + 1, : j + 1])
             if invariant or beta * abs(s[-1, -1]) <= _RITZ_TOL * max(1.0, theta[-1]):
-                return float(theta[-1])
+                return float(theta[-1]), s[:, -1] @ basis
         if j + 1 < steps:
             q[j + 1] = w / beta
             t[j, j + 1] = t[j + 1, j] = beta
-    return math.nan
+    return math.nan, None
 
 
 def _inverse_step(blocks: np.ndarray, rho: np.ndarray, start: np.ndarray, shift: float) -> np.ndarray:
     """x solving (sigma I - B) x = ``start`` for each block B, sigma =
-    rho + ``shift`` * max(1, rho), scaled to sup-norm 1 by its largest
-    entry in absolute value, so that rounding which flips the sign of the
-    nearly singular solve flips it back.  An exactly zero pivot makes the
-    stacked solve raise; then each block is solved alone, and one that is
-    singular again with 16 times the shift."""
+    rho + ``shift`` * max(1, rho), scaled by ``_sup_scaled``, so that
+    rounding which flips the sign of the nearly singular solve flips it
+    back.  An exactly zero pivot makes the stacked solve raise; then each
+    block is solved alone, and one that is singular again with 16 times
+    the shift."""
     k = blocks.shape[-1]
     sigma = rho + shift * np.maximum(1.0, rho)
     shifted = sigma[:, None, None] * np.eye(k) - blocks
@@ -262,6 +284,12 @@ def _inverse_step(blocks: np.ndarray, rho: np.ndarray, start: np.ndarray, shift:
         return np.concatenate(
             [_inverse_step(blocks[i : i + 1], rho[i : i + 1], start[i : i + 1], shift) for i in range(len(blocks))]
         )
+    return _sup_scaled(x)
+
+
+def _sup_scaled(x: np.ndarray) -> np.ndarray:
+    """Each row of x divided by its entry of largest absolute value: sup-norm
+    1, with that entry +1 whatever sign the row came with."""
     return x / np.take_along_axis(x, np.argmax(np.abs(x), axis=1)[:, None], axis=1)
 
 
@@ -299,9 +327,10 @@ def spectral_radius(g: Graph, alpha: float, tol: float = DEFAULT_TOL) -> Spectra
     The batch of one of ``spectral_radii``: the top eigenvalue of each
     connected component block comes from ``eigvalsh``, or from Lanczos
     for a block of ``_KRYLOV_MIN_ORDER`` vertices or more, its Perron
-    vector from shifted solves, and the first component that attains the
-    maximum is reported, with its eigenpair's residual (a residual above
-    ``tol`` raises ValueError).
+    vector from Lanczos's Ritz vector where that is positive and within
+    ``tol``, else from shifted solves, and the first component that
+    attains the maximum is reported, with its eigenpair's residual (a
+    residual above ``tol`` raises ValueError).
     """
     alpha = _check_alpha(alpha)
     _check_tol(tol)

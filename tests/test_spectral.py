@@ -333,8 +333,9 @@ class TestAgainstEighOracle:
 
 
 class TestPerronPairEdgeCases:
-    """The shifted solve gives a strictly positive Perron vector with a
-    small residual where the spectrum is awkward for it."""
+    """The shifted solve, and for the large star Lanczos's Ritz vector,
+    gives a strictly positive Perron vector with a small residual where
+    the spectrum is awkward for it."""
 
     GRAPHS = {
         # bipartite: at alpha = 0, -rho is an eigenvalue too
@@ -418,6 +419,15 @@ def eigvalsh_shapes(monkeypatch):
     return shapes
 
 
+@pytest.fixture
+def inverse_steps(monkeypatch):
+    """The shape of the block stack of every ``_inverse_step`` call."""
+    shapes = []
+    real = spectral._inverse_step
+    monkeypatch.setattr(spectral, "_inverse_step", lambda b, *args: shapes.append(b.shape) or real(b, *args))
+    return shapes
+
+
 def within_one_matvec(value, reference, k):
     """|value - reference| within k * 2**-52 * reference, the rounding of
     one product of a k-vertex block with a vector, whose entries each sum
@@ -434,8 +444,9 @@ def lollipop(clique, tail):
 class TestKrylovPath:
     """Blocks of order ``_KRYLOV_MIN_ORDER`` and above take their top
     eigenvalue from Lanczos, and ``eigvalsh`` only where it does not
-    converge; the Perron vector and residual come from the same shifted
-    solve as below that order."""
+    converge; the Perron vector is the converged Ritz vector where that
+    is positive with a residual within the tolerance, and otherwise comes
+    from the same shifted solve as below that order."""
 
     ALPHAS = [0.0, 0.5, 1.0, 2.0]
 
@@ -471,8 +482,11 @@ class TestKrylovPath:
 
     @pytest.mark.parametrize("alpha", ALPHAS)
     def test_lollipop_vector_stays_positive(self, alpha, eigvalsh_shapes):
-        # the tail's Perron entries fall to about 1e-15: a Ritz vector would
-        # have negative entries there
+        # the tail's Perron entries fall to about 1e-15, within the Ritz
+        # vector's rounding: at alpha 0, 1 and 2 about 130 of its tail
+        # entries are nonpositive, so the block falls back to the shifted
+        # solve (at alpha 1/2 they all stay positive and the Ritz vector is
+        # kept)
         g = lollipop(60, 140)
         result = self.check_pair(g, alpha, eigh_spectral_radius(g, alpha).rho)
         assert min(result.perron_vector) < 1e-12
@@ -483,7 +497,8 @@ class TestKrylovPath:
         g = path_graph(300)
         reference = eigh_spectral_radius(g, alpha).rho
         block = alpha_matrices(g.n, [g.rows], alpha)[0]
-        assert math.isnan(spectral._lanczos_top(block))
+        theta, ritz = spectral._lanczos_top(block)
+        assert math.isnan(theta) and ritz is None
         eigvalsh_shapes.clear()
         result = self.check_pair(g, alpha, reference)
         assert eigvalsh_shapes == [(1, 300, 300)]
@@ -496,7 +511,8 @@ class TestKrylovPath:
         reference = eigh_spectral_radius(g, 1e160, tol=1e300).rho
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert math.isnan(spectral._lanczos_top(alpha_matrices(g.n, [g.rows], 1e160)[0]))
+            theta, ritz = spectral._lanczos_top(alpha_matrices(g.n, [g.rows], 1e160)[0])
+            assert math.isnan(theta) and ritz is None
             result = spectral_radius(g, 1e160, tol=1e300)
         assert eigvalsh_shapes == [(1, 200, 200)]
         assert within_eigh_ulps(result.rho, reference)
@@ -506,6 +522,41 @@ class TestKrylovPath:
         g = random_connected(random.Random(400), 400, 0.05)
         self.check_pair(g, alpha, eigh_spectral_radius(g, alpha).rho)
         assert eigvalsh_shapes == []
+
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    def test_random_block_keeps_its_ritz_vector(self, alpha, inverse_steps):
+        g = random_connected(random.Random(400), 400, 0.05)
+        result = spectral_radius(g, alpha)
+        assert inverse_steps == []
+        assert result.residual <= DEFAULT_TOL and min(result.perron_vector) > 0
+        block = alpha_matrices(g.n, [g.rows], alpha)
+        solved = spectral._inverse_step(block, np.array([result.rho]), np.ones((1, g.n)), spectral._PERRON_SHIFT)
+        assert np.abs(solved[0] - result.perron_vector).max() <= 1e-12
+
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    def test_nonpositive_ritz_vector_takes_the_shifted_solve(self, alpha, inverse_steps, monkeypatch):
+        # one Ritz entry negated: whatever sign the vector came with, it
+        # has entries of both signs, so the block takes the shifted solve
+        # from the ones vector, bit for bit as if Lanczos gave no vector
+        g = random_connected(random.Random(400), 400, 0.05)
+        block = alpha_matrices(g.n, [g.rows], alpha)
+        real = spectral._lanczos_top
+        theta = real(block[0])[0]
+        x = spectral._inverse_step(block, np.array([theta]), np.ones((1, g.n)), spectral._PERRON_SHIFT)
+        residual = spectral._residuals(block, np.array([theta]), x)
+        inverse_steps.clear()
+
+        def negated(b):
+            theta, ritz = real(b)
+            ritz[0] = -ritz[0]
+            return theta, ritz
+
+        monkeypatch.setattr(spectral, "_lanczos_top", negated)
+        result = spectral_radius(g, alpha)
+        assert inverse_steps == [(1, g.n, g.n)]
+        assert result.rho.hex() == theta.hex()
+        assert hex_list(result.perron_vector) == hex_list(x[0])
+        assert result.residual.hex() == residual[0].hex()
 
     @pytest.mark.parametrize("alpha", ALPHAS)
     def test_equal_components_first_wins(self, alpha):
