@@ -25,11 +25,12 @@ import sys
 from fractions import Fraction
 
 from .enumeration import BUILTIN_ORDER_CAP, resolve_jobs
-from .graphs import Graph, Graph6Error, parse_edge_list, parse_graph6
+from .graphs import Graph, parse_edge_list, parse_graph6
 from .matching import matching_number, tutte_berge_witness
-from .spectral import spectral_radius
+from .spectral import DEFAULT_TOL, spectral_radius
 from .theorem import EXTREMAL_GRAPHS, classify_regime
 from .verify import (
+    DEFAULT_REPORT_TOL,
     REPORT_FIELDS,
     FamilySearchResult,
     family_search,
@@ -97,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rho", help="alpha-spectral radius of one graph")
     add_graph_input(p)
     add_alpha(p)
-    p.add_argument("--tol", type=_positive_float, default=1e-10,
+    p.add_argument("--tol", type=_positive_float, default=DEFAULT_TOL,
                    help="residual tolerance (default %(default)s)")
     add_format(p)
 
@@ -117,7 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="exhaustive verification of one order")
     p.add_argument("n", type=int)
     add_alpha(p)
-    p.add_argument("--tol", type=_positive_float, default=1e-9,
+    p.add_argument("--tol", type=_positive_float, default=DEFAULT_REPORT_TOL,
                    help="value tolerance (default %(default)s)")
     p.add_argument("--graph6", metavar="FILE",
                    help="graph6 file with one class per line (required for n > 8)")
@@ -136,7 +137,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=int, default=7)
     p.add_argument("--alphas", default="0,1/2,1,2",
                    help="comma-separated alpha list (default %(default)s)")
-    p.add_argument("--tol", type=_positive_float, default=1e-9)
+    p.add_argument("--tol", type=_positive_float, default=DEFAULT_REPORT_TOL,
+                   help="value tolerance (default %(default)s)")
     p.add_argument("--jobs", type=int, default=1,
                    help="worker count, at most the CPU count (default %(default)s)")
     p.add_argument("--output", metavar="PATH", help="write records here instead of stdout")
@@ -146,17 +148,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load_graph(args) -> Graph:
     if (args.input is None) == (args.graph6 is None):
-        raise SystemExit2("exactly one of --input or --graph6 is required")
+        raise ValueError("exactly one of --input or --graph6 is required")
     if args.graph6 is not None:
         return parse_graph6(args.graph6)
     if args.input == "-":
         return parse_edge_list(sys.stdin.read())
     with open(args.input, "r", encoding="utf-8") as fh:
         return parse_edge_list(fh.read())
-
-
-class SystemExit2(Exception):
-    """Usage/parse error carrying its message (mapped to exit code 2)."""
 
 
 def _csv_cell(value) -> str:
@@ -302,14 +300,14 @@ def cmd_report(args) -> int:
     try:
         alphas = [_alpha_arg(tok.strip()) for tok in args.alphas.split(",") if tok.strip()]
     except argparse.ArgumentTypeError as exc:
-        raise SystemExit2(str(exc))
+        raise ValueError(str(exc)) from None
     if not alphas:
-        raise SystemExit2(f"no alpha given in --alphas {args.alphas!r}")
+        raise ValueError(f"no alpha given in --alphas {args.alphas!r}")
     jobs = resolve_jobs(args.jobs)
     if args.n_min > args.n_max:
-        raise SystemExit2(f"empty order range: --n-min {args.n_min} is above --n-max {args.n_max}")
+        raise ValueError(f"empty order range: --n-min {args.n_min} is above --n-max {args.n_max}")
     if args.n_max > BUILTIN_ORDER_CAP:
-        raise SystemExit2(f"--n-max {args.n_max} exceeds BUILTIN_ORDER_CAP = {BUILTIN_ORDER_CAP}; use verify --graph6")
+        raise ValueError(f"--n-max {args.n_max} exceeds BUILTIN_ORDER_CAP = {BUILTIN_ORDER_CAP}; use verify --graph6")
     # --output is written to a temporary file beside it and renamed into
     # place only once every record is written
     temp = f"{args.output}.{os.getpid()}.tmp" if args.output else None
@@ -352,10 +350,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except SystemExit2 as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (Graph6Error, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # a Graph6Error is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -23,8 +23,9 @@ MAX_ORDER = 10_000
 
 class Graph6Error(ValueError):
     """Malformed graph6 input.  ``offset`` is the byte position of the
-    fault within its line; ``line`` is the 1-based line of a file, or
-    None for a single string."""
+    fault within its line, counted from the line's first byte (leading
+    blanks and a ``>>graph6<<`` header included); ``line`` is the 1-based
+    line of a file, or None for a single string."""
 
     def __init__(self, message: str, offset: int, line: int | None = None):
         where = "" if line is None else f"line {line}: "
@@ -110,18 +111,8 @@ class Graph:
 
     # -- basic queries -------------------------------------------------
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool((self.rows[u] >> v) & 1)
-
-    def degree(self, v: int) -> int:
-        return self.rows[v].bit_count()
-
     def degrees(self) -> list[int]:
         return [r.bit_count() for r in self.rows]
-
-    def degree_sequence(self) -> tuple[int, ...]:
-        """Degrees sorted descending (the usual comparison form)."""
-        return tuple(sorted((r.bit_count() for r in self.rows), reverse=True))
 
     def neighbors(self, v: int) -> list[int]:
         return _bits(self.rows[v])
@@ -289,41 +280,42 @@ def parse_graph6(text: str | bytes) -> Graph:
     # A non-ASCII character encodes to bytes >= 128, which the range check
     # below rejects at the character's offset.
     data = text.encode("utf-8", errors="surrogatepass") if isinstance(text, str) else bytes(text)
+    # offsets count from the start of the line: the leading blanks and
+    # the optional header come before the graph's first byte
+    skip = len(data) - len(data.lstrip())
     data = data.strip()
     if data.startswith(b">>graph6<<"):
         data = data[len(b">>graph6<<"):]
+        skip += len(b">>graph6<<")
     if not data:
-        raise Graph6Error("empty graph6 input", 0)
+        raise Graph6Error("empty graph6 input", skip)
     if data.translate(None, _GRAPH6_BYTES):
         i, b = next((i, b) for i, b in enumerate(data) if not 63 <= b <= 126)
-        raise Graph6Error(f"byte {b} outside the graph6 range 63..126", i)
+        raise Graph6Error(f"byte {b} outside the graph6 range 63..126", skip + i)
     if data[0] != 126:
         order, pos = data[:1], 1
     elif len(data) >= 2 and data[1] != 126:
         if len(data) < 4:
-            raise Graph6Error("truncated long-form order", len(data))
+            raise Graph6Error("truncated long-form order", skip + len(data))
         order, pos = data[1:4], 4
     else:
         if len(data) < 8:
-            raise Graph6Error("truncated very-long-form order", len(data))
+            raise Graph6Error("truncated very-long-form order", skip + len(data))
         order, pos = data[2:8], 8
     n = 0
     for b in order:
         n = (n << 6) | (b - 63)
     if n > MAX_ORDER:
-        raise Graph6Error(f"order n={n} exceeds the graph6 limit {MAX_ORDER}", pos - len(order))
+        raise Graph6Error(f"order n={n} exceeds the graph6 limit {MAX_ORDER}", skip + pos - len(order))
     m = n * (n - 1) // 2
     nbytes = (m + 5) // 6
     if len(data) - pos != nbytes:
-        raise Graph6Error(
-            f"payload length {len(data) - pos} != expected {nbytes} for n={n}",
-            pos,
-        )
+        raise Graph6Error(f"payload length {len(data) - pos} != expected {nbytes} for n={n}", skip + pos)
     if n < 2:
         return empty_graph(n)
     # The padding, under 6 bits, sits at the bottom of the last byte.
     if (data[-1] - 63) & ((1 << (6 * nbytes - m)) - 1):
-        raise Graph6Error("nonzero padding bit", len(data) - 1)
+        raise Graph6Error("nonzero padding bit", skip + len(data) - 1)
     values = np.frombuffer(data[pos:].translate(_GRAPH6_VALUES), dtype=np.uint8)
     mat = np.tri(n, n, -1, dtype=bool)
     # a byte carries a value below 64: its top two unpacked bits are 0
@@ -338,8 +330,7 @@ def read_graph6_file(path) -> Iterator[tuple[int, Graph]]:
     Graph6Error naming its line and the byte offset within it."""
     with open(path, "rb") as fh:
         for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
+            if line.isspace():
                 continue
             try:
                 g = parse_graph6(line)

@@ -118,11 +118,10 @@ def alpha_matrices(n: int, rows_list: Sequence[Sequence[int]], alpha: float) -> 
 @dataclass(frozen=True, eq=False)
 class _BlockSolve:
     """Top eigenpairs of the component blocks of one size k >= 2 across a
-    batch: block i is component ``seq[i]`` in walk order (graph by graph,
-    each graph's components by smallest member), belongs to graph
-    ``owner[i]`` and covers its vertices ``verts[i]``, ascending."""
+    batch, in walk order (graph by graph, each graph's components by
+    smallest member): block i belongs to graph ``owner[i]`` and covers
+    its vertices ``verts[i]``, ascending."""
 
-    seq: np.ndarray
     owner: np.ndarray
     verts: np.ndarray
     rho: np.ndarray
@@ -130,42 +129,46 @@ class _BlockSolve:
     residual: np.ndarray
 
 
-def _solve_components(
-    n: int, rows_list: Sequence[Sequence[int]], alpha: float, tol: float
-) -> tuple[list[tuple[int, int]], list[_BlockSolve]]:
-    """Every component of every graph, as (graph, mask) in walk order, and
-    the top eigenpairs of the blocks of two or more vertices.
+def _solve_components(n: int, rows_list: Sequence[Sequence[int]], alpha: float, tol: float) -> list[_BlockSolve]:
+    """The top eigenpairs of the component blocks of two or more vertices
+    of every graph, one ``_BlockSolve`` per block size.
 
     The blocks of one size are gathered from the stacked matrices by one
     fancy index (whole connected graphs are taken as they are) and solved
     by ``_top_eigenpairs`` as one stack, which gives the same floats as
     one block at a time.  The residual
     ``max|A_alpha x - rho x|`` of each pair is measured, not assumed: if
-    one exceeds ``tol``, ValueError names the first in walk order.
+    one exceeds ``tol``, ValueError names the first by graph, then by
+    smallest vertex.
     """
-    comps = [(i, mask) for i, rows in enumerate(rows_list) for mask in row_component_masks(n, rows)]
-    groups: dict[int, list[int]] = {}
-    for j, (_, mask) in enumerate(comps):
-        if mask.bit_count() > 1:
-            groups.setdefault(mask.bit_count(), []).append(j)
+    groups: dict[int, tuple[list[int], list[int]]] = {}
+    for i, rows in enumerate(rows_list):
+        for mask in row_component_masks(n, rows):
+            if mask.bit_count() > 1:
+                owner, verts = groups.setdefault(mask.bit_count(), ([], []))
+                owner.append(i)
+                verts.extend(_bits(mask))
     if not groups:
-        return comps, []
+        return []
     mats = alpha_matrices(n, rows_list, alpha)
     solves = []
-    for k, seq in groups.items():
-        owner = np.array([comps[j][0] for j in seq])
-        verts = np.array([v for j in seq for v in _bits(comps[j][1])]).reshape(-1, k)
+    for k, (owner, verts) in groups.items():
+        owner, verts = np.array(owner), np.array(verts).reshape(-1, k)
         if k < n:
             blocks = mats[owner[:, None, None], verts[:, :, None], verts[:, None, :]]
         else:  # whole graphs, each connected: the same values without the gather
             blocks = mats if len(owner) == len(mats) else mats[owner]
         rho, x, residual = _top_eigenpairs(blocks, tol)
-        solves.append(_BlockSolve(np.array(seq), owner, verts, rho, x, residual))
-    failed = [(int(b.seq[i]), float(b.residual[i])) for b in solves for i in np.flatnonzero(b.residual > tol)]
+        solves.append(_BlockSolve(owner, verts, rho, x, residual))
+    failed = [
+        (int(b.owner[i]), int(b.verts[i, 0]), float(b.residual[i]))
+        for b in solves
+        for i in np.flatnonzero(b.residual > tol)
+    ]
     if failed:
-        res = min(failed)[1]
+        res = min(failed)[2]
         raise ValueError(f"eigenpair residual {res:.3e} exceeds tolerance {tol:g}")
-    return comps, solves
+    return solves
 
 
 def _top_eigenpairs(blocks: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -315,8 +318,7 @@ def spectral_radii(
     radii = np.zeros(len(rows_list))
     step = max(1, RADII_BATCH_ENTRIES // max(1, n * n))
     for first in range(0, len(rows_list), step):
-        _, solves = _solve_components(n, rows_list[first : first + step], alpha, tol)
-        for b in solves:
+        for b in _solve_components(n, rows_list[first : first + step], alpha, tol):
             np.maximum.at(radii, first + b.owner, b.rho)
     return radii
 
@@ -328,23 +330,28 @@ def spectral_radius(g: Graph, alpha: float, tol: float = DEFAULT_TOL) -> Spectra
     connected component block comes from ``eigvalsh``, or from Lanczos
     for a block of ``_KRYLOV_MIN_ORDER`` vertices or more, its Perron
     vector from Lanczos's Ritz vector where that is positive and within
-    ``tol``, else from shifted solves, and the first component that
-    attains the maximum is reported, with its eigenpair's residual (a
-    residual above ``tol`` raises ValueError).
+    ``tol``, else from shifted solves (a residual above ``tol`` raises
+    ValueError).  The block with the largest radius is reported, the one
+    with the smallest vertex among equal radii, with its eigenpair's
+    residual.  A block of two or more vertices holds an edge, so its
+    radius is at least 1: only an edgeless graph has no block, and its
+    first vertex is reported with radius 0.
     """
     alpha = _check_alpha(alpha)
     _check_tol(tol)
     if g.n == 0:
         return SpectralResult(0.0, None, (), 0.0)
-    comps, solves = _solve_components(g.n, [g.rows], alpha, tol)
-    singleton = (1.0,) if alpha > 0 else None
-    results = [SpectralResult(0.0, singleton, (mask.bit_length() - 1,), 0.0) for _, mask in comps]
-    for b in solves:
-        for i, j in enumerate(b.seq.tolist()):
-            results[j] = SpectralResult(
-                float(b.rho[i]), tuple(b.vectors[i].tolist()), tuple(b.verts[i].tolist()), float(b.residual[i])
-            )
-    return max(results, key=lambda r: r.rho)  # the first of equal maxima
+    solves = _solve_components(g.n, [g.rows], alpha, tol)
+    if not solves:
+        return SpectralResult(0.0, (1.0,) if alpha > 0 else None, (0,), 0.0)
+    # each size's first maximum is its smallest vertex among equal radii
+    b, i = max(
+        ((b, int(np.argmax(b.rho))) for b in solves),
+        key=lambda pick: (pick[0].rho[pick[1]], -pick[0].verts[pick[1], 0]),
+    )
+    return SpectralResult(
+        float(b.rho[i]), tuple(b.vectors[i].tolist()), tuple(b.verts[i].tolist()), float(b.residual[i])
+    )
 
 
 # -- join families -----------------------------------------------------

@@ -97,25 +97,26 @@ REPORT_FIELDS = tuple(f.name for f in fields(VerificationReport))
 # -- exhaustive scan ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _ScanEntry:
-    rows: tuple[int, ...]
-    beta: int
-    rho: float
+@dataclass(frozen=True, eq=False)
+class _Scan:
+    """Every class of one order scanned at one alpha: class i has the bit
+    rows ``rows[i]``, matching number ``beta[i]`` and radius ``rho[i]``."""
+
+    rows: Sequence[tuple[int, ...]]
+    beta: np.ndarray
+    rho: np.ndarray
 
 
-def _scan_chunk(rows_list: Sequence[tuple[int, ...]], n: int, alpha: float) -> list[tuple[int, float]]:
-    """(matching number, radius) per class of order n, given by the rows of
-    graphs already built; the chunk's matching numbers come from one
-    ``matching_numbers`` call and its radii from one ``spectral_radii``
-    call."""
-    radii = spectral_radii(n, rows_list, alpha).tolist()
-    return list(zip(matching_numbers(n, rows_list).tolist(), radii))
+def _scan_chunk(rows_list: Sequence[tuple[int, ...]], n: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """The matching numbers (one ``matching_numbers`` call) and radii (one
+    ``spectral_radii`` call) of classes of order n given by the rows of
+    graphs already built."""
+    return matching_numbers(n, rows_list), spectral_radii(n, rows_list, alpha)
 
 
-def _scan_order(n: int, alpha: Fraction, jobs: int = 1, source: str | None = None) -> list[_ScanEntry]:
-    """Per-class (matching number, radius) for every class of order n,
-    from the built-in census or from the graph6 file ``source``."""
+def _scan_order(n: int, alpha: Fraction, jobs: int = 1, source: str | None = None) -> _Scan:
+    """Every class of order n, from the built-in census or from the graph6
+    file ``source``, with its matching number and radius."""
     resolve_jobs(jobs)
     if source is None:
         # looked up on the module, so a wrapper placed there (perfbench/tracing.py) is reached
@@ -129,13 +130,14 @@ def _scan_order(n: int, alpha: Fraction, jobs: int = 1, source: str | None = Non
         if not rows_list:
             raise ValueError(f"graph6 file {source} holds no graph: nothing to verify")
     parts = map_chunks(_scan_chunk, rows_list, jobs, n, float(alpha))
-    values: list[tuple[int, float]] = [None] * len(rows_list)
-    for start, part in enumerate(parts):
-        values[start :: len(parts)] = part
-    return [_ScanEntry(rows, beta, rho) for rows, (beta, rho) in zip(rows_list, values)]
+    beta, rho = np.empty(len(rows_list), dtype=int), np.empty(len(rows_list))
+    for start, (part_beta, part_rho) in enumerate(parts):
+        beta[start :: len(parts)] = part_beta
+        rho[start :: len(parts)] = part_rho
+    return _Scan(rows_list, beta, rho)
 
 
-def _report(entries: list[_ScanEntry], verdict: RegimeVerdict, tol: float, start: float) -> VerificationReport:
+def _report(scan: _Scan, verdict: RegimeVerdict, tol: float, start: float) -> VerificationReport:
     """The record for ``verdict``'s (n, beta, alpha) from one scan of order
     n that holds a class with that beta.
 
@@ -144,11 +146,10 @@ def _report(entries: list[_ScanEntry], verdict: RegimeVerdict, tol: float, start
     merged).
     """
     n, beta = verdict.n, verdict.beta
-    hits = [e for e in entries if e.beta == beta]
-    observed = max(e.rho for e in hits)
-    tie_tol = 10.0 * tol
-    argmax = [e for e in hits if e.rho >= observed - tie_tol]
-    argmax_certificates = _certificates(Graph._from_valid_rows(n, e.rows) for e in argmax)
+    hits = scan.beta == beta
+    observed = float(scan.rho[hits].max())
+    argmax = np.flatnonzero(hits & (scan.rho >= observed - 10.0 * tol))
+    argmax_certificates = _certificates(Graph._from_valid_rows(n, scan.rows[i]) for i in argmax)
     predicted_certificates = _certificates(family.graph() for family in verdict.extremal_families)
     return VerificationReport(
         n=n,
@@ -161,7 +162,7 @@ def _report(entries: list[_ScanEntry], verdict: RegimeVerdict, tol: float, start
         value_pass=abs(observed - verdict.predicted_rho) <= tol,
         structure_pass=set(argmax_certificates) == set(predicted_certificates),
         tol=tol,
-        graphs_scanned=len(entries),
+        graphs_scanned=len(scan.rho),
         wall_time=time.perf_counter() - start,
     )
 
@@ -188,13 +189,9 @@ def verify_order(
     _check_tol(tol)
     start = time.perf_counter()
     a = as_fraction(alpha)
-    entries = _scan_order(n, a, jobs=jobs, source=source)
-    present = {e.beta for e in entries}
-    reports = [
-        _report(entries, classify_regime(n, beta, a), tol, start)
-        for beta in range(1, n // 2 + 1)
-        if beta in present
-    ]
+    scan = _scan_order(n, a, jobs=jobs, source=source)
+    present = np.flatnonzero(np.bincount(scan.beta)).tolist()  # np.unique would import numpy.ma
+    reports = [_report(scan, classify_regime(n, beta, a), tol, start) for beta in present if beta >= 1]
     if source is not None and not reports:
         raise ValueError(f"graph6 file {source} holds no graph with matching number 1 or more: nothing to verify")
     return reports

@@ -39,6 +39,15 @@ ORACLE_EDGE_CAP = 24
 WITNESS_ORDER_CAP = 24
 
 
+def has_edge(g, u: int, v: int) -> bool:
+    return bool((g.rows[u] >> v) & 1)
+
+
+def degree_sequence(g) -> tuple[int, ...]:
+    """Degrees sorted descending (the usual comparison form)."""
+    return tuple(sorted(g.degrees(), reverse=True))
+
+
 def disjoint_union(g1, g2):
     """Vertices of ``g2`` are relabeled by offset ``g1.n``; no cross edges."""
     rows = list(g1.rows) + [r << g1.n for r in g2.rows]
@@ -245,7 +254,7 @@ def canonical_rows_oracle(g) -> tuple[int, ...]:
     """
     n = g.n
     if 2 * g.num_edges > n * (n - 1) // 2:
-        co = from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n) if not g.has_edge(u, v)])
+        co = from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n) if not has_edge(g, u, v)])
         rows = canonical_rows_oracle(co)
         return tuple(((1 << n) - 1) & ~r & ~(1 << v) for v, r in enumerate(rows))
     colors = _wl_colors(n, g.rows)
@@ -253,11 +262,11 @@ def canonical_rows_oracle(g) -> tuple[int, ...]:
     best = None
     for parts in product(*(permutations(c) for c in classes)):
         order = [v for part in parts for v in part]
-        cols = tuple(tuple(g.has_edge(order[d], order[i]) for i in range(d)) for d in range(n))
+        cols = tuple(tuple(has_edge(g, order[d], order[i]) for i in range(d)) for d in range(n))
         if best is None or cols < best[0]:
             best = (cols, order)
     order = best[1]
-    return from_edges(n, [(i, j) for i in range(n) for j in range(i) if g.has_edge(order[i], order[j])]).rows
+    return from_edges(n, [(i, j) for i in range(n) for j in range(i) if has_edge(g, order[i], order[j])]).rows
 
 
 def matching_number_oracle(g) -> int:

@@ -16,7 +16,7 @@ from alphaspec import (
     to_graph6,
 )
 from alphaspec.graphs import MAX_ORDER, read_graph6_file, row_component_masks
-from reference import are_isomorphic, cycle_graph, disjoint_union, path_graph, star_graph
+from reference import are_isomorphic, cycle_graph, degree_sequence, disjoint_union, has_edge, path_graph, star_graph
 
 
 def random_graph(rng, n, p=0.5):
@@ -96,7 +96,7 @@ class TestConstruction:
     def test_union_gives_odd_clique_plus_isolates(self):
         # beta=2, n=8 shape: K_5 with three isolated vertices
         g = disjoint_union(complete_graph(5), empty_graph(3))
-        assert g.degree_sequence() == (4, 4, 4, 4, 4, 0, 0, 0)
+        assert degree_sequence(g) == (4, 4, 4, 4, 4, 0, 0, 0)
 
     def test_join_star(self):
         g = join(complete_graph(1), empty_graph(3))
@@ -170,7 +170,7 @@ class TestGraph6:
         g = parse_graph6("D?{")
         assert g.n == 5
         assert sorted(g.degrees()) == [1, 1, 1, 1, 4]
-        assert all(g.has_edge(v, 4) for v in range(4))
+        assert all(has_edge(g, v, 4) for v in range(4))
 
     def test_single_vertex(self):
         assert to_graph6(empty_graph(1)) == "@"
@@ -204,6 +204,21 @@ class TestGraph6:
         assert to_graph6(g)[0] == "~"
         assert parse_graph6(to_graph6(g)) == g
 
+    @pytest.mark.parametrize(
+        "text, offset, reason",
+        [
+            ("  A\x01", 3, "byte 1 outside"),
+            (">>graph6<<A\x01", 11, "byte 1 outside"),
+            (">>graph6<<B~", 11, "nonzero padding bit"),
+            (b" \t>>graph6<<D?", 13, "payload length 1"),
+            ("  >>graph6<<  ", 12, "empty graph6 input"),
+        ],
+    )
+    def test_offsets_count_from_the_start_of_the_line(self, text, offset, reason):
+        with pytest.raises(Graph6Error, match=reason) as err:
+            parse_graph6(text)
+        assert err.value.offset == offset
+
     def test_non_ascii_rejected_at_offset(self):
         with pytest.raises(Graph6Error) as err:
             parse_graph6("A\u00e9")
@@ -236,34 +251,35 @@ def bit_loop_parse_graph6(text):
     """The per-bit decoder that ``parse_graph6`` replaced, kept as the
     reference its output and error offsets are checked against."""
     data = text.encode("utf-8", errors="surrogatepass") if isinstance(text, str) else bytes(text)
-    data = data.strip()
-    if data.startswith(b">>graph6<<"):
-        data = data[len(b">>graph6<<"):]
-    if not data:
-        raise Graph6Error("empty graph6 input", 0)
-    for i, b in enumerate(data):
-        if not 63 <= b <= 126:
-            raise Graph6Error(f"byte {b} outside the graph6 range 63..126", i)
-    if data[0] != 126:
-        n, pos = data[0] - 63, 1
-    elif len(data) >= 2 and data[1] != 126:
-        if len(data) < 4:
-            raise Graph6Error("truncated long-form order", len(data))
-        n, pos = 0, 4
-        for b in data[1:4]:
+    start = len(data) - len(data.lstrip())  # offsets count from the start of the line
+    end = len(data.rstrip())
+    if data.startswith(b">>graph6<<", start):
+        start += len(b">>graph6<<")
+    if start >= end:
+        raise Graph6Error("empty graph6 input", start)
+    for i in range(start, end):
+        if not 63 <= data[i] <= 126:
+            raise Graph6Error(f"byte {data[i]} outside the graph6 range 63..126", i)
+    if data[start] != 126:
+        n, pos = data[start] - 63, start + 1
+    elif end - start >= 2 and data[start + 1] != 126:
+        if end - start < 4:
+            raise Graph6Error("truncated long-form order", end)
+        n, pos = 0, start + 4
+        for b in data[start + 1 : start + 4]:
             n = (n << 6) | (b - 63)
     else:
-        if len(data) < 8:
-            raise Graph6Error("truncated very-long-form order", len(data))
-        n, pos = 0, 8
-        for b in data[2:8]:
+        if end - start < 8:
+            raise Graph6Error("truncated very-long-form order", end)
+        n, pos = 0, start + 8
+        for b in data[start + 2 : start + 8]:
             n = (n << 6) | (b - 63)
     nbytes = (n * (n - 1) // 2 + 5) // 6
-    if len(data) - pos != nbytes:
-        raise Graph6Error(f"payload length {len(data) - pos} != expected {nbytes} for n={n}", pos)
+    if end - pos != nbytes:
+        raise Graph6Error(f"payload length {end - pos} != expected {nbytes} for n={n}", pos)
     rows = [0] * n
     col, row = 1, 0
-    for k in range(pos, len(data)):
+    for k in range(pos, end):
         b = data[k] - 63
         for j in range(5, -1, -1):
             if col >= n:
@@ -533,7 +549,15 @@ class TestGraph6File:
         path.write_text("\n  A`\n")
         with pytest.raises(Graph6Error, match="^line 2: nonzero padding bit") as err:
             list(read_graph6_file(path))
-        assert err.value.offset == 1
+        assert err.value.offset == 3  # the two leading blanks count
+
+    @pytest.mark.parametrize("line, offset", [("  A\x01", 3), ("\t>>graph6<<B~", 12), (" D?\x19", 3)])
+    def test_offsets_count_from_the_start_of_the_line(self, tmp_path, line, offset):
+        path = tmp_path / "g.g6"
+        path.write_text("A_\n" + line + "\n")
+        with pytest.raises(Graph6Error) as err:
+            list(read_graph6_file(path))
+        assert (err.value.line, err.value.offset) == (2, offset)
 
 
 class TestEdgeListFormat:

@@ -39,6 +39,7 @@ from reference import (
     cycle_graph,
     disjoint_union,
     eigh_spectral_radius,
+    has_edge,
     path_graph,
     shift_function_f,
     spectral_radius_oracle,
@@ -276,6 +277,45 @@ class TestSpectralRadii:
             spectral_radii(2, [complete_graph(2).rows], 1.0, tol=0.0)
 
 
+class TestBlockPick:
+    """``spectral_radius`` reports the block of largest radius, the one with
+    the smallest vertex among equal radii, which is the reference loop's
+    first maximum in walk order.  Repeated copies of a piece tie exactly."""
+
+    @pytest.mark.parametrize("seed", range(16))
+    def test_seeded_disjoint_unions(self, seed):
+        rng = random.Random(seed)
+        pieces = [
+            from_edges(k, [(u, v) for u in range(k) for v in range(u + 1, k) if rng.random() < p])
+            for k, p in zip(rng.sample(range(1, 8), 3), (0.0, 0.4, 0.8))
+        ]
+        order = [rng.randrange(3) for _ in range(rng.randint(4, 7))]  # some piece repeats
+        g = functools.reduce(disjoint_union, [pieces[i] for i in order])
+        for alpha in (0.0, 0.5, 1.0, 2.0):
+            assert spectral_radius(g, alpha) == component_loop_spectral_radius(g, alpha)
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0, 2.0])
+    def test_later_copy_loses_the_tie(self, alpha):
+        c5, k4 = cycle_graph(5), complete_graph(4)
+        g = functools.reduce(disjoint_union, [empty_graph(1), c5, k4, c5, k4])
+        result = spectral_radius(g, alpha)
+        assert result == component_loop_spectral_radius(g, alpha)
+        assert result.component == (6, 7, 8, 9)
+
+    # regular pieces of different sizes, whose radii often round to one
+    # float (K_3 and C_4 at 1/2, C_4 and C_5 at 1, C_6 and C_7 at 2 with
+    # numpy 2.4's LAPACK): the tie is then decided across block sizes
+    @pytest.mark.parametrize("alpha, sizes", [(0.5, (3, 4)), (1.0, (5, 4)), (1.0, (4, 5)), (2.0, (7, 6))])
+    def test_tie_across_block_sizes(self, alpha, sizes):
+        pieces = [complete_graph(3) if k == 3 else cycle_graph(k) for k in sizes]
+        g = disjoint_union(*pieces)
+        radii = [spectral_radius(p, alpha).rho for p in pieces]
+        first = radii.index(max(radii))
+        result = spectral_radius(g, alpha)
+        assert result == component_loop_spectral_radius(g, alpha)
+        assert result.component[0] == (0 if first == 0 else sizes[0])
+
+
 class TestBatchOfOneUnchanged:
     """``spectral_radius`` gives the reference loop's rho, Perron vector,
     component and residual, bit for bit, on seeded G(n, p) graphs of the
@@ -376,8 +416,8 @@ class TestPerronPairEdgeCases:
     def test_equal_size_components_in_one_solve(self, alpha):
         parts = [cycle_graph(6), join(empty_graph(3), empty_graph(3)), path_graph(6), complete_graph(6), star_graph(5)]
         g = functools.reduce(disjoint_union, parts)
-        comps, solves = spectral._solve_components(g.n, [g.rows], alpha, DEFAULT_TOL)
-        assert len(comps) == 5 and [len(b.seq) for b in solves] == [5]
+        solves = spectral._solve_components(g.n, [g.rows], alpha, DEFAULT_TOL)
+        assert [b.verts[:, 0].tolist() for b in solves] == [[0, 6, 12, 18, 24]]
         block = solves[0]
         assert (block.vectors > 0).all() and (block.vectors.max(axis=1) == 1.0).all()
         assert (block.residual <= DEFAULT_TOL).all()
@@ -621,7 +661,7 @@ class TestPerronFrobenius:
             n = rng.randint(3, 9)
             g = random_connected(rng, n)
             non_edges = [(u, v) for u in range(n) for v in range(u + 1, n)
-                         if not g.has_edge(u, v)]
+                         if not has_edge(g, u, v)]
             if not non_edges:
                 continue
             u, v = rng.choice(non_edges)

@@ -11,6 +11,7 @@ from alphaspec import (
     ODD_CLIQUE_PLUS_ISOLATES,
     THRESHOLD,
     FamilyBatch,
+    Graph,
     JoinFamily,
     as_fraction,
     candidate_families,
@@ -40,7 +41,7 @@ from alphaspec.verify import (
     _candidate_table,
     _report,
     _scan_order,
-    _ScanEntry,
+    _Scan,
     family_count,
     resolve_jobs,
 )
@@ -48,6 +49,7 @@ from reference import (
     are_isomorphic,
     case2_sample_check,
     cycle_graph,
+    degree_sequence,
     disjoint_union,
     shift_monotonicity_check,
 )
@@ -703,11 +705,16 @@ class TestCase2:
         assert hi4 < hi1
 
 
+def scan_of(*classes):
+    """A hand-built ``_Scan`` of (graph, beta, rho) classes."""
+    graphs, betas, radii = zip(*classes)
+    return _Scan([g.rows for g in graphs], np.array(betas), np.array(radii, dtype=float))
+
+
 def report_of(verdict, *scored):
-    """``_report`` for ``verdict`` over hand-scored (graph, rho) scan
-    entries, each labelled with the verdict's beta."""
-    entries = [_ScanEntry(g.rows, verdict.beta, rho) for g, rho in scored]
-    return _report(entries, verdict, 1e-9, 0.0)
+    """``_report`` for ``verdict`` over a hand-built scan of (graph, rho)
+    classes, each labelled with the verdict's beta."""
+    return _report(scan_of(*((g, verdict.beta, rho) for g, rho in scored)), verdict, 1e-9, 0.0)
 
 
 def reversed_labels(g):
@@ -757,8 +764,62 @@ class TestIsPredictedGraph:
             for descriptor, target in targets.items():
                 predicted = table_graph(descriptor, n, beta)
                 assert are_isomorphic(predicted, target)
-                hits = [g for g in isomorphism_classes(n) if g.degree_sequence() == predicted.degree_sequence()]
+                hits = [g for g in isomorphism_classes(n) if degree_sequence(g) == degree_sequence(predicted)]
                 assert len(hits) == 1 and are_isomorphic(hits[0], target)
+
+
+class TestReportOnScan:
+    # _report reads the beta hits, the maximum and the 10*tol argmax
+    # window off the scan's aligned arrays
+    TOL = 1e-9
+
+    def test_argmax_ties_within_ten_tol(self):
+        v = classify_regime(8, 2, 0)  # threshold: two extremal graphs
+        split, clique = (f.graph() for f in v.extremal_families)
+        rho = v.predicted_rho
+        for gap in (0.0, 5 * self.TOL, 9 * self.TOL):
+            report = report_of(v, (clique, rho - gap), (split, rho))
+            assert report.passed and len(report.argmax_certificates) == 2
+            assert report.observed_max == rho
+
+    def test_near_value_just_outside_the_window(self):
+        v = classify_regime(8, 2, 0)
+        split, clique = (f.graph() for f in v.extremal_families)
+        rho = v.predicted_rho
+        report = report_of(v, (split, rho), (clique, rho - 11 * self.TOL))
+        assert report.value_pass and not report.structure_pass
+        assert report.argmax_certificates == (to_graph6(canonical_graph(split)),)
+
+    def test_window_is_measured_from_the_maximum(self):
+        # three values 6*tol apart: the lowest is 12*tol below the top and
+        # drops out, though it lies within 10*tol of its neighbour
+        v = classify_regime(8, 2, 0)
+        split, clique = (f.graph() for f in v.extremal_families)
+        rho = v.predicted_rho
+        report = report_of(v, (cycle_graph(8), rho - 12 * self.TOL), (clique, rho - 6 * self.TOL), (split, rho))
+        assert report.passed
+        assert set(report.argmax_certificates) == {to_graph6(canonical_graph(g)) for g in (split, clique)}
+
+    def test_other_betas_are_ignored_but_counted(self):
+        v = classify_regime(8, 2, 0)
+        split, clique = (f.graph() for f in v.extremal_families)
+        rho = v.predicted_rho
+        big = complete_graph(8)  # matching number 4, far larger radius
+        scan = scan_of((big, 4, 7.0), (split, 2, rho), (cycle_graph(8), 4, rho), (clique, 2, rho))
+        report = _report(scan, v, self.TOL, 0.0)
+        assert report.passed and report.observed_max == rho and report.graphs_scanned == 4
+        assert to_graph6(canonical_graph(big)) not in report.argmax_certificates
+
+    def test_scan_arrays_are_aligned_with_the_rows(self):
+        from alphaspec import spectral_radius
+
+        scan = _scan_order(6, as_fraction(1))
+        assert len(scan.rows) == len(scan.beta) == len(scan.rho) == 156
+        assert scan.beta.dtype.kind == "i" and scan.rho.dtype == np.float64
+        for rows, beta, rho in zip(scan.rows, scan.beta.tolist(), scan.rho.tolist()):
+            g = Graph(6, rows)
+            assert beta == matching_number(g)
+            assert rho == spectral_radius(g, 1.0).rho
 
 
 class TestArgmaxFamilyStructure:
@@ -797,6 +858,14 @@ class TestParallelDeterminism:
         assert serial.observed_max == parallel.observed_max
         assert serial.argmax_certificates == parallel.argmax_certificates
         assert serial.graphs_scanned == parallel.graphs_scanned
+
+    def test_scan_arrays_match_serial(self):
+        # the pool's chunks are strided; merged back they are the serial arrays
+        serial = _scan_order(7, as_fraction(1))
+        parallel = _scan_order(7, as_fraction(1), jobs=2)
+        assert parallel.rows == serial.rows
+        assert parallel.beta.tolist() == serial.beta.tolist()
+        assert [r.hex() for r in parallel.rho.tolist()] == [r.hex() for r in serial.rho.tolist()]
 
     def test_enumeration_matches_serial(self):
         from alphaspec import enumeration
