@@ -86,8 +86,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--alpha", type=_alpha_arg, default=Fraction(default),
                        help="nonnegative alpha, decimal or p/q (default %(default)s)")
 
-    def add_format(p, choices=("human", "json-lines", "csv")):
-        p.add_argument("--format", choices=choices, default="human",
+    def add_format(p):
+        p.add_argument("--format", choices=("human", "json-lines", "csv"), default="human",
                        help="output format (default %(default)s)")
 
     def add_graph_input(p):

@@ -172,14 +172,8 @@ def _canonical_search(n: int, rows: tuple[int, ...]) -> tuple[tuple[int, ...], l
         cands.sort()
         for c, v in cands:
             cols[d] = c
-            if best is not None:
-                worse = False
-                for i in range(d + 1):
-                    if cols[i] != best[i]:
-                        worse = cols[i] > best[i]
-                        break
-                if worse:
-                    break  # candidates are sorted; the rest only grow
+            if best is not None and cols[: d + 1] > best[: d + 1]:
+                break  # candidates are sorted; the rest only grow
             perm[d] = v
             used[v] = True
             dfs(d + 1)

@@ -114,15 +114,9 @@ class Graph:
     def degrees(self) -> list[int]:
         return [r.bit_count() for r in self.rows]
 
-    def neighbors(self, v: int) -> list[int]:
-        return _bits(self.rows[v])
-
     def edges(self) -> Iterator[tuple[int, int]]:
-        for v in range(self.n):
-            m = self.rows[v] >> (v + 1)
-            while m:
-                u = (m & -m).bit_length() - 1
-                m &= m - 1
+        for v, row in enumerate(self.rows):
+            for u in _bits(row >> (v + 1)):
                 yield (v, v + 1 + u)
 
     @property

@@ -109,11 +109,10 @@ def tutte_berge_witness(g: Graph) -> TutteBergeWitness:
 
 
 def _neighbor_lists(n: int, rows: Sequence[int]) -> list[list[int]]:
-    """The ascending neighbours of each vertex, as ``Graph.neighbors``
-    gives them.  Only the nonzero bytes of the rows are unpacked, so a
-    sparse graph costs its n**2 / 8 row bytes and its edges, not n**2
-    matrix entries; their bits, in row-major order, are the neighbours,
-    cut at the cumulative degrees."""
+    """The ascending neighbours of each vertex.  Only the nonzero bytes of
+    the rows are unpacked, so a sparse graph costs its n**2 / 8 row bytes
+    and its edges, not n**2 matrix entries; their bits, in row-major
+    order, are the neighbours, cut at the cumulative degrees."""
     packed = row_bytes(n, [rows])[0]
     v, byte = np.nonzero(packed)
     k, bit = np.nonzero(np.unpackbits(packed[v, byte][:, None], axis=1, bitorder="little"))

@@ -423,11 +423,11 @@ class JoinFamily:
         cliques after it in ascending size.  Each vertex is labeled by
         its part (-1 for the core); two vertices are adjacent when one is
         in the core or both are in one part, so the whole 0/1 matrix is
-        one array expression, validated once by ``from_bit_matrix``."""
+        one array expression, symmetric and loop-free as built."""
         part = np.repeat(np.arange(-1, self.q), (self.s,) + self.parts)
         mat = (part[:, None] == part) | (part[:, None] < 0) | (part < 0)
         np.fill_diagonal(mat, False)
-        return Graph.from_bit_matrix(mat)
+        return Graph._from_valid_matrix(mat)
 
 
 def one_clique_family(n: int, beta: int, s: int) -> JoinFamily:
@@ -447,11 +447,13 @@ def one_clique_family(n: int, beta: int, s: int) -> JoinFamily:
 class FamilyBatch:
     """Join families as rows of k cells: family i has core size ``s[i]``
     and ``counts[i, j]`` parts of size ``sizes[i, j]``, the sizes of its
-    nonempty cells ascending along j and the last cell its largest part.
-    A cell of count 0 is empty: its secular term is 0, so it changes no
-    radius if its size is at most the row's largest.  ``s`` has shape
-    (m,) and the cell arrays (m, k), all float64, exact for integers
-    below 2**53, so products never wrap as fixed-width integers would."""
+    nonempty cells ascending along j and the last column holding its
+    largest part size.  A cell of count 0 is empty, and one of size 1
+    changes no radius wherever it stands left of that column: its secular
+    term is exactly 0 and its 2 x 2 start is the core diagonal c, which no
+    nonempty cell's start falls below.  ``s`` has shape (m,) and the cell
+    arrays (m, k), all float64, exact for integers below 2**53, so
+    products never wrap as fixed-width integers would."""
 
     s: np.ndarray
     sizes: np.ndarray

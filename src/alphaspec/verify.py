@@ -212,11 +212,6 @@ class FamilySearchResult:
     matches_prediction: bool
 
 
-def _check_search(n: int, beta: int) -> None:
-    if beta < 0 or n < 2 * beta + 1:
-        raise ValueError(f"need n >= 2*beta + 1 and beta >= 0, got n={n}, beta={beta}")
-
-
 def _core_counts(n: int, beta: int) -> Iterator[int]:
     """The number of candidates with core size s, for s = beta down to 0,
     from the partition-count recurrence P(t, k) = P(t, k-1) + P(t-k, k)
@@ -244,7 +239,8 @@ def family_count(n: int, beta: int) -> int:
     p(floor(beta/2)) candidates, so a large beta stops after a few dozen
     small rows of the recurrence.
     """
-    _check_search(n, beta)
+    if beta < 0 or n < 2 * beta + 1:
+        raise ValueError(f"need n >= 2*beta + 1 and beta >= 0, got n={n}, beta={beta}")
     total = 0
     for count in _core_counts(n, beta):
         total += count
@@ -345,10 +341,10 @@ def _candidate_batches(n: int, beta: int) -> Iterator[FamilyBatch]:
 
     The table is read ``FAMILY_CHUNK_ROWS`` rows at a time and each chunk
     is one batch: cell 0 holds the parts of size 1 and the table's cells
-    follow.  An empty cell takes its row's largest part size with count
-    0.  Its secular term w_p / (lam - d_p) is then exactly 0, and its
-    2 x 2 start value is at most that of the row's largest cell, so each
-    row's radius is the float it has without the empty cells.
+    follow.  An empty cell (half 0, count 0) has size 1, so its secular
+    term w_p / (lam - d_p) is exactly 0 and its 2 x 2 start value is the
+    core diagonal c, no larger than any nonempty cell's: each row's
+    radius is the float it has without the empty cells.
     """
     table = _candidate_table(n, beta)
     for first in range(0, len(table.core), FAMILY_CHUNK_ROWS):
@@ -357,7 +353,7 @@ def _candidate_batches(n: int, beta: int) -> Iterator[FamilyBatch]:
         ones = core + (n - 2 * beta) - table.parts[chunk]
         counts = np.column_stack((ones, table.count[chunk]))
         sizes = np.column_stack((np.ones_like(ones), 2.0 * table.half[chunk] + 1))
-        yield FamilyBatch(core, np.where(counts > 0, sizes, sizes[:, -1:]), counts)
+        yield FamilyBatch(core, sizes, counts)
 
 
 def candidate_families(n: int, beta: int) -> Iterator[JoinFamily]:

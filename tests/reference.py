@@ -1,6 +1,7 @@
 """Reference implementations the tests check alphaspec against.
 
-None of these is on a path the CLI or a verdict takes.  The small
+None of these is on a path the CLI or a verdict takes.  The graph
+queries (``has_edge``, ``neighbors``, ``degree_sequence``), the small
 graph constructors (path, cycle, star, disjoint union), the isomorphism
 test, the edge list of a maximum matching and the shift-monotonicity
 check build test inputs and read results.  ``augment_from_full_scan`` is
@@ -41,6 +42,11 @@ WITNESS_ORDER_CAP = 24
 
 def has_edge(g, u: int, v: int) -> bool:
     return bool((g.rows[u] >> v) & 1)
+
+
+def neighbors(g, v: int) -> list[int]:
+    """The neighbours of v, ascending."""
+    return _bits(g.rows[v])
 
 
 def degree_sequence(g) -> tuple[int, ...]:

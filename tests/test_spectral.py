@@ -9,6 +9,7 @@ import pytest
 
 from alphaspec import (
     FamilyBatch,
+    Graph,
     JoinFamily,
     as_fraction,
     candidate_families,
@@ -719,6 +720,25 @@ class TestJoinFamily:
         fam = JoinFamily.of_parts(2, (1, 3))
         g = fam.graph()
         assert g.degrees()[:2] == [g.n - 1, g.n - 1]
+
+    def test_graph_equals_from_bit_matrix(self):
+        # seeded random families, some wider than 64 vertices: the packed
+        # graph equals the checked conversion of a block matrix built
+        # here, and passes the constructor's own checks
+        rng = random.Random(421)
+        for _ in range(60):
+            parts = sorted(rng.choice((1, 1, 3, 5, 7, 31)) for _ in range(rng.randint(1, 9)))
+            fam = JoinFamily.of_parts(rng.randint(0, len(parts)), parts)
+            mat = np.zeros((fam.order, fam.order), dtype=np.uint8)
+            mat[: fam.s, :] = mat[:, : fam.s] = 1
+            start = fam.s
+            for p in fam.parts:
+                mat[start : start + p, start : start + p] = 1
+                start += p
+            np.fill_diagonal(mat, 0)
+            g = fam.graph()
+            assert g == Graph.from_bit_matrix(mat), fam
+            assert Graph(g.n, g.rows) == g
 
     def test_graph_equals_the_union_fold(self):
         for n in range(1, 21):

@@ -32,6 +32,7 @@ from alphaspec import (
 )
 from alphaspec.enumeration import canonical_graph
 from alphaspec.graphs import row_component_masks
+from alphaspec.matching import matching_numbers
 from alphaspec.theorem import CASE2_ALPHA_CUTOFF, EXTREMAL_GRAPHS, case2_region_bounds
 from alphaspec.verify import (
     DEFAULT_REPORT_TOL,
@@ -573,9 +574,9 @@ class TestFamilySearchAgainstLoop:
 
     @pytest.mark.parametrize("alpha", [0, 0.5, 1, 2, 1e12])
     def test_empty_cells_leave_the_radius(self, alpha):
-        # empty cells take the row's largest size with count 0, before the
-        # size-1 cell and between it and the rest, as the candidate
-        # batches place them; the size-1 cell may itself be empty
+        # empty cells of the row's largest size with count 0, before the
+        # size-1 cell and between it and the rest; the size-1 cell may
+        # itself be empty
         families = [
             JoinFamily(2, ((1, 3), (3, 2), (7, 1))),
             JoinFamily(1, ((3, 1), (5, 2))),
@@ -595,6 +596,41 @@ class TestFamilySearchAgainstLoop:
         assert radii == [family_radius(f, alpha) for f in families]
         assert radii[:2] == family_radius(FamilyBatch(batch.s[:2], batch.sizes[:2], batch.counts[:2]), alpha).tolist()
 
+    @pytest.mark.parametrize("alpha", [0, 0.5, 1, 2, 1 / 3, 1e6])
+    def test_size_one_empty_cells_leave_the_radius(self, alpha):
+        # empty cells of size 1 (the candidate batches' padding) in every
+        # column left of the one holding the largest part, and also last
+        # in a secular row, where that column is not read
+        families = [
+            JoinFamily(2, ((1, 3), (3, 2), (7, 1))),
+            JoinFamily(1, ((3, 1), (5, 2))),
+            JoinFamily(3, ((1, 5),)),
+            JoinFamily(0, ((1, 4), (9, 1))),
+            JoinFamily(0, ((5, 3),)),
+            JoinFamily(1, ((9, 1),)),
+            JoinFamily(4, ((1, 6), (3, 1))),
+        ]
+        for family in families:
+            expected = family_radius(family, alpha)
+            cells = list(family.cells)
+            secular = family.s >= 1 and family.q > 1
+            for j in range(len(cells) + secular):
+                for padding in (1, 3):
+                    row = cells[:j] + [(1, 0)] * padding + cells[j:]
+                    batch = FamilyBatch(np.array([float(family.s)]), *np.array([row], dtype=float).transpose(2, 0, 1))
+                    assert batch.family(0) == family
+                    assert family_radius(batch, alpha)[0].hex() == expected.hex(), (family, j, padding)
+
+    @pytest.mark.parametrize("n, beta", [(23, 7), (21, 7), (64, 24)])
+    def test_table_padding_equals_largest_size_padding(self, n, beta):
+        # the batches' size-1 empty cells give the radii, bit for bit, of
+        # empty cells that take the row's largest part size
+        for batch in _candidate_batches(n, beta):
+            padded = FamilyBatch(batch.s, np.where(batch.counts > 0, batch.sizes, batch.sizes[:, -1:]), batch.counts)
+            for alpha in (0, 0.5, 1, 2, 1 / 3, 1e6):
+                radii = family_radius(batch, alpha)
+                assert np.array_equal(radii, family_radius(padded, alpha)), (n, beta, alpha)
+
     def test_table_cells(self):
         # one byte per cell half and count, W = 10 of each for beta = 58
         # (1 + ... + 10 <= 58 < 1 + ... + 11), plus the core size and the
@@ -613,6 +649,59 @@ class TestFamilySearchAgainstLoop:
         (batch,) = _candidate_batches(n, 0)
         assert batch.counts.tolist() == [[n]] and batch.sizes.tolist() == [[1]]
         assert list(candidate_families(n, 0)) == [JoinFamily(0, ((1, n),))]
+
+
+class TestCandidateTableAgainstCensus:
+    """The family engine's candidates are the census's edge-maximal classes.
+
+    A class is edge-maximal when adding any edge raises its matching
+    number.  For n >= 2*beta + 2 the canonical graphs of
+    ``candidate_families(n, beta)`` must be exactly the edge-maximal
+    classes of order n with matching number beta, one each.  At n =
+    2*beta + 1 (and at n = 2*beta) the only edge-maximal class is K_n,
+    while the candidates also hold families with q = s + 1 parts such as
+    P_3 = K_1 v 2K_1.
+    """
+
+    @staticmethod
+    def edge_maximal(n):
+        """beta -> the canonical rows of the edge-maximal classes of order n."""
+        classes = [g.rows for g in isomorphism_classes(n)]
+        beta = matching_numbers(n, classes).tolist()
+        owner, extended = [], []
+        for i, rows in enumerate(classes):
+            for u in range(n):
+                for v in range(u + 1, n):
+                    if not (rows[u] >> v) & 1:
+                        new = list(rows)
+                        new[u] |= 1 << v
+                        new[v] |= 1 << u
+                        owner.append(i)
+                        extended.append(tuple(new))
+        raised = [True] * len(classes)
+        for i, b in zip(owner, matching_numbers(n, extended).tolist()):
+            raised[i] = raised[i] and b > beta[i]
+        out = {}
+        for rows, b, ok in zip(classes, beta, raised):
+            if ok:
+                out.setdefault(b, set()).add(rows)
+        return out
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_candidates_are_the_edge_maximal_classes(self, n):
+        maximal = self.edge_maximal(n)
+        assert set(maximal) == set(range(n // 2 + 1))
+        for beta in range(n // 2 + 1):
+            if n <= 2 * beta + 1:  # K_n, with a perfect or near-perfect matching
+                assert maximal[beta] == {complete_graph(n).rows}
+                continue
+            canon = [canonical_graph(f.graph()).rows for f in candidate_families(n, beta)]
+            assert len(canon) == len(set(canon)) == family_count(n, beta), (n, beta)
+            assert set(canon) == maximal[beta], (n, beta)
+
+    @pytest.mark.parametrize("n, count", [(1, 1), (3, 2), (5, 3), (7, 5)])
+    def test_count_at_two_beta_plus_one(self, n, count):
+        assert family_count(n, (n - 1) // 2) == count
 
 
 class TestFamilyCount:
