@@ -19,6 +19,7 @@ failure, 2 usage or parse error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -76,6 +77,9 @@ def _positive_float(text: str) -> float:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The one definition of the ``alphaspec`` argument tree.  Each call
+    builds a new tree; ``main`` builds it once per process, on first use,
+    and reuses it for every later call."""
     parser = argparse.ArgumentParser(
         prog="alphaspec",
         description="alpha-spectral radius and extremal bounds for graphs with given matching number",
@@ -345,9 +349,19 @@ _COMMANDS = {
 }
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # built on first use, not at import: importing the module builds nothing
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one ``alphaspec`` command and return its exit code.  ``main``
+    may be called repeatedly in one process: the parser is built once, on
+    first use, and each call parses its ``argv`` into a new namespace, so
+    no option carries over from an earlier call.  Help text wraps to the
+    terminal width at the time it is printed."""
+    args = _parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
     except (ValueError, OSError) as exc:  # a Graph6Error is a ValueError

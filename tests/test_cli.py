@@ -2,11 +2,16 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from alphaspec.cli import main, sig12
+from alphaspec import cli
+from alphaspec.cli import build_parser, main, sig12
 from alphaspec.graphs import complete_graph, to_graph6
 from alphaspec.verify import REPORT_FIELDS, VerificationReport, verify_order
 from reference import disjoint_union, star_graph
@@ -560,3 +565,117 @@ class TestHugeAlpha:
         code, out, _ = run(capsys, "bound", "10", "5", "--alpha", "1e16", "--format", "json-lines")
         assert code == 0
         assert json.loads(out)["bound"] == 9e16
+
+
+def _outcome(capsys, parse, argv):
+    """Exit code, stdout with ``wall_time`` dropped from its records, stderr,
+    and the ``--output`` file's text (the file is removed)."""
+    try:
+        code = parse(argv)
+    except SystemExit as exc:  # argparse rejects its input this way
+        code = exc.code
+    captured = capsys.readouterr()
+    written = None
+    if "--output" in argv:
+        path = Path(argv[argv.index("--output") + 1])
+        written = _drop_wall_time(path.read_text(encoding="utf-8"))
+        path.unlink()
+    return code, _drop_wall_time(captured.out), captured.err, written
+
+
+def _drop_wall_time(text):
+    return [
+        json.dumps({k: v for k, v in json.loads(line).items() if k != "wall_time"}) if line.startswith("{") else line
+        for line in text.splitlines()
+    ]
+
+
+class TestParserReuse:
+    """``main`` builds its parser once per process; no call sees state
+    left by an earlier one."""
+
+    @staticmethod
+    def sequence(output):
+        report = ["report", "--n-max", "4", "--alphas", "0,1", "--format", "json-lines"]
+        return [
+            ["rho", "--graph6", "D?{", "--alpha", "2"],
+            ["rho", "--graph6", "D?{"],
+            ["matching", "--graph6", "E?~o", "--witness"],
+            ["matching", "--graph6", "E?~o"],
+            ["bound", "9", "3", "--alpha", "1", "--format", "json-lines"],
+            ["bound", "9"],  # usage error, SystemExit 2
+            ["bound", "10", "2"],
+            ["classify", "10", "2", "--alpha", "1/2", "--format", "csv"],
+            ["rho"],  # ValueError, exit 2
+            ["verify", "5", "--alpha", "1", "--format", "json-lines"],
+            ["family", "12", "4", "--alpha", "1"],
+            [*report, "--output", str(output)],
+            report,
+        ]
+
+    def test_sequence_matches_fresh_parsers(self, capsys, tmp_path):
+        sequence = self.sequence(tmp_path / "records.jsonl")
+
+        def fresh(argv):
+            cli._parser.cache_clear()
+            return main(argv)
+
+        expected = [_outcome(capsys, fresh, argv) for argv in sequence]
+        cli._parser.cache_clear()
+        reused = [_outcome(capsys, main, argv) for argv in sequence]
+        assert cli._parser.cache_info().misses == 1
+        for argv, got, want in zip(sequence, reused, expected):
+            assert got == want, argv
+        codes = [code for code, *_ in reused]
+        assert codes == [0, 0, 0, 0, 0, 2, 0, 0, 2, 0, 0, 0, 0]
+        # the defaults came back: alpha 0, no witness, human format, stdout
+        assert reused[0][1] != reused[1][1]
+        assert reused[2][1] != reused[3][1]
+        assert reused[6][1][0].startswith("case (")
+        assert reused[11][1] == [] and reused[11][3] == reused[12][1]
+
+    def test_import_builds_nothing_and_main_builds_once(self):
+        script = (
+            "import argparse, contextlib, io, json\n"
+            "built = []\n"
+            "init = argparse.ArgumentParser.__init__\n"
+            "def counting_init(self, *args, **kwargs):\n"
+            "    built.append(kwargs.get('prog'))\n"
+            "    init(self, *args, **kwargs)\n"
+            "argparse.ArgumentParser.__init__ = counting_init\n"
+            "import alphaspec.cli as cli\n"
+            "at_import = len(built)\n"
+            "cli.build_parser()\n"
+            "tree = len(built) - at_import\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    codes = [cli.main(['bound', '9', '3', '--alpha', '1']) for _ in range(20)]\n"
+            "print(json.dumps({'at_import': at_import, 'tree': tree, 'main': len(built) - at_import - tree, 'codes': codes}))\n"
+        )
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+        counts = json.loads(proc.stdout)
+        assert counts["at_import"] == 0
+        assert counts["tree"] > 1  # the top level and one parser per subcommand
+        assert counts["main"] == counts["tree"]
+        assert counts["codes"] == [0] * 20
+
+    @pytest.mark.parametrize(
+        "argv",
+        [[], ["rho"], ["matching"], ["bound"], ["classify"], ["verify"], ["family"], ["report"]],
+        ids=["top", "rho", "matching", "bound", "classify", "verify", "family", "report"],
+    )
+    def test_help_follows_the_terminal_width(self, capsys, monkeypatch, argv):
+        def fresh(argv):
+            return build_parser().parse_args(argv)
+
+        helps = []
+        for columns in ("120", "40"):
+            monkeypatch.setenv("COLUMNS", columns)
+            reused = _outcome(capsys, main, [*argv, "--help"])
+            assert reused == _outcome(capsys, fresh, [*argv, "--help"])
+            assert reused[0] == 0
+            helps.append(reused[1])
+        assert helps[0] != helps[1]
+        assert max(map(len, helps[1])) < max(map(len, helps[0]))
+        assert cli._parser.cache_info().currsize == 1
