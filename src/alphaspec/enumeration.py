@@ -31,8 +31,8 @@ complement's canonical graph, so the search only runs on graphs with at
 most half the edges.
 
 ``map_chunks`` is the one place a worker pool is started, for building a
-level here and for the scans in ``verify``; it checks the worker count
-with ``resolve_jobs`` first.
+level here and for the scan slices of ``verify``; it checks the worker
+count with ``resolve_jobs`` first.
 """
 
 from __future__ import annotations
@@ -57,20 +57,20 @@ def resolve_jobs(jobs: int) -> int:
     return jobs
 
 
-def map_chunks(func: Callable, items: Sequence, jobs: int, *args) -> list:
-    """``func(chunk, *args)`` for each chunk ``items[i::k]``, in chunk order.
+def map_chunks(func: Callable, chunks: Sequence, jobs: int, *args) -> list:
+    """``func(chunk, *args)`` for each of ``chunks``, in chunk order.
 
-    With k = ``jobs`` > 1 and at least 4*k items the chunks run in a pool
-    of k worker processes; otherwise ``items`` is one chunk run here.  The
-    count is checked by ``resolve_jobs`` before any pool is asked for.
+    With ``jobs`` > 1 and more than one chunk they run in a pool of at
+    most ``jobs`` worker processes, otherwise here in turn.  The count is
+    checked by ``resolve_jobs`` before any pool is asked for.
     """
     jobs = resolve_jobs(jobs)
-    if jobs == 1 or len(items) < 4 * jobs:
-        return [func(items, *args)]
+    if jobs == 1 or len(chunks) < 2:
+        return [func(chunk, *args) for chunk in chunks]
     from multiprocessing import Pool
 
-    with Pool(jobs) as pool:
-        return pool.starmap(func, [(items[i::jobs], *args) for i in range(jobs)])
+    with Pool(min(jobs, len(chunks))) as pool:
+        return pool.starmap(func, [(chunk, *args) for chunk in chunks])
 
 
 def _wl_colors(n: int, rows: tuple[int, ...]) -> list[int]:
@@ -282,7 +282,8 @@ def _build_level(n: int, jobs: int = 1) -> None:
         _build_level(n - 1, jobs)
     parent_limit = _half_edges(n - 1)
     parents = [rows for rows in _LEVELS[n - 1] if sum(r.bit_count() for r in rows) // 2 <= parent_limit]
-    lower = set().union(*map_chunks(_extend_level, parents, jobs, n))
+    chunks = [parents[i::jobs] for i in range(jobs)] if len(parents) >= 4 * jobs else [parents]
+    lower = set().union(*map_chunks(_extend_level, chunks, jobs, n))
     # a lower-half class with 2m < M (2m row bits) has its complement in the upper half
     pairs = n * (n - 1) // 2
     reps = sorted(lower.union(_complement_rows(n, rows) for rows in lower if sum(r.bit_count() for r in rows) < pairs))

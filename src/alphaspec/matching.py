@@ -6,10 +6,11 @@ set A(G), a minimizer of n - (o(G-S) - |S|), from the same search: it
 certifies the matching number and supplies the parameters s and q of the
 extremal families.  Both read their neighbour lists from the bytes of
 the graph's bit rows.  ``matching_numbers`` gives the matching numbers
-of many graphs of one order, as the exhaustive scan needs them: up to
-order ``_SUBSET_DP_MAX_ORDER`` by one subset DP stacked over the graphs,
-above it by the blossom search per graph.  The exhaustive oracles the
-three are checked against live in ``tests/reference.py``.
+of one batch of graphs of one order, as each slice of the exhaustive
+scan needs them: up to order ``_SUBSET_DP_MAX_ORDER`` by one subset DP
+stacked over the batch, above it by the blossom search per graph.  The
+exhaustive oracles the three are checked against live in
+``tests/reference.py``.
 """
 
 from __future__ import annotations
@@ -29,8 +30,6 @@ from .graphs import Graph, row_bytes, row_component_masks
 # 11, 13 and 14 against 26, 32, 43 and 39 us for the blossom search.
 # Orders 10 to 13 reach the scan only from a graph6 file.
 _SUBSET_DP_MAX_ORDER = 13
-# Entries (2**n subsets times graphs) of one DP table: 4 MB of uint8.
-_SUBSET_DP_MAX_ENTRIES = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -57,34 +56,30 @@ def matching_number(g: Graph) -> int:
 def matching_numbers(n: int, rows_list: Sequence[Sequence[int]]) -> np.ndarray:
     """The matching numbers of graphs of order n given by their bit rows.
 
-    Up to ``_SUBSET_DP_MAX_ORDER`` every graph of a slice is solved by one
+    Up to ``_SUBSET_DP_MAX_ORDER`` the whole batch is solved by one
     subset DP: f[S] = max(f[S - v], 1 + f[S - v - u] for u in N(v) and
     S), v the least vertex of S, and beta = f[all vertices].  The sets
     with least vertex v read only sets whose vertices all exceed v, so
     one vertex pair (v, u) updates every set and graph at once through
-    views of the (2**n, graphs) table.  The slices keep the table within
-    ``_SUBSET_DP_MAX_ENTRIES``.  Above that order each graph takes the
-    blossom search.
+    views of the (2**n, graphs) uint8 table.  The caller bounds the batch
+    (the exhaustive scan's slices keep the table below 2**22 entries).
+    Above that order each graph takes the blossom search.
     """
     if n > _SUBSET_DP_MAX_ORDER:
         return np.array([matching_number(Graph._from_valid_rows(n, rows)) for rows in rows_list], dtype=int)
-    step = _SUBSET_DP_MAX_ENTRIES >> n
-    parts = [np.zeros(0, dtype=int)]
-    for first in range(0, len(rows_list), step):
-        rows = np.array(rows_list[first : first + step], dtype=np.uint16)  # rows below 2**13
-        f = np.zeros((1 << n, len(rows)), dtype=np.uint8)
-        for v in range(n - 1, -1, -1):
-            low = f.reshape(1 << (n - v - 1), 2, 1 << v, -1)
-            low[:, 1, 0] = low[:, 0, 0]
-            for u in range(v + 1, n):
-                # [above u, u in S, between v and u, v in S, below v]; f
-                # grows with S, so where u is no neighbour of v the term
-                # f[S - v - u] + 0 is at most f[S - v] and changes nothing
-                t = f.reshape(1 << (n - u - 1), 2, 1 << (u - v - 1), 2, 1 << v, -1)
-                edge = ((rows[:, v] >> u) & 1).astype(np.uint8)
-                np.maximum(t[:, 1, :, 1, 0], t[:, 0, :, 0, 0] + edge, out=t[:, 1, :, 1, 0])
-        parts.append(f[-1].astype(int))
-    return np.concatenate(parts)
+    rows = np.array(rows_list, dtype=np.uint16).reshape(len(rows_list), n)  # rows below 2**13
+    f = np.zeros((1 << n, len(rows)), dtype=np.uint8)
+    for v in range(n - 1, -1, -1):
+        low = f.reshape(1 << (n - v - 1), 2, 1 << v, -1)
+        low[:, 1, 0] = low[:, 0, 0]
+        for u in range(v + 1, n):
+            # [above u, u in S, between v and u, v in S, below v]; f
+            # grows with S, so where u is no neighbour of v the term
+            # f[S - v - u] + 0 is at most f[S - v] and changes nothing
+            t = f.reshape(1 << (n - u - 1), 2, 1 << (u - v - 1), 2, 1 << v, -1)
+            edge = ((rows[:, v] >> u) & 1).astype(np.uint8)
+            np.maximum(t[:, 1, :, 1, 0], t[:, 0, :, 0, 0] + edge, out=t[:, 1, :, 1, 0])
+    return f[-1].astype(int)
 
 
 def tutte_berge_witness(g: Graph) -> TutteBergeWitness:

@@ -41,10 +41,6 @@ import numpy as np
 from .graphs import Graph, _bits, bit_matrices, row_component_masks
 
 DEFAULT_TOL = 1e-10
-# Matrix entries stacked by one ``spectral_radii`` slice (512 KB of
-# float64): 1,024 graphs of order 8, 13 of order 70, one of order 256 or
-# more.  Larger slices scan no faster and raise peak memory.
-RADII_BATCH_ENTRIES = 1 << 16
 # Newton steps allowed for one batch of family radii.  The searches of
 # (64, 24), (80, 30) and (120, 50) at alpha in {0, 1/2, 1, 2} settle
 # within 8.
@@ -310,16 +306,15 @@ def spectral_radii(
     whole batch: a graph's radius is the maximum over its component
     blocks, a single vertex counting 0.
 
-    The graphs are solved ``RADII_BATCH_ENTRIES // n**2`` at a time (at
-    least one), so the stacked matrices of a slice stay a few megabytes.
+    The batch is solved as one stack of its graphs' n x n matrices; the
+    caller bounds it (the exhaustive scan passes slices of
+    ``verify.RADII_BATCH_ENTRIES`` entries).
     """
     alpha = _check_alpha(alpha)
     _check_tol(tol)
     radii = np.zeros(len(rows_list))
-    step = max(1, RADII_BATCH_ENTRIES // max(1, n * n))
-    for first in range(0, len(rows_list), step):
-        for b in _solve_components(n, rows_list[first : first + step], alpha, tol):
-            np.maximum.at(radii, first + b.owner, b.rho)
+    for b in _solve_components(n, rows_list, alpha, tol):
+        np.maximum.at(radii, b.owner, b.rho)
     return radii
 
 

@@ -3,12 +3,13 @@
 ``verify_order`` scans every isomorphism class of order n once and, for
 each matching number beta, maximizes the radius over the classes with
 that beta and compares observed maximum and argmax structure against
-the regime prediction.  Each scan chunk takes its matching numbers from
-one ``matching_numbers`` call and its radii from one ``spectral_radii``
-call, so no ``Graph`` is built per class.  ``family_search`` does
-the same over the structured join families at orders where exhaustion is
-impossible.  Reports are machine-checkable records with a stable field
-order, one line per (n, beta, alpha).
+the regime prediction.  ``_scan_order`` alone cuts the scan, into
+slices of ``RADII_BATCH_ENTRIES`` matrix entries; each takes its
+matching numbers from one ``matching_numbers`` call and its radii from
+one ``spectral_radii`` call, so no ``Graph`` is built per class.
+``family_search`` does the same over the structured join families at
+orders where exhaustion is impossible.  Reports are machine-checkable
+records with a stable field order, one line per (n, beta, alpha).
 """
 
 from __future__ import annotations
@@ -38,6 +39,12 @@ FAMILY_MAX_CANDIDATES = 2_000_000
 # secular-term array of a batch stays below a megabyte (at most 16 cells
 # a row under the cap).
 FAMILY_CHUNK_ROWS = 1 << 12
+# Matrix entries (graphs times n**2) of one exhaustive-scan slice: its
+# stacked matrices take 512 KB of float64, 1,024 graphs of order 8.
+# Larger slices scan no faster and raise peak memory.  A slice's subset
+# DP takes 2**n entries a graph: 387 graphs at order 13 is a 3.2 M-entry
+# table, below 2**22 (4 MB of uint8).
+RADII_BATCH_ENTRIES = 1 << 16
 
 
 # -- reports -----------------------------------------------------------
@@ -109,14 +116,16 @@ class _Scan:
 
 def _scan_chunk(rows_list: Sequence[tuple[int, ...]], n: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
     """The matching numbers (one ``matching_numbers`` call) and radii (one
-    ``spectral_radii`` call) of classes of order n given by the rows of
-    graphs already built."""
+    ``spectral_radii`` call) of one slice of classes of order n given by
+    the rows of graphs already built."""
     return matching_numbers(n, rows_list), spectral_radii(n, rows_list, alpha)
 
 
 def _scan_order(n: int, alpha: Fraction, jobs: int = 1, source: str | None = None) -> _Scan:
     """Every class of order n, from the built-in census or from the graph6
-    file ``source``, with its matching number and radius."""
+    file ``source``, with its matching number and radius: one
+    ``_scan_chunk`` per contiguous slice of ``RADII_BATCH_ENTRIES // n**2``
+    classes (at least one), joined in order."""
     resolve_jobs(jobs)
     if source is None:
         # looked up on the module, so a wrapper placed there (perfbench/tracing.py) is reached
@@ -129,12 +138,10 @@ def _scan_order(n: int, alpha: Fraction, jobs: int = 1, source: str | None = Non
             rows_list.append(g.rows)
         if not rows_list:
             raise ValueError(f"graph6 file {source} holds no graph: nothing to verify")
-    parts = map_chunks(_scan_chunk, rows_list, jobs, n, float(alpha))
-    beta, rho = np.empty(len(rows_list), dtype=int), np.empty(len(rows_list))
-    for start, (part_beta, part_rho) in enumerate(parts):
-        beta[start :: len(parts)] = part_beta
-        rho[start :: len(parts)] = part_rho
-    return _Scan(rows_list, beta, rho)
+    step = max(1, RADII_BATCH_ENTRIES // max(1, n * n))
+    slices = [rows_list[first : first + step] for first in range(0, len(rows_list), step)]
+    beta, rho = zip(*map_chunks(_scan_chunk, slices, jobs, n, float(alpha)))
+    return _Scan(rows_list, np.concatenate(beta), np.concatenate(rho))
 
 
 def _report(scan: _Scan, verdict: RegimeVerdict, tol: float, start: float) -> VerificationReport:

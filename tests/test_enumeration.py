@@ -292,8 +292,8 @@ class TestPoolGuard:
         from alphaspec.enumeration import map_chunks
 
         with pytest.raises(ValueError, match="jobs"):
-            map_chunks(sorted, list(range(100)), (os.cpu_count() or 1) + 1)
-        assert map_chunks(sorted, [3, 1, 2], 1) == [[1, 2, 3]]
+            map_chunks(sorted, [list(range(100))] * 2, (os.cpu_count() or 1) + 1)
+        assert map_chunks(sorted, [[3, 1, 2]], 1) == [[1, 2, 3]]
         assert self.requested == []
 
 

@@ -150,26 +150,6 @@ class TestMatchingNumbers:
     def test_orders_below_two_are_zero(self, n):
         assert matching_numbers(n, [empty_graph(n).rows] * 3).tolist() == [0, 0, 0]
 
-    def test_slices_agree_with_single_graphs(self):
-        from alphaspec.matching import _SUBSET_DP_MAX_ENTRIES
-
-        n = 9
-        per_slice = _SUBSET_DP_MAX_ENTRIES >> n
-        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-        rng = random.Random(9)
-        graphs = []
-        for _ in range(2 * per_slice + 5):
-            # each pair an edge with probability 1/2, 1/4, 1/8 or 1/16
-            mask = ~0
-            for _ in range(rng.randint(1, 4)):
-                mask &= rng.getrandbits(len(pairs))
-            graphs.append(from_edges(n, [e for i, e in enumerate(pairs) if mask >> i & 1]))
-        together = matching_numbers(n, [g.rows for g in graphs]).tolist()
-        assert set(together) == {0, 1, 2, 3, 4}
-        assert together == [matching_number(g) for g in graphs]
-        boundary = [i for k in (1, 2) for i in range(k * per_slice - 2, k * per_slice + 2)] + [len(graphs) - 1]
-        assert [together[i] for i in boundary] == [int(matching_numbers(n, [graphs[i].rows])[0]) for i in boundary]
-
 
 class TestNeighborLists:
     """The blossom search's neighbour lists, read from the row bytes, are

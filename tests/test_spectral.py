@@ -225,27 +225,6 @@ class TestSpectralRadii:
         assert spectral_radii(1, [(0,)], 1.0).tolist() == [0.0]
         assert spectral_radii(5, [], 1.0).shape == (0,)
 
-    @pytest.mark.parametrize("per_slice", [1, 7])
-    def test_slices(self, monkeypatch, per_slice):
-        classes = isomorphism_classes(6)  # 156 classes, not a multiple of 7
-        rows = [g.rows for g in classes]
-        whole = spectral_radii(6, rows, 0.5)
-        monkeypatch.setattr(spectral, "RADII_BATCH_ENTRIES", per_slice * 36)
-        assert hex_list(spectral_radii(6, rows, 0.5)) == hex_list(whole)
-
-    def test_slice_stays_within_the_entry_budget(self, monkeypatch):
-        sizes = []
-        real = spectral._solve_components
-
-        def recording(n, rows_list, alpha, tol):
-            sizes.append(len(rows_list))
-            return real(n, rows_list, alpha, tol)
-
-        monkeypatch.setattr(spectral, "_solve_components", recording)
-        spectral_radii(70, [cycle_graph(70).rows] * 100, 1.0)
-        spectral_radii(256, [empty_graph(256).rows] * 2, 1.0)
-        assert sizes == [13] * 7 + [9, 1, 1]
-
     def test_rows_wider_than_int64(self):
         rng = random.Random(70)
         graphs = [from_edges(70, [(u, v) for u in range(70) for v in range(u + 1, 70) if rng.random() < p])
@@ -609,7 +588,7 @@ class TestKrylovPath:
 
     @pytest.mark.parametrize("alpha", ALPHAS)
     @pytest.mark.parametrize("per_slice", [1, 4])
-    def test_stacked_blocks_match_single_graphs(self, alpha, per_slice, monkeypatch):
+    def test_stacked_blocks_match_single_graphs(self, alpha, per_slice):
         k = spectral._KRYLOV_MIN_ORDER
         n = k + 40
         graphs = [
@@ -620,8 +599,9 @@ class TestKrylovPath:
             complete_graph(n),
         ]
         expected = [spectral_radius(g, alpha).rho for g in graphs]
-        monkeypatch.setattr(spectral, "RADII_BATCH_ENTRIES", per_slice * n * n)
-        assert hex_list(spectral_radii(n, [g.rows for g in graphs], alpha)) == hex_list(expected)
+        rows = [g.rows for g in graphs]
+        radii = [r for i in range(0, len(rows), per_slice) for r in spectral_radii(n, rows[i : i + per_slice], alpha)]
+        assert hex_list(radii) == hex_list(expected)
 
 
 class TestOracle:

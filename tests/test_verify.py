@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import random
 
 import numpy as np
 import pytest
@@ -26,13 +27,14 @@ from alphaspec import (
     join,
     matching_number,
     one_clique_family,
+    spectral_radii,
     to_graph6,
     tutte_berge_witness,
     verify_order,
 )
 from alphaspec.enumeration import canonical_graph
 from alphaspec.graphs import row_component_masks
-from alphaspec.matching import matching_numbers
+from alphaspec.matching import _SUBSET_DP_MAX_ORDER, matching_numbers
 from alphaspec.theorem import CASE2_ALPHA_CUTOFF, EXTREMAL_GRAPHS, case2_region_bounds
 from alphaspec.verify import (
     DEFAULT_REPORT_TOL,
@@ -223,13 +225,13 @@ class TestVerifyOrder:
     def test_radius_slices_leave_reports_unchanged(self, monkeypatch, alpha):
         import dataclasses
 
-        from alphaspec import spectral
+        import alphaspec.verify as verify
 
         def untimed():
             return [dataclasses.replace(r, wall_time=0.0) for r in verify_order(6, alpha)]
 
         whole = untimed()
-        monkeypatch.setattr(spectral, "RADII_BATCH_ENTRIES", 7 * 36)  # 7 graphs a slice
+        monkeypatch.setattr(verify, "RADII_BATCH_ENTRIES", 7 * 36)  # 7 graphs a slice
         assert untimed() == whole
 
     def test_wall_time_covers_the_scan(self, monkeypatch):
@@ -247,6 +249,88 @@ class TestVerifyOrder:
         reports = verify_order(5, 1)
         assert [r.beta for r in reports] == [1, 2]
         assert all(r.wall_time >= 0.05 for r in reports)
+
+
+class TestScanSlices:
+    """``_scan_order`` cuts a scan into contiguous slices of
+    ``RADII_BATCH_ENTRIES // n**2`` classes, one ``_scan_chunk`` each."""
+
+    @staticmethod
+    def recorded_slices(monkeypatch):
+        import alphaspec.verify as verify
+
+        sizes = []
+        real = verify._scan_chunk
+
+        def recording(rows_list, n, alpha):
+            sizes.append(len(rows_list))
+            return real(rows_list, n, alpha)
+
+        monkeypatch.setattr(verify, "_scan_chunk", recording)
+        return sizes
+
+    def test_matching_slices_agree_with_single_graphs(self, tmp_path, monkeypatch):
+        from alphaspec.verify import RADII_BATCH_ENTRIES
+
+        n = 9
+        per_slice = RADII_BATCH_ENTRIES // (n * n)
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        rng = random.Random(9)
+        graphs = []
+        for _ in range(2 * per_slice + 5):
+            # each pair an edge with probability 1/2, 1/4, 1/8 or 1/16
+            mask = ~0
+            for _ in range(rng.randint(1, 4)):
+                mask &= rng.getrandbits(len(pairs))
+            graphs.append(from_edges(n, [e for i, e in enumerate(pairs) if mask >> i & 1]))
+        path = tmp_path / "order9.g6"
+        path.write_text("".join(to_graph6(g) + "\n" for g in graphs))
+        sizes = self.recorded_slices(monkeypatch)
+        together = _scan_order(n, as_fraction(1), source=str(path)).beta.tolist()
+        assert sizes == [per_slice, per_slice, 5]
+        assert set(together) == {0, 1, 2, 3, 4}
+        assert together == [matching_number(g) for g in graphs]
+        boundary = [i for k in (1, 2) for i in range(k * per_slice - 2, k * per_slice + 2)] + [len(graphs) - 1]
+        assert [together[i] for i in boundary] == [int(matching_numbers(n, [graphs[i].rows])[0]) for i in boundary]
+
+    @pytest.mark.parametrize("per_slice", [1, 7])
+    def test_radius_slices(self, monkeypatch, per_slice):
+        import alphaspec.verify as verify
+
+        rows = [g.rows for g in isomorphism_classes(6)]  # 156 classes, not a multiple of 7
+        whole = spectral_radii(6, rows, 0.5)
+        monkeypatch.setattr(verify, "RADII_BATCH_ENTRIES", per_slice * 36)
+        sliced = _scan_order(6, as_fraction("1/2")).rho
+        assert [r.hex() for r in sliced.tolist()] == [r.hex() for r in whole.tolist()]
+
+    def test_slice_stays_within_the_entry_budget(self, tmp_path, monkeypatch):
+        cycles, edgeless = tmp_path / "cycles.g6", tmp_path / "edgeless.g6"
+        cycles.write_text((to_graph6(cycle_graph(70)) + "\n") * 100)
+        edgeless.write_text((to_graph6(empty_graph(256)) + "\n") * 2)
+        sizes = self.recorded_slices(monkeypatch)
+        _scan_order(70, as_fraction(1), source=str(cycles))
+        _scan_order(256, as_fraction(1), source=str(edgeless))
+        assert sizes == [13] * 7 + [9, 1, 1]
+
+    @pytest.mark.parametrize("n", range(_SUBSET_DP_MAX_ORDER + 1))
+    def test_subset_dp_table_of_a_slice_stays_below_two_to_the_22(self, monkeypatch, n):
+        # a batch one graph larger than 2**22 entries allow, of one empty
+        # graph repeated; the solvers are stubbed, as only the cut is read
+        import alphaspec.enumeration as enumeration
+        import alphaspec.verify as verify
+
+        count = (1 << 22 >> n) + 1
+        monkeypatch.setattr(enumeration, "isomorphism_classes", lambda n, jobs: [empty_graph(n)] * count)
+        sizes = []
+
+        def matching_stub(n, rows_list):
+            sizes.append(len(rows_list))
+            return np.zeros(len(rows_list), dtype=int)
+
+        monkeypatch.setattr(verify, "matching_numbers", matching_stub)
+        monkeypatch.setattr(verify, "spectral_radii", lambda n, rows_list, alpha: np.zeros(len(rows_list)))
+        assert len(_scan_order(n, as_fraction(1)).beta) == count == sum(sizes)
+        assert max(sizes) << n <= 1 << 22
 
 
 class TestResolveJobs:
@@ -949,12 +1033,42 @@ class TestParallelDeterminism:
         assert serial.graphs_scanned == parallel.graphs_scanned
 
     def test_scan_arrays_match_serial(self):
-        # the pool's chunks are strided; merged back they are the serial arrays
+        # order 7 is one slice, so jobs=2 runs it here as jobs=1 does
         serial = _scan_order(7, as_fraction(1))
         parallel = _scan_order(7, as_fraction(1), jobs=2)
         assert parallel.rows == serial.rows
         assert parallel.beta.tolist() == serial.beta.tolist()
         assert [r.hex() for r in parallel.rho.tolist()] == [r.hex() for r in serial.rho.tolist()]
+
+    @pytest.mark.parametrize("alpha", [0, "1/2", 1, 2])
+    def test_sliced_scan_arrays_match_serial(self, monkeypatch, alpha):
+        # 23 slices of at most 7 classes, joined in order from the pool
+        import alphaspec.verify as verify
+
+        monkeypatch.setattr(verify, "RADII_BATCH_ENTRIES", 7 * 36)
+        serial = _scan_order(6, as_fraction(alpha))
+        parallel = _scan_order(6, as_fraction(alpha), jobs=2)
+        assert parallel.rows == serial.rows
+        assert parallel.beta.dtype == serial.beta.dtype and parallel.beta.tolist() == serial.beta.tolist()
+        assert [r.hex() for r in parallel.rho.tolist()] == [r.hex() for r in serial.rho.tolist()]
+
+    def test_one_slice_scan_requests_no_pool(self, monkeypatch):
+        import multiprocessing
+
+        import alphaspec.verify as verify
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a worker pool was requested")
+
+        monkeypatch.setattr(multiprocessing, "Pool", refuse)
+        isomorphism_classes(7)  # built beforehand: only the scan may ask for a pool
+        for n in range(8):
+            assert len(_scan_order(n, as_fraction(1), jobs=2).rho) == len(isomorphism_classes(n))
+        assert all(r.passed for r in verify_order(7, 1, jobs=2))
+        # the refusal is reached once a scan has two slices
+        monkeypatch.setattr(verify, "RADII_BATCH_ENTRIES", 78 * 36)
+        with pytest.raises(AssertionError, match="worker pool"):
+            _scan_order(6, as_fraction(1), jobs=2)
 
     def test_enumeration_matches_serial(self):
         from alphaspec import enumeration
