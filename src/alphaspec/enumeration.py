@@ -30,6 +30,15 @@ twin transpositions.  A graph with 2m > M takes the complement of its
 complement's canonical graph, so the search only runs on graphs with at
 most half the edges.
 
+Canonical forms are computed in batches (``_canonical_forms``): a level's
+parents form one batch and the children of all of them another, read in
+slices of a fixed number of matrix entries as they are generated.  The refinement and the twin classes run in numpy on the
+stacked adjacency matrices of a batch, each refinement round one
+``np.bincount`` of packed neighbor-color counts and one ``np.lexsort``,
+and the twin classes one sort of the open and one of the closed rows.
+Only the ordering search stays per graph, for the graphs whose
+refinement is not discrete.  ``canonical_graph`` is the batch of one.
+
 ``map_chunks`` is the one place a worker pool is started, for building a
 level here and for the scan slices of ``verify``; it checks the worker
 count with ``resolve_jobs`` first.
@@ -38,12 +47,19 @@ count with ``resolve_jobs`` first.
 from __future__ import annotations
 
 import os
-from typing import Callable, Sequence
+from itertools import islice
+from typing import Callable, Iterable, Iterator, Sequence
 
-from .graphs import Graph, _complement_rows
+import numpy as np
+
+from .graphs import Graph, _complement_rows, bit_matrices
 
 KNOWN_CLASS_COUNTS = {0: 1, 1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044, 8: 12346}
 BUILTIN_ORDER_CAP = 8
+
+# Adjacency-matrix entries canonicalized as one batch: the slice's
+# matrices and its int64 refinement keys stay below a few megabytes.
+CANONICAL_BATCH_ENTRIES = 1 << 18
 
 _LEVELS: dict[int, list[tuple[int, ...]]] = {0: [()]}
 
@@ -73,49 +89,98 @@ def map_chunks(func: Callable, chunks: Sequence, jobs: int, *args) -> list:
         return pool.starmap(func, [(chunk, *args) for chunk in chunks])
 
 
-def _wl_colors(n: int, rows: tuple[int, ...]) -> list[int]:
-    """Stable, label-independent vertex colors (iterated refinement),
-    ranked 0, 1, ... in sorted order."""
-    colors = [rows[v].bit_count() for v in range(n)]
+def _runs(keys: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """The stable ``np.lexsort`` order of ``keys`` (last key primary) and,
+    along it, whether each entry starts a run of equal keys."""
+    order = np.lexsort(keys)
+    starts = np.zeros(len(order), dtype=bool)
+    starts[:1] = True
+    for key in keys:
+        ordered = key[order]
+        starts[1:] |= ordered[1:] != ordered[:-1]
+    return order, starts
+
+
+def _refined_colors(mats: np.ndarray) -> np.ndarray:
+    """The stable color refinement of each of the (m, n, n) adjacency
+    matrices ``mats``, as an (m, n) array of colors ranked 0, 1, ... per
+    graph.
+
+    The colors start as the degrees; each round ranks the vertices of a
+    graph by (color, sorted tuple of neighbor colors) until no color
+    changes.  Vertices of one color have one degree, so among them the
+    lexicographic order of the sorted tuples is the reverse order of the
+    neighbor-color count vectors read from color 0 up.  Each vector is
+    packed into base-n digits, colors 0, 1, ... from the most significant
+    place, as many colors a digit as keep it below 2**53, so the float
+    sums of ``np.bincount`` are exact; up to order 13 that is one digit.
+    Once a graph's colors are stable another round keeps them.
+    """
+    m, n, _ = mats.shape
+    graph, vertex, neighbor = np.nonzero(mats)
+    source = graph * n + vertex
+    neighbor += graph * n
+    per_digit = 1
+    while per_digit < n and n ** (per_digit + 1) <= 1 << 53:
+        per_digit += 1
+    digit_of = np.arange(n) // per_digit
+    weight = np.array([float(n ** (per_digit - 1 - p % per_digit)) for p in range(n)])
+    graph_key = np.repeat(np.arange(m), n)
+    colors = mats.sum(axis=2, dtype=np.int64).ravel()
     while True:
-        sigs = []
-        for v in range(n):
-            neigh = []
-            m = rows[v]
-            while m:
-                neigh.append(colors[(m & -m).bit_length() - 1])
-                m &= m - 1
-            neigh.sort()
-            sigs.append((colors[v], tuple(neigh)))
-        rank = {sig: i for i, sig in enumerate(sorted(set(sigs)))}
-        new = [rank[sigs[v]] for v in range(n)]
-        if new == colors:
-            return colors
+        seen = colors[neighbor]
+        keys = [colors, graph_key]
+        for d in range(-(-n // per_digit)):
+            counts = np.bincount(source, weights=np.where(digit_of[seen] == d, weight[seen], 0.0), minlength=m * n)
+            keys.insert(0, -counts.astype(np.int64))
+        order, starts = _runs(keys)
+        new = np.empty_like(colors)
+        new[order] = (np.cumsum(starts.reshape(m, n), axis=1) - 1).ravel()
+        if np.array_equal(new, colors):
+            return colors.reshape(m, n)
         colors = new
 
 
-def _twin_ids(n: int, rows: tuple[int, ...]) -> list[int]:
-    """Group vertices whose transposition is an automorphism.
+def _row_words(mats: np.ndarray) -> np.ndarray:
+    """The rows of the (m, n, n) 0/1 matrices ``mats`` as (m * n, w)
+    little-endian uint64 words, w = ceil(n / 64): bit u of row v of
+    graph g is bit u % 64 of word u // 64 of entry g * n + v."""
+    m, n, _ = mats.shape
+    words = -(-n // 64)
+    packed = np.zeros((m * n, 8 * words), dtype=np.uint8)
+    packed[:, : (n + 7) // 8] = np.packbits(mats, axis=2, bitorder="little").reshape(m * n, (n + 7) // 8)
+    return packed.view("<u8")
 
-    u and v are interchangeable iff their rows agree outside {u, v};
-    the relation is transitive, so a first-representative sweep groups
-    correctly.
+
+def _twin_classes(mats: np.ndarray) -> np.ndarray:
+    """Group the vertices of each of the (m, n, n) adjacency matrices
+    ``mats`` whose transposition is an automorphism, as an (m, n) array:
+    each vertex's entry is the least vertex of its class.
+
+    u and v are interchangeable iff their rows agree outside {u, v}, that
+    is iff their open rows N(u) = N(v) are equal (u, v not adjacent) or
+    their closed rows N[u] = N[v] are (adjacent).  The relation is
+    transitive, so no vertex has both an open and a closed twin, and the
+    least vertex with an equal open or closed row is the class's least
+    member.  Rows are grouped by one stable sort per kind.
     """
-    ids = list(range(n))
-    for u in range(n):
-        if ids[u] != u:
-            continue
-        for v in range(u + 1, n):
-            if ids[v] != v:
-                continue
-            drop = ~((1 << u) | (1 << v))
-            if rows[u] & drop == rows[v] & drop:
-                ids[v] = u
-    return ids
+    m, n, _ = mats.shape
+    graph_key = np.repeat(np.arange(m), n)
+    vertex = np.tile(np.arange(n), m)
+    twin = vertex.copy()
+    for rows in (mats, mats | np.eye(n, dtype=np.uint8)):
+        order, starts = _runs([*_row_words(rows).T, graph_key])
+        first = np.maximum.accumulate(np.where(starts, np.arange(len(order)), 0))
+        least = np.empty_like(vertex)
+        least[order] = vertex[order[first]]
+        np.minimum(twin, least, out=twin)
+    return twin.reshape(m, n)
 
 
-def _canonical_search(n: int, rows: tuple[int, ...]) -> tuple[tuple[int, ...], list[tuple[int, ...]]]:
-    """Bit rows of the canonical graph and automorphism generators of it.
+def _search(n: int, rows: tuple[int, ...], colors: list[int], twin: list[int]) -> tuple[list[int], list[tuple[int, ...]]]:
+    """The canonical place of each vertex and automorphism generators, by
+    the prefix-pruned search over the orderings compatible with the
+    refined ``colors``, one vertex of each ``twin`` class a step.
 
     The best ordering has the least column bit-string (entry d holds the
     d bits of column d), and canonical vertex i is the vertex at position
@@ -124,22 +189,9 @@ def _canonical_search(n: int, rows: tuple[int, ...]) -> tuple[tuple[int, ...], l
     maps the best ordering to a leaf with the best columns, and twin swaps
     sort that leaf into one the search visits, so the generators generate
     the whole group.  A generator is a tuple of images: vertex i maps to
-    g[i].  A graph with 2m > M takes the complement of its complement's
-    canonical graph and its generators: complementing keeps isomorphism
-    and automorphisms.
+    g[i].
     """
-    if n <= 1:
-        return tuple(rows), []
-    if sum(r.bit_count() for r in rows) > n * (n - 1) // 2:
-        canon, gens = _canonical_search(n, _complement_rows(n, rows))
-        return _complement_rows(n, canon), gens
-    colors = _wl_colors(n, rows)
-    if len(set(colors)) == n:
-        # discrete refinement: the ordering is forced, vertex v to place
-        # colors[v], and only the identity preserves the colors
-        return _relabel(rows, colors), []
     pos_color = sorted(colors)
-    twin = _twin_ids(n, rows)
     best: list[int] | None = None
     best_perm: list[int] = []
     leaves: list[list[int]] = []
@@ -191,20 +243,62 @@ def _canonical_search(n: int, rows: tuple[int, ...]) -> tuple[tuple[int, ...], l
             a, b = place[v], place[twin[v]]
             swap[a], swap[b] = b, a
             gens.append(tuple(swap))
-    return _relabel(rows, place), gens
+    return place, gens
 
 
-def _relabel(rows: tuple[int, ...], place: list[int]) -> tuple[int, ...]:
-    """The bit rows of the graph ``rows`` with vertex v renamed ``place[v]``."""
-    out = [0] * len(rows)
-    for v, m in enumerate(rows):
-        r = 0
-        while m:
-            low = m & -m
-            r |= 1 << place[low.bit_length() - 1]
-            m ^= low
-        out[place[v]] = r
-    return tuple(out)
+def _canonical_forms(n: int, rows_iter: Iterable[tuple[int, ...]]) -> Iterator[tuple[tuple[int, ...], list[tuple[int, ...]]]]:
+    """Bit rows of the canonical graph and automorphism generators of it,
+    for each of the graphs of order n whose bit rows ``rows_iter`` yields,
+    in order.
+
+    The graphs are read and answered ``CANONICAL_BATCH_ENTRIES`` matrix
+    entries at a time, so neither the inputs nor the forms of a whole
+    level are held at once.  A graph with 2m > M is complemented first:
+    complementing keeps isomorphism and automorphisms, so it takes the
+    complement of its complement's canonical graph and that graph's
+    generators.  The color refinement and the twin classes run on the
+    whole slice at once.  The ordering search runs per graph, and only
+    where the refinement is not discrete; a discrete refinement forces
+    the ordering, vertex v to place colors[v], and only the identity
+    preserves its colors.  The relabeling is one gather over the slice.
+    """
+    if n <= 1:
+        yield from ((tuple(rows), []) for rows in rows_iter)
+        return
+    step = max(1, CANONICAL_BATCH_ENTRIES // (n * n))
+    off_diagonal = 1 - np.eye(n, dtype=np.uint8)
+    rows_iter = iter(rows_iter)
+    while chunk := list(islice(rows_iter, step)):
+        mats = bit_matrices(n, chunk)
+        flipped = mats.sum(axis=(1, 2)) > n * (n - 1) // 2
+        mats[flipped] ^= off_diagonal
+        colors = _refined_colors(mats)
+        places = colors.copy()
+        gens: list[list[tuple[int, ...]]] = [[] for _ in chunk]
+        searched = np.flatnonzero(colors.max(axis=1) < n - 1)
+        for i, twin in zip(searched.tolist(), _twin_classes(mats[searched]).tolist()):
+            rows = _complement_rows(n, chunk[i]) if flipped[i] else chunk[i]
+            places[i], gens[i] = _search(n, rows, colors[i].tolist(), twin)
+        at = np.argsort(places, axis=1)
+        canon = mats[np.arange(len(chunk))[:, None, None], at[:, :, None], at[:, None, :]]
+        canon[flipped] ^= off_diagonal
+        yield from zip(_matrix_rows(canon), gens)
+
+
+def _matrix_rows(mats: np.ndarray) -> list[tuple[int, ...]]:
+    """The bit rows of each of the (m, n, n) 0/1 matrices ``mats``."""
+    m, n, _ = mats.shape
+    words = _row_words(mats)
+    rows = words[:, 0].astype(object)
+    for w in range(1, words.shape[1]):
+        rows |= words[:, w].astype(object) << (64 * w)
+    flat = rows.tolist()
+    return [tuple(flat[g * n : (g + 1) * n]) for g in range(m)]
+
+
+def _canonical_search(n: int, rows: tuple[int, ...]) -> tuple[tuple[int, ...], list[tuple[int, ...]]]:
+    """``_canonical_forms`` of the one graph of order n with bit rows ``rows``."""
+    return next(_canonical_forms(n, [rows]))
 
 
 def canonical_graph(g: Graph) -> Graph:
@@ -229,18 +323,25 @@ def _extend_level(parents: list[tuple[int, ...]], n: int) -> set[tuple[int, ...]
     isomorphic children, and the test above depends only on the mask's
     size and whether it meets the parent's top-degree set, both kept by
     an automorphism; so the masks are walked in ascending order and only
-    the first of each orbit is tried.  The parent's generators come from
-    its own canonical search, in its own labeling since it is canonical.
+    the first of each orbit is tried.  The parents' generators come from
+    one batch of canonical forms, in their own labeling since they are
+    canonical, and the children of all parents are canonicalized as a
+    second batch, generated as it reads them.
     """
-    out: set[tuple[int, ...]] = set()
+    return {canon for canon, _ in _canonical_forms(n, _children(parents, n))}
+
+
+def _children(parents: list[tuple[int, ...]], n: int) -> Iterator[tuple[int, ...]]:
+    """The rows of the children ``_extend_level`` canonicalizes, the
+    parents in order and each parent's masks ascending."""
     new_bit = 1 << (n - 1)
     limit = _half_edges(n)
-    for prows in parents:
+    for prows, (_, gens) in zip(parents, _canonical_forms(n - 1, parents)):
         degrees = [r.bit_count() for r in prows]
         top = max(degrees, default=0)
         at_top = sum(1 << v for v, d in enumerate(degrees) if d == top)
         room = limit - sum(degrees) // 2
-        images = [_mask_images(g) for g in _canonical_search(n - 1, prows)[1]]
+        images = [_mask_images(g) for g in gens]
         tried = bytearray(1 << (n - 1))
         for mask in range(1 << (n - 1)):
             k = mask.bit_count()
@@ -261,8 +362,7 @@ def _extend_level(parents: list[tuple[int, ...]], n: int) -> set[tuple[int, ...]
                 v = (m & -m).bit_length() - 1
                 m &= m - 1
                 rows[v] |= new_bit
-            out.add(_canonical_search(n, tuple(rows))[0])
-    return out
+            yield tuple(rows)
 
 
 def _mask_images(g: tuple[int, ...]) -> list[int]:

@@ -18,12 +18,13 @@ import time
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from math import inf, isqrt
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from . import enumeration
-from .enumeration import canonical_graph, map_chunks, resolve_jobs
+from .enumeration import _canonical_forms, map_chunks, resolve_jobs
+from .enumeration import canonical_graph  # noqa: F401  (perfbench/tracing.py wraps this name here)
 from .graphs import Graph, read_graph6_file, to_graph6
 from .matching import matching_number  # noqa: F401  (perfbench/tracing.py wraps this name here)
 from .matching import matching_numbers
@@ -156,8 +157,10 @@ def _report(scan: _Scan, verdict: RegimeVerdict, tol: float, start: float) -> Ve
     hits = scan.beta == beta
     observed = float(scan.rho[hits].max())
     argmax = np.flatnonzero(hits & (scan.rho >= observed - 10.0 * tol))
-    argmax_certificates = _certificates(Graph._from_valid_rows(n, scan.rows[i]) for i in argmax)
-    predicted_certificates = _certificates(family.graph() for family in verdict.extremal_families)
+    predicted = [family.graph().rows for family in verdict.extremal_families]
+    certificates = _certificates(n, [scan.rows[i] for i in argmax] + predicted)
+    argmax_certificates = tuple(sorted(certificates[: len(argmax)]))
+    predicted_certificates = tuple(sorted(certificates[len(argmax) :]))
     return VerificationReport(
         n=n,
         beta=beta,
@@ -174,10 +177,11 @@ def _report(scan: _Scan, verdict: RegimeVerdict, tol: float, start: float) -> Ve
     )
 
 
-def _certificates(graphs: Iterable[Graph]) -> tuple[str, ...]:
-    """Sorted graph6 strings of the canonical forms, so one class prints
-    the same whichever labelling it came with."""
-    return tuple(sorted(to_graph6(canonical_graph(g)) for g in graphs))
+def _certificates(n: int, rows_list: Sequence[tuple[int, ...]]) -> list[str]:
+    """The graph6 strings of the canonical forms of the graphs of order n
+    with bit rows ``rows_list``, in order and from one batch, so one class
+    prints the same whichever labelling it came with."""
+    return [to_graph6(Graph._from_valid_rows(n, canon)) for canon, _ in _canonical_forms(n, rows_list)]
 
 
 def verify_order(

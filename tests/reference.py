@@ -11,9 +11,10 @@ re-derive a value by a slower, independent route (a whole-matrix
 ``eigvalsh``, one ``eigh`` per component, an exhaustive edge-subset
 search, an exhaustive vertex-subset deficiency scan, every neighbourhood
 of a census parent, every ordering within the color classes for the
-canonical graph, the complete split graph's radius in closed form);
-the formulas are the paper's own forms
-of the family radius, evaluated as written, which the tests tie to
+canonical graph, the refinement colors of one graph by sorted tuples and
+its twin classes by a pairwise sweep, the complete split graph's radius
+in closed form); the formulas are the paper's own forms of the family
+radius, evaluated as written, which the tests tie to
 ``spectral._secular_terms``, the one builder of the secular function
 h(lam) = lam - c - sum_p w_p / (lam - d_p).
 
@@ -29,7 +30,7 @@ from math import sqrt
 import numpy as np
 
 from alphaspec import JoinFamily, TutteBergeWitness, as_fraction, case2_applicable, family_radius
-from alphaspec.enumeration import _canonical_search, _half_edges, _wl_colors, canonical_graph
+from alphaspec.enumeration import _canonical_search, _half_edges, canonical_graph
 from alphaspec.graphs import Graph, _bits, complete_graph, empty_graph, from_edges, join, row_component_masks
 from alphaspec.matching import _match
 from alphaspec.spectral import SpectralResult, alpha_matrices
@@ -247,11 +248,54 @@ def extend_level_all_masks(parents, n: int) -> set:
     return out
 
 
+def wl_colors(n: int, rows: tuple[int, ...]) -> list[int]:
+    """Stable, label-independent vertex colors (iterated refinement),
+    ranked 0, 1, ... in sorted order: ``enumeration._refined_colors`` of
+    one graph, by sorting each vertex's (color, sorted neighbor colors)."""
+    colors = [rows[v].bit_count() for v in range(n)]
+    while True:
+        sigs = []
+        for v in range(n):
+            neigh = []
+            m = rows[v]
+            while m:
+                neigh.append(colors[(m & -m).bit_length() - 1])
+                m &= m - 1
+            neigh.sort()
+            sigs.append((colors[v], tuple(neigh)))
+        rank = {sig: i for i, sig in enumerate(sorted(set(sigs)))}
+        new = [rank[sigs[v]] for v in range(n)]
+        if new == colors:
+            return colors
+        colors = new
+
+
+def twin_ids(n: int, rows: tuple[int, ...]) -> list[int]:
+    """Group vertices whose transposition is an automorphism:
+    ``enumeration._twin_classes`` of one graph, by a pairwise sweep.
+
+    u and v are interchangeable iff their rows agree outside {u, v};
+    the relation is transitive, so a first-representative sweep groups
+    correctly.
+    """
+    ids = list(range(n))
+    for u in range(n):
+        if ids[u] != u:
+            continue
+        for v in range(u + 1, n):
+            if ids[v] != v:
+                continue
+            drop = ~((1 << u) | (1 << v))
+            if rows[u] & drop == rows[v] & drop:
+                ids[v] = u
+    return ids
+
+
 def canonical_rows_oracle(g) -> tuple[int, ...]:
     """The rows of the canonical graph of ``g`` by the certificate's
     definition, without the search's pruning or twin classes.
 
-    Every ordering that lists the vertices by ascending ``_wl_colors``
+    Every ordering that lists the vertices by ascending ``wl_colors``
     color, with every permutation within each color class, is compared by
     its columns (column d holds the adjacencies of its vertex d to
     vertices 0..d-1), and the least one is returned as the rows of that
@@ -263,7 +307,7 @@ def canonical_rows_oracle(g) -> tuple[int, ...]:
         co = from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n) if not has_edge(g, u, v)])
         rows = canonical_rows_oracle(co)
         return tuple(((1 << n) - 1) & ~r & ~(1 << v) for v, r in enumerate(rows))
-    colors = _wl_colors(n, g.rows)
+    colors = wl_colors(n, g.rows)
     classes = [[v for v in range(n) if colors[v] == c] for c in sorted(set(colors))]
     best = None
     for parts in product(*(permutations(c) for c in classes)):

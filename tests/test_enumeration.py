@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import multiprocessing
 import os
@@ -24,6 +25,8 @@ from reference import (
     disjoint_union,
     extend_level_all_masks,
     path_graph,
+    twin_ids,
+    wl_colors,
 )
 
 
@@ -158,6 +161,130 @@ class TestAgainstAllMasks:
             assert enumeration._LEVELS[n] == reference_levels[n], n
 
 
+def level_sha256(level):
+    """SHA-256 of a census level: one line per class, its bit rows as
+    decimal integers joined by spaces, the lines in ``_LEVELS`` order."""
+    text = "\n".join(" ".join(str(r) for r in rows) for rows in level)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# Pinned hashes of the census levels.  The all-masks reference above
+# derives its levels from the same canonical search, so it would follow
+# a consistent change of the canonical form; these pin the form itself,
+# and with it every printed certificate.
+LEVEL_SHA256 = {
+    0: "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    1: "5feceb66ffc86f38d952786c6d696c79c2dbc239dd4e91b46729d73a27fb57e9",
+    2: "07cc935b65c3c311616d15c4320292d857eac4689e9d9094e665cfeb1bf33411",
+    3: "3d983f8fc30a3e92ddfea17a26a3c38b211e98ac1d7fddac2718d2d1474a1a07",
+    4: "6880ea1404ea9bb0dfda3f6d15dc2b1b6dd082c3d2b90b60072ed39656cf8736",
+    5: "d4debf9ca6cb07536a6ca1e0df5e37f3c1dfb2f181dd2d1b52d8be42c53d8e58",
+    6: "47977fe763800f4b19f47028792dd4d7f450266c3fc469bec724cf37b8fdf853",
+    7: "115c45fcf76d81410a196138d73af04451572db69b1935831c700cacbff8d76c",
+    8: "f314f298f7c21768fe9142b2acd1aed405ccc441fc3179397311ae00b2a840d3",
+}
+
+
+class TestCensusFingerprint:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_levels_match_pinned_hashes(self, monkeypatch, jobs):
+        from alphaspec import enumeration
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(enumeration, "_LEVELS", {0: [()]})
+        isomorphism_classes(8, jobs=jobs)
+        assert {n: level_sha256(enumeration._LEVELS[n]) for n in range(9)} == LEVEL_SHA256
+
+
+def random_graph(rng, n, p):
+    return from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+
+
+def order70_graphs():
+    """The two order-70 graphs of the graph6 test in test_verify.py, rows
+    wider than int64, and a dense one."""
+    rng = random.Random(70)
+    sparse = random_graph(rng, 70, 0.03)
+    cliques = disjoint_union(complete_graph(5), disjoint_union(cycle_graph(7), empty_graph(58)))
+    return [sparse, cliques, random_graph(random.Random(71), 70, 0.5)]
+
+
+class TestBatchedRefinement:
+    # the batch's colors and twin classes against the one-graph oracles
+    # they replaced: sorted neighbor-color tuples and the pairwise sweep
+    @staticmethod
+    def assert_batch_equals_oracles(n, graphs):
+        from alphaspec.enumeration import _refined_colors, _twin_classes
+        from alphaspec.graphs import bit_matrices
+
+        mats = bit_matrices(n, [g.rows for g in graphs])
+        assert _refined_colors(mats).tolist() == [wl_colors(n, g.rows) for g in graphs]
+        assert _twin_classes(mats).tolist() == [twin_ids(n, g.rows) for g in graphs]
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_census_classes_and_relabelled_copies(self, n):
+        rng = random.Random(300 + n)
+        graphs = []
+        for g in isomorphism_classes(n):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            graphs += [g, relabel(g, perm)]
+        self.assert_batch_equals_oracles(n, graphs)
+
+    @pytest.mark.parametrize("n", range(9, 21))
+    def test_random_graphs(self, n):
+        # from order 14 on a count vector takes two base-n digits
+        rng = random.Random(900 + n)
+        graphs = [random_graph(rng, n, p) for p in (0.1, 0.3, 0.5, 0.7, 0.9) for _ in range(4)]
+        graphs += [disjoint_union(complete_graph(n // 3), empty_graph(n - n // 3)),
+                   join(empty_graph(n // 2), complete_graph(n - n // 2))]
+        self.assert_batch_equals_oracles(n, graphs)
+
+    @pytest.mark.parametrize("n", [9, 12, 17, 20])
+    def test_many_refinement_rounds(self, n):
+        # the degrees give a path two colors, and each round splits one
+        # more off from its ends inwards up to ceil(n/2): at n >= 9 that
+        # is three or more rounds that change the colors
+        from alphaspec.enumeration import _refined_colors
+
+        tail = disjoint_union(path_graph(n - 4), complete_graph(4))
+        tail = from_edges(n, list(tail.edges()) + [(n - 5, n - 4)])
+        graphs = [path_graph(n), tail, cycle_graph(n)]
+        self.assert_batch_equals_oracles(n, graphs)
+        assert len(set(_refined_colors(path_graph(n).bit_matrix()[None]).ravel().tolist())) == (n + 1) // 2
+
+    def test_rows_wider_than_int64(self):
+        rng = random.Random(72)
+        graphs = order70_graphs()
+        for g in list(graphs):
+            perm = list(range(70))
+            rng.shuffle(perm)
+            graphs.append(relabel(g, perm))
+        self.assert_batch_equals_oracles(70, graphs)
+
+
+class TestCanonicalBatch:
+    def test_batch_equals_one_graph_at_a_time(self, monkeypatch):
+        from alphaspec import enumeration
+
+        rng = random.Random(44)
+        for n in (9, 13, 20, 70):
+            graphs = order70_graphs() if n == 70 else [random_graph(rng, n, p) for p in (0.2, 0.5, 0.8)]
+            rows_list = []
+            for g in graphs:
+                perm = list(range(n))
+                rng.shuffle(perm)
+                rows_list += [g.rows, relabel(g, perm).rows, complement(g).rows]
+            alone = [enumeration._canonical_search(n, rows) for rows in rows_list]
+            assert list(enumeration._canonical_forms(n, rows_list)) == alone
+            for i in range(0, len(rows_list), 3):
+                assert alone[i][0] == alone[i + 1][0]
+            # slices of two graphs each give the same forms
+            monkeypatch.setattr(enumeration, "CANONICAL_BATCH_ENTRIES", 2 * n * n)
+            assert list(enumeration._canonical_forms(n, iter(rows_list))) == alone
+            monkeypatch.undo()
+
+
 def generated_group(n, gens):
     group = {tuple(range(n))}
     frontier = list(group)
@@ -204,8 +331,12 @@ class TestOrbitPruning:
         from alphaspec import enumeration
 
         seen = []
-        real = enumeration._canonical_search
-        monkeypatch.setattr(enumeration, "_canonical_search", lambda n, rows: seen.append(n) or real(n, rows))
+        real = enumeration._canonical_forms
+
+        def recording(n, rows_iter):
+            return real(n, (seen.append(n) or rows for rows in rows_iter))
+
+        monkeypatch.setattr(enumeration, "_canonical_forms", recording)
         forms = enumeration._extend_level([empty_graph(4).rows], 5)
         assert seen.count(5) == len(forms) == 5
 
@@ -242,13 +373,17 @@ class TestComplementClosedForm:
         isomorphism_classes(7)
         monkeypatch.setattr(enumeration, "_LEVELS", {n: enumeration._LEVELS[n] for n in range(8)})
         excess = []
-        real = enumeration._canonical_search
+        real = enumeration._canonical_forms
 
-        def recording(n, rows):
-            excess.append(sum(r.bit_count() for r in rows) - n * (n - 1) // 2)
-            return real(n, rows)
+        def recording(n, rows_iter):
+            def read():
+                for rows in rows_iter:
+                    excess.append(sum(r.bit_count() for r in rows) - n * (n - 1) // 2)
+                    yield rows
 
-        monkeypatch.setattr(enumeration, "_canonical_search", recording)
+            return real(n, read())
+
+        monkeypatch.setattr(enumeration, "_canonical_forms", recording)
         assert len(isomorphism_classes(8)) == 12346
         assert len(excess) == 10818
         assert max(excess) <= 0
