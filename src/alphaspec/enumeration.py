@@ -32,12 +32,15 @@ most half the edges.
 
 Canonical forms are computed in batches (``_canonical_forms``): a level's
 parents form one batch and the children of all of them another, read in
-slices of a fixed number of matrix entries as they are generated.  The refinement and the twin classes run in numpy on the
-stacked adjacency matrices of a batch, each refinement round one
+slices of a fixed number of matrix entries as they are generated.  The
+refinement, the twin classes and the ordering search run in numpy on
+the stacked adjacency matrices of a slice: each refinement round one
 ``np.bincount`` of packed neighbor-color counts and one ``np.lexsort``,
-and the twin classes one sort of the open and one of the closed rows.
-Only the ordering search stays per graph, for the graphs whose
-refinement is not discrete.  ``canonical_graph`` is the batch of one.
+the twin classes one sort of the open and one of the closed rows, and
+the search (``_ordering_search``) one iterative, depth-by-depth pass
+over all graphs whose ordering is not forced by the refinement and the
+twin classes, its frontier cut into pieces of bounded size.
+``canonical_graph`` is the batch of one.
 
 ``map_chunks`` is the one place a worker pool is started, for building a
 level here and for the scan slices of ``verify``; it checks the worker
@@ -58,7 +61,8 @@ KNOWN_CLASS_COUNTS = {0: 1, 1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044, 8: 
 BUILTIN_ORDER_CAP = 8
 
 # Adjacency-matrix entries canonicalized as one batch: the slice's
-# matrices and its int64 refinement keys stay below a few megabytes.
+# matrices and its int64 refinement keys stay below a few megabytes, and
+# the ordering search expands at most this many // n orderings at once.
 CANONICAL_BATCH_ENTRIES = 1 << 18
 
 _LEVELS: dict[int, list[tuple[int, ...]]] = {0: [()]}
@@ -99,6 +103,13 @@ def _runs(keys: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
         ordered = key[order]
         starts[1:] |= ordered[1:] != ordered[:-1]
     return order, starts
+
+
+def _starts(key: np.ndarray) -> np.ndarray:
+    """Whether each entry of the sorted ``key`` starts a run of equal values."""
+    starts = np.ones(len(key), dtype=bool)
+    starts[1:] = key[1:] != key[:-1]
+    return starts
 
 
 def _refined_colors(mats: np.ndarray) -> np.ndarray:
@@ -177,72 +188,152 @@ def _twin_classes(mats: np.ndarray) -> np.ndarray:
     return twin.reshape(m, n)
 
 
-def _search(n: int, rows: tuple[int, ...], colors: list[int], twin: list[int]) -> tuple[list[int], list[tuple[int, ...]]]:
-    """The canonical place of each vertex and automorphism generators, by
-    the prefix-pruned search over the orderings compatible with the
-    refined ``colors``, one vertex of each ``twin`` class a step.
+def _ordering_search(mats: np.ndarray, colors: np.ndarray) -> tuple[np.ndarray, list[list[tuple[int, ...]]]]:
+    """The canonical place of each vertex, as an (m, n) array, and
+    automorphism generators of each of the (m, n, n) adjacency matrices
+    ``mats``, over the orderings compatible with their refined ``colors``
+    (position d holds a vertex of the d-th least color), one vertex of
+    each twin class a step.
 
-    The best ordering has the least column bit-string (entry d holds the
-    d bits of column d), and canonical vertex i is the vertex at position
-    i of it.  Each other leaf with the best columns gives the automorphism
-    best -> leaf, and each twin pair its transposition; every automorphism
-    maps the best ordering to a leaf with the best columns, and twin swaps
-    sort that leaf into one the search visits, so the generators generate
-    the whole group.  A generator is a tuple of images: vertex i maps to
-    g[i].
+    The best ordering has the least column bit-string (column d holds the
+    d bits of A[v, perm[0..d-1]], the first one most significant), and
+    canonical vertex i is the vertex at position i of it; of the orderings
+    with the least columns it is the first in vertex order.  Each later
+    one (a leaf) gives the automorphism best -> leaf, and each twin pair
+    its transposition; every automorphism maps the best ordering to a
+    leaf, and twin swaps sort that leaf into one the search reaches, so
+    the generators generate the whole group.  A generator is a tuple of
+    images: vertex i maps to g[i], leaves first in vertex order, then the
+    twin swaps by vertex.
+
+    Where every color class is one twin class (or one vertex, as in a
+    discrete refinement) the ordering is forced, the colors ascending and
+    each class's vertices ascending, and the graph is not searched.  The
+    search runs depth by depth on all other graphs at once, with no
+    recursion.  An entry is (graph, prefix ordering); at depth d it
+    expands to each unused vertex of the d-th color that is the least
+    unused member of its twin class, that is whose previous class member
+    is used or that has none.  Each graph keeps only its expansions with
+    the least new column, so its entries share their columns and stay
+    sorted by prefix, in the order a depth-first search meets them.  The
+    frontier is cut into contiguous pieces of at most
+    ``CANONICAL_BATCH_ENTRIES // n`` expansions (counted by the most
+    candidates each entry can have), taken depth-first from a stack, so
+    memory stays bounded where ties multiply with depth, as on cycles.
+    Each graph's best leaf so far is carried from piece to piece: an
+    expansion whose columns exceed the best leaf's is dropped, and a
+    strictly smaller leaf replaces it and the leaves found so far.
+    Columns are compared as big-endian uint64 words, ceil(n / 64) a
+    column, kept once per graph of a piece.
     """
-    pos_color = sorted(colors)
-    best: list[int] | None = None
-    best_perm: list[int] = []
-    leaves: list[list[int]] = []
-    perm = [0] * n
-    used = [False] * n
-    cols = [0] * n
+    m, n, _ = mats.shape
+    words = -(-n // 64)
+    top = np.iinfo(np.uint64).max
+    vertex = np.arange(n)
+    twin = _twin_classes(mats)
+    pos_color = np.sort(colors, axis=1)
+    wanted = colors[:, None, :] == pos_color[:, :, None]  # [g, d, v]: v has the d-th color
+    flat = (np.arange(m)[:, None] * n + twin).ravel()
+    order = np.argsort(flat, kind="stable")
+    tied = flat[order[1:]] == flat[order[:-1]]
+    prev = np.full(m * n, n)  # the previous member of the twin class; n, always used, for none
+    prev[order[1:][tied]] = order[:-1][tied] % n
+    prev = prev.reshape(m, n)
+    # bound[g, d]: the candidates an entry can have at depth d, the unused
+    # vertices and the twin classes of the d-th color, whichever are fewer
+    by_color = (np.arange(m)[:, None] * n + colors).ravel()
+    left = np.bincount(by_color, minlength=m * n).reshape(m, n).cumsum(axis=1)
+    left = np.take_along_axis(left, pos_color, axis=1) - vertex
+    classes = np.bincount(by_color, weights=(twin == vertex).ravel(), minlength=m * n).reshape(m, n)
+    bound = np.minimum(left, np.take_along_axis(classes, pos_color, axis=1).astype(np.int64))
+    budget = max(1, CANONICAL_BATCH_ENTRIES // n)
 
-    def dfs(d: int) -> None:
-        nonlocal best, best_perm, leaves
-        if d == n:
-            if best is None or cols < best:
-                best, best_perm, leaves = cols[:], perm[:], []
-            elif cols == best:
-                leaves.append(perm[:])
+    best = np.zeros((m, n, words), dtype=np.uint64)
+    best_perm = np.argsort(colors, axis=1, kind="stable")  # the forced orderings
+    # version[g]: the times g's best leaf was set; 0 for none, and a found
+    # leaf stamped with an older version was beaten
+    version = np.zeros(m, dtype=np.int64)
+    perm_type = np.min_scalar_type(n)
+    found = [(version[:0], version[:0], np.zeros((0, n), dtype=perm_type))]
+    stack: list[tuple[int, np.ndarray, np.ndarray, np.ndarray]] = []
+
+    def push(d: int, graph: np.ndarray, perm: np.ndarray, cols: np.ndarray) -> None:
+        candidates = bound[graph, d]
+        if candidates.sum() <= budget:
+            stack.append((d, graph, perm, cols))
             return
-        want = pos_color[d]
-        seen = set()
-        cands = []
-        for v in range(n):
-            if used[v] or colors[v] != want:
-                continue
-            if twin[v] in seen:
-                continue
-            seen.add(twin[v])
-            rv = rows[v]
-            c = 0
-            for i in range(d):
-                c = (c << 1) | ((rv >> perm[i]) & 1)
-            cands.append((c, v))
-        cands.sort()
-        for c, v in cands:
-            cols[d] = c
-            if best is not None and cols[: d + 1] > best[: d + 1]:
-                break  # candidates are sorted; the rest only grow
-            perm[d] = v
-            used[v] = True
-            dfs(d + 1)
-            used[v] = False
-        cols[d] = 0
+        piece = (np.cumsum(candidates) - 1) // budget
+        cuts = np.flatnonzero(piece[1:] != piece[:-1]) + 1
+        local = np.cumsum(_starts(graph)) - 1
+        for lo, hi in reversed(list(zip([0, *cuts.tolist()], [*cuts.tolist(), len(graph)]))):
+            stack.append((d, graph[lo:hi], perm[lo:hi], cols[local[lo] : local[hi - 1] + 1]))
 
-    dfs(0)
-    place = [0] * n
-    for i, v in enumerate(best_perm):
-        place[v] = i
-    gens = [tuple(place[v] for v in leaf) for leaf in leaves]
-    for v in range(n):
-        if twin[v] != v:
-            swap = list(range(n))
-            a, b = place[v], place[twin[v]]
-            swap[a], swap[b] = b, a
-            gens.append(tuple(swap))
+    searched = np.flatnonzero((bound > 1).any(axis=1))
+    k = len(searched)
+    push(0, searched, np.zeros((k, n), dtype=perm_type), np.zeros((k, n, words), dtype=np.uint64))
+    while stack:
+        d, graph, perm, cols = stack.pop()
+        entry = np.arange(len(graph))[:, None]
+        used = np.zeros((len(graph), n + 1), dtype=bool)
+        used[:, n] = True
+        used[entry, perm[:, :d]] = True
+        free = wanted[graph, d] & ~used[:, :n] & used[entry, prev[graph]]
+        e, v = np.nonzero(free)
+        g = graph[e]
+        code = np.zeros((len(e), 8 * words), dtype=np.uint8)
+        code[:, : (d + 7) // 8] = np.packbits(mats[g[:, None], v[:, None], perm[e, :d]], axis=1)
+        code = code.view(">u8").astype(np.uint64)
+        head = _starts(g)
+        group = np.cumsum(head) - 1
+        head = np.flatnonzero(head)
+        keep = np.ones(len(e), dtype=bool)
+        cols = cols.copy()
+        for w in range(-(-d // 64)):  # the words a d-bit column can fill
+            cols[:, d, w] = np.minimum.reduceat(np.where(keep, code[:, w], top), head)
+            keep &= code[:, w] == cols[group, d, w]
+        ids = g[head]
+        # each graph's columns against its best leaf's, where it has one
+        alive = below = version[ids] == 0
+        if not below.all():
+            alive = below.copy()
+            has = np.flatnonzero(~below)
+            mine = cols[has, : d + 1].reshape(len(has), -1)
+            theirs = best[ids[has], : d + 1].reshape(len(has), -1)
+            at = np.arange(len(has)), (mine != theirs).argmax(axis=1)
+            below[has] = mine[at] < theirs[at]
+            alive[has] = mine[at] <= theirs[at]
+        keep &= alive[group]
+        if not keep.any():
+            continue
+        e, v, g = e[keep], v[keep], g[keep]
+        perm = perm[e]
+        perm[:, d] = v
+        if d + 1 < n:
+            push(d + 1, g, perm, cols[alive])
+            continue
+        # leaves: a graph's first leaf below its best leaf replaces it
+        first = _starts(g) & below[group[keep]]
+        ids = g[first]
+        best[ids] = cols[below]
+        best_perm[ids] = perm[first]
+        version[ids] += 1
+        found.append((g[~first], version[g[~first]], perm[~first]))
+
+    place = np.empty_like(best_perm)
+    place[np.arange(m)[:, None], best_perm] = vertex
+    gens: list[list[tuple[int, ...]]] = [[] for _ in range(m)]
+    graph, stamp, leaves = (np.concatenate(parts) for parts in zip(*found))
+    current = np.flatnonzero(stamp == version[graph])
+    current = current[np.argsort(graph[current], kind="stable")]
+    for i, images in zip(graph[current].tolist(), place[graph[current, None], leaves[current]].tolist()):
+        gens[i].append(tuple(images))
+    graph, v = np.nonzero(twin != vertex)
+    a, b = place[graph, v], place[graph, twin[graph, v]]
+    swaps = np.tile(vertex, (len(graph), 1))
+    swaps[np.arange(len(graph)), a] = b
+    swaps[np.arange(len(graph)), b] = a
+    for i, images in zip(graph.tolist(), swaps.tolist()):
+        gens[i].append(tuple(images))
     return place, gens
 
 
@@ -256,11 +347,9 @@ def _canonical_forms(n: int, rows_iter: Iterable[tuple[int, ...]]) -> Iterator[t
     level are held at once.  A graph with 2m > M is complemented first:
     complementing keeps isomorphism and automorphisms, so it takes the
     complement of its complement's canonical graph and that graph's
-    generators.  The color refinement and the twin classes run on the
-    whole slice at once.  The ordering search runs per graph, and only
-    where the refinement is not discrete; a discrete refinement forces
-    the ordering, vertex v to place colors[v], and only the identity
-    preserves its colors.  The relabeling is one gather over the slice.
+    generators.  The color refinement and the ordering search
+    (``_ordering_search``) run on the whole slice at once, and the
+    relabeling is one gather over the slice.
     """
     if n <= 1:
         yield from ((tuple(rows), []) for rows in rows_iter)
@@ -272,13 +361,7 @@ def _canonical_forms(n: int, rows_iter: Iterable[tuple[int, ...]]) -> Iterator[t
         mats = bit_matrices(n, chunk)
         flipped = mats.sum(axis=(1, 2)) > n * (n - 1) // 2
         mats[flipped] ^= off_diagonal
-        colors = _refined_colors(mats)
-        places = colors.copy()
-        gens: list[list[tuple[int, ...]]] = [[] for _ in chunk]
-        searched = np.flatnonzero(colors.max(axis=1) < n - 1)
-        for i, twin in zip(searched.tolist(), _twin_classes(mats[searched]).tolist()):
-            rows = _complement_rows(n, chunk[i]) if flipped[i] else chunk[i]
-            places[i], gens[i] = _search(n, rows, colors[i].tolist(), twin)
+        places, gens = _ordering_search(mats, _refined_colors(mats))
         at = np.argsort(places, axis=1)
         canon = mats[np.arange(len(chunk))[:, None, None], at[:, :, None], at[:, None, :]]
         canon[flipped] ^= off_diagonal

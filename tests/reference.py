@@ -11,9 +11,10 @@ re-derive a value by a slower, independent route (a whole-matrix
 ``eigvalsh``, one ``eigh`` per component, an exhaustive edge-subset
 search, an exhaustive vertex-subset deficiency scan, every neighbourhood
 of a census parent, every ordering within the color classes for the
-canonical graph, the refinement colors of one graph by sorted tuples and
-its twin classes by a pairwise sweep, the complete split graph's radius
-in closed form); the formulas are the paper's own forms of the family
+canonical graph, the refinement colors of one graph by sorted tuples,
+its twin classes by a pairwise sweep and its ordering search by the
+recursive one-graph search ``ordering_search``, the complete split
+graph's radius in closed form); the formulas are the paper's own forms of the family
 radius, evaluated as written, which the tests tie to
 ``spectral._secular_terms``, the one builder of the secular function
 h(lam) = lam - c - sum_p w_p / (lam - d_p).
@@ -289,6 +290,77 @@ def twin_ids(n: int, rows: tuple[int, ...]) -> list[int]:
             if rows[u] & drop == rows[v] & drop:
                 ids[v] = u
     return ids
+
+
+def ordering_search(n: int, rows: tuple[int, ...], colors: list[int], twin: list[int]) -> tuple[list[int], list[tuple[int, ...]]]:
+    """The canonical place of each vertex and automorphism generators of
+    one graph, by the recursive prefix-pruned search over the orderings
+    compatible with the refined ``colors``, one vertex of each ``twin``
+    class a step: ``enumeration._ordering_search`` of one graph, one
+    ordering at a time.
+
+    The best ordering has the least column bit-string (entry d holds the
+    d bits of column d), and canonical vertex i is the vertex at position
+    i of it.  Each other leaf with the best columns gives the automorphism
+    best -> leaf, and each twin pair its transposition; every automorphism
+    maps the best ordering to a leaf with the best columns, and twin swaps
+    sort that leaf into one the search visits, so the generators generate
+    the whole group.  A generator is a tuple of images: vertex i maps to
+    g[i].
+    """
+    pos_color = sorted(colors)
+    best: list[int] | None = None
+    best_perm: list[int] = []
+    leaves: list[list[int]] = []
+    perm = [0] * n
+    used = [False] * n
+    cols = [0] * n
+
+    def dfs(d: int) -> None:
+        nonlocal best, best_perm, leaves
+        if d == n:
+            if best is None or cols < best:
+                best, best_perm, leaves = cols[:], perm[:], []
+            elif cols == best:
+                leaves.append(perm[:])
+            return
+        want = pos_color[d]
+        seen = set()
+        cands = []
+        for v in range(n):
+            if used[v] or colors[v] != want:
+                continue
+            if twin[v] in seen:
+                continue
+            seen.add(twin[v])
+            rv = rows[v]
+            c = 0
+            for i in range(d):
+                c = (c << 1) | ((rv >> perm[i]) & 1)
+            cands.append((c, v))
+        cands.sort()
+        for c, v in cands:
+            cols[d] = c
+            if best is not None and cols[: d + 1] > best[: d + 1]:
+                break  # candidates are sorted; the rest only grow
+            perm[d] = v
+            used[v] = True
+            dfs(d + 1)
+            used[v] = False
+        cols[d] = 0
+
+    dfs(0)
+    place = [0] * n
+    for i, v in enumerate(best_perm):
+        place[v] = i
+    gens = [tuple(place[v] for v in leaf) for leaf in leaves]
+    for v in range(n):
+        if twin[v] != v:
+            swap = list(range(n))
+            a, b = place[v], place[twin[v]]
+            swap[a], swap[b] = b, a
+            gens.append(tuple(swap))
+    return place, gens
 
 
 def canonical_rows_oracle(g) -> tuple[int, ...]:

@@ -279,6 +279,28 @@ class TestVerify:
         assert len(record["argmax_certificates"]) == 1
         assert record["argmax_certificates"] == record["predicted_certificates"]
 
+    def test_star_of_order_1100(self, capsys, tmp_path):
+        # the argmax certificate of K_{1,1099} searches 1100 positions
+        # deep; a recursive search stopped with a RecursionError there
+        import random
+
+        from alphaspec import canonical_graph, from_edges
+
+        rng = random.Random(1100)
+        copies = []
+        for _ in range(2):
+            perm = list(range(1100))
+            rng.shuffle(perm)
+            copies.append(from_edges(1100, [(perm[0], perm[v]) for v in range(1, 1100)]))
+        assert canonical_graph(copies[0]) == canonical_graph(copies[1])
+        path = tmp_path / "star1100.g6"
+        path.write_text(to_graph6(copies[0]) + "\n")
+        code, out, _ = run(capsys, "verify", "1100", "--alpha", "0", "--graph6", str(path),
+                           "--format", "json-lines")
+        assert code == 0
+        (record,) = [json.loads(line) for line in out.strip().splitlines()]
+        assert record["beta"] == 1 and record["value_pass"] and record["structure_pass"], record
+
 
     @pytest.mark.parametrize("text", ["", "\n\n"], ids=["empty", "blank-lines"])
     def test_graph6_file_without_graphs_exits_2_before_any_scan(self, capsys, tmp_path, monkeypatch, text):

@@ -24,6 +24,7 @@ from reference import (
     cycle_graph,
     disjoint_union,
     extend_level_all_masks,
+    ordering_search,
     path_graph,
     twin_ids,
     wl_colors,
@@ -261,6 +262,81 @@ class TestBatchedRefinement:
             rng.shuffle(perm)
             graphs.append(relabel(g, perm))
         self.assert_batch_equals_oracles(70, graphs)
+
+
+class TestBatchedSearch:
+    # the batched ordering search against the recursive one-graph search
+    # it replaced: the same places and the same generators in the same
+    # order, with each depth's frontier in one piece and again cut into
+    # pieces of ``split`` expansions (every set below splits but the
+    # census classes of order 3 or less, which have too few orderings)
+    @staticmethod
+    def assert_search_equals_oracle(monkeypatch, n, graphs, split):
+        from alphaspec import enumeration
+        from alphaspec.enumeration import _canonical_forms, _ordering_search, _refined_colors
+        from alphaspec.graphs import bit_matrices
+
+        searched = [complement(g) if edge_excess(g) > 0 else g for g in graphs]
+        places, forms = [], []
+        for g, h in zip(graphs, searched):
+            place, gens = ordering_search(n, h.rows, wl_colors(n, h.rows), twin_ids(n, h.rows))
+            canon = relabel(h, place)
+            places.append(place)
+            forms.append(((complement(canon) if h is not g else canon).rows, gens))
+        assert list(_canonical_forms(n, [g.rows for g in graphs])) == forms
+        mats = bit_matrices(n, [h.rows for h in searched])
+        for entries in (enumeration.CANONICAL_BATCH_ENTRIES, split * n):
+            monkeypatch.setattr(enumeration, "CANONICAL_BATCH_ENTRIES", entries)
+            found_places, found_gens = _ordering_search(mats, _refined_colors(mats))
+            assert found_places.tolist() == places
+            assert found_gens == [gens for _, gens in forms]
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_census_classes_and_relabelled_copies(self, monkeypatch, n):
+        rng = random.Random(500 + n)
+        graphs = []
+        for g in isomorphism_classes(n):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            graphs += [g, relabel(g, perm)]
+        self.assert_search_equals_oracle(monkeypatch, n, graphs, 256 if n == 8 else 4)
+
+    @pytest.mark.parametrize("n", range(9, 17))
+    def test_random_graphs(self, monkeypatch, n):
+        rng = random.Random(1600 + n)
+        graphs = [random_graph(rng, n, p) for p in (0.1, 0.3, 0.5, 0.7, 0.9) for _ in range(3)]
+        self.assert_search_equals_oracle(monkeypatch, n, graphs, 4)
+
+    @pytest.mark.parametrize("n", range(9, 15))
+    def test_cycles(self, monkeypatch, n):
+        # one color and no twins: the tied prefixes multiply with depth
+        perm = list(range(n))
+        random.Random(n).shuffle(perm)
+        self.assert_search_equals_oracle(monkeypatch, n, [cycle_graph(n), relabel(cycle_graph(n), perm)], 256)
+
+    def test_rows_wider_than_int64(self, monkeypatch):
+        rng = random.Random(73)
+        graphs = order70_graphs()
+        for g in list(graphs):
+            perm = list(range(70))
+            rng.shuffle(perm)
+            graphs.append(relabel(g, perm))
+        self.assert_search_equals_oracle(monkeypatch, 70, graphs, 4)
+
+    def test_pieces_bound_the_memory(self):
+        # C_15 has one color and no twins, so its tied prefixes multiply
+        # with depth: its frontier expanded in one piece a depth peaks at
+        # about 55 MB, the pieces of CANONICAL_BATCH_ENTRIES // 15
+        # expansions at about 2 MB
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            canonical_graph(cycle_graph(15))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20, peak
 
 
 class TestCanonicalBatch:
