@@ -9,10 +9,11 @@ when the new vertex has maximum degree in it.  Every lower-half graph G
 arises so: deleting a vertex of maximum degree Δ leaves m - Δ <=
 m(n-2)/n edges, a lower-half graph of order n-1 isomorphic to some
 parent, and that vertex's neighborhood is one of the masks tried.  Masks
-in one orbit of the parent's automorphism group give isomorphic
-children, so only the first mask of each orbit is canonicalized (McKay,
-*J. Algorithms* 26, 1998): at order 7, 687 children instead of 1,597;
-at order 8, 10,296 instead of 18,752.  Class counts are checked against
+that swaps of parent twins (vertices whose transposition is an
+automorphism) carry to one another give isomorphic children, so of each
+such set only the mask that meets every twin class in its lowest
+members is canonicalized: at order 7, 934 children instead of 1,597;
+at order 8, 12,992 instead of 18,752.  Class counts are checked against
 the known census (1, 2, 4, 11, 34, 156, 1044, 12346 for n = 1..8) every
 time a level is built, so a canonicalization or generation bug cannot
 pass silently.
@@ -24,15 +25,13 @@ colors, iterated to a fixed point).  The search prunes on bit-string
 prefixes and explores one representative per interchangeable-twin class;
 refinement classes are canonically ordered, so the restriction keeps the
 form exact while making unions of cliques and other symmetric graphs
-cheap instead of factorial.  The same search yields generators of the
-automorphism group: the leaves that tie with the best ordering and the
-twin transpositions.  A graph with 2m > M takes the complement of its
-complement's canonical graph, so the search only runs on graphs with at
-most half the edges.
+cheap instead of factorial.  A graph with 2m > M takes the complement
+of its complement's canonical graph, so the search only runs on graphs
+with at most half the edges.
 
-Canonical forms are computed in batches (``_canonical_forms``): a level's
-parents form one batch and the children of all of them another, read in
-slices of a fixed number of matrix entries as they are generated.  The
+Canonical forms are computed in batches (``_canonical_forms``): the
+children of all of a level's parents form one batch, read in slices of
+a fixed number of matrix entries as they are generated.  The
 refinement, the twin classes and the ordering search run in numpy on
 the stacked adjacency matrices of a slice: each refinement round one
 ``np.bincount`` of packed neighbor-color counts and one ``np.lexsort``,
@@ -188,23 +187,29 @@ def _twin_classes(mats: np.ndarray) -> np.ndarray:
     return twin.reshape(m, n)
 
 
-def _ordering_search(mats: np.ndarray, colors: np.ndarray) -> tuple[np.ndarray, list[list[tuple[int, ...]]]]:
-    """The canonical place of each vertex, as an (m, n) array, and
-    automorphism generators of each of the (m, n, n) adjacency matrices
-    ``mats``, over the orderings compatible with their refined ``colors``
-    (position d holds a vertex of the d-th least color), one vertex of
-    each twin class a step.
+def _previous_twins(twin: np.ndarray) -> np.ndarray:
+    """Each vertex's previous member of its twin class, for the (m, n)
+    classes ``twin`` of ``_twin_classes``, as an (m, n) array; n for a
+    class's least member."""
+    m, n = twin.shape
+    flat = (np.arange(m)[:, None] * n + twin).ravel()
+    order = np.argsort(flat, kind="stable")
+    tied = flat[order[1:]] == flat[order[:-1]]
+    prev = np.full(m * n, n)
+    prev[order[1:][tied]] = order[:-1][tied] % n
+    return prev.reshape(m, n)
+
+
+def _ordering_search(mats: np.ndarray, colors: np.ndarray) -> np.ndarray:
+    """The canonical place of each vertex of each of the (m, n, n)
+    adjacency matrices ``mats``, as an (m, n) array, over the orderings
+    compatible with their refined ``colors`` (position d holds a vertex of
+    the d-th least color), one vertex of each twin class a step.
 
     The best ordering has the least column bit-string (column d holds the
     d bits of A[v, perm[0..d-1]], the first one most significant), and
     canonical vertex i is the vertex at position i of it; of the orderings
-    with the least columns it is the first in vertex order.  Each later
-    one (a leaf) gives the automorphism best -> leaf, and each twin pair
-    its transposition; every automorphism maps the best ordering to a
-    leaf, and twin swaps sort that leaf into one the search reaches, so
-    the generators generate the whole group.  A generator is a tuple of
-    images: vertex i maps to g[i], leaves first in vertex order, then the
-    twin swaps by vertex.
+    with the least columns it is the first in vertex order.
 
     Where every color class is one twin class (or one vertex, as in a
     discrete refinement) the ordering is forced, the colors ascending and
@@ -222,9 +227,9 @@ def _ordering_search(mats: np.ndarray, colors: np.ndarray) -> tuple[np.ndarray, 
     memory stays bounded where ties multiply with depth, as on cycles.
     Each graph's best leaf so far is carried from piece to piece: an
     expansion whose columns exceed the best leaf's is dropped, and a
-    strictly smaller leaf replaces it and the leaves found so far.
-    Columns are compared as big-endian uint64 words, ceil(n / 64) a
-    column, kept once per graph of a piece.
+    strictly smaller leaf replaces it.  Columns are compared as
+    big-endian uint64 words, ceil(n / 64) a column, kept once per graph
+    of a piece.
     """
     m, n, _ = mats.shape
     words = -(-n // 64)
@@ -233,12 +238,7 @@ def _ordering_search(mats: np.ndarray, colors: np.ndarray) -> tuple[np.ndarray, 
     twin = _twin_classes(mats)
     pos_color = np.sort(colors, axis=1)
     wanted = colors[:, None, :] == pos_color[:, :, None]  # [g, d, v]: v has the d-th color
-    flat = (np.arange(m)[:, None] * n + twin).ravel()
-    order = np.argsort(flat, kind="stable")
-    tied = flat[order[1:]] == flat[order[:-1]]
-    prev = np.full(m * n, n)  # the previous member of the twin class; n, always used, for none
-    prev[order[1:][tied]] = order[:-1][tied] % n
-    prev = prev.reshape(m, n)
+    prev = _previous_twins(twin)  # n, always used, for none
     # bound[g, d]: the candidates an entry can have at depth d, the unused
     # vertices and the twin classes of the d-th color, whichever are fewer
     by_color = (np.arange(m)[:, None] * n + colors).ravel()
@@ -250,11 +250,8 @@ def _ordering_search(mats: np.ndarray, colors: np.ndarray) -> tuple[np.ndarray, 
 
     best = np.zeros((m, n, words), dtype=np.uint64)
     best_perm = np.argsort(colors, axis=1, kind="stable")  # the forced orderings
-    # version[g]: the times g's best leaf was set; 0 for none, and a found
-    # leaf stamped with an older version was beaten
-    version = np.zeros(m, dtype=np.int64)
+    has_best = np.zeros(m, dtype=bool)
     perm_type = np.min_scalar_type(n)
-    found = [(version[:0], version[:0], np.zeros((0, n), dtype=perm_type))]
     stack: list[tuple[int, np.ndarray, np.ndarray, np.ndarray]] = []
 
     def push(d: int, graph: np.ndarray, perm: np.ndarray, cols: np.ndarray) -> None:
@@ -293,7 +290,7 @@ def _ordering_search(mats: np.ndarray, colors: np.ndarray) -> tuple[np.ndarray, 
             keep &= code[:, w] == cols[group, d, w]
         ids = g[head]
         # each graph's columns against its best leaf's, where it has one
-        alive = below = version[ids] == 0
+        alive = below = ~has_best[ids]
         if not below.all():
             alive = below.copy()
             has = np.flatnonzero(~below)
@@ -316,43 +313,27 @@ def _ordering_search(mats: np.ndarray, colors: np.ndarray) -> tuple[np.ndarray, 
         ids = g[first]
         best[ids] = cols[below]
         best_perm[ids] = perm[first]
-        version[ids] += 1
-        found.append((g[~first], version[g[~first]], perm[~first]))
+        has_best[ids] = True
 
     place = np.empty_like(best_perm)
     place[np.arange(m)[:, None], best_perm] = vertex
-    gens: list[list[tuple[int, ...]]] = [[] for _ in range(m)]
-    graph, stamp, leaves = (np.concatenate(parts) for parts in zip(*found))
-    current = np.flatnonzero(stamp == version[graph])
-    current = current[np.argsort(graph[current], kind="stable")]
-    for i, images in zip(graph[current].tolist(), place[graph[current, None], leaves[current]].tolist()):
-        gens[i].append(tuple(images))
-    graph, v = np.nonzero(twin != vertex)
-    a, b = place[graph, v], place[graph, twin[graph, v]]
-    swaps = np.tile(vertex, (len(graph), 1))
-    swaps[np.arange(len(graph)), a] = b
-    swaps[np.arange(len(graph)), b] = a
-    for i, images in zip(graph.tolist(), swaps.tolist()):
-        gens[i].append(tuple(images))
-    return place, gens
+    return place
 
 
-def _canonical_forms(n: int, rows_iter: Iterable[tuple[int, ...]]) -> Iterator[tuple[tuple[int, ...], list[tuple[int, ...]]]]:
-    """Bit rows of the canonical graph and automorphism generators of it,
-    for each of the graphs of order n whose bit rows ``rows_iter`` yields,
-    in order.
+def _canonical_forms(n: int, rows_iter: Iterable[tuple[int, ...]]) -> Iterator[tuple[int, ...]]:
+    """Bit rows of the canonical graph of each of the graphs of order n
+    whose bit rows ``rows_iter`` yields, in order.
 
     The graphs are read and answered ``CANONICAL_BATCH_ENTRIES`` matrix
     entries at a time, so neither the inputs nor the forms of a whole
     level are held at once.  A graph with 2m > M is complemented first:
-    complementing keeps isomorphism and automorphisms, so it takes the
-    complement of its complement's canonical graph and that graph's
-    generators.  The color refinement and the ordering search
-    (``_ordering_search``) run on the whole slice at once, and the
+    complementing keeps isomorphism, so it takes the complement of its
+    complement's canonical graph.  The color refinement and the ordering
+    search (``_ordering_search``) run on the whole slice at once, and the
     relabeling is one gather over the slice.
     """
     if n <= 1:
-        yield from ((tuple(rows), []) for rows in rows_iter)
+        yield from (tuple(rows) for rows in rows_iter)
         return
     step = max(1, CANONICAL_BATCH_ENTRIES // (n * n))
     off_diagonal = 1 - np.eye(n, dtype=np.uint8)
@@ -361,11 +342,10 @@ def _canonical_forms(n: int, rows_iter: Iterable[tuple[int, ...]]) -> Iterator[t
         mats = bit_matrices(n, chunk)
         flipped = mats.sum(axis=(1, 2)) > n * (n - 1) // 2
         mats[flipped] ^= off_diagonal
-        places, gens = _ordering_search(mats, _refined_colors(mats))
-        at = np.argsort(places, axis=1)
+        at = np.argsort(_ordering_search(mats, _refined_colors(mats)), axis=1)
         canon = mats[np.arange(len(chunk))[:, None, None], at[:, :, None], at[:, None, :]]
         canon[flipped] ^= off_diagonal
-        yield from zip(_matrix_rows(canon), gens)
+        yield from _matrix_rows(canon)
 
 
 def _matrix_rows(mats: np.ndarray) -> list[tuple[int, ...]]:
@@ -379,15 +359,10 @@ def _matrix_rows(mats: np.ndarray) -> list[tuple[int, ...]]:
     return [tuple(flat[g * n : (g + 1) * n]) for g in range(m)]
 
 
-def _canonical_search(n: int, rows: tuple[int, ...]) -> tuple[tuple[int, ...], list[tuple[int, ...]]]:
-    """``_canonical_forms`` of the one graph of order n with bit rows ``rows``."""
-    return next(_canonical_forms(n, [rows]))
-
-
 def canonical_graph(g: Graph) -> Graph:
     """The canonically relabeled copy of g: equal for isomorphic graphs
     only, so it serves as the class key and as the certificate."""
-    return Graph._from_valid_rows(g.n, _canonical_search(g.n, g.rows)[0])
+    return Graph._from_valid_rows(g.n, next(_canonical_forms(g.n, [g.rows])))
 
 
 def _half_edges(n: int) -> int:
@@ -402,60 +377,44 @@ def _extend_level(parents: list[tuple[int, ...]], n: int) -> set[tuple[int, ...]
     A child (parent plus a new vertex with neighborhood ``mask``) is
     canonicalized only when the new vertex has maximum degree: no
     parent vertex reaches more than ``popcount(mask)`` in the child.
-    Masks in one orbit of the parent's automorphism group give
-    isomorphic children, and the test above depends only on the mask's
-    size and whether it meets the parent's top-degree set, both kept by
-    an automorphism; so the masks are walked in ascending order and only
-    the first of each orbit is tried.  The parents' generators come from
-    one batch of canonical forms, in their own labeling since they are
-    canonical, and the children of all parents are canonicalized as a
-    second batch, generated as it reads them.
+    Swapping two twins of the parent is an automorphism, and the test
+    above depends only on the mask's size and whether it meets the
+    parent's top-degree set, both kept by it; so of the masks that twin
+    swaps carry to one another only the one that meets each twin class
+    in its lowest members is tried.  The children of all parents are canonicalized as
+    one batch, generated as it reads them.
     """
-    return {canon for canon, _ in _canonical_forms(n, _children(parents, n))}
+    return set(_canonical_forms(n, _children(parents, n)))
 
 
-def _children(parents: list[tuple[int, ...]], n: int) -> Iterator[tuple[int, ...]]:
+def _children(parents: list[tuple[int, ...]], n: int) -> Iterator[list[int]]:
     """The rows of the children ``_extend_level`` canonicalizes, the
-    parents in order and each parent's masks ascending."""
+    parents in order and each parent's masks ascending.
+
+    The masks of all parents are tested at once, on the parents' stacked
+    matrices: a mask passes when its size is at least the parent's top
+    degree (more, if it meets a top-degree vertex), the child stays in
+    the lower half, and each vertex it holds has its previous twin-class
+    member in it too.
+    """
     new_bit = 1 << (n - 1)
-    limit = _half_edges(n)
-    for prows, (_, gens) in zip(parents, _canonical_forms(n - 1, parents)):
-        degrees = [r.bit_count() for r in prows]
-        top = max(degrees, default=0)
-        at_top = sum(1 << v for v, d in enumerate(degrees) if d == top)
-        room = limit - sum(degrees) // 2
-        images = [_mask_images(g) for g in gens]
-        tried = bytearray(1 << (n - 1))
-        for mask in range(1 << (n - 1)):
-            k = mask.bit_count()
-            if tried[mask] or k < top or k > room or (k == top and mask & at_top):
-                continue
-            tried[mask] = 1
-            orbit = [mask]
-            for m in orbit:
-                for image in images:
-                    t = image[m]
-                    if not tried[t]:
-                        tried[t] = 1
-                        orbit.append(t)
-            rows = list(prows)
-            rows.append(mask)
-            m = mask
-            while m:
-                v = (m & -m).bit_length() - 1
-                m &= m - 1
-                rows[v] |= new_bit
-            yield tuple(rows)
-
-
-def _mask_images(g: tuple[int, ...]) -> list[int]:
-    """The image under the vertex permutation ``g`` of every vertex
-    subset of its order, indexed by the subset's bitmask."""
-    images = [0] * (1 << len(g))
-    for mask in range(1, len(images)):
-        low = mask & -mask
-        images[mask] = images[mask ^ low] | (1 << g[low.bit_length() - 1])
-    return images
+    vertex = np.arange(n - 1)
+    mats = bit_matrices(n - 1, parents)
+    degrees = mats.sum(axis=2, dtype=np.int64)
+    top = degrees.max(axis=1, initial=0)[:, None]
+    at_top = ((degrees == top) << vertex).sum(axis=1)[:, None]
+    room = _half_edges(n) - degrees.sum(axis=1)[:, None] // 2
+    masks = np.arange(new_bit)
+    k = np.bitwise_count(masks)
+    tried = (k >= top) & (k <= room) & ((k > top) | (masks & at_top == 0))
+    # a class's least member has previous member n - 1, the new vertex,
+    # whose bit every mask | new_bit holds
+    prev = _previous_twins(_twin_classes(mats))
+    for v in range(n - 1):
+        tried &= (masks >> v & 1) <= ((masks | new_bit) >> prev[:, v, None] & 1)
+    for prows, chosen in zip(np.array(parents, dtype=np.int64), tried):
+        chosen = np.flatnonzero(chosen)
+        yield from np.column_stack([prows | (chosen[:, None] >> vertex & 1) << (n - 1), chosen]).tolist()
 
 
 def _build_level(n: int, jobs: int = 1) -> None:

@@ -181,7 +181,7 @@ def _certificates(n: int, rows_list: Sequence[tuple[int, ...]]) -> list[str]:
     """The graph6 strings of the canonical forms of the graphs of order n
     with bit rows ``rows_list``, in order and from one batch, so one class
     prints the same whichever labelling it came with."""
-    return [to_graph6(Graph._from_valid_rows(n, canon)) for canon, _ in _canonical_forms(n, rows_list)]
+    return [to_graph6(Graph._from_valid_rows(n, canon)) for canon in _canonical_forms(n, rows_list)]
 
 
 def verify_order(

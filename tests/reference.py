@@ -31,7 +31,7 @@ from math import sqrt
 import numpy as np
 
 from alphaspec import JoinFamily, TutteBergeWitness, as_fraction, case2_applicable, family_radius
-from alphaspec.enumeration import _canonical_search, _half_edges, canonical_graph
+from alphaspec.enumeration import _canonical_forms, _half_edges, canonical_graph
 from alphaspec.graphs import Graph, _bits, complete_graph, empty_graph, from_edges, join, row_component_masks
 from alphaspec.matching import _match
 from alphaspec.spectral import SpectralResult, alpha_matrices
@@ -229,24 +229,26 @@ def eigh_spectral_radius(g, alpha: float, tol: float = 1e-10) -> SpectralResult:
 
 
 def extend_level_all_masks(parents, n: int) -> set:
-    """``enumeration._extend_level`` without the orbit pruning: every
+    """``enumeration._extend_level`` without the twin-class pruning: every
     neighbourhood ``mask`` of a new vertex of maximum degree is tried on
-    every lower-half parent, and the rows of the canonical graphs are
-    collected."""
-    out = set()
+    every lower-half parent, and the rows of the canonical graphs, taken
+    as one batch, are collected."""
     limit = _half_edges(n)
-    for prows in parents:
-        degrees = [r.bit_count() for r in prows]
-        top = max(degrees, default=0)
-        at_top = sum(1 << v for v, d in enumerate(degrees) if d == top)
-        room = limit - sum(degrees) // 2
-        for mask in range(1 << (n - 1)):
-            k = mask.bit_count()
-            if k < top or k > room or (k == top and mask & at_top):
-                continue
-            rows = [r | (((mask >> v) & 1) << (n - 1)) for v, r in enumerate(prows)]
-            out.add(_canonical_search(n, tuple(rows + [mask]))[0])
-    return out
+
+    def children():
+        for prows in parents:
+            degrees = [r.bit_count() for r in prows]
+            top = max(degrees, default=0)
+            at_top = sum(1 << v for v, d in enumerate(degrees) if d == top)
+            room = limit - sum(degrees) // 2
+            for mask in range(1 << (n - 1)):
+                k = mask.bit_count()
+                if k < top or k > room or (k == top and mask & at_top):
+                    continue
+                rows = [r | (((mask >> v) & 1) << (n - 1)) for v, r in enumerate(prows)]
+                yield tuple(rows + [mask])
+
+    return set(_canonical_forms(n, children()))
 
 
 def wl_colors(n: int, rows: tuple[int, ...]) -> list[int]:
@@ -292,37 +294,30 @@ def twin_ids(n: int, rows: tuple[int, ...]) -> list[int]:
     return ids
 
 
-def ordering_search(n: int, rows: tuple[int, ...], colors: list[int], twin: list[int]) -> tuple[list[int], list[tuple[int, ...]]]:
-    """The canonical place of each vertex and automorphism generators of
-    one graph, by the recursive prefix-pruned search over the orderings
-    compatible with the refined ``colors``, one vertex of each ``twin``
-    class a step: ``enumeration._ordering_search`` of one graph, one
-    ordering at a time.
+def ordering_search(n: int, rows: tuple[int, ...], colors: list[int], twin: list[int]) -> list[int]:
+    """The canonical place of each vertex of one graph, by the recursive
+    prefix-pruned search over the orderings compatible with the refined
+    ``colors``, one vertex of each ``twin`` class a step:
+    ``enumeration._ordering_search`` of one graph, one ordering at a
+    time.
 
     The best ordering has the least column bit-string (entry d holds the
     d bits of column d), and canonical vertex i is the vertex at position
-    i of it.  Each other leaf with the best columns gives the automorphism
-    best -> leaf, and each twin pair its transposition; every automorphism
-    maps the best ordering to a leaf with the best columns, and twin swaps
-    sort that leaf into one the search visits, so the generators generate
-    the whole group.  A generator is a tuple of images: vertex i maps to
-    g[i].
+    i of it; of the orderings with the least columns it is the first the
+    search visits.
     """
     pos_color = sorted(colors)
     best: list[int] | None = None
     best_perm: list[int] = []
-    leaves: list[list[int]] = []
     perm = [0] * n
     used = [False] * n
     cols = [0] * n
 
     def dfs(d: int) -> None:
-        nonlocal best, best_perm, leaves
+        nonlocal best, best_perm
         if d == n:
             if best is None or cols < best:
-                best, best_perm, leaves = cols[:], perm[:], []
-            elif cols == best:
-                leaves.append(perm[:])
+                best, best_perm = cols[:], perm[:]
             return
         want = pos_color[d]
         seen = set()
@@ -353,14 +348,7 @@ def ordering_search(n: int, rows: tuple[int, ...], colors: list[int], twin: list
     place = [0] * n
     for i, v in enumerate(best_perm):
         place[v] = i
-    gens = [tuple(place[v] for v in leaf) for leaf in leaves]
-    for v in range(n):
-        if twin[v] != v:
-            swap = list(range(n))
-            a, b = place[v], place[twin[v]]
-            swap[a], swap[b] = b, a
-            gens.append(tuple(swap))
-    return place, gens
+    return place
 
 
 def canonical_rows_oracle(g) -> tuple[int, ...]:
