@@ -381,8 +381,8 @@ def _extend_level(parents: list[tuple[int, ...]], n: int) -> set[tuple[int, ...]
     above depends only on the mask's size and whether it meets the
     parent's top-degree set, both kept by it; so of the masks that twin
     swaps carry to one another only the one that meets each twin class
-    in its lowest members is tried.  The children of all parents are canonicalized as
-    one batch, generated as it reads them.
+    in its lowest members is tried.  The children of all parents are
+    canonicalized as one batch, generated as it reads them.
     """
     return set(_canonical_forms(n, _children(parents, n)))
 
@@ -402,16 +402,18 @@ def _children(parents: list[tuple[int, ...]], n: int) -> Iterator[list[int]]:
     mats = bit_matrices(n - 1, parents)
     degrees = mats.sum(axis=2, dtype=np.int64)
     top = degrees.max(axis=1, initial=0)[:, None]
-    at_top = ((degrees == top) << vertex).sum(axis=1)[:, None]
     room = _half_edges(n) - degrees.sum(axis=1)[:, None] // 2
-    masks = np.arange(new_bit)
-    k = np.bitwise_count(masks)
-    tried = (k >= top) & (k <= room) & ((k > top) | (masks & at_top == 0))
-    # a class's least member has previous member n - 1, the new vertex,
-    # whose bit every mask | new_bit holds
+    # held[v, mask]: mask | new_bit holds v; held[n - 1], the new vertex,
+    # is all true, and is the previous member of each class's least one
+    held = (np.arange(new_bit, 2 * new_bit) >> np.arange(n)[:, None] & 1).astype(bool)
+    k = held.sum(axis=0) - 1
+    above = k > top
+    tried = (k >= top) & (k <= room)
     prev = _previous_twins(_twin_classes(mats))
     for v in range(n - 1):
-        tried &= (masks >> v & 1) <= ((masks | new_bit) >> prev[:, v, None] & 1)
+        # a held v needs its previous twin held, and a degree below the
+        # top unless the mask is larger than the top
+        tried &= ~held[v] | held[prev[:, v]] & (above | (degrees[:, v, None] < top))
     for prows, chosen in zip(np.array(parents, dtype=np.int64), tried):
         chosen = np.flatnonzero(chosen)
         yield from np.column_stack([prows | (chosen[:, None] >> vertex & 1) << (n - 1), chosen]).tolist()
