@@ -42,19 +42,21 @@ twin classes, its frontier cut into pieces of bounded size.
 ``canonical_graph`` is the batch of one.
 
 ``map_chunks`` is the one place a worker pool is started, for building a
-level here and for the scan slices of ``verify``; it checks the worker
-count with ``resolve_jobs`` first.
+level here (from order 8 on, see ``_build_level``) and for the scan
+slices of ``verify``; it checks the worker count with ``resolve_jobs``
+first.
 """
 
 from __future__ import annotations
 
+import operator
 import os
 from itertools import islice
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .graphs import Graph, _complement_rows, bit_matrices
+from .graphs import Graph, _complement_rows, bit_matrices, matrix_rows, row_words
 
 KNOWN_CLASS_COUNTS = {0: 1, 1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044, 8: 12346}
 BUILTIN_ORDER_CAP = 8
@@ -68,9 +70,13 @@ _LEVELS: dict[int, list[tuple[int, ...]]] = {0: [()]}
 
 
 def resolve_jobs(jobs: int) -> int:
-    """The worker count ``jobs`` for the scans, checked to lie in
-    [1, os.cpu_count()]; ValueError otherwise."""
+    """The worker count ``jobs`` for the scans, checked to be an integer
+    in [1, os.cpu_count()]; ValueError otherwise."""
     limit = os.cpu_count() or 1
+    try:
+        jobs = operator.index(jobs)
+    except TypeError:
+        raise ValueError(f"jobs must be an integer between 1 and {limit} (the CPU count), got {jobs!r}") from None
     if not 1 <= jobs <= limit:
         raise ValueError(f"jobs must be between 1 and {limit} (the CPU count), got {jobs}")
     return jobs
@@ -151,17 +157,6 @@ def _refined_colors(mats: np.ndarray) -> np.ndarray:
         colors = new
 
 
-def _row_words(mats: np.ndarray) -> np.ndarray:
-    """The rows of the (m, n, n) 0/1 matrices ``mats`` as (m * n, w)
-    little-endian uint64 words, w = ceil(n / 64): bit u of row v of
-    graph g is bit u % 64 of word u // 64 of entry g * n + v."""
-    m, n, _ = mats.shape
-    words = -(-n // 64)
-    packed = np.zeros((m * n, 8 * words), dtype=np.uint8)
-    packed[:, : (n + 7) // 8] = np.packbits(mats, axis=2, bitorder="little").reshape(m * n, (n + 7) // 8)
-    return packed.view("<u8")
-
-
 def _twin_classes(mats: np.ndarray) -> np.ndarray:
     """Group the vertices of each of the (m, n, n) adjacency matrices
     ``mats`` whose transposition is an automorphism, as an (m, n) array:
@@ -179,7 +174,7 @@ def _twin_classes(mats: np.ndarray) -> np.ndarray:
     vertex = np.tile(np.arange(n), m)
     twin = vertex.copy()
     for rows in (mats, mats | np.eye(n, dtype=np.uint8)):
-        order, starts = _runs([*_row_words(rows).T, graph_key])
+        order, starts = _runs([*row_words(rows).T, graph_key])
         first = np.maximum.accumulate(np.where(starts, np.arange(len(order)), 0))
         least = np.empty_like(vertex)
         least[order] = vertex[order[first]]
@@ -345,18 +340,7 @@ def _canonical_forms(n: int, rows_iter: Iterable[tuple[int, ...]]) -> Iterator[t
         at = np.argsort(_ordering_search(mats, _refined_colors(mats)), axis=1)
         canon = mats[np.arange(len(chunk))[:, None, None], at[:, :, None], at[:, None, :]]
         canon[flipped] ^= off_diagonal
-        yield from _matrix_rows(canon)
-
-
-def _matrix_rows(mats: np.ndarray) -> list[tuple[int, ...]]:
-    """The bit rows of each of the (m, n, n) 0/1 matrices ``mats``."""
-    m, n, _ = mats.shape
-    words = _row_words(mats)
-    rows = words[:, 0].astype(object)
-    for w in range(1, words.shape[1]):
-        rows |= words[:, w].astype(object) << (64 * w)
-    flat = rows.tolist()
-    return [tuple(flat[g * n : (g + 1) * n]) for g in range(m)]
+        yield from matrix_rows(canon)
 
 
 def canonical_graph(g: Graph) -> Graph:
@@ -420,13 +404,17 @@ def _children(parents: list[tuple[int, ...]], n: int) -> Iterator[list[int]]:
 
 
 def _build_level(n: int, jobs: int = 1) -> None:
+    """Build the census levels up to order n, sharding a level's parents
+    among ``jobs`` workers only when their children, every mask as an
+    n x n matrix, exceed one canonical batch (from order 8 on)."""
     if n in _LEVELS:
         return
     if n - 1 not in _LEVELS:
         _build_level(n - 1, jobs)
     parent_limit = _half_edges(n - 1)
     parents = [rows for rows in _LEVELS[n - 1] if sum(r.bit_count() for r in rows) // 2 <= parent_limit]
-    chunks = [parents[i::jobs] for i in range(jobs)] if len(parents) >= 4 * jobs else [parents]
+    shard = len(parents) * n * n << (n - 1) > CANONICAL_BATCH_ENTRIES
+    chunks = [parents[i::jobs] for i in range(jobs)] if shard else [parents]
     lower = set().union(*map_chunks(_extend_level, chunks, jobs, n))
     # a lower-half class with 2m < M (2m row bits) has its complement in the upper half
     pairs = n * (n - 1) // 2

@@ -52,13 +52,10 @@ class Graph:
                 raise ValueError(f"row {v} has bits beyond vertex range")
             if (row >> v) & 1:
                 raise ValueError(f"self-loop at vertex {v}")
-        for v in range(self.n):
-            m = self.rows[v]
-            while m:
-                u = (m & -m).bit_length() - 1
-                m &= m - 1
-                if not (self.rows[u] >> v) & 1:
-                    raise ValueError(f"adjacency not symmetric at ({v}, {u})")
+        a = self.bit_matrix()
+        one_sided = np.argwhere(a > a.T)  # row-major: the first bad pair first
+        if len(one_sided):
+            raise ValueError("adjacency not symmetric at ({}, {})".format(*one_sided[0]))
 
     # -- bit rows <-> 0/1 matrix -----------------------------------------
 
@@ -66,9 +63,9 @@ class Graph:
     def from_bit_matrix(cls, mat) -> Graph:
         """Graph whose adjacency is the square 0/1 array ``mat``.
 
-        The invariants of ``__post_init__`` are checked on the array, with
-        the same messages naming the first bad row or pair in row-major
-        order, and the rows are then packed without a second check.
+        The shape and the entries are checked on the array; the packed
+        rows then pass ``__post_init__``, so a loop or a one-sided pair
+        gets the message it gets as bit rows.
         """
         a = np.asarray(mat)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -76,25 +73,13 @@ class Graph:
         bad_rows = np.flatnonzero(((a != 0) & (a != 1)).any(axis=1))
         if len(bad_rows):
             raise ValueError(f"row {bad_rows[0]} has an entry other than 0 or 1")
-        a = a.astype(np.uint8)
-        loops = np.flatnonzero(a.diagonal())
-        if len(loops):
-            raise ValueError(f"self-loop at vertex {loops[0]}")
-        one_sided = np.argwhere(a > a.T)
-        if len(one_sided):
-            v, u = one_sided[0]
-            raise ValueError(f"adjacency not symmetric at ({v}, {u})")
-        return cls._from_valid_matrix(a)
+        return cls(len(a), matrix_rows(a[None].astype(np.uint8))[0])
 
     @classmethod
     def _from_valid_matrix(cls, mat: np.ndarray) -> Graph:
         """Pack a square 0/1 matrix already known to be symmetric with a
         zero diagonal; ``__post_init__`` is bypassed, not repeated."""
-        n = len(mat)
-        width = (n + 7) // 8
-        packed = np.packbits(mat, axis=1, bitorder="little").tobytes()
-        rows = tuple([int.from_bytes(packed[v * width : (v + 1) * width], "little") for v in range(n)])
-        return cls._from_valid_rows(n, rows)
+        return cls._from_valid_rows(len(mat), matrix_rows(mat[None])[0])
 
     @classmethod
     def _from_valid_rows(cls, n: int, rows: tuple[int, ...]) -> Graph:
@@ -141,6 +126,32 @@ def bit_matrices(n: int, rows_list: Sequence[Sequence[int]]) -> np.ndarray:
     return np.unpackbits(row_bytes(n, rows_list), axis=2, count=n, bitorder="little")
 
 
+def row_words(mats: np.ndarray) -> np.ndarray:
+    """The rows of the (m, n, n) 0/1 matrices ``mats`` as (m * n, w)
+    little-endian uint64 words, w = ceil(n / 64): bit u of row v of
+    graph g is bit u % 64 of word u // 64 of entry g * n + v."""
+    m, n, _ = mats.shape
+    words = -(-n // 64)
+    packed = np.zeros((m * n, 8 * words), dtype=np.uint8)
+    packed[:, : (n + 7) // 8] = np.packbits(mats, axis=2, bitorder="little").reshape(m * n, (n + 7) // 8)
+    return packed.view("<u8")
+
+
+def matrix_rows(mats: np.ndarray) -> list[tuple[int, ...]]:
+    """The bit rows of each of the (m, n, n) 0/1 matrices ``mats``, the inverse
+    of ``bit_matrices``: ``row_words`` up to 64 bits a row, packed bytes beyond."""
+    m, n, _ = mats.shape
+    if n == 0:  # no row, so no word to read
+        return [()] * m
+    if n <= 64:
+        flat = row_words(mats)[:, 0].tolist()
+    else:
+        width = (n + 7) // 8
+        packed = np.packbits(mats, axis=2, bitorder="little").tobytes()
+        flat = [int.from_bytes(packed[i : i + width], "little") for i in range(0, len(packed), width)]
+    return list(zip(*[iter(flat)] * n))  # each graph's n rows in turn
+
+
 # -- constructors ------------------------------------------------------
 
 
@@ -150,7 +161,7 @@ def _check_order(n: int) -> None:
 
 
 # The constructors below build rows that are symmetric and loop-free by
-# construction, so they skip ``Graph.__post_init__``'s per-bit check.
+# construction, so they skip ``Graph.__post_init__``'s checks.
 
 
 def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:

@@ -156,6 +156,8 @@ class TestAgainstAllMasks:
         # jobs=2 must be accepted on a 1-CPU host too
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         monkeypatch.setattr(enumeration, "_LEVELS", {0: [()]})
+        # a smaller budget shards orders 6 and 7 as order 8 is sharded
+        monkeypatch.setattr(enumeration, "CANONICAL_BATCH_ENTRIES", 1 << 14)
         isomorphism_classes(7, jobs=jobs)
         for n in range(1, 8):
             assert enumeration._LEVELS[n] == reference_levels[n], n
@@ -470,8 +472,10 @@ class TestPoolGuard:
             raise AssertionError("a worker pool was requested")
 
         monkeypatch.setattr(multiprocessing, "Pool", refuse)
-        # force a rebuild of order 6, so an unchecked count would reach the pool
+        # force a rebuild of order 6, sharded under a smaller budget, so
+        # an unchecked count would reach the pool
         monkeypatch.delitem(enumeration._LEVELS, 6, raising=False)
+        monkeypatch.setattr(enumeration, "CANONICAL_BATCH_ENTRIES", 1 << 14)
         self.requested = requested
 
     @pytest.mark.parametrize("excess", [1, 7])
@@ -499,6 +503,22 @@ class TestPoolGuard:
             map_chunks(sorted, [list(range(100))] * 2, (os.cpu_count() or 1) + 1)
         assert map_chunks(sorted, [[3, 1, 2]], 1) == [[1, 2, 3]]
         assert self.requested == []
+
+
+class TestBuildShards:
+    def test_pool_only_where_children_exceed_a_batch(self, monkeypatch):
+        from alphaspec import enumeration
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a worker pool was requested")
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(multiprocessing, "Pool", refuse)
+        monkeypatch.setattr(enumeration, "_LEVELS", {0: [()]})
+        assert len(isomorphism_classes(7, jobs=2)) == 1044
+        # order 8's children, 4,276,224 matrix entries, still shard
+        with pytest.raises(AssertionError, match="worker pool"):
+            isomorphism_classes(8, jobs=2)
 
 
 class TestGraph6Certificates:

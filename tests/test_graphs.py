@@ -15,7 +15,7 @@ from alphaspec import (
     parse_graph6,
     to_graph6,
 )
-from alphaspec.graphs import MAX_ORDER, read_graph6_file, row_component_masks
+from alphaspec.graphs import MAX_ORDER, bit_matrices, matrix_rows, read_graph6_file, row_component_masks
 from reference import are_isomorphic, cycle_graph, degree_sequence, disjoint_union, has_edge, path_graph, star_graph
 
 
@@ -486,10 +486,19 @@ class TestBitMatrix:
         assert Graph.from_bit_matrix(mat.astype(float)) == g
 
     def test_round_trip_wide_rows(self):
+        # every width boundary of the packer: no row word at n = 0, one
+        # partial or full word up to 64, packed bytes beyond
         import random
 
-        g = random_graph(random.Random(7), 130, 0.3)
-        assert Graph.from_bit_matrix(g.bit_matrix()) == g
+        rng = random.Random(7)
+        for n in (0, 1, 7, 8, 9, 63, 64, 65, 130):
+            stack = [random_graph(rng, n, p) for p in (0.3, 0.5, 1.0)]
+            rows_list = [g.rows for g in stack]
+            mats = bit_matrices(n, rows_list)
+            assert matrix_rows(mats) == matrix_rows(mats.astype(bool)) == rows_list, n
+            for g in stack:
+                assert matrix_rows(g.bit_matrix()[None]) == matrix_rows(g.bit_matrix()[None].astype(bool)) == [g.rows], n
+                assert Graph.from_bit_matrix(g.bit_matrix()) == g
 
     @pytest.mark.parametrize("shape", [(2, 3), (3,), (2, 2, 2)])
     def test_rejects_non_square(self, shape):

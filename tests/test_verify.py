@@ -354,7 +354,7 @@ class TestResolveJobs:
         verify_order(5, 0)
         assert counts == [1]
 
-    @pytest.mark.parametrize("value", [0, -1, 5])
+    @pytest.mark.parametrize("value", [0, -1, 5, 2.0])
     def test_bad_explicit_rejected(self, value):
         with pytest.raises(ValueError, match="between 1 and 4"):
             resolve_jobs(value)
@@ -370,9 +370,10 @@ class TestResolveJobs:
         monkeypatch.setattr(verify, "read_graph6_file", no_scan)
         path = tmp_path / "order6.g6"
         path.write_text(to_graph6(complete_graph(6)) + "\n")
-        for source in (None, str(path)):
-            with pytest.raises(ValueError, match="jobs"):
-                verify_order(6, 0, jobs=5, source=source)
+        for jobs in (5, 2.0):
+            for source in (None, str(path)):
+                with pytest.raises(ValueError, match="^jobs"):
+                    verify_order(6, 0, jobs=jobs, source=source)
 
 
 class TestReportSerialization:
@@ -1070,11 +1071,13 @@ class TestParallelDeterminism:
         with pytest.raises(AssertionError, match="worker pool"):
             _scan_order(6, as_fraction(1), jobs=2)
 
-    def test_enumeration_matches_serial(self):
+    def test_enumeration_matches_serial(self, monkeypatch):
         from alphaspec import enumeration
 
         serial = [g.rows for g in isomorphism_classes(6)]
         enumeration._LEVELS.pop(6, None)
+        # a smaller budget shards order 6 as order 8 is sharded
+        monkeypatch.setattr(enumeration, "CANONICAL_BATCH_ENTRIES", 1 << 14)
         parallel = [g.rows for g in isomorphism_classes(6, jobs=2)]
         assert serial == parallel
 
