@@ -29,12 +29,18 @@ cheap instead of factorial.  A graph with 2m > M takes the complement
 of its complement's canonical graph, so the search only runs on graphs
 with at most half the edges.
 
-Canonical forms are computed in batches (``_canonical_forms``): the
-children of all of a level's parents form one batch, read in slices of
-a fixed number of matrix entries as they are generated.  The
-refinement, the twin classes and the ordering search run in numpy on
-the stacked adjacency matrices of a slice: each refinement round one
-``np.bincount`` of packed neighbor-color counts and one ``np.lexsort``,
+Each census level is one (m, n) uint16 array of row words (bit u of
+word [i, v] is the edge uv of class i), its rows ascending as tuples.
+The children of all of a level's parents are one such array, unpacked
+and canonicalized in slices of a fixed number of matrix entries
+(``_canonical_matrices``); the canonical children and the complements
+of those with 2m < M, each row XORed with all of its other vertices,
+are deduplicated and sorted by one ``np.lexsort``.  ``_canonical_forms``
+runs the same search on a stream of bit rows of any order, read in the
+same slices.  The refinement, the twin classes and the ordering search
+run in numpy on the stacked adjacency matrices of a slice: each
+refinement round one ``np.bincount`` of packed neighbor-color counts
+and one ``np.lexsort``,
 the twin classes one sort of the open and one of the closed rows, and
 the search (``_ordering_search``) one iterative, depth-by-depth pass
 over all graphs whose ordering is not forced by the refinement and the
@@ -56,7 +62,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .graphs import Graph, _complement_rows, bit_matrices, matrix_rows, row_words
+from .graphs import Graph, bit_matrices, matrix_rows, row_words, stack_rows
 
 KNOWN_CLASS_COUNTS = {0: 1, 1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044, 8: 12346}
 BUILTIN_ORDER_CAP = 8
@@ -66,7 +72,9 @@ BUILTIN_ORDER_CAP = 8
 # the ordering search expands at most this many // n orderings at once.
 CANONICAL_BATCH_ENTRIES = 1 << 18
 
-_LEVELS: dict[int, list[tuple[int, ...]]] = {0: [()]}
+# Each built census level: its classes' row words, uint16 (m, n), ascending
+# as tuples.
+_LEVELS: dict[int, np.ndarray] = {0: np.zeros((1, 0), dtype=np.uint16)}
 
 
 def resolve_jobs(jobs: int) -> int:
@@ -315,32 +323,46 @@ def _ordering_search(mats: np.ndarray, colors: np.ndarray) -> np.ndarray:
     return place
 
 
-def _canonical_forms(n: int, rows_iter: Iterable[tuple[int, ...]]) -> Iterator[tuple[int, ...]]:
+def _canonical_matrices(mats: np.ndarray) -> np.ndarray:
+    """The canonical graphs of the (m, n, n) 0/1 matrices ``mats`` (n >= 2),
+    as stacked matrices; ``mats`` is reused.
+
+    A graph with 2m > M is complemented first: complementing keeps
+    isomorphism, so it takes the complement of its complement's canonical
+    graph.  The color refinement and the ordering search
+    (``_ordering_search``) run on the whole stack at once, and the
+    relabeling is one gather over it.
+    """
+    m, n, _ = mats.shape
+    off_diagonal = 1 - np.eye(n, dtype=np.uint8)
+    flipped = mats.sum(axis=(1, 2)) > n * (n - 1) // 2
+    mats[flipped] ^= off_diagonal
+    at = np.argsort(_ordering_search(mats, _refined_colors(mats)), axis=1)
+    canon = mats[np.arange(m)[:, None, None], at[:, :, None], at[:, None, :]]
+    canon[flipped] ^= off_diagonal
+    return canon
+
+
+def _batch_size(n: int) -> int:
+    """Graphs of order n canonicalized as one stack: ``CANONICAL_BATCH_ENTRIES``
+    matrix entries, at least one graph."""
+    return max(1, CANONICAL_BATCH_ENTRIES // (n * n))
+
+
+def _canonical_forms(n: int, rows_iter: Iterable[Sequence[int]]) -> Iterator[tuple[int, ...]]:
     """Bit rows of the canonical graph of each of the graphs of order n
     whose bit rows ``rows_iter`` yields, in order.
 
-    The graphs are read and answered ``CANONICAL_BATCH_ENTRIES`` matrix
-    entries at a time, so neither the inputs nor the forms of a whole
-    level are held at once.  A graph with 2m > M is complemented first:
-    complementing keeps isomorphism, so it takes the complement of its
-    complement's canonical graph.  The color refinement and the ordering
-    search (``_ordering_search``) run on the whole slice at once, and the
-    relabeling is one gather over the slice.
+    The graphs are read and answered ``_batch_size(n)`` at a time, one
+    ``_canonical_matrices`` stack each, so neither the inputs nor the
+    forms of a long stream are held at once.
     """
     if n <= 1:
         yield from (tuple(rows) for rows in rows_iter)
         return
-    step = max(1, CANONICAL_BATCH_ENTRIES // (n * n))
-    off_diagonal = 1 - np.eye(n, dtype=np.uint8)
     rows_iter = iter(rows_iter)
-    while chunk := list(islice(rows_iter, step)):
-        mats = bit_matrices(n, chunk)
-        flipped = mats.sum(axis=(1, 2)) > n * (n - 1) // 2
-        mats[flipped] ^= off_diagonal
-        at = np.argsort(_ordering_search(mats, _refined_colors(mats)), axis=1)
-        canon = mats[np.arange(len(chunk))[:, None, None], at[:, :, None], at[:, None, :]]
-        canon[flipped] ^= off_diagonal
-        yield from matrix_rows(canon)
+    while chunk := list(islice(rows_iter, _batch_size(n))):
+        yield from matrix_rows(_canonical_matrices(bit_matrices(n, chunk)))
 
 
 def canonical_graph(g: Graph) -> Graph:
@@ -354,9 +376,23 @@ def _half_edges(n: int) -> int:
     return n * (n - 1) // 4
 
 
-def _extend_level(parents: list[tuple[int, ...]], n: int) -> set[tuple[int, ...]]:
-    """Rows of the order-n canonical graphs with at most ``_half_edges(n)``
-    edges, from the lower-half order-(n-1) ``parents``, canonical each.
+def _edge_counts(level: np.ndarray) -> np.ndarray:
+    """The edge count of each graph of a level's (m, n) row words."""
+    return bit_matrices(level.shape[1], level).sum(axis=(1, 2), dtype=np.int64) // 2
+
+
+def _sorted_unique(words: np.ndarray) -> np.ndarray:
+    """The distinct rows of the (m, n) row words ``words``, ascending as
+    tuples (row 0 first): one ``np.lexsort`` (``np.unique`` would import
+    numpy.ma)."""
+    order, starts = _runs(list(words.T[::-1]))
+    return words[order[starts]]
+
+
+def _extend_level(parents: np.ndarray, n: int) -> np.ndarray:
+    """The row words of the canonical graphs of the children of the
+    lower-half order-(n-1) ``parents`` (row words), one per child, with
+    repeats.
 
     A child (parent plus a new vertex with neighborhood ``mask``) is
     canonicalized only when the new vertex has maximum degree: no
@@ -365,15 +401,24 @@ def _extend_level(parents: list[tuple[int, ...]], n: int) -> set[tuple[int, ...]
     above depends only on the mask's size and whether it meets the
     parent's top-degree set, both kept by it; so of the masks that twin
     swaps carry to one another only the one that meets each twin class
-    in its lowest members is tried.  The children of all parents are
-    canonicalized as one batch, generated as it reads them.
+    in its lowest members is tried.  The children of all parents are one
+    array, unpacked and canonicalized ``_batch_size(n)`` at a time.
     """
-    return set(_canonical_forms(n, _children(parents, n)))
+    children = _children(parents, n)
+    if n <= 1:
+        return children
+    forms = np.empty_like(children)
+    step = _batch_size(n)
+    for first in range(0, len(children), step):
+        canon = _canonical_matrices(bit_matrices(n, children[first : first + step]))
+        forms[first : first + step] = row_words(canon)[:, 0].reshape(-1, n)
+    return forms
 
 
-def _children(parents: list[tuple[int, ...]], n: int) -> Iterator[list[int]]:
-    """The rows of the children ``_extend_level`` canonicalizes, the
-    parents in order and each parent's masks ascending.
+def _children(parents: np.ndarray, n: int) -> np.ndarray:
+    """The row words of the children ``_extend_level`` canonicalizes, as one
+    (c, n) uint16 array, the parents in order and each parent's masks
+    ascending.
 
     The masks of all parents are tested at once, on the parents' stacked
     matrices: a mask passes when its size is at least the parent's top
@@ -382,7 +427,7 @@ def _children(parents: list[tuple[int, ...]], n: int) -> Iterator[list[int]]:
     member in it too.
     """
     new_bit = 1 << (n - 1)
-    vertex = np.arange(n - 1)
+    parents = stack_rows(n - 1, parents)
     mats = bit_matrices(n - 1, parents)
     degrees = mats.sum(axis=2, dtype=np.int64)
     top = degrees.max(axis=1, initial=0)[:, None]
@@ -398,27 +443,33 @@ def _children(parents: list[tuple[int, ...]], n: int) -> Iterator[list[int]]:
         # a held v needs its previous twin held, and a degree below the
         # top unless the mask is larger than the top
         tried &= ~held[v] | held[prev[:, v]] & (above | (degrees[:, v, None] < top))
-    for prows, chosen in zip(np.array(parents, dtype=np.int64), tried):
-        chosen = np.flatnonzero(chosen)
-        yield from np.column_stack([prows | (chosen[:, None] >> vertex & 1) << (n - 1), chosen]).tolist()
+    parent, mask = np.nonzero(tried)
+    children = np.empty((len(mask), n), dtype=np.uint16)
+    children[:, : n - 1] = parents[parent] | held[: n - 1, mask].T.astype(np.uint16) << (n - 1)
+    children[:, n - 1] = mask
+    return children
 
 
 def _build_level(n: int, jobs: int = 1) -> None:
     """Build the census levels up to order n, sharding a level's parents
     among ``jobs`` workers only when their children, every mask as an
-    n x n matrix, exceed one canonical batch (from order 8 on)."""
+    n x n matrix, exceed one canonical batch (from order 8 on).  The
+    canonical children and their complements are deduplicated and sorted
+    in one pass."""
     if n in _LEVELS:
         return
     if n - 1 not in _LEVELS:
         _build_level(n - 1, jobs)
-    parent_limit = _half_edges(n - 1)
-    parents = [rows for rows in _LEVELS[n - 1] if sum(r.bit_count() for r in rows) // 2 <= parent_limit]
+    level = _LEVELS[n - 1]
+    parents = level[_edge_counts(level) <= _half_edges(n - 1)]
     shard = len(parents) * n * n << (n - 1) > CANONICAL_BATCH_ENTRIES
     chunks = [parents[i::jobs] for i in range(jobs)] if shard else [parents]
-    lower = set().union(*map_chunks(_extend_level, chunks, jobs, n))
-    # a lower-half class with 2m < M (2m row bits) has its complement in the upper half
-    pairs = n * (n - 1) // 2
-    reps = sorted(lower.union(_complement_rows(n, rows) for rows in lower if sum(r.bit_count() for r in rows) < pairs))
+    lower = np.concatenate(map_chunks(_extend_level, chunks, jobs, n))
+    # a lower-half class with 2m < M has its complement in the upper half:
+    # each row XORed with all of its other vertices
+    others = np.uint16((1 << n) - 1) ^ (np.uint16(1) << np.arange(n, dtype=np.uint16))
+    upper = lower[2 * _edge_counts(lower) < n * (n - 1) // 2] ^ others
+    reps = _sorted_unique(np.concatenate([lower, upper]))
     if n in KNOWN_CLASS_COUNTS and len(reps) != KNOWN_CLASS_COUNTS[n]:
         raise RuntimeError(
             f"enumeration produced {len(reps)} classes of order {n}, "
@@ -441,5 +492,8 @@ def isomorphism_classes(n: int, jobs: int = 1) -> list[Graph]:
             "supply a graph6 file for larger orders"
         )
     _build_level(n, jobs=resolve_jobs(jobs))
-    # the cached rows are relabeled or complemented rows of valid graphs
-    return [Graph._from_valid_rows(n, rows) for rows in _LEVELS[n]]
+    level = _LEVELS[n]
+    # the level's columns zipped into row tuples, with no list per class;
+    # they are relabeled or complemented rows of valid graphs
+    rows = zip(*level.T.tolist()) if n else [()] * len(level)
+    return [Graph._from_valid_rows(n, r) for r in rows]

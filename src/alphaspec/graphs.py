@@ -10,6 +10,7 @@ are immutable after construction and safe to share between workers.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -47,15 +48,22 @@ class Graph:
             raise ValueError("vertex count must be nonnegative")
         if len(self.rows) != self.n:
             raise ValueError("adjacency row count does not match vertex count")
-        for v, row in enumerate(self.rows):
+        rows = tuple(map(operator.index, self.rows))  # numpy integers become ints
+        object.__setattr__(self, "rows", rows)
+        for v, row in enumerate(rows):
             if row >> self.n:  # also catches a negative row
                 raise ValueError(f"row {v} has bits beyond vertex range")
             if (row >> v) & 1:
                 raise ValueError(f"self-loop at vertex {v}")
-        a = self.bit_matrix()
-        one_sided = np.argwhere(a > a.T)  # row-major: the first bad pair first
+        # each edge (v, u), row-major, needs bit v of row u: one gather
+        # from the packed rows, so time and memory follow the row bytes
+        # and the edges, not n**2 matrix entries
+        packed = row_bytes(self.n, [rows])[0]
+        v, u = _set_bits(packed)
+        one_sided = np.flatnonzero(packed[u, v >> 3] >> (v & 7) & 1 == 0)
         if len(one_sided):
-            raise ValueError("adjacency not symmetric at ({}, {})".format(*one_sided[0]))
+            i = one_sided[0]
+            raise ValueError(f"adjacency not symmetric at ({v[i]}, {u[i]})")
 
     # -- bit rows <-> 0/1 matrix -----------------------------------------
 
@@ -120,10 +128,43 @@ def row_bytes(n: int, rows_list: Sequence[Sequence[int]]) -> np.ndarray:
     return np.frombuffer(packed, dtype=np.uint8).reshape(len(rows_list), n, width)
 
 
+def stack_rows(n: int, rows_list: Sequence[Sequence[int]]) -> np.ndarray:
+    """The bit rows of m graphs of order n as one (m, n) array, returned
+    as it is if it is one already: uint16 words up to order 16 (the
+    census levels among them), Python ints beyond."""
+    dtype = np.uint16 if n <= 16 else object
+    return np.asarray(rows_list, dtype=dtype).reshape(len(rows_list), n)
+
+
 def bit_matrices(n: int, rows_list: Sequence[Sequence[int]]) -> np.ndarray:
     """The (m, n, n) uint8 adjacency matrices of m graphs of order n given
-    by their bit rows, unpacked from ``row_bytes`` in one step."""
-    return np.unpackbits(row_bytes(n, rows_list), axis=2, count=n, bitorder="little")
+    by their bit rows, as a sequence or as a ``stack_rows`` array:
+    shifted and masked from the uint16 words up to order 16, unpacked
+    from ``row_bytes`` beyond."""
+    if n > 16:
+        return np.unpackbits(row_bytes(n, rows_list), axis=2, count=n, bitorder="little")
+    words = stack_rows(n, rows_list)
+    return (words[:, :, None] >> np.arange(n, dtype=np.uint16) & 1).astype(np.uint8)
+
+
+def row_edges(n: int, rows: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """The edges (v, u) of the graph of order n with bit rows ``rows``,
+    one per set bit u of row v, in row-major order."""
+    return _set_bits(row_bytes(n, [rows])[0])
+
+
+def _set_bits(packed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(v, u) for each set bit u of row v of the (n, ceil(n/8)) row bytes
+    ``packed``, in row-major order.  The bytes are read as little-endian
+    words and only the nonzero words are unpacked, so a sparse graph
+    costs its n**2 / 8 row bytes and its edges, not n**2 matrix
+    entries."""
+    words = np.zeros(-(-packed.size // 8), dtype="<u8")
+    words.view(np.uint8)[: packed.size] = packed.ravel()
+    at = np.flatnonzero(words)
+    bit = np.flatnonzero(np.unpackbits(words[at].view(np.uint8), bitorder="little").view(bool))
+    # each bit's place in the row bytes, whose rows are 8 * width bits long
+    return np.divmod(at[bit >> 6] * 64 + (bit & 63), max(8 * packed.shape[1], 1))
 
 
 def row_words(mats: np.ndarray) -> np.ndarray:

@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .graphs import Graph, row_bytes, row_component_masks
+from .graphs import Graph, row_component_masks, row_edges, stack_rows
 
 # Largest order whose matching numbers come from the stacked subset DP;
 # each graph above it takes the blossom search.  Per graph, over 2,000
@@ -54,7 +54,8 @@ def matching_number(g: Graph) -> int:
 
 
 def matching_numbers(n: int, rows_list: Sequence[Sequence[int]]) -> np.ndarray:
-    """The matching numbers of graphs of order n given by their bit rows.
+    """The matching numbers of graphs of order n given by their bit rows,
+    as a sequence or as a ``stack_rows`` array (an exhaustive-scan slice).
 
     Up to ``_SUBSET_DP_MAX_ORDER`` the whole batch is solved by one
     subset DP: f[S] = max(f[S - v], 1 + f[S - v - u] for u in N(v) and
@@ -65,9 +66,9 @@ def matching_numbers(n: int, rows_list: Sequence[Sequence[int]]) -> np.ndarray:
     (the exhaustive scan's slices keep the table below 2**22 entries).
     Above that order each graph takes the blossom search.
     """
+    rows = stack_rows(n, rows_list)
     if n > _SUBSET_DP_MAX_ORDER:
-        return np.array([matching_number(Graph._from_valid_rows(n, rows)) for rows in rows_list], dtype=int)
-    rows = np.array(rows_list, dtype=np.uint16).reshape(len(rows_list), n)  # rows below 2**13
+        return np.array([matching_number(Graph._from_valid_rows(n, tuple(r))) for r in rows.tolist()], dtype=int)
     f = np.zeros((1 << n, len(rows)), dtype=np.uint8)
     for v in range(n - 1, -1, -1):
         low = f.reshape(1 << (n - v - 1), 2, 1 << v, -1)
@@ -104,15 +105,11 @@ def tutte_berge_witness(g: Graph) -> TutteBergeWitness:
 
 
 def _neighbor_lists(n: int, rows: Sequence[int]) -> list[list[int]]:
-    """The ascending neighbours of each vertex.  Only the nonzero bytes of
-    the rows are unpacked, so a sparse graph costs its n**2 / 8 row bytes
-    and its edges, not n**2 matrix entries; their bits, in row-major
-    order, are the neighbours, cut at the cumulative degrees."""
-    packed = row_bytes(n, [rows])[0]
-    v, byte = np.nonzero(packed)
-    k, bit = np.nonzero(np.unpackbits(packed[v, byte][:, None], axis=1, bitorder="little"))
-    cols = (8 * byte[k] + bit).tolist()
-    ends = np.cumsum(np.bincount(v[k], minlength=n)).tolist()
+    """The ascending neighbours of each vertex: the edges of
+    ``row_edges``, in row-major order, cut at the cumulative degrees."""
+    v, u = row_edges(n, rows)
+    cols = u.tolist()
+    ends = np.cumsum(np.bincount(v, minlength=n)).tolist()
     return [cols[a:b] for a, b in zip([0] + ends, ends)]
 
 

@@ -6,7 +6,10 @@ matrix; its largest eigenvalue is the alpha-spectral radius rho.  At
 alpha = 0 this is the adjacency spectral radius, at alpha = 1 the
 signless Laplacian spectral radius.  A graph's rho is the largest over
 its connected components of the top eigenvalue of the component's
-block: from ``eigvalsh`` for a small block, and from Lanczos with
+block (the components of a stack of graphs of order up to
+``_CLOSURE_MAX_ORDER`` come from one reachability closure of their
+matrices, a larger graph's from a bit walk): from ``eigvalsh`` for a
+small block, and from Lanczos with
 ``eigvalsh`` as its fallback for a block of ``_KRYLOV_MIN_ORDER``
 vertices or more.  The Perron vector that evidences it is the converged
 Ritz vector of a Lanczos block where that vector is positive and its
@@ -67,6 +70,15 @@ _INVERSE_STEPS = 3
 # 0.64-0.90 at 160 and 0.49-0.60 at 192; the sparsest blocks, which need
 # the most steps, stay slower up to k = 160.
 _KRYLOV_MIN_ORDER = 160
+# Largest order whose component blocks come from the reachability closure
+# of a whole stack instead of a bit walk per graph.  Over scan slices of
+# seeded G(n, p) (p = 1/n, 2/n, 0.3; 2 cores, numpy 2.4, one OpenBLAS
+# thread, the matrices unpacked for both) the closure took 0.43-0.67 ms
+# a slice against 0.98-1.03 ms for the walk at n = 32, as long at n = 40
+# and longer from n = 48 on; the order-7 census took 0.50 ms against
+# 2.1 ms.  A single graph pays the closure's fixed numpy calls (about
+# 25 us against 4 us at n = 8).
+_CLOSURE_MAX_ORDER = 32
 # Lanczos steps allowed per block before it falls back to ``eigvalsh``.
 # Over seeds 1-20 of G(n, p) with (n, p) from (160, 0.5) to (400, 0.05)
 # at alpha in {0, 1/2, 1, 2}, the first step that met the test was 14 to
@@ -104,11 +116,15 @@ class SpectralResult:
 def alpha_matrices(n: int, rows_list: Sequence[Sequence[int]], alpha: float) -> np.ndarray:
     """alpha * D + A of m graphs of order n given by their bit rows, as one
     (m, n, n) float array."""
-    alpha = _check_alpha(alpha)
-    mats = bit_matrices(n, rows_list).astype(float)
-    diag = np.arange(n)
-    mats[:, diag, diag] = alpha * mats.sum(axis=2)
-    return mats
+    return _weighted(bit_matrices(n, rows_list), _check_alpha(alpha))
+
+
+def _weighted(mats: np.ndarray, alpha: float) -> np.ndarray:
+    """alpha * D + A of the (m, n, n) 0/1 matrices ``mats``, as float."""
+    out = mats.astype(float)
+    diag = np.arange(mats.shape[-1])
+    out[:, diag, diag] = alpha * out.sum(axis=2)
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,35 +141,99 @@ class _BlockSolve:
     residual: np.ndarray
 
 
+def _closure_labels(mats: np.ndarray) -> np.ndarray:
+    """Each vertex's least component member in each of the (m, n, n) 0/1
+    matrices ``mats`` (n >= 1), as an (m, n) array.
+
+    u reaches v in at most 2**t steps iff entry (u, v) of (I + A)**(2**t)
+    is nonzero.  ceil(log2(n - 1)) squarings of the float32 stack, each
+    clipped to 1 so every sum stays an exact small integer, cover every
+    path, and the first nonzero entry of row u is u's least reachable
+    vertex.
+    """
+    n = mats.shape[1]
+    reach = mats.astype(np.float32)
+    diag = np.arange(n)
+    reach[:, diag, diag] = 1
+    for _ in range(max(n - 2, 0).bit_length()):
+        reach = np.minimum(reach @ reach, 1)
+    return reach.argmax(axis=2)
+
+
+def _walk_groups(n: int, rows_list: Sequence[Sequence[int]]) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+    """``_component_groups`` of the graphs of order n given by their bit
+    rows, from one bit walk per graph (``row_component_masks``), which
+    meets the blocks in walk order."""
+    groups: dict[int, tuple[list[int], list[int]]] = {}
+    for i, rows in enumerate(rows_list):
+        for mask in row_component_masks(n, rows):
+            k = mask.bit_count()
+            if k > 1:
+                owner, verts = groups.setdefault(k, ([], []))
+                owner.append(i)
+                verts += _bits(mask)
+    return {k: (np.array(owner), np.array(verts).reshape(-1, k)) for k, (owner, verts) in groups.items()}
+
+
+def _component_groups(labels: np.ndarray) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+    """The components of two or more vertices of m graphs of order n, from
+    each vertex's least component member ``labels`` (m, n), by size k:
+    (owner, verts), block i of graph ``owner[i]`` covering its vertices
+    ``verts[i]``, ascending, in walk order (graph by graph, each graph's
+    blocks by least member).
+
+    A block's id is its graph and its least member, graph * n + label,
+    so ids ascend in walk order; one stable sort by id lists each
+    block's vertices ascending, the blocks in id order.
+    """
+    m, n = labels.shape
+    block = (np.arange(m)[:, None] * n + labels).ravel()
+    size = np.bincount(block, minlength=m * n)
+    members = np.argsort(block, kind="stable") % n
+    first = np.cumsum(size) - size
+    groups = {}
+    for k in (np.flatnonzero(np.bincount(size)[2:]) + 2).tolist():
+        ids = np.flatnonzero(size == k)
+        groups[k] = (ids // n, members[first[ids, None] + np.arange(k)])
+    return groups
+
+
 def _solve_components(n: int, rows_list: Sequence[Sequence[int]], alpha: float, tol: float) -> list[_BlockSolve]:
     """The top eigenpairs of the component blocks of two or more vertices
-    of every graph, one ``_BlockSolve`` per block size.
+    of every graph of order n given by its bit rows, one ``_BlockSolve``
+    per block size.
 
-    The blocks of one size are gathered from the stacked matrices by one
-    fancy index (whole connected graphs are taken as they are) and solved
-    by ``_top_eigenpairs`` as one stack, which gives the same floats as
-    one block at a time.  The residual
+    The blocks are grouped by size, (owner, vertices) in walk order: up
+    to order ``_CLOSURE_MAX_ORDER`` by ``_component_groups`` from the
+    reachability closure of the whole stack of 0/1 matrices
+    (``_closure_labels``), which are unpacked once for it and for the
+    blocks; above it by one bit walk per graph (``_walk_groups``), as a
+    closure's squarings cost n**3 log n a graph.
+    The blocks of one size are gathered from the stacked alpha * D + A by
+    one fancy index (whole connected graphs are taken as they are) and
+    solved by ``_top_eigenpairs`` as one stack, which gives the same
+    floats as one block at a time.  The residual
     ``max|A_alpha x - rho x|`` of each pair is measured, not assumed: if
     one exceeds ``tol``, ValueError names the first by graph, then by
     smallest vertex.
     """
-    groups: dict[int, tuple[list[int], list[int]]] = {}
-    for i, rows in enumerate(rows_list):
-        for mask in row_component_masks(n, rows):
-            if mask.bit_count() > 1:
-                owner, verts = groups.setdefault(mask.bit_count(), ([], []))
-                owner.append(i)
-                verts.extend(_bits(mask))
+    if n < 2:  # no block of two vertices
+        return []
+    if n <= _CLOSURE_MAX_ORDER:
+        mats = bit_matrices(n, rows_list)
+        groups = _component_groups(_closure_labels(mats))
+    else:
+        groups = _walk_groups(n, rows_list)
+        mats = bit_matrices(n, rows_list) if groups else None
     if not groups:
         return []
-    mats = alpha_matrices(n, rows_list, alpha)
+    weighted = _weighted(mats, alpha)
     solves = []
     for k, (owner, verts) in groups.items():
-        owner, verts = np.array(owner), np.array(verts).reshape(-1, k)
         if k < n:
-            blocks = mats[owner[:, None, None], verts[:, :, None], verts[:, None, :]]
+            blocks = weighted[owner[:, None, None], verts[:, :, None], verts[:, None, :]]
         else:  # whole graphs, each connected: the same values without the gather
-            blocks = mats if len(owner) == len(mats) else mats[owner]
+            blocks = weighted if len(owner) == len(weighted) else weighted[owner]
         rho, x, residual = _top_eigenpairs(blocks, tol)
         solves.append(_BlockSolve(owner, verts, rho, x, residual))
     failed = [
@@ -301,14 +381,15 @@ def spectral_radii(
     n: int, rows_list: Sequence[Sequence[int]], alpha: float, tol: float = DEFAULT_TOL
 ) -> np.ndarray:
     """Largest eigenvalue of alpha * D + A for each graph of order n given
-    by its bit rows (those of valid graphs, such as ``Graph.rows``; they
-    are not checked again), by ``spectral_radius``'s solve run over the
-    whole batch: a graph's radius is the maximum over its component
-    blocks, a single vertex counting 0.
+    by its bit rows, as a sequence or as a ``stack_rows`` array (those of
+    valid graphs, such as ``Graph.rows``; they are not checked again), by
+    ``spectral_radius``'s solve run over the whole batch: a graph's
+    radius is the maximum over its component blocks, a single vertex
+    counting 0.
 
-    The batch is solved as one stack of its graphs' n x n matrices; the
-    caller bounds it (the exhaustive scan passes slices of
-    ``verify.RADII_BATCH_ENTRIES`` entries).
+    The batch is solved as one stack of its graphs' n x n matrices,
+    unpacked once; the caller bounds it (the exhaustive scan passes
+    slices of ``verify.RADII_BATCH_ENTRIES`` entries).
     """
     alpha = _check_alpha(alpha)
     _check_tol(tol)

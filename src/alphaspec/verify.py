@@ -3,10 +3,13 @@
 ``verify_order`` scans every isomorphism class of order n once and, for
 each matching number beta, maximizes the radius over the classes with
 that beta and compares observed maximum and argmax structure against
-the regime prediction.  ``_scan_order`` alone cuts the scan, into
-slices of ``RADII_BATCH_ENTRIES`` matrix entries; each takes its
-matching numbers from one ``matching_numbers`` call and its radii from
-one ``spectral_radii`` call, so no ``Graph`` is built per class.
+the regime prediction.  ``_scan_order`` alone cuts the scan, one
+array of row words, into slices of ``RADII_BATCH_ENTRIES`` matrix
+entries; each takes its matching numbers from one ``matching_numbers``
+call on its words and its radii from one ``spectral_radii`` call, which
+unpacks its 0/1 matrices once, so no class is handled one at a time.
+The records of one scan take their certificates from one canonical
+batch.
 ``family_search`` does the same over the structured join families at
 orders where exhaustion is impossible.  Reports are machine-checkable
 records with a stable field order, one line per (n, beta, alpha).
@@ -17,6 +20,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from itertools import islice
 from math import inf, isqrt
 from typing import Iterator, Sequence
 
@@ -25,7 +29,7 @@ import numpy as np
 from . import enumeration
 from .enumeration import _canonical_forms, map_chunks, resolve_jobs
 from .enumeration import canonical_graph  # noqa: F401  (perfbench/tracing.py wraps this name here)
-from .graphs import Graph, read_graph6_file, to_graph6
+from .graphs import Graph, read_graph6_file, stack_rows, to_graph6
 from .matching import matching_number  # noqa: F401  (perfbench/tracing.py wraps this name here)
 from .matching import matching_numbers
 from .spectral import FamilyBatch, JoinFamily, _check_tol, family_radius, one_clique_family, spectral_radii
@@ -108,25 +112,33 @@ REPORT_FIELDS = tuple(f.name for f in fields(VerificationReport))
 @dataclass(frozen=True, eq=False)
 class _Scan:
     """Every class of one order scanned at one alpha: class i has the bit
-    rows ``rows[i]``, matching number ``beta[i]`` and radius ``rho[i]``."""
+    rows ``rows[i]`` (a ``stack_rows`` array), matching number ``beta[i]``
+    and radius ``rho[i]``."""
 
-    rows: Sequence[tuple[int, ...]]
+    rows: np.ndarray
     beta: np.ndarray
     rho: np.ndarray
 
 
-def _scan_chunk(rows_list: Sequence[tuple[int, ...]], n: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
-    """The matching numbers (one ``matching_numbers`` call) and radii (one
-    ``spectral_radii`` call) of one slice of classes of order n given by
-    the rows of graphs already built."""
-    return matching_numbers(n, rows_list), spectral_radii(n, rows_list, alpha)
+def _scan_chunk(rows: np.ndarray, n: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """The matching numbers (one ``matching_numbers`` call, on the row
+    words) and radii (one ``spectral_radii`` call, which unpacks the 0/1
+    matrices once) of one slice of classes of order n, given as one
+    ``stack_rows`` array of graphs already built."""
+    return matching_numbers(n, rows), spectral_radii(n, rows, alpha)
 
 
 def _scan_order(n: int, alpha: Fraction, jobs: int = 1, source: str | None = None) -> _Scan:
     """Every class of order n, from the built-in census or from the graph6
-    file ``source``, with its matching number and radius: one
-    ``_scan_chunk`` per contiguous slice of ``RADII_BATCH_ENTRIES // n**2``
-    classes (at least one), joined in order."""
+    file ``source``, with its matching number and radius.
+
+    The classes' bit rows are stacked into one ``stack_rows`` array
+    (uint16 words at census orders), and each contiguous slice of
+    ``RADII_BATCH_ENTRIES // n**2`` classes (at least one) of it is one
+    ``_scan_chunk``; the results are joined in order.  The census is
+    reached through ``enumeration.isomorphism_classes``, so each class is
+    a ``Graph`` on the way from the level's array to the scan's.
+    """
     resolve_jobs(jobs)
     if source is None:
         # looked up on the module, so a wrapper placed there (perfbench/tracing.py) is reached
@@ -139,45 +151,59 @@ def _scan_order(n: int, alpha: Fraction, jobs: int = 1, source: str | None = Non
             rows_list.append(g.rows)
         if not rows_list:
             raise ValueError(f"graph6 file {source} holds no graph: nothing to verify")
+    rows = stack_rows(n, rows_list)
     step = max(1, RADII_BATCH_ENTRIES // max(1, n * n))
-    slices = [rows_list[first : first + step] for first in range(0, len(rows_list), step)]
+    slices = [rows[first : first + step] for first in range(0, len(rows), step)]
     beta, rho = zip(*map_chunks(_scan_chunk, slices, jobs, n, float(alpha)))
-    return _Scan(rows_list, np.concatenate(beta), np.concatenate(rho))
+    return _Scan(rows, np.concatenate(beta), np.concatenate(rho))
 
 
-def _report(scan: _Scan, verdict: RegimeVerdict, tol: float, start: float) -> VerificationReport:
-    """The record for ``verdict``'s (n, beta, alpha) from one scan of order
-    n that holds a class with that beta.
+def _reports(scan: _Scan, verdicts: Sequence[RegimeVerdict], tol: float, start: float) -> list[VerificationReport]:
+    """The record for each of ``verdicts``, (n, beta, alpha) points of one
+    scan of order n, each with a beta some class has.
 
     Argmax ties are collected within 10*tol of the maximum (exact ties in
     the threshold regime must be caught, distinct near-values must not be
-    merged).
+    merged).  The argmax classes and predicted graphs of all verdicts are
+    canonicalized as one batch and split per record.
     """
-    n, beta = verdict.n, verdict.beta
-    hits = scan.beta == beta
-    observed = float(scan.rho[hits].max())
-    argmax = np.flatnonzero(hits & (scan.rho >= observed - 10.0 * tol))
-    predicted = [family.graph().rows for family in verdict.extremal_families]
-    certificates = _certificates(n, [scan.rows[i] for i in argmax] + predicted)
-    argmax_certificates = tuple(sorted(certificates[: len(argmax)]))
-    predicted_certificates = tuple(sorted(certificates[len(argmax) :]))
-    return VerificationReport(
-        n=n,
-        beta=beta,
-        alpha=verdict.alpha,
-        observed_max=observed,
-        argmax_certificates=argmax_certificates,
-        predicted_max=verdict.predicted_rho,
-        predicted_certificates=predicted_certificates,
-        value_pass=abs(observed - verdict.predicted_rho) <= tol,
-        structure_pass=set(argmax_certificates) == set(predicted_certificates),
-        tol=tol,
-        graphs_scanned=len(scan.rho),
-        wall_time=time.perf_counter() - start,
-    )
+    if not verdicts:
+        return []
+    n = verdicts[0].n
+    rows = stack_rows(n, scan.rows)
+    observed, counts, batch = [], [], []
+    for verdict in verdicts:
+        hits = scan.beta == verdict.beta
+        observed.append(float(scan.rho[hits].max()))
+        found = rows[hits & (scan.rho >= observed[-1] - 10.0 * tol)].tolist()
+        expected = [family.graph().rows for family in verdict.extremal_families]
+        counts.append((len(found), len(expected)))
+        batch += found + expected
+    certificates = iter(_certificates(n, batch))
+    reports = []
+    for verdict, value, (found, expected) in zip(verdicts, observed, counts):
+        argmax_certificates = tuple(sorted(islice(certificates, found)))
+        predicted_certificates = tuple(sorted(islice(certificates, expected)))
+        reports.append(
+            VerificationReport(
+                n=n,
+                beta=verdict.beta,
+                alpha=verdict.alpha,
+                observed_max=value,
+                argmax_certificates=argmax_certificates,
+                predicted_max=verdict.predicted_rho,
+                predicted_certificates=predicted_certificates,
+                value_pass=abs(value - verdict.predicted_rho) <= tol,
+                structure_pass=set(argmax_certificates) == set(predicted_certificates),
+                tol=tol,
+                graphs_scanned=len(scan.rho),
+                wall_time=time.perf_counter() - start,
+            )
+        )
+    return reports
 
 
-def _certificates(n: int, rows_list: Sequence[tuple[int, ...]]) -> list[str]:
+def _certificates(n: int, rows_list: Sequence[Sequence[int]]) -> list[str]:
     """The graph6 strings of the canonical forms of the graphs of order n
     with bit rows ``rows_list``, in order and from one batch, so one class
     prints the same whichever labelling it came with."""
@@ -202,7 +228,7 @@ def verify_order(
     a = as_fraction(alpha)
     scan = _scan_order(n, a, jobs=jobs, source=source)
     present = np.flatnonzero(np.bincount(scan.beta)).tolist()  # np.unique would import numpy.ma
-    reports = [_report(scan, classify_regime(n, beta, a), tol, start) for beta in present if beta >= 1]
+    reports = _reports(scan, [classify_regime(n, beta, a) for beta in present if beta >= 1], tol, start)
     if source is not None and not reports:
         raise ValueError(f"graph6 file {source} holds no graph with matching number 1 or more: nothing to verify")
     return reports

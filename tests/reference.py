@@ -8,7 +8,8 @@ check build test inputs and read results.  ``augment_from_full_scan`` is
 the blossom search with the O(n) contraction it had before, against
 which the matchings are compared.  The oracles
 re-derive a value by a slower, independent route (a whole-matrix
-``eigvalsh``, one ``eigh`` per component, an exhaustive edge-subset
+``eigvalsh``, one ``eigh`` per component, the component blocks of a
+batch by one bit walk per graph, an exhaustive edge-subset
 search, an exhaustive vertex-subset deficiency scan, every neighbourhood
 of a census parent, every ordering within the color classes for the
 canonical graph, the refinement colors of one graph by sorted tuples,
@@ -226,6 +227,22 @@ def eigh_spectral_radius(g, alpha: float, tol: float = 1e-10) -> SpectralResult:
         if best is None or cand.rho > best.rho:
             best = cand
     return best
+
+
+def component_groups_walk(n: int, rows_list) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+    """The component blocks of two or more vertices of graphs of order n
+    given by their bit rows, by size k: (owner, verts) arrays, block i of
+    graph ``owner[i]`` covering its vertices ``verts[i]``, ascending, in
+    walk order (graph by graph, each graph's components by smallest
+    member), from one bit walk per graph (``row_component_masks``)."""
+    groups: dict[int, tuple[list[int], list[int]]] = {}
+    for i, rows in enumerate(rows_list):
+        for mask in row_component_masks(n, rows):
+            if mask.bit_count() > 1:
+                owner, verts = groups.setdefault(mask.bit_count(), ([], []))
+                owner.append(i)
+                verts.extend(_bits(mask))
+    return {k: (np.array(owner), np.array(verts).reshape(-1, k)) for k, (owner, verts) in groups.items()}
 
 
 def extend_level_all_masks(parents, n: int) -> set:

@@ -3,6 +3,7 @@ import multiprocessing
 import os
 import random
 
+import numpy as np
 import pytest
 
 from alphaspec import (
@@ -155,12 +156,12 @@ class TestAgainstAllMasks:
 
         # jobs=2 must be accepted on a 1-CPU host too
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        monkeypatch.setattr(enumeration, "_LEVELS", {0: [()]})
+        monkeypatch.setattr(enumeration, "_LEVELS", {0: np.zeros((1, 0), dtype=np.uint16)})
         # a smaller budget shards orders 6 and 7 as order 8 is sharded
         monkeypatch.setattr(enumeration, "CANONICAL_BATCH_ENTRIES", 1 << 14)
         isomorphism_classes(7, jobs=jobs)
         for n in range(1, 8):
-            assert enumeration._LEVELS[n] == reference_levels[n], n
+            assert list(map(tuple, enumeration._LEVELS[n].tolist())) == reference_levels[n], n
 
 
 def level_sha256(level):
@@ -193,9 +194,18 @@ class TestCensusFingerprint:
         from alphaspec import enumeration
 
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        monkeypatch.setattr(enumeration, "_LEVELS", {0: [()]})
+        monkeypatch.setattr(enumeration, "_LEVELS", {0: np.zeros((1, 0), dtype=np.uint16)})
         isomorphism_classes(8, jobs=jobs)
         assert {n: level_sha256(enumeration._LEVELS[n]) for n in range(9)} == LEVEL_SHA256
+
+    def test_levels_are_word_arrays(self):
+        # one uint16 row word per vertex, one row per class
+        from alphaspec import enumeration
+
+        isomorphism_classes(8)
+        for n in range(9):
+            level = enumeration._LEVELS[n]
+            assert level.dtype == np.uint16 and level.shape == (KNOWN_CLASS_COUNTS[n], n), n
 
 
 def random_graph(rng, n, p):
@@ -366,7 +376,7 @@ class TestOrbitPruning:
         from alphaspec.enumeration import _extend_level, _half_edges
 
         parents = [g.rows for g in isomorphism_classes(n - 1) if g.num_edges <= _half_edges(n - 1)]
-        assert _extend_level(parents, n) == extend_level_all_masks(parents, n)
+        assert set(map(tuple, _extend_level(parents, n).tolist())) == extend_level_all_masks(parents, n)
 
     def test_one_child_per_orbit(self, monkeypatch):
         # the edgeless parent of order 4: its group S_4 has one orbit per
@@ -375,13 +385,14 @@ class TestOrbitPruning:
         from alphaspec import enumeration
 
         seen = []
-        real = enumeration._canonical_forms
+        real = enumeration._canonical_matrices
 
-        def recording(n, rows_iter):
-            return real(n, (seen.append(n) or rows for rows in rows_iter))
+        def recording(mats):
+            seen.extend([mats.shape[1]] * len(mats))
+            return real(mats)
 
-        monkeypatch.setattr(enumeration, "_canonical_forms", recording)
-        forms = enumeration._extend_level([empty_graph(4).rows], 5)
+        monkeypatch.setattr(enumeration, "_canonical_matrices", recording)
+        forms = set(map(tuple, enumeration._extend_level([empty_graph(4).rows], 5).tolist()))
         assert seen.count(5) == len(forms) == 5
 
     def test_twin_prefix_masks_of_a_cycle(self):
@@ -409,7 +420,7 @@ class TestOrbitPruning:
                 expected.append(mask)
         assert expected == [0b00111, 0b01011, 0b10011, 0b10101, 0b11010]
         assert [rows[-1] for rows in _children([parent.rows], n)] == expected
-        assert _extend_level([parent.rows], n) == extend_level_all_masks([parent.rows], n)
+        assert set(map(tuple, _extend_level([parent.rows], n).tolist())) == extend_level_all_masks([parent.rows], n)
 
 
 def edge_excess(g):
@@ -444,17 +455,14 @@ class TestComplementClosedForm:
         isomorphism_classes(7)
         monkeypatch.setattr(enumeration, "_LEVELS", {n: enumeration._LEVELS[n] for n in range(8)})
         excess = []
-        real = enumeration._canonical_forms
+        real = enumeration._canonical_matrices
 
-        def recording(n, rows_iter):
-            def read():
-                for rows in rows_iter:
-                    excess.append(sum(r.bit_count() for r in rows) - n * (n - 1) // 2)
-                    yield rows
+        def recording(mats):
+            n = mats.shape[1]
+            excess.extend((mats.sum(axis=(1, 2), dtype=np.int64) - n * (n - 1) // 2).tolist())
+            return real(mats)
 
-            return real(n, read())
-
-        monkeypatch.setattr(enumeration, "_canonical_forms", recording)
+        monkeypatch.setattr(enumeration, "_canonical_matrices", recording)
         assert len(isomorphism_classes(8)) == 12346
         assert len(excess) == 12992
         assert max(excess) <= 0
@@ -514,7 +522,7 @@ class TestBuildShards:
 
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         monkeypatch.setattr(multiprocessing, "Pool", refuse)
-        monkeypatch.setattr(enumeration, "_LEVELS", {0: [()]})
+        monkeypatch.setattr(enumeration, "_LEVELS", {0: np.zeros((1, 0), dtype=np.uint16)})
         assert len(isomorphism_classes(7, jobs=2)) == 1044
         # order 8's children, 4,276,224 matrix entries, still shard
         with pytest.raises(AssertionError, match="worker pool"):

@@ -32,6 +32,11 @@ def graphs(draw, max_n=12):
     return from_edges(n, [p for p, f in zip(pairs, flags) if f])
 
 
+def path_rows(n):
+    """The bit rows of the path 0 - 1 - ... - (n - 1)."""
+    return tuple(sum(1 << u for u in (v - 1, v + 1) if 0 <= u < n) for v in range(n))
+
+
 def edge_list_text(g):
     """``g`` in the edge-list format that ``parse_edge_list`` reads."""
     return f"{g.n} {g.num_edges}\n" + "".join(f"{u} {v}\n" for u, v in g.edges())
@@ -47,6 +52,26 @@ class TestConstruction:
     def test_rejects_asymmetry(self):
         with pytest.raises(ValueError):
             Graph(2, (0b10, 0b00))
+        # a path on 10,000 vertices with one one-sided pair added
+        rows = list(path_rows(10_000))
+        rows[9_998] |= 1 << 17
+        with pytest.raises(ValueError, match=r"^adjacency not symmetric at \(9998, 17\)$"):
+            Graph(10_000, tuple(rows))
+
+    def test_symmetry_check_memory_follows_the_row_bytes(self):
+        # the check reads the 12.5 MB of row bytes and the path's edges,
+        # never a 10,000 x 10,000 matrix (100 MB as uint8)
+        import tracemalloc
+
+        rows = path_rows(10_000)
+        tracemalloc.start()
+        try:
+            g = Graph(10_000, rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert g.num_edges == 9_999
+        assert peak < 40 * 2**20
 
     def test_rejects_negative_row(self):
         with pytest.raises(ValueError, match="row 0 has bits beyond vertex range"):

@@ -6,6 +6,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from alphaspec import (
     FamilyBatch,
@@ -29,13 +31,14 @@ from alphaspec import (
     to_graph6,
 )
 from alphaspec import spectral
-from alphaspec.graphs import _bits, row_component_masks
+from alphaspec.graphs import _bits, bit_matrices, row_component_masks, stack_rows
 from alphaspec.spectral import DEFAULT_TOL, SpectralResult, _secular_terms, alpha_matrices
 from alphaspec.theorem import case2_region_bounds
 from alphaspec.verify import _candidate_batches
 from reference import (
     case2_probe,
     closed_form_complete_split,
+    component_groups_walk,
     cubic_f,
     cycle_graph,
     disjoint_union,
@@ -255,6 +258,75 @@ class TestSpectralRadii:
             spectral_radii(2, [complete_graph(2).rows], -1.0)
         with pytest.raises(ValueError):
             spectral_radii(2, [complete_graph(2).rows], 1.0, tol=0.0)
+
+
+def solved_groups(n, rows_list):
+    """The (owner, verts) of the blocks ``spectral._solve_components`` solves,
+    by block size."""
+    return {b.verts.shape[1]: (b.owner, b.verts) for b in spectral._solve_components(n, rows_list, 1.0, DEFAULT_TOL)}
+
+
+def assert_same_groups(got, want):
+    # the sizes, and per size the owners and vertices of every block in
+    # walk order; the solves of different sizes are independent
+    assert sorted(got) == sorted(want)
+    for k, (owner, verts) in want.items():
+        assert got[k][0].tolist() == owner.tolist(), k
+        assert got[k][1].tolist() == verts.tolist(), k
+
+
+def threshold_graph(rng, n, shape):
+    """A seeded graph of order n, relabelled at random: edgeless, disjoint
+    cliques of 1 to 6 vertices (isolated vertices among them), a path
+    (the longest distance a closure must cover), G(n, 1/n) or G(n, 0.3)."""
+    if shape == "edgeless":
+        return empty_graph(n)
+    order = list(range(n))
+    rng.shuffle(order)
+    if shape == "path":
+        return from_edges(n, zip(order, order[1:]))
+    if shape == "cliques":
+        edges, start = [], 0
+        while start < n:
+            part = order[start : start + rng.randint(1, 6)]
+            edges += itertools.combinations(part, 2)
+            start += len(part)
+        return from_edges(n, edges)
+    p = 1 / n if shape == "sparse" else 0.3
+    return from_edges(n, [(order[u], order[v]) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+
+
+class TestComponentGroups:
+    """The census's blocks come from the reachability closure of the whole
+    slice; they must be the blocks of one bit walk per graph, the oracle."""
+
+    @pytest.mark.parametrize("n", range(9))
+    def test_closure_blocks_of_every_class(self, n):
+        from alphaspec import enumeration
+
+        isomorphism_classes(n)
+        level = enumeration._LEVELS[n]
+        want = component_groups_walk(n, [tuple(rows) for rows in level.tolist()])
+        mats = bit_matrices(n, level)
+        if n:
+            assert_same_groups(spectral._component_groups(spectral._closure_labels(mats)), want)
+        assert_same_groups(solved_groups(n, level), want)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.sampled_from([spectral._CLOSURE_MAX_ORDER, spectral._CLOSURE_MAX_ORDER + 1]),
+        st.sampled_from(["edgeless", "cliques", "path", "sparse", "dense"]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_blocks_at_and_above_the_threshold(self, n, shape, seed):
+        # the closure at the threshold order, the walk one order above
+        rng = random.Random(seed)
+        rows_list = [threshold_graph(rng, n, shape).rows for _ in range(3)]
+        want = component_groups_walk(n, rows_list)
+        if shape == "edgeless":
+            assert want == {}
+        assert_same_groups(solved_groups(n, rows_list), want)
+        assert_same_groups(solved_groups(n, stack_rows(n, rows_list)), want)
 
 
 class TestBlockPick:

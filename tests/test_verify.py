@@ -42,7 +42,7 @@ from alphaspec.verify import (
     REPORT_FIELDS,
     _candidate_batches,
     _candidate_table,
-    _report,
+    _reports,
     _scan_order,
     _Scan,
     family_count,
@@ -101,7 +101,7 @@ class TestExhaustiveMax:
         # the same scan predicts the one edgeless class
         for alpha in (0, "1/2", 2):
             a = as_fraction(alpha)
-            r = _report(_scan_order(n, a), classify_regime(n, 0, a), DEFAULT_REPORT_TOL, 0.0)
+            (r,) = _reports(_scan_order(n, a), [classify_regime(n, 0, a)], DEFAULT_REPORT_TOL, 0.0)
             assert r.passed
             assert r.predicted_certificates == (certificate,)
             assert r.argmax_certificates == (certificate,)
@@ -886,9 +886,10 @@ def scan_of(*classes):
 
 
 def report_of(verdict, *scored):
-    """``_report`` for ``verdict`` over a hand-built scan of (graph, rho)
+    """``_reports`` for ``verdict`` alone over a hand-built scan of (graph, rho)
     classes, each labelled with the verdict's beta."""
-    return _report(scan_of(*((g, verdict.beta, rho) for g, rho in scored)), verdict, 1e-9, 0.0)
+    (report,) = _reports(scan_of(*((g, verdict.beta, rho) for g, rho in scored)), [verdict], 1e-9, 0.0)
+    return report
 
 
 def reversed_labels(g):
@@ -943,7 +944,7 @@ class TestIsPredictedGraph:
 
 
 class TestReportOnScan:
-    # _report reads the beta hits, the maximum and the 10*tol argmax
+    # _reports reads the beta hits, the maximum and the 10*tol argmax
     # window off the scan's aligned arrays
     TOL = 1e-9
 
@@ -980,7 +981,7 @@ class TestReportOnScan:
         rho = v.predicted_rho
         big = complete_graph(8)  # matching number 4, far larger radius
         scan = scan_of((big, 4, 7.0), (split, 2, rho), (cycle_graph(8), 4, rho), (clique, 2, rho))
-        report = _report(scan, v, self.TOL, 0.0)
+        (report,) = _reports(scan, [v], self.TOL, 0.0)
         assert report.passed and report.observed_max == rho and report.graphs_scanned == 4
         assert to_graph6(canonical_graph(big)) not in report.argmax_certificates
 
@@ -1037,7 +1038,7 @@ class TestParallelDeterminism:
         # order 7 is one slice, so jobs=2 runs it here as jobs=1 does
         serial = _scan_order(7, as_fraction(1))
         parallel = _scan_order(7, as_fraction(1), jobs=2)
-        assert parallel.rows == serial.rows
+        assert parallel.rows.tolist() == serial.rows.tolist()
         assert parallel.beta.tolist() == serial.beta.tolist()
         assert [r.hex() for r in parallel.rho.tolist()] == [r.hex() for r in serial.rho.tolist()]
 
@@ -1049,7 +1050,7 @@ class TestParallelDeterminism:
         monkeypatch.setattr(verify, "RADII_BATCH_ENTRIES", 7 * 36)
         serial = _scan_order(6, as_fraction(alpha))
         parallel = _scan_order(6, as_fraction(alpha), jobs=2)
-        assert parallel.rows == serial.rows
+        assert parallel.rows.tolist() == serial.rows.tolist()
         assert parallel.beta.dtype == serial.beta.dtype and parallel.beta.tolist() == serial.beta.tolist()
         assert [r.hex() for r in parallel.rho.tolist()] == [r.hex() for r in serial.rho.tolist()]
 
