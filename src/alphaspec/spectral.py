@@ -6,9 +6,9 @@ matrix; its largest eigenvalue is the alpha-spectral radius rho.  At
 alpha = 0 this is the adjacency spectral radius, at alpha = 1 the
 signless Laplacian spectral radius.  A graph's rho is the largest over
 its connected components of the top eigenvalue of the component's
-block (the components of a stack of graphs of order up to
+block (the components of a stack of two or more graphs of order up to
 ``_CLOSURE_MAX_ORDER`` come from one reachability closure of their
-matrices, a larger graph's from a bit walk): from ``eigvalsh`` for a
+matrices, a single or larger graph's from a bit walk): from ``eigvalsh`` for a
 small block, and from Lanczos with
 ``eigvalsh`` as its fallback for a block of ``_KRYLOV_MIN_ORDER``
 vertices or more.  The Perron vector that evidences it is the converged
@@ -76,8 +76,9 @@ _KRYLOV_MIN_ORDER = 160
 # thread, the matrices unpacked for both) the closure took 0.43-0.67 ms
 # a slice against 0.98-1.03 ms for the walk at n = 32, as long at n = 40
 # and longer from n = 48 on; the order-7 census took 0.50 ms against
-# 2.1 ms.  A single graph pays the closure's fixed numpy calls (about
-# 25 us against 4 us at n = 8).
+# 2.1 ms.  A single graph keeps the walk at every order: the closure's
+# fixed numpy calls took 35-48 us against 7-21 us for the walk on one
+# graph at n = 8, 16 and 32.
 _CLOSURE_MAX_ORDER = 32
 # Lanczos steps allowed per block before it falls back to ``eigvalsh``.
 # Over seeds 1-20 of G(n, p) with (n, p) from (160, 0.5) to (400, 0.05)
@@ -162,8 +163,11 @@ def _closure_labels(mats: np.ndarray) -> np.ndarray:
 
 def _walk_groups(n: int, rows_list: Sequence[Sequence[int]]) -> dict[int, tuple[np.ndarray, np.ndarray]]:
     """``_component_groups`` of the graphs of order n given by their bit
-    rows, from one bit walk per graph (``row_component_masks``), which
+    rows, as a sequence or as a ``stack_rows`` array (walked as Python
+    ints), from one bit walk per graph (``row_component_masks``), which
     meets the blocks in walk order."""
+    if isinstance(rows_list, np.ndarray):
+        rows_list = rows_list.tolist()
     groups: dict[int, tuple[list[int], list[int]]] = {}
     for i, rows in enumerate(rows_list):
         for mask in row_component_masks(n, rows):
@@ -203,12 +207,13 @@ def _solve_components(n: int, rows_list: Sequence[Sequence[int]], alpha: float, 
     of every graph of order n given by its bit rows, one ``_BlockSolve``
     per block size.
 
-    The blocks are grouped by size, (owner, vertices) in walk order: up
-    to order ``_CLOSURE_MAX_ORDER`` by ``_component_groups`` from the
-    reachability closure of the whole stack of 0/1 matrices
-    (``_closure_labels``), which are unpacked once for it and for the
-    blocks; above it by one bit walk per graph (``_walk_groups``), as a
-    closure's squarings cost n**3 log n a graph.
+    The blocks are grouped by size, (owner, vertices) in walk order: for
+    two or more graphs up to order ``_CLOSURE_MAX_ORDER`` by
+    ``_component_groups`` from the reachability closure of the whole
+    stack of 0/1 matrices (``_closure_labels``), which are unpacked once
+    for it and for the blocks; for one graph, or above that order, by one
+    bit walk per graph (``_walk_groups``), as a closure's squarings cost
+    n**3 log n a graph and its fixed numpy calls outweigh one walk.
     The blocks of one size are gathered from the stacked alpha * D + A by
     one fancy index (whole connected graphs are taken as they are) and
     solved by ``_top_eigenpairs`` as one stack, which gives the same
@@ -219,7 +224,7 @@ def _solve_components(n: int, rows_list: Sequence[Sequence[int]], alpha: float, 
     """
     if n < 2:  # no block of two vertices
         return []
-    if n <= _CLOSURE_MAX_ORDER:
+    if len(rows_list) > 1 and n <= _CLOSURE_MAX_ORDER:
         mats = bit_matrices(n, rows_list)
         groups = _component_groups(_closure_labels(mats))
     else:

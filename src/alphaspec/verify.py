@@ -41,8 +41,9 @@ DEFAULT_REPORT_TOL = 1e-9
 # searches are refused before any candidate is generated.
 FAMILY_MAX_CANDIDATES = 2_000_000
 # Candidate-table rows solved as one batch, so each cell array and
-# secular-term array of a batch stays below a megabyte (at most 16 cells
-# a row under the cap).
+# secular-term array of a batch stays below a megabyte (at most 11 cells
+# a row under the cap: 4,096 rows of 11 float (size, count) pairs take
+# 704 KB).
 FAMILY_CHUNK_ROWS = 1 << 12
 # Matrix entries (graphs times n**2) of one exhaustive-scan slice: its
 # stacked matrices take 512 KB of float64, 1,024 graphs of order 8.
@@ -299,22 +300,24 @@ def _check_cap(n: int, beta: int) -> None:
 class _CandidateTable:
     """Every candidate of one search as a row, in candidate order.
 
-    Row i has core size ``core[i]`` and ``parts[i]`` parts of size 3 or
-    more, held as cells: ``count[i, j]`` parts of size 2 * ``half[i, j]``
-    + 1.  The cells are right-aligned with halves ascending, so the last
-    column holds the largest part; the columns left of the row's cells
-    are empty (half 0, count 0).  A partition of beta has at most W
-    distinct halves, W(W + 1)/2 <= beta, which is the table's width.  The
-    q - parts[i] parts of size 1 (q = n + s - 2*beta) are left out.
-    Within one core size the rows are the partitions of beta - s into at
-    most q parts, in decreasing lexicographic order of their nonincreasing
-    halves.
+    Block s, rows ``start[s]`` to ``start[s + 1]``, holds the candidates
+    with core size s: the partitions of beta - s into at most q = n + s -
+    2*beta parts (their halves), in decreasing lexicographic order of
+    their nonincreasing halves.  Row i is W + 1 cells of ``cells``, each
+    a uint8 (size, count) pair.  Cell 0 is (1, the row's number of parts
+    of size 3 or more); the q minus that many parts of size 1 can exceed
+    a uint8, so each batch counts them from the core size.  Cells 1 to W
+    hold the parts of size 3 or more: ``count`` parts of odd ``size``,
+    right-aligned with sizes ascending, so the last column holds the
+    largest part, and the columns left of the row's cells are empty
+    (size 1, count 0).  A partition of beta has at most W distinct
+    halves, W(W + 1)/2 <= beta, so a row takes 2W + 2 bytes.  The cap
+    bounds beta by 63 (``family_count(129, 64)`` exceeds it), so sizes
+    up to 127, counts and part counts fit a uint8.
     """
 
-    half: np.ndarray
-    count: np.ndarray
-    core: np.ndarray
-    parts: np.ndarray
+    cells: np.ndarray
+    start: list[int]
 
 
 def _candidate_table(n: int, beta: int) -> _CandidateTable:
@@ -323,73 +326,96 @@ def _candidate_table(n: int, beta: int) -> _CandidateTable:
     Block s holds the partitions of t = beta - s.  Those with largest
     half v are v prepended to the partitions of t - v with largest half
     at most v, which are a suffix of block s + v (rows are in decreasing
-    lexicographic order), so each block is built from slices of blocks
+    lexicographic order), so each block is built from rows of blocks
     already built, smallest t first.  Within that suffix the rows whose
     largest half is v come first: each takes one more part in its last
     cell, and every later row shifts its cells one column left and ends
-    with the new cell (v, 1).  Block s + v keeps every partition with at
-    most q + v parts, which covers the q - 1 that block s needs.  The cap
-    bounds beta by 129 (p(65) > ``FAMILY_MAX_CANDIDATES``), so halves,
-    counts and part counts fit a uint8.
+    with the new cell (2v + 1, 1).  Block s + v keeps every partition
+    with at most q + v parts, which covers the q - 1 that block s needs.
+
+    A block is one gather whatever the number of its pieces (t, one per
+    largest half v).  The table is one buffer of 2-byte cells with a
+    spare cell at its end, read through overlapping windows of W cells
+    that start at every cell: cells 1 to W of a source row are the window
+    at its cell 1, and its row shifted one column left is the window one
+    cell on, whose last cell (the next row's cell 0, or the spare cell)
+    the new cell overwrites.
     """
-    counts = list(_core_counts(n, beta))[::-1]
-    start = np.concatenate(([0], np.cumsum(counts))).tolist()
-    width = (isqrt(8 * beta + 1) - 1) // 2
-    half = np.zeros((start[-1], width), dtype=np.uint8)
-    count = np.zeros((start[-1], width), dtype=np.uint8)
-    parts = np.zeros(start[-1], dtype=np.uint8)
+    start = np.concatenate(([0], np.cumsum(list(_core_counts(n, beta))[::-1]))).tolist()
+    rows, width = start[-1], (isqrt(8 * beta + 1) - 1) // 2
+    buffer = np.ones(rows * (width + 1) + 1, dtype="<u2").view(np.uint8)  # every cell (1, 0)
+    cells = buffer[:-2].reshape(rows, width + 1, 2)
+    table = _CandidateTable(cells, start)
+    if beta == 0:  # the one row is the empty partition
+        return table
+    # a row's cells 1..W as one item, and the window of W cells at each cell
+    item = np.dtype((np.void, 2 * width))
+    body = np.ndarray((rows,), item, buffer, offset=2, strides=(2 * width + 2,))
+    windows = np.ndarray(((rows - 1) * (width + 1) + 3,), item, buffer, strides=(2,))
+    last = buffer[:-2].view("<u2").reshape(rows, width + 1)[:, -1]  # size + 256 * count
+    parts = cells[:, 0, 1]
     # tails[t][v]: the first row of block beta - t whose largest half is
     # at most v, relative to the block (for v = 0 the block's end unless
     # t = 0, whose one row is the empty partition)
     tails: list[list[int]] = [[0]]
     for t in range(1, beta + 1):
         s = beta - t
-        limit = n + s - 2 * beta
-        row = start[s]
-        tail = [0] * (t + 1)
+        # each piece v = t..1 as two runs of source rows: those whose
+        # largest half is v, whose last cell counts one more part (new
+        # size 0), then the rest, shifted, with the new cell of size 2v + 1
+        runs, size = [], []
         for v in range(t, 0, -1):
-            tail[v] = row - start[s]
             base, tail_v = start[s + v], tails[t - v]
-            lo, hi = base + tail_v[min(v, t - v)], start[s + v + 1]
-            sub_half, sub_count, sub_parts = half[lo:hi], count[lo:hi], parts[lo:hi]
-            same = tail_v[min(v - 1, t - v)] - (lo - base)  # rows whose largest half is v
-            if limit <= t:  # else no partition of t has too many parts
-                keep = sub_parts < limit
-                same = int(np.count_nonzero(keep[:same]))
-                sub_half, sub_count, sub_parts = sub_half[keep], sub_count[keep], sub_parts[keep]
-            mid, end = row + same, row + len(sub_parts)
-            half[row:mid] = sub_half[:same]
-            count[row:mid] = sub_count[:same]
-            count[row:mid, -1] += 1
-            half[mid:end, :-1] = sub_half[same:, 1:]
-            count[mid:end, :-1] = sub_count[same:, 1:]
-            half[mid:end, -1] = v
-            count[mid:end, -1] = 1
-            parts[row:end] = sub_parts + 1
-            row = end
-        tail[0] = row - start[s]
-        tails.append(tail)
-    core = np.repeat(np.arange(beta + 1, dtype=np.uint8), counts)
-    return _CandidateTable(half, count, core, parts)
+            lo, mid = base + tail_v[min(v, t - v)], base + tail_v[min(v - 1, t - v)]
+            runs += ((lo, mid), (mid, start[s + v + 1]))
+            size += (0, 2 * v + 1)
+        first, stop = np.array(runs).T
+        length = stop - first
+        offset = np.cumsum(length) - length  # of each run among the candidates
+        limit = n + s - 2 * beta
+        if limit <= t:  # else no partition of t has too many parts
+            # the candidates' keep mask from byte slices, so only the
+            # kept rows take an index
+            keep = np.concatenate([parts[lo:hi] for lo, hi in runs]) < limit
+            src = np.flatnonzero(keep)
+            length[length > 0] = np.add.reduceat(keep, offset[length > 0], dtype=np.intp)
+        else:
+            src = np.arange(offset[-1] + length[-1])
+        src += np.repeat(first - offset, length)  # candidate to source row
+        src_parts = parts[src]
+        row, end = start[s], start[s + 1]
+        new = np.repeat(np.array(size, dtype=np.uint16), length)
+        shifted = new > 0
+        src *= width + 1  # the window at the row's cell 1, or one cell on
+        src += shifted
+        src += 1
+        body[row:end] = windows[src]
+        np.copyto(last[row:end], new, where=shifted)
+        last[row:end] += 256
+        np.add(src_parts, 1, out=parts[row:end])
+        tails.append([0, *np.cumsum(length[0::2] + length[1::2]).tolist()][::-1])
+    return table
 
 
 def _candidate_batches(n: int, beta: int) -> Iterator[FamilyBatch]:
     """The candidates of the search as batches, in candidate order.
 
     The table is read ``FAMILY_CHUNK_ROWS`` rows at a time and each chunk
-    is one batch: cell 0 holds the parts of size 1 and the table's cells
-    follow.  An empty cell (half 0, count 0) has size 1, so its secular
-    term w_p / (lam - d_p) is exactly 0 and its 2 x 2 start value is the
-    core diagonal c, no larger than any nonempty cell's: each row's
-    radius is the float it has without the empty cells.
+    is one batch: its cells cast to float in one pass, with cell 0's part
+    count replaced by the parts of size 1, q minus it, so the batch's
+    sizes and counts are the two halves of that one array.  An empty
+    cell (size 1, count 0) has the secular term w_p / (lam - d_p)
+    exactly 0 and its 2 x 2 start value is the core diagonal c, no
+    larger than any nonempty cell's: each row's radius is the float it
+    has without the empty cells.
     """
     table = _candidate_table(n, beta)
-    for first in range(0, len(table.core), FAMILY_CHUNK_ROWS):
-        chunk = slice(first, first + FAMILY_CHUNK_ROWS)
-        core = table.core[chunk].astype(float)
-        ones = core + (n - 2 * beta) - table.parts[chunk]
-        counts = np.column_stack((ones, table.count[chunk]))
-        sizes = np.column_stack((np.ones_like(ones), 2.0 * table.half[chunk] + 1))
+    bounds = np.array(table.start)
+    for first in range(0, len(table.cells), FAMILY_CHUNK_ROWS):
+        cells = table.cells[first : first + FAMILY_CHUNK_ROWS].astype(float)
+        core = np.repeat(np.arange(beta + 1.0), np.diff(bounds.clip(first, first + len(cells))))
+        sizes, counts = cells[:, :, 0], cells[:, :, 1]
+        np.subtract(core + (n - 2 * beta), counts[:, 0], out=counts[:, 0])
         yield FamilyBatch(core, sizes, counts)
 
 

@@ -9,7 +9,8 @@ the blossom search with the O(n) contraction it had before, against
 which the matchings are compared.  The oracles
 re-derive a value by a slower, independent route (a whole-matrix
 ``eigvalsh``, one ``eigh`` per component, the component blocks of a
-batch by one bit walk per graph, an exhaustive edge-subset
+batch by one bit walk per graph, the family search's candidate table
+by one slice copy per piece, an exhaustive edge-subset
 search, an exhaustive vertex-subset deficiency scan, every neighbourhood
 of a census parent, every ordering within the color classes for the
 canonical graph, the refinement colors of one graph by sorted tuples,
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 from collections import deque
 from itertools import permutations, product
-from math import sqrt
+from math import isqrt, sqrt
 
 import numpy as np
 
@@ -37,6 +38,7 @@ from alphaspec.graphs import Graph, _bits, complete_graph, empty_graph, from_edg
 from alphaspec.matching import _match
 from alphaspec.spectral import SpectralResult, alpha_matrices
 from alphaspec.spectral import _check_alpha
+from alphaspec.verify import _core_counts
 
 ORACLE_ORDER_CAP = 64
 ORACLE_EDGE_CAP = 24
@@ -449,6 +451,61 @@ def tutte_berge_witness_oracle(g) -> TutteBergeWitness:
     q = n + s - 2 * beta
     assert q == odd, "deficiency bookkeeping out of sync"
     return TutteBergeWitness(vertices, s, odd, beta, q)
+
+
+def candidate_table_by_pieces(n: int, beta: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The candidate table of the family search for (n, beta) as uint8
+    (half, count, core, parts) arrays, built one (t, v) piece at a time
+    by slice copies: row i has core size ``core[i]`` and ``parts[i]``
+    parts of size 3 or more, ``count[i, j]`` of size 2 * ``half[i, j]``
+    + 1, right-aligned with halves ascending in W columns (half 0, count
+    0 where empty).
+
+    Block s holds the partitions of t = beta - s in decreasing
+    lexicographic order; those with largest half v are v prepended to a
+    suffix of block s + v, whose rows with largest half v take one more
+    part in their last cell while every later row shifts one column left
+    and ends with (v, 1).  Where q = n + s - 2*beta <= t the source rows
+    with q parts or more are dropped.
+    """
+    counts = list(_core_counts(n, beta))[::-1]
+    start = np.concatenate(([0], np.cumsum(counts))).tolist()
+    width = (isqrt(8 * beta + 1) - 1) // 2
+    half = np.zeros((start[-1], width), dtype=np.uint8)
+    count = np.zeros((start[-1], width), dtype=np.uint8)
+    parts = np.zeros(start[-1], dtype=np.uint8)
+    # tails[t][v]: the first row of block beta - t whose largest half is
+    # at most v, relative to the block (v = 0: the block's end)
+    tails: list[list[int]] = [[0]]
+    for t in range(1, beta + 1):
+        s = beta - t
+        limit = n + s - 2 * beta
+        row = start[s]
+        tail = [0] * (t + 1)
+        for v in range(t, 0, -1):
+            tail[v] = row - start[s]
+            base, tail_v = start[s + v], tails[t - v]
+            lo, hi = base + tail_v[min(v, t - v)], start[s + v + 1]
+            sub_half, sub_count, sub_parts = half[lo:hi], count[lo:hi], parts[lo:hi]
+            same = tail_v[min(v - 1, t - v)] - (lo - base)  # rows whose largest half is v
+            if limit <= t:
+                keep = sub_parts < limit
+                same = int(np.count_nonzero(keep[:same]))
+                sub_half, sub_count, sub_parts = sub_half[keep], sub_count[keep], sub_parts[keep]
+            mid, end = row + same, row + len(sub_parts)
+            half[row:mid] = sub_half[:same]
+            count[row:mid] = sub_count[:same]
+            count[row:mid, -1] += 1
+            half[mid:end, :-1] = sub_half[same:, 1:]
+            count[mid:end, :-1] = sub_count[same:, 1:]
+            half[mid:end, -1] = v
+            count[mid:end, -1] = 1
+            parts[row:end] = sub_parts + 1
+            row = end
+        tail[0] = row - start[s]
+        tails.append(tail)
+    core = np.repeat(np.arange(beta + 1, dtype=np.uint8), counts)
+    return half, count, core, parts
 
 
 def split_graph_coefficients(n: int, beta: int, alpha):

@@ -328,6 +328,25 @@ class TestComponentGroups:
         assert_same_groups(solved_groups(n, rows_list), want)
         assert_same_groups(solved_groups(n, stack_rows(n, rows_list)), want)
 
+    @pytest.mark.parametrize("n", [2, 8, 16, 17, 32])
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 2.0])
+    def test_one_graph_takes_the_walk(self, n, alpha, monkeypatch):
+        # a batch of one, as bit rows or as a word array, is grouped by
+        # the walk and gets the radius it has in a closure batch, bit for bit
+        rng = random.Random(n)
+        graphs = [threshold_graph(rng, n, shape) for shape in ("cliques", "path", "sparse", "dense")]
+        batched = spectral_radii(n, [g.rows for g in graphs], alpha)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a batch of one must not take the closure")
+
+        monkeypatch.setattr(spectral, "_closure_labels", refuse)
+        for g, rho in zip(graphs, batched.tolist()):
+            assert spectral_radii(n, [g.rows], alpha)[0].hex() == rho.hex()
+            assert spectral_radii(n, stack_rows(n, [g.rows]), alpha)[0].hex() == rho.hex()
+            assert spectral_radius(g, alpha).rho.hex() == rho.hex()
+            assert_same_groups(solved_groups(n, [g.rows]), component_groups_walk(n, [g.rows]))
+
 
 class TestBlockPick:
     """``spectral_radius`` reports the block of largest radius, the one with

@@ -50,6 +50,7 @@ from alphaspec.verify import (
 )
 from reference import (
     are_isomorphic,
+    candidate_table_by_pieces,
     case2_sample_check,
     cycle_graph,
     degree_sequence,
@@ -717,23 +718,65 @@ class TestFamilySearchAgainstLoop:
                 assert np.array_equal(radii, family_radius(padded, alpha)), (n, beta, alpha)
 
     def test_table_cells(self):
-        # one byte per cell half and count, W = 10 of each for beta = 58
-        # (1 + ... + 10 <= 58 < 1 + ... + 11), plus the core size and the
-        # part count
+        # one byte per cell size and count, W = 10 cells for beta = 58
+        # (1 + ... + 10 <= 58 < 1 + ... + 11) and cell 0, which holds the
+        # part count; the core sizes are the block bounds
         table = _candidate_table(123, 58)
-        assert table.half.shape == table.count.shape == (family_count(123, 58), 10)
-        width = table.half.shape[1]
-        size = table.half.nbytes + table.count.nbytes + table.core.nbytes + table.parts.nbytes
-        assert size <= (2 * width + 2) * len(table.core)
+        assert table.cells.shape == (family_count(123, 58), 11, 2)
+        width = table.cells.shape[1] - 1
+        assert table.cells.base.nbytes <= (2 * width + 2) * len(table.cells) + 2  # and one spare cell
+        assert len(table.start) == 58 + 2
 
     @pytest.mark.parametrize("n", [1, 2, 7])
     def test_no_matching_edge(self, n):
         # beta = 0: one row, n parts of size 1
         table = _candidate_table(n, 0)
-        assert len(table.core) == 1 and table.half.shape == (1, 0)
+        assert table.cells.tolist() == [[[1, 0]]] and table.start == [0, 1]
         (batch,) = _candidate_batches(n, 0)
         assert batch.counts.tolist() == [[n]] and batch.sizes.tolist() == [[1]]
         assert list(candidate_families(n, 0)) == [JoinFamily(0, ((1, n),))]
+
+
+class TestCandidateTableAgainstPieces:
+    """The table equals ``reference.candidate_table_by_pieces``, the
+    builder with one slice copy per (t, v) piece, cell for cell."""
+
+    @staticmethod
+    def check(n, beta):
+        half, count, core, parts = candidate_table_by_pieces(n, beta)
+        table = _candidate_table(n, beta)
+        assert table.cells.dtype == np.uint8
+        assert np.array_equal(table.cells[:, 1:, 0], 2 * half.astype(int) + 1), (n, beta)
+        assert np.array_equal(table.cells[:, 1:, 1], count), (n, beta)
+        assert np.array_equal(table.cells[:, 0, 0], np.ones(len(core))), (n, beta)
+        assert np.array_equal(table.cells[:, 0, 1], parts), (n, beta)
+        assert np.array_equal(np.repeat(np.arange(beta + 1), np.diff(table.start)), core), (n, beta)
+
+    def test_every_pair_to_order_40(self):
+        # every block cut by the part-count limit q = n + s - 2*beta <= t
+        for n in range(1, 41):
+            for beta in range(0, (n - 1) // 2 + 1):
+                self.check(n, beta)
+
+    @pytest.mark.parametrize("n, beta", [(64, 24), (80, 30), (104, 41), (120, 50), (123, 58)])
+    def test_large_searches(self, n, beta):
+        self.check(n, beta)
+
+    @pytest.mark.parametrize("n, beta", [(64, 24), (21, 7), (23, 7), (1, 0), (5, 0)])
+    def test_batches_read_the_cells(self, n, beta):
+        # the batch is the table's cells with cell 0 counting the q minus
+        # parts parts of size 1, and the row's core size
+        half, count, core, parts = candidate_table_by_pieces(n, beta)
+        ones = core.astype(int) + (n - 2 * beta) - parts
+        offset = 0
+        for batch in _candidate_batches(n, beta):
+            rows = slice(offset, offset + len(batch.s))
+            assert batch.s.dtype == batch.sizes.dtype == batch.counts.dtype == np.float64
+            assert np.array_equal(batch.s, core[rows])
+            assert np.array_equal(batch.sizes, np.column_stack((np.ones(len(batch.s)), 2.0 * half[rows] + 1)))
+            assert np.array_equal(batch.counts, np.column_stack((ones[rows], count[rows])))
+            offset += len(batch.s)
+        assert offset == len(core)
 
 
 class TestCandidateTableAgainstCensus:
