@@ -29,6 +29,7 @@ from .spectral import (
     FamilyBatch,
     JoinFamily,
     SpectralResult,
+    as_fraction,
     family_radius,
     one_clique_family,
     spectral_radii,
@@ -45,7 +46,6 @@ from .theorem import (
     ODD_CLIQUE_PLUS_ISOLATES,
     THRESHOLD,
     RegimeVerdict,
-    as_fraction,
     case2_applicable,
     classify_regime,
     threshold_n_star,

@@ -28,7 +28,7 @@ from fractions import Fraction
 from .enumeration import BUILTIN_ORDER_CAP, resolve_jobs
 from .graphs import Graph, parse_edge_list, parse_graph6
 from .matching import matching_number, tutte_berge_witness
-from .spectral import DEFAULT_TOL, spectral_radius
+from .spectral import DEFAULT_TOL, as_fraction, spectral_radius
 from .theorem import EXTREMAL_GRAPHS, classify_regime
 from .verify import (
     DEFAULT_REPORT_TOL,
@@ -50,9 +50,8 @@ def sig12(value: float) -> str:
     return format(value, "#.12g")
 
 
-# The radius and the bounds are evaluated in floating point, and the
-# sampled-region test squares 1 + alpha, which overflows near 1.3e154.
-# A bound past the threshold also needs (alpha + 1) * n of at most
+# The radius and the bounds are evaluated in floating point: a bound
+# past the threshold needs (alpha + 1) * n of at most
 # spectral.SECULAR_ORDER_LIMIT (2e154), or it exits 2.
 ALPHA_MAX = 10**150
 
@@ -62,8 +61,10 @@ def _alpha_arg(text: str) -> Fraction:
         value = Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"invalid alpha {text!r}: use a decimal or p/q")
-    if value < 0:
-        raise argparse.ArgumentTypeError("alpha must be nonnegative")
+    try:
+        value = as_fraction(value)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
     if value > ALPHA_MAX:
         raise argparse.ArgumentTypeError(f"alpha {text!r} is too large: at most {ALPHA_MAX:.0e} is supported")
     return value
@@ -188,7 +189,7 @@ def _write(fmt: str, records: list[dict], human: list[str], fields: tuple[str, .
 
 def cmd_rho(args) -> int:
     g = _load_graph(args)
-    result = spectral_radius(g, float(args.alpha), tol=args.tol)
+    result = spectral_radius(g, args.alpha, tol=args.tol)
     record = {
         "n": g.n,
         "alpha": str(args.alpha),

@@ -357,8 +357,6 @@ def parse_graph6(text: str | bytes) -> Graph:
     nbytes = (m + 5) // 6
     if len(data) - pos != nbytes:
         raise Graph6Error(f"payload length {len(data) - pos} != expected {nbytes} for n={n}", skip + pos)
-    if n < 2:
-        return empty_graph(n)
     # The padding, under 6 bits, sits at the bottom of the last byte.
     if (data[-1] - 63) & ((1 << (6 * nbytes - m)) - 1):
         raise Graph6Error("nonzero padding bit", skip + len(data) - 1)

@@ -4,13 +4,15 @@ For a graph G and alpha >= 0 the matrix of interest is
 ``alpha * D(G) + A(G)`` with D the degree diagonal and A the adjacency
 matrix; its largest eigenvalue is the alpha-spectral radius rho.  At
 alpha = 0 this is the adjacency spectral radius, at alpha = 1 the
-signless Laplacian spectral radius.  A graph's rho is the largest over
-its connected components of the top eigenvalue of the component's
-block (the components of a stack of two or more graphs of order up to
-``_CLOSURE_MAX_ORDER`` come from one reachability closure of their
-matrices, a single or larger graph's from a bit walk): from ``eigvalsh`` for a
-small block, and from Lanczos with
-``eigvalsh`` as its fallback for a block of ``_KRYLOV_MIN_ORDER``
+signless Laplacian spectral radius.  ``as_fraction`` is the package's
+one check of an alpha, and the numerics take its float once per call.
+
+A graph's rho is the largest over its connected components of the top
+eigenvalue of the component's block (the components of a stack of two
+or more graphs of order up to ``_CLOSURE_MAX_ORDER`` come from one
+reachability closure of their matrices, a single or larger graph's
+from a bit walk): from ``eigvalsh`` for a small block, and from Lanczos
+with ``eigvalsh`` as its fallback for a block of ``_KRYLOV_MIN_ORDER``
 vertices or more.  The Perron vector that evidences it is the converged
 Ritz vector of a Lanczos block where that vector is positive and its
 residual within the tolerance; every other block's comes from shifted
@@ -35,7 +37,9 @@ module.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import groupby
 from typing import Sequence
 
@@ -114,10 +118,27 @@ class SpectralResult:
     residual: float
 
 
-def alpha_matrices(n: int, rows_list: Sequence[Sequence[int]], alpha: float) -> np.ndarray:
+def as_fraction(alpha) -> Fraction:
+    """alpha as an exact Fraction, the one check of an alpha: an int, a
+    Fraction or a "p/q" or decimal string as it stands, any other real (a
+    float, a numpy scalar) by its binary-exact value, so
+    ``float(as_fraction(x)) == float(x)``.  A negative, NaN or infinite
+    alpha raises ValueError."""
+    if isinstance(alpha, numbers.Real) and not isinstance(alpha, numbers.Rational):
+        alpha = float(alpha)  # Fraction takes no np.float32
+        if not math.isfinite(alpha):
+            raise ValueError(f"alpha must be finite, got {alpha}")
+    value = Fraction(alpha)
+    if value < 0:
+        raise ValueError(f"alpha must be nonnegative, got {alpha}")
+    return value
+
+
+def alpha_matrices(n: int, rows_list: Sequence[Sequence[int]], alpha) -> np.ndarray:
     """alpha * D + A of m graphs of order n given by their bit rows, as one
     (m, n, n) float array."""
-    return _weighted(bit_matrices(n, rows_list), _check_alpha(alpha))
+    alpha = float(as_fraction(alpha))
+    return _weighted(bit_matrices(n, rows_list), alpha)
 
 
 def _weighted(mats: np.ndarray, alpha: float) -> np.ndarray:
@@ -382,9 +403,7 @@ def _residuals(blocks: np.ndarray, rho: np.ndarray, x: np.ndarray) -> np.ndarray
     return np.max(np.abs((blocks @ x[..., None])[..., 0] - rho[:, None] * x), axis=1)
 
 
-def spectral_radii(
-    n: int, rows_list: Sequence[Sequence[int]], alpha: float, tol: float = DEFAULT_TOL
-) -> np.ndarray:
+def spectral_radii(n: int, rows_list: Sequence[Sequence[int]], alpha, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Largest eigenvalue of alpha * D + A for each graph of order n given
     by its bit rows, as a sequence or as a ``stack_rows`` array (those of
     valid graphs, such as ``Graph.rows``; they are not checked again), by
@@ -396,7 +415,7 @@ def spectral_radii(
     unpacked once; the caller bounds it (the exhaustive scan passes
     slices of ``verify.RADII_BATCH_ENTRIES`` entries).
     """
-    alpha = _check_alpha(alpha)
+    alpha = float(as_fraction(alpha))
     _check_tol(tol)
     radii = np.zeros(len(rows_list))
     for b in _solve_components(n, rows_list, alpha, tol):
@@ -404,7 +423,7 @@ def spectral_radii(
     return radii
 
 
-def spectral_radius(g: Graph, alpha: float, tol: float = DEFAULT_TOL) -> SpectralResult:
+def spectral_radius(g: Graph, alpha, tol: float = DEFAULT_TOL) -> SpectralResult:
     """Largest eigenvalue of alpha * D + A with its Perron vector.
 
     The batch of one of ``spectral_radii``: the top eigenvalue of each
@@ -418,7 +437,7 @@ def spectral_radius(g: Graph, alpha: float, tol: float = DEFAULT_TOL) -> Spectra
     radius is at least 1: only an edgeless graph has no block, and its
     first vertex is reported with radius 0.
     """
-    alpha = _check_alpha(alpha)
+    alpha = float(as_fraction(alpha))
     _check_tol(tol)
     if g.n == 0:
         return SpectralResult(0.0, None, (), 0.0)
@@ -552,7 +571,7 @@ class FamilyBatch:
         return JoinFamily(int(self.s[i]), tuple((int(p), int(count)) for p, count in cells if count))
 
 
-def family_radius(family: JoinFamily | FamilyBatch, alpha: float):
+def family_radius(family: JoinFamily | FamilyBatch, alpha):
     """Radius of the family graph.  A clique-shaped row, one with s = 0
     (disjoint cliques) or with one part (K_s v K_p = K_{s+p}), has the
     clique radius (alpha+1)(s + p_max - 1); every other row is the secular
@@ -561,7 +580,7 @@ def family_radius(family: JoinFamily | FamilyBatch, alpha: float):
     float whichever batch it is solved in."""
     if isinstance(family, JoinFamily):
         return float(family_radius(FamilyBatch.of(family), alpha)[0])
-    alpha = _check_alpha(alpha)
+    alpha = float(as_fraction(alpha))
     radii = (alpha + 1) * (family.s + family.sizes[:, -1] - 1)
     secular = (family.s >= 1) & (family.counts.sum(axis=1) > 1)
     if secular.any():
@@ -627,11 +646,3 @@ def _secular_roots(c: np.ndarray, d: np.ndarray, w: np.ndarray) -> np.ndarray:
 def _check_tol(tol: float) -> None:
     if not 0 < tol < np.inf:
         raise ValueError(f"tolerance must be positive and finite, got {tol}")
-
-
-def _check_alpha(alpha) -> float:
-    value = float(alpha)
-    if value < 0:
-        raise ValueError(f"alpha must be nonnegative, got {alpha}")
-    return value
-

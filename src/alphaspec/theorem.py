@@ -25,9 +25,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import sqrt
 
-from .spectral import JoinFamily, family_radius, one_clique_family
+from .spectral import JoinFamily, as_fraction, family_radius, one_clique_family
 
 FULL = "FULL"
 BELOW = "BELOW"
@@ -50,19 +49,6 @@ EXTREMAL_GRAPHS = {
     COMPLETE_SPLIT: ("K_b joined to an independent set", lambda n, beta: one_clique_family(n, beta, beta)),
     EMPTY_GRAPH: ("edgeless graph", lambda n, beta: one_clique_family(n, beta, 0)),
 }
-
-# below this alpha the tight region sampled by the tests
-# (test_sampled_positivity_region) is empty
-CASE2_ALPHA_CUTOFF = (sqrt(5.0) - 1.0) / 2.0
-
-
-def as_fraction(alpha) -> Fraction:
-    """Exact rational view of alpha; accepts "p/q" strings, ints, floats
-    (binary-exact), and Fractions."""
-    value = Fraction(alpha)
-    if value < 0:
-        raise ValueError(f"alpha must be nonnegative, got {alpha}")
-    return value
 
 
 @dataclass(frozen=True)
@@ -91,7 +77,7 @@ class RegimeVerdict:
 
     def __post_init__(self):
         families = self.extremal_families if self.n else ()
-        rho = max((family_radius(family, float(self.alpha)) for family in families), default=0.0)
+        rho = max((family_radius(family, self.alpha) for family in families), default=0.0)
         object.__setattr__(self, "predicted_rho", rho)
 
     @property
@@ -136,31 +122,30 @@ def classify_regime(n: int, beta: int, alpha) -> RegimeVerdict:
     if Fraction(n) == n_star:
         return RegimeVerdict(n, beta, a, THRESHOLD, n_star, (COMPLETE_SPLIT, ODD_CLIQUE_PLUS_ISOLATES))
     return RegimeVerdict(
-        n, beta, a, ABOVE, n_star, (COMPLETE_SPLIT,), sampled_region=case2_applicable(beta, float(a), 1, n)
+        n, beta, a, ABOVE, n_star, (COMPLETE_SPLIT,), sampled_region=case2_applicable(beta, a, 1, n)
     )
 
 
 # -- sampled positivity region ------------------------------------------
 
 
-def case2_region_bounds(beta: int, alpha: float, s: int) -> tuple[float, float]:
-    """Open interval of n values in the tight region for this (beta, s)."""
-    low = float(threshold_n_star(beta, alpha))
-    high = (alpha + 2.0) * beta - (alpha + 1.0) * s + 1.0
-    return low, high
+def case2_region_bounds(beta: int, alpha, s: int) -> tuple[Fraction, Fraction]:
+    """Open interval of n values in the tight region for this (beta, s),
+    exactly: from the threshold n* to (alpha + 2) * beta - (alpha + 1) * s + 1."""
+    a = as_fraction(alpha)
+    return threshold_n_star(beta, a), (a + 2) * beta - (a + 1) * s + 1
 
 
-def case2_applicable(beta: int, alpha: float, s: int, n: int) -> bool:
+def case2_applicable(beta: int, alpha, s: int, n: int) -> bool:
     """Membership in the region where the probe-point positivity of the
-    cubic is established by sampling: alpha past the cutoff, s below its
-    cap, and n strictly between the threshold and the tight upper bound."""
-    if alpha <= CASE2_ALPHA_CUTOFF:
-        return False
-    if s < 1:
-        return False
-    s_cap = (alpha * alpha + alpha - 1.0) * beta / ((1.0 + alpha) ** 2)
-    if s > s_cap:
-        return False
-    low, high = case2_region_bounds(beta, alpha, s)
-    return low < n < high
+    cubic is established by sampling: s >= 1 and n strictly inside
+    ``case2_region_bounds``, in exact arithmetic.
 
+    The interval's length times alpha + 1 is
+    (alpha**2 + alpha - 1) * beta - (alpha + 1)**2 * s - 1, so it is
+    empty unless s is below its cap (alpha**2 + alpha - 1) * beta /
+    (alpha + 1)**2, which is positive only for alpha**2 + alpha - 1 > 0,
+    alpha past (sqrt(5) - 1) / 2.
+    """
+    low, high = case2_region_bounds(beta, alpha, s)
+    return s >= 1 and low < n < high

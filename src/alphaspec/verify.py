@@ -121,7 +121,7 @@ class _Scan:
     rho: np.ndarray
 
 
-def _scan_chunk(rows: np.ndarray, n: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+def _scan_chunk(rows: np.ndarray, n: int, alpha: Fraction) -> tuple[np.ndarray, np.ndarray]:
     """The matching numbers (one ``matching_numbers`` call, on the row
     words) and radii (one ``spectral_radii`` call, which unpacks the 0/1
     matrices once) of one slice of classes of order n, given as one
@@ -155,7 +155,7 @@ def _scan_order(n: int, alpha: Fraction, jobs: int = 1, source: str | None = Non
     rows = stack_rows(n, rows_list)
     step = max(1, RADII_BATCH_ENTRIES // max(1, n * n))
     slices = [rows[first : first + step] for first in range(0, len(rows), step)]
-    beta, rho = zip(*map_chunks(_scan_chunk, slices, jobs, n, float(alpha)))
+    beta, rho = zip(*map_chunks(_scan_chunk, slices, jobs, n, alpha))
     return _Scan(rows, np.concatenate(beta), np.concatenate(rho))
 
 
@@ -171,12 +171,11 @@ def _reports(scan: _Scan, verdicts: Sequence[RegimeVerdict], tol: float, start: 
     if not verdicts:
         return []
     n = verdicts[0].n
-    rows = stack_rows(n, scan.rows)
     observed, counts, batch = [], [], []
     for verdict in verdicts:
         hits = scan.beta == verdict.beta
         observed.append(float(scan.rho[hits].max()))
-        found = rows[hits & (scan.rho >= observed[-1] - 10.0 * tol)].tolist()
+        found = scan.rows[hits & (scan.rho >= observed[-1] - 10.0 * tol)].tolist()
         expected = [family.graph().rows for family in verdict.extremal_families]
         counts.append((len(found), len(expected)))
         batch += found + expected
@@ -443,12 +442,11 @@ def family_search(n: int, beta: int, alpha) -> FamilySearchResult:
     a one-family-at-a-time scan.
     """
     a = as_fraction(alpha)
-    af = float(a)
     _check_cap(n, beta)
     best_rho, best = -inf, None
     scanned = 0
     for batch in _candidate_batches(n, beta):
-        radii = family_radius(batch, af)
+        radii = family_radius(batch, a)
         i = int(np.argmax(radii))
         if radii[i] > best_rho:
             best_rho, best = float(radii[i]), batch.family(i)

@@ -37,7 +37,6 @@ from alphaspec.enumeration import _canonical_forms, _half_edges, canonical_graph
 from alphaspec.graphs import Graph, _bits, complete_graph, empty_graph, from_edges, join, row_component_masks
 from alphaspec.matching import _match
 from alphaspec.spectral import SpectralResult, alpha_matrices
-from alphaspec.spectral import _check_alpha
 from alphaspec.verify import _core_counts
 
 ORACLE_ORDER_CAP = 64
@@ -195,7 +194,7 @@ def shift_monotonicity_check(family, alpha) -> bool:
 def spectral_radius_oracle(g, alpha: float) -> float:
     """Radius of the whole matrix by ``eigvalsh``, without the component
     split, the Perron vector or the residual check."""
-    alpha = _check_alpha(alpha)
+    alpha = float(as_fraction(alpha))
     if g.n > ORACLE_ORDER_CAP:
         raise ValueError(f"oracle supports at most {ORACLE_ORDER_CAP} vertices, got {g.n}")
     if g.n == 0:
@@ -523,7 +522,7 @@ def split_graph_coefficients(n: int, beta: int, alpha):
 
 def split_graph_quadratic(lam: float, n: int, beta: int, alpha: float) -> float:
     """The complete-split quadratic lam^2 - B*lam + C at ``lam``."""
-    b, c = split_graph_coefficients(n, beta, _check_alpha(alpha))
+    b, c = split_graph_coefficients(n, beta, float(as_fraction(alpha)))
     return lam * lam - b * lam + c
 
 
@@ -532,7 +531,7 @@ def closed_form_complete_split(n: int, beta: int, alpha: float) -> float:
     B/2 + sqrt(B^2 - 4C)/2 of the complete-split quadratic."""
     if not n > beta >= 1:
         raise ValueError(f"need n > beta >= 1, got n={n}, beta={beta}")
-    b, c = split_graph_coefficients(n, beta, _check_alpha(alpha))
+    b, c = split_graph_coefficients(n, beta, float(as_fraction(alpha)))
     return 0.5 * b + 0.5 * sqrt(b * b - 4.0 * c)
 
 
@@ -547,7 +546,7 @@ def cubic_f(lam, n, beta, s, alpha: float):
     For s >= 1 it is (lam - d_1)(lam - d_2) h(lam) for the family's two
     cells, so its largest root is the family radius.
     """
-    alpha = _check_alpha(alpha)
+    alpha = float(as_fraction(alpha))
     t1 = lam - alpha * n - s + alpha + 1
     t2 = lam - alpha * s
     t3 = lam - 2.0 * (alpha + 1) * beta + (alpha + 2) * s
@@ -580,7 +579,7 @@ def shift_function_f(delta: float, lam: float, family: JoinFamily, alpha: float)
     vanish inside the window for small cores; the pole is the caller's
     lookout and surfaces as ZeroDivisionError.
     """
-    alpha = _check_alpha(alpha)
+    alpha = float(as_fraction(alpha))
     if family.q < 2:
         raise ValueError("shift function needs at least two parts")
     if family.s < 1:

@@ -543,8 +543,8 @@ class TestExitCodes:
 
 
 class TestHugeAlpha:
-    # 1e400 overflows float(alpha), 1e300 overflows (1 + alpha) ** 2 in
-    # the sampled-region test; both used to end in an OverflowError traceback
+    # both lie above ALPHA_MAX: 1e400 overflows float(alpha), and at 1e300
+    # a bound's (alpha + 1) * n passes spectral.SECULAR_ORDER_LIMIT
     @pytest.mark.parametrize("alpha", ["1e400", "1e300"])
     @pytest.mark.parametrize(
         "argv",

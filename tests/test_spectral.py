@@ -3,6 +3,7 @@ import itertools
 import math
 import random
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ from alphaspec import (
     spectral_radius,
     to_graph6,
 )
-from alphaspec import spectral
+from alphaspec import spectral, theorem
 from alphaspec.graphs import _bits, bit_matrices, row_component_masks, stack_rows
 from alphaspec.spectral import DEFAULT_TOL, SpectralResult, _secular_terms, alpha_matrices
 from alphaspec.theorem import case2_region_bounds
@@ -81,6 +82,55 @@ class TestAlphaMatrix:
     def test_negative_alpha_rejected(self):
         with pytest.raises(ValueError):
             alpha_matrices(2, [complete_graph(2).rows], -0.1)
+
+
+P4 = path_graph(4)
+CLIQUE_SHAPED = one_clique_family(10, 3, 0)
+# each entry of the module that takes an alpha, on a fixed graph or family
+ALPHA_ENTRIES = {
+    "spectral_radius": lambda alpha: spectral_radius(P4, alpha),
+    "spectral_radii": lambda alpha: spectral_radii(4, [P4.rows], alpha),
+    "alpha_matrices": lambda alpha: alpha_matrices(4, [P4.rows], alpha),
+    "family_radius": lambda alpha: family_radius(one_clique_family(12, 4, 2), alpha),
+    "family_radius_clique": lambda alpha: family_radius(CLIQUE_SHAPED, alpha),
+    "family_radius_batch": lambda alpha: family_radius(FamilyBatch.of(CLIQUE_SHAPED), alpha),
+}
+
+
+class TestAlphaCheck:
+    # ``as_fraction`` is the one check of an alpha; the numerics take
+    # its float
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("entry", ALPHA_ENTRIES)
+    def test_non_finite_refused_before_any_matrix(self, entry, alpha, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("built a matrix or solved at a non-finite alpha")
+
+        for name in ("bit_matrices", "_secular_terms"):
+            monkeypatch.setattr(spectral, name, unreachable)
+        with pytest.raises(ValueError, match="alpha must be finite"):
+            ALPHA_ENTRIES[entry](alpha)
+
+    @pytest.mark.parametrize(
+        "alpha, value",
+        [(np.float32(0.5), 0.5), (np.int64(2), 2.0), ("1/2", 0.5), (Fraction(1, 3), 1 / 3)],
+        ids=["float32", "int64", "string", "fraction"],
+    )
+    @pytest.mark.parametrize("entry", ALPHA_ENTRIES)
+    def test_accepted_types_give_the_float_radii(self, entry, alpha, value):
+        same = ALPHA_ENTRIES[entry](alpha), ALPHA_ENTRIES[entry](value)
+        if isinstance(same[0], np.ndarray):
+            assert np.array_equal(*same)
+        else:
+            assert same[0] == same[1]
+
+    def test_exact_views(self):
+        assert as_fraction(0.1) == Fraction(0.1)
+        assert as_fraction(np.float32(0.1)) == Fraction(float(np.float32(0.1)))
+        assert as_fraction("1/2") == Fraction(1, 2) and as_fraction(np.int64(3)) == 3
+        assert theorem.as_fraction is spectral.as_fraction is as_fraction
+        with pytest.raises(ValueError, match="alpha must be nonnegative, got -1/2"):
+            as_fraction("-1/2")
 
 
 class TestSpectralRadius:

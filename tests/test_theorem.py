@@ -115,6 +115,21 @@ class TestClassify:
         assert not classify_regime(40, 10, 2).sampled_region
         assert not classify_regime(25, 10, Fraction(1, 2)).sampled_region
 
+    def test_sampled_region_excludes_its_upper_end(self):
+        # for core size 1 the open interval ends at n = (alpha + 2) * beta
+        # - alpha, which no float rounding may pull inside
+        for n, beta, alpha in [(78, 29, Fraction(5, 7)), (42, 15, Fraction(6, 7)), (122, 36, Fraction(10, 7))]:
+            assert n == (alpha + 2) * beta - alpha
+            assert not classify_regime(n, beta, alpha).sampled_region
+            assert classify_regime(n - 1, beta, alpha).sampled_region
+
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_alpha(self, alpha):
+        with pytest.raises(ValueError, match="alpha must be finite"):
+            threshold_n_star(3, alpha)
+        with pytest.raises(ValueError, match="alpha must be finite"):
+            classify_regime(10, 3, alpha)
+
 
 class TestPredictedGraphs:
     def test_full(self):

@@ -2,6 +2,7 @@ import json
 import math
 import os
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -33,9 +34,9 @@ from alphaspec import (
     verify_order,
 )
 from alphaspec.enumeration import canonical_graph
-from alphaspec.graphs import row_component_masks
+from alphaspec.graphs import row_component_masks, stack_rows
 from alphaspec.matching import _SUBSET_DP_MAX_ORDER, matching_numbers
-from alphaspec.theorem import CASE2_ALPHA_CUTOFF, EXTREMAL_GRAPHS, case2_region_bounds
+from alphaspec.theorem import EXTREMAL_GRAPHS, case2_region_bounds
 from alphaspec.verify import (
     DEFAULT_REPORT_TOL,
     FAMILY_MAX_CANDIDATES,
@@ -169,6 +170,16 @@ class TestVerifyOrder:
             assert [r.beta for r in reports] == [1, 2, 3]
             assert all(r.passed for r in reports)
 
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_alpha_refused_before_the_scan(self, alpha, monkeypatch):
+        import alphaspec.verify as verify
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("scanned an order at a non-finite alpha")
+
+        monkeypatch.setattr(verify, "_scan_order", unreachable)
+        with pytest.raises(ValueError, match="alpha must be finite"):
+            verify_order(6, alpha)
 
     def test_graph6_source_is_read_once(self, tmp_path, monkeypatch):
         import alphaspec.verify as verify
@@ -401,6 +412,17 @@ class TestReportSerialization:
 
 
 class TestFamilySearch:
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_alpha_refused_before_the_table(self, alpha, monkeypatch):
+        import alphaspec.verify as verify
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("built a candidate table at a non-finite alpha")
+
+        monkeypatch.setattr(verify, "_candidate_table", unreachable)
+        with pytest.raises(ValueError, match="alpha must be finite"):
+            family_search(10, 3, alpha)
+
     def test_above_case(self):
         result = family_search(10, 2, 0)
         assert result.best.s == 2
@@ -902,9 +924,15 @@ class TestShiftMonotonicity:
 class TestCase2:
     def test_not_applicable_below_cutoff(self):
         assert not case2_applicable(10, 0.5, 1, 40)
-        assert 0.5 < CASE2_ALPHA_CUTOFF < 0.62
         with pytest.raises(ValueError):
             case2_sample_check(10, 0.5, 1, 40)
+
+    def test_cutoff_is_the_golden_ratio_conjugate(self):
+        # the region is empty unless alpha**2 + alpha - 1 > 0, that is
+        # alpha > (sqrt(5) - 1) / 2 = 0.61803...: at beta = 27000 and s = 1
+        # it holds n = 70688 just past the cutoff and no n just below it
+        assert case2_applicable(27000, 0.6181, 1, 70688)
+        assert not any(case2_applicable(27000, 0.618, 1, n) for n in range(70000, 71000))
 
     def test_positive_in_region(self):
         assert case2_sample_check(10, 2.0, 1, 30)
@@ -914,6 +942,26 @@ class TestCase2:
         # and the window just above the threshold contains n=52
         assert case2_applicable(20, 1.0, 4, 52)
         assert case2_sample_check(20, 1.0, 4, 52)
+
+    def test_region_holds_the_cutoff_and_the_cap(self):
+        # (alpha + 1) * (high - low) = (alpha**2 + alpha - 1) * beta
+        # - (alpha + 1)**2 * s - 1, so an integer strictly inside the exact
+        # bounds needs alpha past the cutoff and s below its cap
+        inside = 0
+        for alpha in (Fraction(k, 8) for k in range(41)):
+            for beta in range(1, 41):
+                cap = (alpha * alpha + alpha - 1) * beta / (alpha + 1) ** 2
+                for s in range(1, 5):
+                    low, high = case2_region_bounds(beta, alpha, s)
+                    window = range(math.floor(low) + 1, math.ceil(high))
+                    assert not case2_applicable(beta, alpha, s, window.start - 1)
+                    assert not case2_applicable(beta, alpha, s, window.stop)
+                    if window:
+                        assert alpha * alpha + alpha - 1 > 0 and s < cap
+                        assert case2_applicable(beta, alpha, s, window.start)
+                        assert case2_applicable(beta, alpha, s, window[-1])
+                        inside += 1
+        assert inside > 100
 
     def test_region_bounds_shrink_with_s(self):
         lo1, hi1 = case2_region_bounds(20, 1.0, 1)
@@ -925,7 +973,7 @@ class TestCase2:
 def scan_of(*classes):
     """A hand-built ``_Scan`` of (graph, beta, rho) classes."""
     graphs, betas, radii = zip(*classes)
-    return _Scan([g.rows for g in graphs], np.array(betas), np.array(radii, dtype=float))
+    return _Scan(stack_rows(graphs[0].n, [g.rows for g in graphs]), np.array(betas), np.array(radii, dtype=float))
 
 
 def report_of(verdict, *scored):
