@@ -22,6 +22,7 @@ import argparse
 import functools
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -77,11 +78,24 @@ def _positive_float(text: str) -> float:
     return value
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that takes every argument starting with "-" and a
+    digit, or "-." and a digit, as a value, not an option: argparse alone
+    takes only "-1" and "-1.5" so, and "--alpha -1/2" or "--alpha -1e0"
+    would fail as a missing value instead of reaching the alpha check.
+    No option of this parser starts so.  Its subparsers are of this class
+    too."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The one definition of the ``alphaspec`` argument tree.  Each call
     builds a new tree; ``main`` builds it once per process, on first use,
     and reuses it for every later call."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="alphaspec",
         description="alpha-spectral radius and extremal bounds for graphs with given matching number",
     )

@@ -27,7 +27,13 @@ cliques has the largest clique's radius; any other family's top
 eigenvalue is the one root above the cell diagonals of the core's Schur
 complement, a secular function solved by vectorised Newton steps for a
 whole batch of families at once.  ``family_radius`` is the one route to
-a family's radius, the regime bounds included.  The paper's own forms of
+a family's radius, the regime bounds included.  Given a floor, it first
+drops the rows certified below it: a clique-shaped row by its closed
+form, a secular row when h(f) > 0 at f = floor * (1 - 2**-40) above
+every cell diagonal, counted only beyond h's rounding bound, which puts
+the root below f; only the rows kept are solved.  The family search's
+floor is a candidate's own radius, so most of its rows cost that one
+pass instead of Newton's steps.  The paper's own forms of
 the family radius (the complete-split quadratic, the cubic of the
 one-big-clique family, the shift function) and the whole-matrix oracle
 live in ``tests/reference.py``, where the tests check them against this
@@ -56,6 +62,12 @@ _SECULAR_STEPS = 64
 # start value squares half the core-cell gap, at most (alpha + 1) * n / 2,
 # which stays below the float maximum (1.8e308) up to here.
 SECULAR_ORDER_LIMIT = 2e154
+# Relative margin below a family radius floor at which the secular rows
+# are tested.  Newton's float overshoots a root by at most the rounding
+# of h near it, a few dozen units of the last place (2**-52 relative),
+# so a root certified below floor * (1 - margin) has its float below the
+# floor too.
+_FLOOR_MARGIN = 2.0**-40
 # sigma - rho, relative to max(1, rho), in the shifted solve that gives a
 # block's Perron vector: 16 to 32 units of rho's last place.  That puts sigma
 # far nearer rho than any other eigenvalue, whichever side of the exact
@@ -571,21 +583,39 @@ class FamilyBatch:
         return JoinFamily(int(self.s[i]), tuple((int(p), int(count)) for p, count in cells if count))
 
 
-def family_radius(family: JoinFamily | FamilyBatch, alpha):
+def family_radius(family: JoinFamily | FamilyBatch, alpha, floor: float = -math.inf):
     """Radius of the family graph.  A clique-shaped row, one with s = 0
     (disjoint cliques) or with one part (K_s v K_p = K_{s+p}), has the
     clique radius (alpha+1)(s + p_max - 1); every other row is the secular
     root.  A ``JoinFamily`` gives a float, a ``FamilyBatch`` the array of
     its rows' radii, whatever their shapes; each row's radius is the same
-    float whichever batch it is solved in."""
+    float whichever batch it is solved in.
+
+    A row whose radius is certified below ``floor`` comes back as -inf
+    instead: a clique-shaped row whose radius is below it, and a secular
+    row whose root ``_below_floor`` puts below ``floor`` * (1 -
+    ``_FLOOR_MARGIN``), which keeps its Newton float below ``floor``
+    too.  Only the other secular rows are solved, as a batch of their
+    own.  So no row whose radius is at or above ``floor`` is dropped, and
+    every row that is not dropped has the float it has without a floor.
+    At ``floor`` = -inf (the default) no row is tested."""
     if isinstance(family, JoinFamily):
-        return float(family_radius(FamilyBatch.of(family), alpha)[0])
+        return float(family_radius(FamilyBatch.of(family), alpha, floor)[0])
     alpha = float(as_fraction(alpha))
     radii = (alpha + 1) * (family.s + family.sizes[:, -1] - 1)
     secular = (family.s >= 1) & (family.counts.sum(axis=1) > 1)
+    if floor > -math.inf:
+        radii[~secular & (radii < floor)] = -math.inf
     if secular.any():
         rows = FamilyBatch(family.s[secular], family.sizes[secular], family.counts[secular])
-        radii[secular] = _secular_roots(*_secular_terms(rows, alpha))
+        c, d, w = _secular_terms(rows, alpha)
+        if floor > -math.inf:
+            solve = ~_below_floor(c, d, w, floor * (1 - _FLOOR_MARGIN))
+            roots = np.full(len(c), -math.inf)
+            roots[solve] = _secular_roots(c[solve], d[:, solve], w[:, solve])
+        else:
+            roots = _secular_roots(c, d, w)
+        radii[secular] = roots
     return radii
 
 
@@ -615,6 +645,42 @@ def _secular_terms(batch: FamilyBatch, alpha: float) -> tuple[np.ndarray, np.nda
     return c, np.ascontiguousarray(d.T), np.ascontiguousarray(w.T)
 
 
+def _secular_value(lam, c: np.ndarray, d: np.ndarray, w: np.ndarray, slope: bool = False):
+    """h(lam) = lam - c - sum_p t_p with t_p = w_p / (lam - d_p), the core's
+    Schur complement, for each row of the secular terms (c, d, w) at lam
+    (a float or one per row), and beside it either the magnitude
+    sum_p |t_p| or, with ``slope``, h'(lam) = 1 + sum_p t_p / (lam - d_p).
+    The one evaluation of h, for Newton's steps and for the floor test."""
+    h = lam - c
+    extra = np.ones_like(h) if slope else np.zeros_like(h)
+    for d_p, w_p in zip(d, w):
+        gap = lam - d_p
+        term = w_p / gap
+        h -= term
+        extra += term / gap if slope else np.abs(term, out=term)
+    return h, extra
+
+
+def _below_floor(c: np.ndarray, d: np.ndarray, w: np.ndarray, f: float) -> np.ndarray:
+    """The rows of the secular terms (c, d, w) whose root is certified
+    below f.
+
+    Above max d_p, h is increasing with its one root at the radius, so
+    f > max d_p and h(f) > 0 put the radius below f.  h(f) is computed
+    in one pass over the k cells: f - c and each of the k subtractions
+    round once, and each term twice, each by at most 2**-52 of M = |f| +
+    |c| + sum_p |t_p|, so the computed h lies within about (k + 3) *
+    2**-52 * M of h(f) for these float c, d and w.  A row is certified
+    only where the computed h exceeds 4 * (k + 4) * 2**-52 * M, which
+    also covers the rounding of M itself.  f may be one float or one per
+    row.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):  # f at a d_p fails the guard below
+        h, magnitude = _secular_value(f, c, d, w)
+    error = 4 * (len(d) + 4) * 2.0**-52 * (np.abs(f) + np.abs(c) + magnitude)
+    return (f > d.max(axis=0)) & (h > error)
+
+
 def _secular_roots(c: np.ndarray, d: np.ndarray, w: np.ndarray) -> np.ndarray:
     """The largest eigenvalue of each quotient, as the root of the core's
     Schur complement h(lam) = lam - c - sum_p w_p / (lam - d_p).
@@ -624,18 +690,15 @@ def _secular_roots(c: np.ndarray, d: np.ndarray, w: np.ndarray) -> np.ndarray:
     [[d_p, sqrt w_p], [sqrt w_p, c]], at or below the root by Cauchy
     interlacing and above max d_p.  From there Newton's method climbs
     monotonically to the root, so each step keeps the larger of lam and
-    the Newton point, and the iteration stops when no row changes.
-    ValueError is raised if that takes more than ``_SECULAR_STEPS``.
+    the Newton point, and the iteration stops when no row changes.  A
+    row's iterates depend on that row alone, so a row solved in any batch
+    ends at the same float.  ValueError is raised if that takes more
+    than ``_SECULAR_STEPS``.
     """
     half = 0.5 * (c - d)
     lam = np.max(0.5 * (c + d) + np.sqrt(half * half + w), axis=0)
     for _ in range(_SECULAR_STEPS):
-        h, slope = lam - c, np.ones_like(lam)
-        for d_p, w_p in zip(d, w):
-            gap = lam - d_p
-            term = w_p / gap
-            h -= term
-            slope += term / gap
+        h, slope = _secular_value(lam, c, d, w, slope=True)
         step = np.maximum(lam, lam - h / slope)
         if np.array_equal(step, lam):
             return lam

@@ -11,8 +11,10 @@ unpacks its 0/1 matrices once, so no class is handled one at a time.
 The records of one scan take their certificates from one canonical
 batch.
 ``family_search`` does the same over the structured join families at
-orders where exhaustion is impossible.  Reports are machine-checkable
-records with a stable field order, one line per (n, beta, alpha).
+orders where exhaustion is impossible, solving only the candidates that
+a sign test cannot put below the best one-big-clique family.  Reports
+are machine-checkable records with a stable field order, one line per
+(n, beta, alpha).
 """
 
 from __future__ import annotations
@@ -45,6 +47,12 @@ FAMILY_MAX_CANDIDATES = 2_000_000
 # a row under the cap: 4,096 rows of 11 float (size, count) pairs take
 # 704 KB).
 FAMILY_CHUNK_ROWS = 1 << 12
+# Candidates (source rows, before the part-count filter) of one gather
+# while the table is built: a block with more is gathered in slices of
+# this many, so its index arrays and gathered rows stay near 0.6 MB.
+# The largest block of (80, 30) draws on 5,589 source rows and is one
+# gather; that of (120, 50) on 201,217.
+FAMILY_GATHER_ROWS = 1 << 14
 # Matrix entries (graphs times n**2) of one exhaustive-scan slice: its
 # stacked matrices take 512 KB of float64, 1,024 graphs of order 8.
 # Larger slices scan no faster and raise peak memory.  A slice's subset
@@ -265,34 +273,47 @@ def _core_counts(n: int, beta: int) -> Iterator[int]:
         yield rows[remaining][min(slots, remaining)]
 
 
-def family_count(n: int, beta: int) -> int:
-    """Number of join families ``candidate_families(n, beta)`` yields,
-    counted without generating any.
+def _capped_counts(n: int, beta: int) -> list[int]:
+    """The candidate count of each core size, s = beta down to 0
+    (``_core_counts``), stopped at the first whose running total exceeds
+    ``FAMILY_MAX_CANDIDATES``.
 
     Core sizes are counted from s = beta down, so the partitioned totals
-    beta - s grow; once the running count exceeds
-    ``FAMILY_MAX_CANDIDATES`` it is returned as it stands, a lower bound
-    above the cap.  The core size ceil(beta/2) alone contributes
+    beta - s grow.  The core size ceil(beta/2) alone contributes
     p(floor(beta/2)) candidates, so a large beta stops after a few dozen
     small rows of the recurrence.
     """
     if beta < 0 or n < 2 * beta + 1:
         raise ValueError(f"need n >= 2*beta + 1 and beta >= 0, got n={n}, beta={beta}")
-    total = 0
+    counts, total = [], 0
     for count in _core_counts(n, beta):
+        counts.append(count)
         total += count
         if total > FAMILY_MAX_CANDIDATES:
             break
-    return total
+    return counts
 
 
-def _check_cap(n: int, beta: int) -> None:
-    count = family_count(n, beta)
+def family_count(n: int, beta: int) -> int:
+    """Number of join families ``candidate_families(n, beta)`` yields,
+    counted without generating any; above ``FAMILY_MAX_CANDIDATES`` the
+    count stops at the first core size that passes it, a lower bound
+    above the cap."""
+    return sum(_capped_counts(n, beta))
+
+
+def _check_cap(n: int, beta: int) -> list[int]:
+    """The candidate count of each core size, s = beta down to 0, once
+    the search for (n, beta) is known to stay within
+    ``FAMILY_MAX_CANDIDATES``; a larger search raises ValueError."""
+    counts = _capped_counts(n, beta)
+    count = sum(counts)
     if count > FAMILY_MAX_CANDIDATES:
         raise ValueError(
             f"family search for n={n}, beta={beta} has at least {count:,} candidate "
             f"families, more than the cap of {FAMILY_MAX_CANDIDATES:,}"
         )
+    return counts
 
 
 @dataclass(frozen=True, eq=False)
@@ -305,22 +326,40 @@ class _CandidateTable:
     their nonincreasing halves.  Row i is W + 1 cells of ``cells``, each
     a uint8 (size, count) pair.  Cell 0 is (1, the row's number of parts
     of size 3 or more); the q minus that many parts of size 1 can exceed
-    a uint8, so each batch counts them from the core size.  Cells 1 to W
-    hold the parts of size 3 or more: ``count`` parts of odd ``size``,
-    right-aligned with sizes ascending, so the last column holds the
-    largest part, and the columns left of the row's cells are empty
-    (size 1, count 0).  A partition of beta has at most W distinct
-    halves, W(W + 1)/2 <= beta, so a row takes 2W + 2 bytes.  The cap
-    bounds beta by 63 (``family_count(129, 64)`` exceeds it), so sizes
-    up to 127, counts and part counts fit a uint8.
+    a uint8, so each batch counts them from the core size and ``slack``,
+    n - 2*beta.  Cells 1 to W hold the parts of size 3 or more: ``count``
+    parts of odd ``size``, right-aligned with sizes ascending, so the
+    last column holds the largest part, and the columns left of the row's
+    cells are empty (size 1, count 0).  A partition of beta has at most W
+    distinct halves, W(W + 1)/2 <= beta, so a row takes 2W + 2 bytes.
+    The cap bounds beta by 63 (``family_count(129, 64)`` exceeds it), so
+    sizes up to 127, counts and part counts fit a uint8.  The first row
+    of block s is its one part of size 2(beta - s) + 1 and q - 1 parts of
+    size 1, ``one_clique_family(n, beta, s)``.
     """
 
     cells: np.ndarray
     start: list[int]
+    slack: int
+
+    def batch(self, rows, core: np.ndarray) -> FamilyBatch:
+        """The table rows ``rows`` (a slice or a list of row numbers), of
+        core sizes ``core``, as one batch: their cells cast to float in
+        one pass, with cell 0's part count replaced by the parts of size
+        1, q minus it, so the batch's sizes and counts are the two halves
+        of that one array.  An empty cell (size 1, count 0) has the
+        secular term w_p / (lam - d_p) exactly 0 and its 2 x 2 start value
+        is the core diagonal c, no larger than any nonempty cell's: each
+        row's radius is the float it has without the empty cells."""
+        cells = self.cells[rows].astype(float)
+        sizes, counts = cells[:, :, 0], cells[:, :, 1]
+        np.subtract(core + self.slack, counts[:, 0], out=counts[:, 0])
+        return FamilyBatch(core, sizes, counts)
 
 
-def _candidate_table(n: int, beta: int) -> _CandidateTable:
-    """The candidate table of the search for (n, beta).
+def _candidate_table(n: int, beta: int, counts: Sequence[int]) -> _CandidateTable:
+    """The candidate table of the search for (n, beta), whose core sizes
+    s = beta down to 0 have ``counts`` candidates (``_check_cap``).
 
     Block s holds the partitions of t = beta - s.  Those with largest
     half v are v prepended to the partitions of t - v with largest half
@@ -332,19 +371,21 @@ def _candidate_table(n: int, beta: int) -> _CandidateTable:
     with the new cell (2v + 1, 1).  Block s + v keeps every partition
     with at most q + v parts, which covers the q - 1 that block s needs.
 
-    A block is one gather whatever the number of its pieces (t, one per
-    largest half v).  The table is one buffer of 2-byte cells with a
-    spare cell at its end, read through overlapping windows of W cells
-    that start at every cell: cells 1 to W of a source row are the window
-    at its cell 1, and its row shifted one column left is the window one
-    cell on, whose last cell (the next row's cell 0, or the spare cell)
-    the new cell overwrites.
+    A block's candidates, the source rows of all its pieces (t, one per
+    largest half v) before the part-count filter, are gathered
+    ``FAMILY_GATHER_ROWS`` at a time: up to that many are one gather, and
+    more hold their index arrays and gathered rows one slice at a time.  The table is
+    one buffer of 2-byte cells with a spare cell at its end, read through
+    overlapping windows of W cells that start at every cell: cells 1 to W
+    of a source row are the window at its cell 1, and its row shifted one
+    column left is the window one cell on, whose last cell (the next
+    row's cell 0, or the spare cell) the new cell overwrites.
     """
-    start = np.concatenate(([0], np.cumsum(list(_core_counts(n, beta))[::-1]))).tolist()
+    start = np.concatenate(([0], np.cumsum(counts[::-1]))).tolist()
     rows, width = start[-1], (isqrt(8 * beta + 1) - 1) // 2
     buffer = np.ones(rows * (width + 1) + 1, dtype="<u2").view(np.uint8)  # every cell (1, 0)
     cells = buffer[:-2].reshape(rows, width + 1, 2)
-    table = _CandidateTable(cells, start)
+    table = _CandidateTable(cells, start, n - 2 * beta)
     if beta == 0:  # the one row is the empty partition
         return table
     # a row's cells 1..W as one item, and the window of W cells at each cell
@@ -353,6 +394,37 @@ def _candidate_table(n: int, beta: int) -> _CandidateTable:
     windows = np.ndarray(((rows - 1) * (width + 1) + 3,), item, buffer, strides=(2,))
     last = buffer[:-2].view("<u2").reshape(rows, width + 1)[:, -1]  # size + 256 * count
     parts = cells[:, 0, 1]
+
+    def gather(first: np.ndarray, stop: np.ndarray, size: np.ndarray, limit: int | None, row: int) -> np.ndarray:
+        """Write the candidates from the runs of source rows [first, stop)
+        (those with fewer than ``limit`` parts, unless it is None), each
+        run's taking the new cell size ``size`` (0: one more part in the
+        last cell), as the table rows from ``row`` on; return the number
+        written from each run."""
+        length = stop - first
+        offset = np.cumsum(length) - length  # of each run among the candidates
+        if limit is not None:
+            # the candidates' keep mask from byte slices, so only the
+            # kept rows take an index
+            keep = np.concatenate([parts[lo:hi] for lo, hi in zip(first.tolist(), stop.tolist())]) < limit
+            src = np.flatnonzero(keep)
+            length[length > 0] = np.add.reduceat(keep, offset[length > 0], dtype=np.intp)
+        else:
+            src = np.arange(offset[-1] + length[-1])
+        src += np.repeat(first - offset, length)  # candidate to source row
+        src_parts = parts[src]
+        end = row + len(src)
+        new = np.repeat(size, length)
+        shifted = new > 0
+        src *= width + 1  # the window at the row's cell 1, or one cell on
+        src += shifted
+        src += 1
+        body[row:end] = windows[src]
+        np.copyto(last[row:end], new, where=shifted)
+        last[row:end] += 256
+        np.add(src_parts, 1, out=parts[row:end])
+        return length
+
     # tails[t][v]: the first row of block beta - t whose largest half is
     # at most v, relative to the block (for v = 0 the block's end unless
     # t = 0, whose one row is the empty partition)
@@ -369,53 +441,42 @@ def _candidate_table(n: int, beta: int) -> _CandidateTable:
             runs += ((lo, mid), (mid, start[s + v + 1]))
             size += (0, 2 * v + 1)
         first, stop = np.array(runs).T
-        length = stop - first
-        offset = np.cumsum(length) - length  # of each run among the candidates
+        size = np.array(size, dtype=np.uint16)
         limit = n + s - 2 * beta
-        if limit <= t:  # else no partition of t has too many parts
-            # the candidates' keep mask from byte slices, so only the
-            # kept rows take an index
-            keep = np.concatenate([parts[lo:hi] for lo, hi in runs]) < limit
-            src = np.flatnonzero(keep)
-            length[length > 0] = np.add.reduceat(keep, offset[length > 0], dtype=np.intp)
-        else:
-            src = np.arange(offset[-1] + length[-1])
-        src += np.repeat(first - offset, length)  # candidate to source row
-        src_parts = parts[src]
-        row, end = start[s], start[s + 1]
-        new = np.repeat(np.array(size, dtype=np.uint16), length)
-        shifted = new > 0
-        src *= width + 1  # the window at the row's cell 1, or one cell on
-        src += shifted
-        src += 1
-        body[row:end] = windows[src]
-        np.copyto(last[row:end], new, where=shifted)
-        last[row:end] += 256
-        np.add(src_parts, 1, out=parts[row:end])
-        tails.append([0, *np.cumsum(length[0::2] + length[1::2]).tolist()][::-1])
+        limit = limit if limit <= t else None  # else no partition of t has too many parts
+        length = stop - first
+        total = int(length.sum())
+        if total <= FAMILY_GATHER_ROWS:
+            kept = gather(first, stop, size, limit, start[s])
+        else:  # each slice of the candidates, clipped from every run
+            offset = np.cumsum(length) - length
+            kept, row = np.zeros_like(length), start[s]
+            for a in range(0, total, FAMILY_GATHER_ROWS):
+                lo = first + np.clip(a - offset, 0, length)
+                hi = first + np.clip(a + FAMILY_GATHER_ROWS - offset, 0, length)
+                runs = np.flatnonzero(hi > lo)
+                piece = gather(lo[runs], hi[runs], size[runs], limit, row)
+                kept[runs] += piece
+                row += int(piece.sum())
+        tails.append([0, *np.cumsum(kept[0::2] + kept[1::2]).tolist()][::-1])
     return table
 
 
-def _candidate_batches(n: int, beta: int) -> Iterator[FamilyBatch]:
-    """The candidates of the search as batches, in candidate order.
-
-    The table is read ``FAMILY_CHUNK_ROWS`` rows at a time and each chunk
-    is one batch: its cells cast to float in one pass, with cell 0's part
-    count replaced by the parts of size 1, q minus it, so the batch's
-    sizes and counts are the two halves of that one array.  An empty
-    cell (size 1, count 0) has the secular term w_p / (lam - d_p)
-    exactly 0 and its 2 x 2 start value is the core diagonal c, no
-    larger than any nonempty cell's: each row's radius is the float it
-    has without the empty cells.
-    """
-    table = _candidate_table(n, beta)
+def _table_batches(table: _CandidateTable) -> Iterator[FamilyBatch]:
+    """The rows of ``table`` as batches of ``FAMILY_CHUNK_ROWS``, in
+    candidate order."""
     bounds = np.array(table.start)
-    for first in range(0, len(table.cells), FAMILY_CHUNK_ROWS):
-        cells = table.cells[first : first + FAMILY_CHUNK_ROWS].astype(float)
-        core = np.repeat(np.arange(beta + 1.0), np.diff(bounds.clip(first, first + len(cells))))
-        sizes, counts = cells[:, :, 0], cells[:, :, 1]
-        np.subtract(core + (n - 2 * beta), counts[:, 0], out=counts[:, 0])
-        yield FamilyBatch(core, sizes, counts)
+    core_sizes = np.arange(len(bounds) - 1.0)
+    rows = len(table.cells)
+    for first in range(0, rows, FAMILY_CHUNK_ROWS):
+        stop = min(first + FAMILY_CHUNK_ROWS, rows)
+        yield table.batch(slice(first, stop), np.repeat(core_sizes, np.diff(bounds.clip(first, stop))))
+
+
+def _candidate_batches(n: int, beta: int) -> Iterator[FamilyBatch]:
+    """The candidates of the search as batches, in candidate order, once
+    the cap is checked."""
+    yield from _table_batches(_candidate_table(n, beta, _check_cap(n, beta)))
 
 
 def candidate_families(n: int, beta: int) -> Iterator[JoinFamily]:
@@ -423,7 +484,6 @@ def candidate_families(n: int, beta: int) -> Iterator[JoinFamily]:
     core size s in [0, beta], q = n + s - 2*beta odd parts, in candidate
     order.  Like ``family_search`` it refuses more than
     ``FAMILY_MAX_CANDIDATES``."""
-    _check_cap(n, beta)
     for batch in _candidate_batches(n, beta):
         for i in range(len(batch.s)):
             yield batch.family(i)
@@ -436,17 +496,24 @@ def family_search(n: int, beta: int, alpha) -> FamilySearchResult:
 
     The candidate count is checked against ``FAMILY_MAX_CANDIDATES``
     before any is generated.  The candidates are rows of one array table,
-    read ``FAMILY_CHUNK_ROWS`` at a time as one ``FamilyBatch`` whose
-    radii come from one vectorised Newton solve of the rows' secular
-    functions.  The winner is the first maximum in candidate order, as in
-    a one-family-at-a-time scan.
+    read ``FAMILY_CHUNK_ROWS`` at a time as one ``FamilyBatch``.  The
+    floor is first the largest radius among the first rows of the core
+    sizes' blocks, the one-big-clique families, and then the best radius
+    found so far if that is larger: it is a candidate's own radius, so
+    no result of the paper is assumed.  ``family_radius`` drops the rows
+    of each batch that its secular sign test certifies below the floor
+    and solves the rest by vectorised Newton steps.  No row at or above
+    the floor is dropped, and the winner is at or above it, so the winner
+    is the first maximum in candidate order, with its float, as in a
+    one-family-at-a-time scan.
     """
     a = as_fraction(alpha)
-    _check_cap(n, beta)
+    table = _candidate_table(n, beta, _check_cap(n, beta))
+    floor = float(family_radius(table.batch(table.start[:-1], np.arange(beta + 1.0)), a).max())
     best_rho, best = -inf, None
     scanned = 0
-    for batch in _candidate_batches(n, beta):
-        radii = family_radius(batch, a)
+    for batch in _table_batches(table):
+        radii = family_radius(batch, a, max(floor, best_rho))
         i = int(np.argmax(radii))
         if radii[i] > best_rho:
             best_rho, best = float(radii[i]), batch.family(i)

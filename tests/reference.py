@@ -11,7 +11,9 @@ re-derive a value by a slower, independent route (a whole-matrix
 ``eigvalsh``, one ``eigh`` per component, the component blocks of a
 batch by one bit walk per graph, the family search's candidate table
 by one slice copy per piece, an exhaustive edge-subset
-search, an exhaustive vertex-subset deficiency scan, every neighbourhood
+search, the family search with every candidate's radius solved
+(``full_solve_search``), the secular function at one point in exact
+rational arithmetic, an exhaustive vertex-subset deficiency scan, every neighbourhood
 of a census parent, every ordering within the color classes for the
 canonical graph, the refinement colors of one graph by sorted tuples,
 its twin classes by a pairwise sweep and its ordering search by the
@@ -27,17 +29,26 @@ pytest collects only ``test_*.py``, so this module holds no tests.
 from __future__ import annotations
 
 from collections import deque
+from fractions import Fraction
 from itertools import permutations, product
-from math import isqrt, sqrt
+from math import inf, isqrt, sqrt
 
 import numpy as np
 
-from alphaspec import JoinFamily, TutteBergeWitness, as_fraction, case2_applicable, family_radius
+from alphaspec import (
+    JoinFamily,
+    TutteBergeWitness,
+    as_fraction,
+    case2_applicable,
+    classify_regime,
+    family_radius,
+    one_clique_family,
+)
 from alphaspec.enumeration import _canonical_forms, _half_edges, canonical_graph
 from alphaspec.graphs import Graph, _bits, complete_graph, empty_graph, from_edges, join, row_component_masks
 from alphaspec.matching import _match
 from alphaspec.spectral import SpectralResult, alpha_matrices
-from alphaspec.verify import _core_counts
+from alphaspec.verify import FamilySearchResult, _candidate_batches, _core_counts
 
 ORACLE_ORDER_CAP = 64
 ORACLE_EDGE_CAP = 24
@@ -505,6 +516,39 @@ def candidate_table_by_pieces(n: int, beta: int) -> tuple[np.ndarray, np.ndarray
         tails.append(tail)
     core = np.repeat(np.arange(beta + 1, dtype=np.uint8), counts)
     return half, count, core, parts
+
+
+def full_solve_search(n: int, beta: int, alpha) -> FamilySearchResult:
+    """The family search with no floor: every candidate's radius solved,
+    one batch at a time, and the first maximum in candidate order kept,
+    recorded as ``verify.family_search`` records it."""
+    a = as_fraction(alpha)
+    best_rho, best, scanned = -inf, None, 0
+    for batch in _candidate_batches(n, beta):
+        radii = family_radius(batch, a)
+        i = int(np.argmax(radii))
+        if radii[i] > best_rho:
+            best_rho, best = float(radii[i]), batch.family(i)
+        scanned += len(radii)
+    verdict = classify_regime(n, beta, a)
+    return FamilySearchResult(
+        n=n,
+        beta=beta,
+        alpha=a,
+        best=best,
+        rho=best_rho,
+        families_scanned=scanned,
+        canonical_shape=best == one_clique_family(n, beta, best.s),
+        matches_prediction=best in verdict.extremal_families and best_rho == verdict.predicted_rho,
+    )
+
+
+def secular_value_exact(c: float, d, w, lam: float) -> Fraction:
+    """h(lam) = lam - c - sum_p w_p / (lam - d_p) of one row of secular
+    terms, its floats taken as the rationals they are, in exact
+    arithmetic; lam must differ from every d_p."""
+    lam = Fraction(lam)
+    return lam - Fraction(c) - sum(Fraction(w_p) / (lam - Fraction(d_p)) for d_p, w_p in zip(d, w))
 
 
 def split_graph_coefficients(n: int, beta: int, alpha):

@@ -100,6 +100,52 @@ class TestNonFiniteTolerance:
         assert f"must be positive and finite, got '{tol}'" in capsys.readouterr().err
 
 
+class TestNegativeAlpha:
+    # argparse alone takes "-1/2" and "-1e0" for options, so a negative
+    # alpha given as a separate argument failed as a missing value
+    @pytest.mark.parametrize(
+        "argv, shown",
+        [
+            (["rho", "--graph6", "D?{", "--alpha", "-1/2"], "-1/2"),
+            (["family", "64", "24", "--alpha", "-1e0"], "-1"),
+            (["rho", "--graph6", "D?{", "--alpha", "-.5"], "-1/2"),
+        ],
+        ids=["rho", "family", "leading-point"],
+    )
+    def test_separate_argument_reaches_the_alpha_check(self, capsys, argv, shown):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument --alpha: alpha must be nonnegative, got {shown}" in err
+        assert "expected one argument" not in err
+
+    def test_report_alpha_list(self, capsys):
+        code, out, err = run(capsys, "report", "--n-max", "3", "--alphas", "-1,0")
+        assert (code, out) == (2, "")
+        assert err == "error: alpha must be nonnegative, got -1\n"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["rho", "--graph6", "D?{", "--alpha=-1/2"], "argument --alpha: alpha must be nonnegative, got -1/2"),
+            (["rho", "--graph6", "D?{", "--tol", "-1"], "argument --tol: must be positive and finite, got '-1'"),
+        ],
+        ids=["alpha-equals", "tol"],
+    )
+    def test_messages_kept(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+
+    def test_option_still_takes_no_digit_value(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["family", "9", "3", "--alpha", "--format", "json-lines"])
+        assert exc.value.code == 2
+        assert "argument --alpha: expected one argument" in capsys.readouterr().err
+
+
 class TestMatching:
     def test_basic(self, capsys):
         code, out, _ = run(capsys, "matching", "--graph6", "C~")

@@ -33,7 +33,15 @@ from alphaspec import (
 )
 from alphaspec import spectral, theorem
 from alphaspec.graphs import _bits, bit_matrices, row_component_masks, stack_rows
-from alphaspec.spectral import DEFAULT_TOL, SpectralResult, _secular_terms, alpha_matrices
+from alphaspec.spectral import (
+    _FLOOR_MARGIN,
+    DEFAULT_TOL,
+    SpectralResult,
+    _below_floor,
+    _secular_roots,
+    _secular_terms,
+    alpha_matrices,
+)
 from alphaspec.theorem import case2_region_bounds
 from alphaspec.verify import _candidate_batches
 from reference import (
@@ -46,6 +54,7 @@ from reference import (
     eigh_spectral_radius,
     has_edge,
     path_graph,
+    secular_value_exact,
     shift_function_f,
     spectral_radius_oracle,
     split_graph_quadratic,
@@ -1042,6 +1051,122 @@ class TestSecularSolve:
         monkeypatch.setattr(spectral, "_SECULAR_STEPS", 1)
         with pytest.raises(ValueError, match="did not settle within 1 steps"):
             family_radius(fam, 0.5)
+
+
+SWEEP_ALPHAS = ["0", "1/3", "1/2", "1", "2", "7/5", "10"]
+
+
+def sweep_batches(n_max, alphas=SWEEP_ALPHAS):
+    """(alpha, batch) for every batch of every search (n, beta) with
+    n <= ``n_max`` at each of ``alphas``."""
+    for alpha in alphas:
+        a = as_fraction(alpha)
+        for n in range(1, n_max + 1):
+            for beta in range(0, (n - 1) // 2 + 1):
+                for batch in _candidate_batches(n, beta):
+                    yield a, batch
+
+
+def secular_rows(batch):
+    """The rows of ``batch`` whose radius is a secular root."""
+    secular = (batch.s >= 1) & (batch.counts.sum(axis=1) > 1)
+    return FamilyBatch(batch.s[secular], batch.sizes[secular], batch.counts[secular])
+
+
+def ulps_from(values, steps):
+    """``values`` moved ``steps`` floats up (down where negative)."""
+    out = values.copy()
+    for _ in range(abs(steps)):
+        out = np.nextafter(out, math.inf if steps > 0 else -math.inf)
+    return out
+
+
+class TestFloorCertificate:
+    """``family_radius(batch, alpha, floor)`` drops only rows certified
+    below the floor, and every other row keeps its float."""
+
+    def test_own_float_as_floor_keeps_every_row(self):
+        # each secular row of the sweep, tested at its own float as the
+        # floor: the point family_radius tests, one row at a time, is its
+        # float less the margin, and none is certified there
+        rows = 0
+        for a, batch in sweep_batches(40):
+            rows_batch = secular_rows(batch)
+            if not len(rows_batch.s):
+                continue
+            c, d, w = _secular_terms(rows_batch, float(a))
+            rho = _secular_roots(c, d, w)
+            assert not _below_floor(c, d, w, rho * (1 - _FLOOR_MARGIN)).any()
+            rows += len(rho)
+        assert rows > 100_000
+
+    def test_floors_from_the_batch(self):
+        # family_radius at floors taken from the batch's own floats: no row
+        # at or above the floor is dropped, and the rows kept have their
+        # floats bit for bit
+        dropped = 0
+        for a, batch in sweep_batches(40):
+            radii = family_radius(batch, a)
+            distinct = np.unique(radii)
+            for floor in {distinct[-1], distinct[-min(3, len(distinct))], distinct[len(distinct) // 2]}:
+                got = family_radius(batch, a, float(floor))
+                kept = got > -math.inf
+                assert np.all(kept[radii >= floor])
+                assert np.array_equal(got[kept], radii[kept])
+                dropped += int(np.count_nonzero(~kept))
+        assert dropped > 100_000
+
+    @pytest.mark.parametrize("alpha", SWEEP_ALPHAS)
+    def test_rows_within_the_margin_are_solved(self, alpha):
+        # a floor 2**-42 above a row's float is within the 2**-40 margin:
+        # the row is not certified below it and keeps its float
+        for n, beta in [(20, 6), (23, 7), (30, 11)]:
+            for family in candidate_families(n, beta):
+                rho = family_radius(family, alpha)
+                floor = rho * (1 + 2.0**-42)
+                secular = family.s >= 1 and family.q > 1
+                assert family_radius(family, alpha, floor) == (rho if secular else -math.inf), family
+
+    def test_clique_rows_compare_their_float(self):
+        for family in [one_clique_family(10, 3, 0), JoinFamily(1, ((5, 1),)), JoinFamily(0, ((1, 2), (3, 2)))]:
+            rho = family_radius(family, "1/3")
+            assert family_radius(family, "1/3", rho) == rho
+            assert family_radius(family, "1/3", float(np.nextafter(rho, math.inf))) == -math.inf
+
+    def test_no_floor_makes_no_test(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a sign test ran")
+
+        batch = next(_candidate_batches(64, 24))
+        radii = family_radius(batch, 1)
+        monkeypatch.setattr(spectral, "_below_floor", refuse)
+        assert np.array_equal(family_radius(batch, 1), radii)
+        assert np.array_equal(family_radius(batch, 1, -math.inf), radii)
+
+    @pytest.mark.parametrize("alpha", SWEEP_ALPHAS)
+    def test_sign_test_is_exact(self, alpha):
+        # near each root, on either side, and between or at the cell
+        # diagonals, a row certified below f has f above its diagonals and
+        # h(f) > 0 in exact arithmetic; 2**-40 above its float every row
+        # is certified
+        certified = 0
+        for a, batch in sweep_batches(24, [alpha]):
+            rows_batch = secular_rows(batch)
+            if not len(rows_batch.s):
+                continue
+            c, d, w = _secular_terms(rows_batch, float(a))
+            rho = _secular_roots(c, d, w)
+            top = d.max(axis=0)
+            below_top = np.where(d < top, d, -math.inf).max(axis=0)
+            probes = [ulps_from(rho, j) for j in (-2, -1, 0, 1, 2, 4, 16, 64, 256)]
+            probes += [top, top * (1 - 2.0**-30), np.where(below_top > -math.inf, (top + below_top) / 2, top)]
+            for f in probes:
+                for i in np.flatnonzero(_below_floor(c, d, w, f)).tolist():
+                    assert f[i] > top[i]
+                    assert secular_value_exact(c[i], d[:, i], w[:, i], f[i]) > 0, (batch, i, f[i])
+                    certified += 1
+            assert _below_floor(c, d, w, rho * (1 + _FLOOR_MARGIN)).all()
+        assert certified > 1000
 
 
 class TestClosedForm:

@@ -43,6 +43,7 @@ from alphaspec.verify import (
     REPORT_FIELDS,
     _candidate_batches,
     _candidate_table,
+    _check_cap,
     _reports,
     _scan_order,
     _Scan,
@@ -56,6 +57,7 @@ from reference import (
     cycle_graph,
     degree_sequence,
     disjoint_union,
+    full_solve_search,
     shift_monotonicity_check,
 )
 
@@ -558,7 +560,7 @@ class TestFamilySearchAgainstLoop:
         assert first_three < last_two
         tied = {core0[last_two], core0[first_three]}
 
-        def radius(batch, alpha):
+        def radius(batch, alpha, floor=-math.inf):  # no row is dropped
             return np.array([float(batch.family(i) in tied) for i in range(len(batch.sizes))])
 
         monkeypatch.setattr(verify, "family_radius", radius)
@@ -654,7 +656,7 @@ class TestFamilySearchAgainstLoop:
         assert first.s < last.s and len(batch.s) > 1
         tied = {first, last}
 
-        def radius(batch, alpha):
+        def radius(batch, alpha, floor=-math.inf):  # no row is dropped
             return np.array([float(batch.family(i) in tied) for i in range(len(batch.sizes))])
 
         monkeypatch.setattr(verify, "family_radius", radius)
@@ -672,7 +674,7 @@ class TestFamilySearchAgainstLoop:
         families = list(candidate_families(20, 6))
         tied = {families[3], families[12]}
 
-        def radius(batch, alpha):
+        def radius(batch, alpha, floor=-math.inf):  # no row is dropped
             return np.array([float(batch.family(i) in tied) for i in range(len(batch.sizes))])
 
         monkeypatch.setattr(verify, "family_radius", radius)
@@ -743,7 +745,7 @@ class TestFamilySearchAgainstLoop:
         # one byte per cell size and count, W = 10 cells for beta = 58
         # (1 + ... + 10 <= 58 < 1 + ... + 11) and cell 0, which holds the
         # part count; the core sizes are the block bounds
-        table = _candidate_table(123, 58)
+        table = _candidate_table(123, 58, _check_cap(123, 58))
         assert table.cells.shape == (family_count(123, 58), 11, 2)
         width = table.cells.shape[1] - 1
         assert table.cells.base.nbytes <= (2 * width + 2) * len(table.cells) + 2  # and one spare cell
@@ -752,7 +754,7 @@ class TestFamilySearchAgainstLoop:
     @pytest.mark.parametrize("n", [1, 2, 7])
     def test_no_matching_edge(self, n):
         # beta = 0: one row, n parts of size 1
-        table = _candidate_table(n, 0)
+        table = _candidate_table(n, 0, _check_cap(n, 0))
         assert table.cells.tolist() == [[[1, 0]]] and table.start == [0, 1]
         (batch,) = _candidate_batches(n, 0)
         assert batch.counts.tolist() == [[n]] and batch.sizes.tolist() == [[1]]
@@ -766,7 +768,7 @@ class TestCandidateTableAgainstPieces:
     @staticmethod
     def check(n, beta):
         half, count, core, parts = candidate_table_by_pieces(n, beta)
-        table = _candidate_table(n, beta)
+        table = _candidate_table(n, beta, _check_cap(n, beta))
         assert table.cells.dtype == np.uint8
         assert np.array_equal(table.cells[:, 1:, 0], 2 * half.astype(int) + 1), (n, beta)
         assert np.array_equal(table.cells[:, 1:, 1], count), (n, beta)
@@ -799,6 +801,114 @@ class TestCandidateTableAgainstPieces:
             assert np.array_equal(batch.counts, np.column_stack((ones[rows], count[rows])))
             offset += len(batch.s)
         assert offset == len(core)
+
+
+class TestCandidateTableSlices:
+    """A block of more than ``FAMILY_GATHER_ROWS`` candidates is gathered
+    in slices; the table is the same cell for cell, and the build holds
+    little beyond the table."""
+
+    @pytest.mark.parametrize("rows", [1, 7, 100])
+    def test_small_slices(self, monkeypatch, rows):
+        import alphaspec.verify as verify
+
+        monkeypatch.setattr(verify, "FAMILY_GATHER_ROWS", rows)
+        for n in range(1, 31):
+            for beta in range(0, (n - 1) // 2 + 1):
+                TestCandidateTableAgainstPieces.check(n, beta)
+        TestCandidateTableAgainstPieces.check(64, 24)
+
+    @pytest.mark.parametrize("n, beta", [(64, 24), (80, 30)])
+    def test_benchmark_blocks_are_one_gather(self, monkeypatch, n, beta):
+        import alphaspec.verify as verify
+
+        # only a block cut into slices clips its runs; the largest blocks
+        # of (64, 24) and (80, 30) draw on 1,568 and 5,589 source rows
+        clipped = []
+        real = np.clip
+        monkeypatch.setattr(verify.np, "clip", lambda *args: clipped.append(args) or real(*args))
+        verify._candidate_table(n, beta, _check_cap(n, beta))
+        assert not clipped
+        verify._candidate_table(104, 41, _check_cap(104, 41))
+        assert clipped
+
+    def test_build_peak_stays_near_the_table(self):
+        import tracemalloc
+
+        # the largest block of (120, 50) has 181,274 rows; gathered at
+        # once it held about 6 MB beside the 24.7 MB table
+        counts = _check_cap(120, 50)
+        assert max(counts) == 181_274
+        tracemalloc.start()
+        try:
+            table = _candidate_table(120, 50, counts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= table.cells.nbytes + 3_000_000, (peak, table.cells.nbytes)
+
+
+SWEEP_ALPHAS = ["0", "1/3", "1/2", "1", "2", "7/5", "10"]
+
+
+class TestFloorSearchAgainstFullSolve:
+    """``family_search`` solves only the rows that its floor test keeps;
+    ``reference.full_solve_search`` solves every row.  Their records agree
+    bit for bit."""
+
+    @staticmethod
+    def check(n, beta, alpha):
+        expected = full_solve_search(n, beta, alpha)
+        result = family_search(n, beta, alpha)
+        assert result == expected, (n, beta, alpha)
+        assert result.rho.hex() == expected.rho.hex(), (n, beta, alpha)
+
+    @pytest.mark.parametrize("alpha", SWEEP_ALPHAS)
+    def test_every_pair_to_order_40(self, alpha):
+        for n in range(1, 41):
+            for beta in range(0, (n - 1) // 2 + 1):
+                self.check(n, beta, alpha)
+
+    def test_threshold_points(self):
+        # (21, 7, 1/3): the clique and the complete split graph tie
+        # within an ulp, and the first maximum is the clique's float
+        assert classify_regime(21, 7, "1/3").case_id == THRESHOLD
+        for n, beta, alpha in THRESHOLD_POINTS + [(21, 7, "1/3")]:
+            self.check(n, beta, alpha)
+
+    @pytest.mark.parametrize(
+        "n, beta, alpha",
+        [(64, 24, a) for a in ("0", "1/2", "1", "2")] + [(80, 30, "1"), (104, 41, "1"), (120, 50, "1"), (123, 58, "1")],
+    )
+    def test_large_searches(self, n, beta, alpha):
+        self.check(n, beta, alpha)
+
+    @pytest.mark.parametrize("n, beta", [(64, 24), (20, 6), (9, 3), (41, 20)])
+    def test_floor_rows_are_the_one_clique_families(self, n, beta):
+        table = _candidate_table(n, beta, _check_cap(n, beta))
+        heads = table.batch(table.start[:-1], np.arange(beta + 1.0))
+        assert [heads.family(s) for s in range(beta + 1)] == [one_clique_family(n, beta, s) for s in range(beta + 1)]
+
+    @pytest.mark.parametrize("alpha, solved", [("0", 0), ("1/2", 0), ("1", 1), ("2", 1)])
+    def test_newton_solves_at_most_the_winner(self, monkeypatch, alpha, solved):
+        import alphaspec.verify as verify
+
+        # past the floor batch, every secular row of (64, 24) but the
+        # winner, the complete split graph above the threshold, is
+        # certified below the floor
+        kept = []
+        real = verify.family_radius
+
+        def radius(batch, alpha, floor=-math.inf):
+            radii = real(batch, alpha, floor)
+            if floor > -math.inf:
+                secular = (batch.s >= 1) & (batch.counts.sum(axis=1) > 1)
+                kept.append(int(np.count_nonzero(secular & (radii > -math.inf))))
+            return radii
+
+        monkeypatch.setattr(verify, "family_radius", radius)
+        assert family_search(64, 24, alpha).families_scanned == 7265
+        assert sum(kept) == solved
 
 
 class TestCandidateTableAgainstCensus:
