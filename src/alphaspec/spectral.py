@@ -32,8 +32,12 @@ drops the rows certified below it: a clique-shaped row by its closed
 form, a secular row when h(f) > 0 at f = floor * (1 - 2**-40) above
 every cell diagonal, counted only beyond h's rounding bound, which puts
 the root below f; only the rows kept are solved.  The family search's
-floor is a candidate's own radius, so most of its rows cost that one
-pass instead of Newton's steps.  The paper's own forms of
+floor is a candidate's own radius.  h is separable over a family's
+parts, so ``_blocks_below_floor`` certifies every candidate of one core
+size but the first, the one-big-clique family, by the same test on one
+relaxed two-cell row per part half, a fractional-knapsack bound on all
+of them, and the search lists no row of a block so certified.  The
+paper's own forms of
 the family radius (the complete-split quadratic, the cubic of the
 one-big-clique family, the shift function) and the whole-matrix oracle
 live in ``tests/reference.py``, where the tests check them against this
@@ -583,6 +587,19 @@ class FamilyBatch:
         return JoinFamily(int(self.s[i]), tuple((int(p), int(count)) for p, count in cells if count))
 
 
+def one_clique_batch(n: int, beta: int) -> FamilyBatch:
+    """``one_clique_family(n, beta, s)`` for s = 0..beta as one batch of
+    two cells, (1, q - 1) and (2(beta - s) + 1, 1), except at s = beta,
+    whose q parts of size 1 fill the first cell and leave the second
+    empty.  Each row's radius is the float of its row in the candidate
+    table, whose other cells are empty."""
+    s = np.arange(beta + 1.0)
+    t = beta - s
+    big = (t > 0).astype(float)
+    sizes = np.column_stack((np.ones_like(s), 2 * t + 1))
+    return FamilyBatch(s, sizes, np.column_stack((n + s - 2 * beta - big, big)))
+
+
 def family_radius(family: JoinFamily | FamilyBatch, alpha, floor: float = -math.inf):
     """Radius of the family graph.  A clique-shaped row, one with s = 0
     (disjoint cliques) or with one part (K_s v K_p = K_{s+p}), has the
@@ -634,15 +651,22 @@ def _secular_terms(batch: FamilyBatch, alpha: float) -> tuple[np.ndarray, np.nda
     (alpha + 1) * n above ``SECULAR_ORDER_LIMIT`` raises ValueError.
     """
     s, p, m = batch.s, batch.sizes, batch.counts
-    n = s + (p * m).sum(axis=1)
-    scale = (alpha + 1) * n.max()
+    c, d = _diagonals(s + (p * m).sum(axis=1), s, p, alpha)
+    w = s[:, None] * m * p
+    return c, np.ascontiguousarray(d.T), np.ascontiguousarray(w.T)
+
+
+def _diagonals(n: np.ndarray, s: np.ndarray, p: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """The core diagonal c = alpha*(n-1) + s - 1 of rows of order ``n``
+    and core size ``s`` (shape (r,)), and the cell diagonals d_p =
+    (alpha+1)(p-1) + alpha*s of their part sizes ``p`` (shape (r, k)),
+    as floats computed from the integers the same way for every caller.
+    A row with (alpha + 1) * n above ``SECULAR_ORDER_LIMIT`` raises
+    ValueError."""
+    scale = (alpha + 1) * n.max(initial=0.0)
     if scale > SECULAR_ORDER_LIMIT:
         raise ValueError(f"family radius: (alpha + 1) * n = {scale:.3g} exceeds the limit {SECULAR_ORDER_LIMIT:.0e}")
-    core = s[:, None]
-    d = (alpha + 1) * (p - 1) + alpha * core
-    w = core * m * p
-    c = alpha * (n - 1) + s - 1
-    return c, np.ascontiguousarray(d.T), np.ascontiguousarray(w.T)
+    return alpha * (n - 1) + s - 1, (alpha + 1) * (p - 1) + alpha * s[:, None]
 
 
 def _secular_value(lam, c: np.ndarray, d: np.ndarray, w: np.ndarray, slope: bool = False):
@@ -679,6 +703,59 @@ def _below_floor(c: np.ndarray, d: np.ndarray, w: np.ndarray, f: float) -> np.nd
         h, magnitude = _secular_value(f, c, d, w)
     error = 4 * (len(d) + 4) * 2.0**-52 * (np.abs(f) + np.abs(c) + magnitude)
     return (f > d.max(axis=0)) & (h > error)
+
+
+def _relaxed_terms(n: int, beta: int, alpha: float) -> tuple[np.ndarray, ...]:
+    """(s, h, c, d, w): the secular terms of one relaxed two-cell row per
+    core size s >= 1 and 1 <= h <= t - 1, t = beta - s, of the search
+    for (n, beta), with q - t/h parts of size 1 and t/h of size 2h + 1,
+    q = n + s - 2*beta.
+
+    With g(p) = p / (f - d_p) and r(h) = (g(2h + 1) - g(1)) / h, a row of
+    block s with halves h_i (summing to t) has sum_p w_p / (f - d_p) =
+    s * (q * g(1) + sum_i h_i * r(h_i)), and every row but the block's
+    first has every h_i <= t - 1, so its sum is at most s * (q * g(1) +
+    t * r(h)) for the h of largest r(h): the relaxed row's sum, its
+    fractional-knapsack bound.  c and d are the rows' own floats
+    (``_diagonals``).  The weights w_1 = s(qh - t)/h and w_2 = s t (2h +
+    1)/h have integer numerators, exact below 2**53, and their one
+    division is rounded up by ``np.nextafter``, so each is at least its
+    exact value (w_1 may be negative); a numerator beyond 2**53 rounds
+    by a few units of 2**-53, which ``_below_floor``'s bound covers."""
+    t_of = beta - np.arange(1, beta + 1.0)
+    reps = np.maximum(t_of - 1, 0).astype(int)
+    s = np.repeat(np.arange(1, beta + 1.0), reps)
+    h = np.arange(1.0, len(s) + 1) - np.repeat(np.cumsum(reps) - reps, reps)
+    t, q = beta - s, n + s - 2 * beta
+    c, d = _diagonals(np.full(len(s), float(n)), s, np.column_stack((np.ones_like(h), 2 * h + 1)), alpha)
+    w = np.nextafter(np.stack((s * (q * h - t), s * t * (2 * h + 1))) / h, math.inf)
+    return s, h, c, np.ascontiguousarray(d.T), w
+
+
+def _blocks_below_floor(n: int, beta: int, alpha, floor: float) -> np.ndarray:
+    """For each core size s = 0..beta of the family search for (n,
+    beta), whether every candidate of core size s but the first, the
+    one-big-clique family, is certified below f = ``floor`` * (1 -
+    ``_FLOOR_MARGIN``), the point ``family_radius`` tests, so its float
+    is below ``floor``.
+
+    A block with t = beta - s <= 1 has no other row.  At s = 0 the rows
+    are disjoint cliques, and every later row's largest part is at most
+    2t - 1, so the clique radius (alpha + 1)(2t - 2), compared as
+    ``family_radius`` compares it, certifies the block.  A block with s
+    >= 1 is certified when ``_below_floor`` certifies each of its relaxed
+    rows (``_relaxed_terms``): then h(f) > 0 holds for every row of the
+    block, and f lies above d_{2t-1}, the largest cell diagonal of any
+    row but the first (that of the relaxed row h = t - 1).
+    """
+    alpha = float(as_fraction(alpha))
+    f = floor * (1 - _FLOOR_MARGIN)
+    below = np.ones(beta + 1, dtype=bool)
+    if beta >= 2:
+        below[0] = (alpha + 1) * (2 * beta - 2) < f
+    s, _, c, d, w = _relaxed_terms(n, beta, alpha)
+    below[s[~_below_floor(c, d, w, f)].astype(int)] = False
+    return below
 
 
 def _secular_roots(c: np.ndarray, d: np.ndarray, w: np.ndarray) -> np.ndarray:

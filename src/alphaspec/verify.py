@@ -11,8 +11,10 @@ unpacks its 0/1 matrices once, so no class is handled one at a time.
 The records of one scan take their certificates from one canonical
 batch.
 ``family_search`` does the same over the structured join families at
-orders where exhaustion is impossible, solving only the candidates that
-a sign test cannot put below the best one-big-clique family.  Reports
+orders where exhaustion is impossible: it solves the one-big-clique
+family of each core size, certifies whole core sizes below the best of
+them by one relaxed sign test per part half, and builds the candidate
+table and solves rows only for a core size that test leaves open.  Reports
 are machine-checkable records with a stable field order, one line per
 (n, beta, alpha).
 """
@@ -34,7 +36,16 @@ from .enumeration import canonical_graph  # noqa: F401  (perfbench/tracing.py wr
 from .graphs import Graph, read_graph6_file, stack_rows, to_graph6
 from .matching import matching_number  # noqa: F401  (perfbench/tracing.py wraps this name here)
 from .matching import matching_numbers
-from .spectral import FamilyBatch, JoinFamily, _check_tol, family_radius, one_clique_family, spectral_radii
+from .spectral import (
+    FamilyBatch,
+    JoinFamily,
+    _blocks_below_floor,
+    _check_tol,
+    family_radius,
+    one_clique_batch,
+    one_clique_family,
+    spectral_radii,
+)
 from .spectral import spectral_radius  # noqa: F401  (perfbench/tracing.py wraps this name here)
 from .theorem import RegimeVerdict, as_fraction, classify_regime
 
@@ -462,21 +473,21 @@ def _candidate_table(n: int, beta: int, counts: Sequence[int]) -> _CandidateTabl
     return table
 
 
-def _table_batches(table: _CandidateTable) -> Iterator[FamilyBatch]:
-    """The rows of ``table`` as batches of ``FAMILY_CHUNK_ROWS``, in
+def _table_batches(table: _CandidateTable, rows: range) -> Iterator[FamilyBatch]:
+    """The table rows ``rows`` as batches of ``FAMILY_CHUNK_ROWS``, in
     candidate order."""
     bounds = np.array(table.start)
     core_sizes = np.arange(len(bounds) - 1.0)
-    rows = len(table.cells)
-    for first in range(0, rows, FAMILY_CHUNK_ROWS):
-        stop = min(first + FAMILY_CHUNK_ROWS, rows)
+    for first in range(rows.start, rows.stop, FAMILY_CHUNK_ROWS):
+        stop = min(first + FAMILY_CHUNK_ROWS, rows.stop)
         yield table.batch(slice(first, stop), np.repeat(core_sizes, np.diff(bounds.clip(first, stop))))
 
 
 def _candidate_batches(n: int, beta: int) -> Iterator[FamilyBatch]:
     """The candidates of the search as batches, in candidate order, once
     the cap is checked."""
-    yield from _table_batches(_candidate_table(n, beta, _check_cap(n, beta)))
+    table = _candidate_table(n, beta, _check_cap(n, beta))
+    yield from _table_batches(table, range(len(table.cells)))
 
 
 def candidate_families(n: int, beta: int) -> Iterator[JoinFamily]:
@@ -495,29 +506,41 @@ def family_search(n: int, beta: int, alpha) -> FamilySearchResult:
     one-big-clique shape and matches the regime prediction.
 
     The candidate count is checked against ``FAMILY_MAX_CANDIDATES``
-    before any is generated.  The candidates are rows of one array table,
-    read ``FAMILY_CHUNK_ROWS`` at a time as one ``FamilyBatch``.  The
-    floor is first the largest radius among the first rows of the core
-    sizes' blocks, the one-big-clique families, and then the best radius
-    found so far if that is larger: it is a candidate's own radius, so
-    no result of the paper is assumed.  ``family_radius`` drops the rows
-    of each batch that its secular sign test certifies below the floor
-    and solves the rest by vectorised Newton steps.  No row at or above
-    the floor is dropped, and the winner is at or above it, so the winner
-    is the first maximum in candidate order, with its float, as in a
+    before any radius is computed.  The candidates of core size s form
+    block s, whose first row is the one-big-clique family; those beta + 1
+    rows are solved first, as one two-cell batch (``one_clique_batch``),
+    and the largest of their radii is the floor: a candidate's own
+    radius, so no result of the paper is assumed.  ``_blocks_below_floor``
+    then certifies whole blocks whose other rows all lie below the
+    floor, from one relaxed row per core size and part half.  Only if a
+    block stays open is the candidate table built, and only its open
+    blocks' rows, read ``FAMILY_CHUNK_ROWS`` at a time, go through
+    ``family_radius`` with the floor (raised to the best radius found),
+    which drops the rows its sign test certifies below it and solves the
+    rest by vectorised Newton steps.  No row at or above the floor is
+    left out, and the winner is at or above it, so the winner is the
+    first maximum in candidate order, with its float, as in a
     one-family-at-a-time scan.
     """
     a = as_fraction(alpha)
-    table = _candidate_table(n, beta, _check_cap(n, beta))
-    floor = float(family_radius(table.batch(table.start[:-1], np.arange(beta + 1.0)), a).max())
-    best_rho, best = -inf, None
-    scanned = 0
-    for batch in _table_batches(table):
-        radii = family_radius(batch, a, max(floor, best_rho))
-        i = int(np.argmax(radii))
-        if radii[i] > best_rho:
-            best_rho, best = float(radii[i]), batch.family(i)
-        scanned += len(radii)
+    counts = _check_cap(n, beta)
+    heads = one_clique_batch(n, beta)
+    radii = family_radius(heads, a)
+    floor = float(radii.max())
+    closed = _blocks_below_floor(n, beta, a, floor)
+    # a closed block's other rows are below the floor, so only its first row can win
+    radii[~closed] = -inf
+    s = int(np.argmax(radii))
+    best_rho, best = float(radii[s]), heads.family(s)
+    if not closed.all():
+        table = _candidate_table(n, beta, counts)
+        for s in np.flatnonzero(~closed).tolist():
+            for batch in _table_batches(table, range(table.start[s], table.start[s + 1])):
+                radii = family_radius(batch, a, max(floor, best_rho))
+                i = int(np.argmax(radii))
+                # a tie goes to the smaller core size, the earlier candidate
+                if radii[i] > best_rho or (radii[i] == best_rho and s < best.s):
+                    best_rho, best = float(radii[i]), batch.family(i)
     verdict = classify_regime(n, beta, a)
     matches = best in verdict.extremal_families and best_rho == verdict.predicted_rho
     return FamilySearchResult(
@@ -526,7 +549,7 @@ def family_search(n: int, beta: int, alpha) -> FamilySearchResult:
         alpha=a,
         best=best,
         rho=best_rho,
-        families_scanned=scanned,
+        families_scanned=sum(counts),
         canonical_shape=best == one_clique_family(n, beta, best.s),
         matches_prediction=matches,
     )

@@ -36,6 +36,7 @@ from alphaspec import (
 from alphaspec.enumeration import canonical_graph
 from alphaspec.graphs import row_component_masks, stack_rows
 from alphaspec.matching import _SUBSET_DP_MAX_ORDER, matching_numbers
+from alphaspec.spectral import _FLOOR_MARGIN, _blocks_below_floor, _relaxed_terms, _secular_terms, one_clique_batch
 from alphaspec.theorem import EXTREMAL_GRAPHS, case2_region_bounds
 from alphaspec.verify import (
     DEFAULT_REPORT_TOL,
@@ -58,6 +59,7 @@ from reference import (
     degree_sequence,
     disjoint_union,
     full_solve_search,
+    secular_value_exact,
     shift_monotonicity_check,
 )
 
@@ -885,17 +887,23 @@ class TestFloorSearchAgainstFullSolve:
 
     @pytest.mark.parametrize("n, beta", [(64, 24), (20, 6), (9, 3), (41, 20)])
     def test_floor_rows_are_the_one_clique_families(self, n, beta):
+        # the table's first rows, and the two-cell batch the search solves
+        # in their place, radius for radius
         table = _candidate_table(n, beta, _check_cap(n, beta))
         heads = table.batch(table.start[:-1], np.arange(beta + 1.0))
+        batch = one_clique_batch(n, beta)
         assert [heads.family(s) for s in range(beta + 1)] == [one_clique_family(n, beta, s) for s in range(beta + 1)]
+        assert [batch.family(s) for s in range(beta + 1)] == [one_clique_family(n, beta, s) for s in range(beta + 1)]
+        for alpha in SWEEP_ALPHAS:
+            assert family_radius(batch, alpha).tobytes() == family_radius(heads, alpha).tobytes(), alpha
 
-    @pytest.mark.parametrize("alpha, solved", [("0", 0), ("1/2", 0), ("1", 1), ("2", 1)])
+    @pytest.mark.parametrize("alpha, solved", [("0", 0), ("1/2", 0), ("1", 0), ("2", 0)])
     def test_newton_solves_at_most_the_winner(self, monkeypatch, alpha, solved):
         import alphaspec.verify as verify
 
-        # past the floor batch, every secular row of (64, 24) but the
-        # winner, the complete split graph above the threshold, is
-        # certified below the floor
+        # past the floor batch no row of (64, 24) is solved: every core
+        # size's other rows are certified below the floor, so the
+        # candidate table is never built
         kept = []
         real = verify.family_radius
 
@@ -906,9 +914,143 @@ class TestFloorSearchAgainstFullSolve:
                 kept.append(int(np.count_nonzero(secular & (radii > -math.inf))))
             return radii
 
+        def unreachable(*args):
+            raise AssertionError("the candidate table was built")
+
         monkeypatch.setattr(verify, "family_radius", radius)
+        monkeypatch.setattr(verify, "_candidate_table", unreachable)
         assert family_search(64, 24, alpha).families_scanned == 7265
         assert sum(kept) == solved
+
+
+def search_blocks(n, beta, alpha):
+    """(floor, table, closed): the search's floor from its one-big-clique
+    rows, its candidate table and the core sizes the block test closes."""
+    floor = float(family_radius(one_clique_batch(n, beta), alpha).max())
+    return floor, _candidate_table(n, beta, _check_cap(n, beta)), _blocks_below_floor(n, beta, alpha, floor)
+
+
+def later_rows(table, s):
+    """The rows of block s after its first, as one batch."""
+    first, stop = table.start[s] + 1, table.start[s + 1]
+    return table.batch(slice(first, stop), np.full(stop - first, float(s)))
+
+
+class TestBlockCertificate:
+    """``_blocks_below_floor`` closes a core size only when every row of it
+    but the first lies below the floor, and the search gives the records of
+    the full solve whichever blocks are open."""
+
+    def test_relaxed_rows(self):
+        # one row per (s >= 1, 1 <= h <= t - 1); c and d are the floats of
+        # the block's own rows, and each weight is its exact relaxed value
+        # or the next float above
+        for n in range(1, 41):
+            for beta in range(0, (n - 1) // 2 + 1):
+                s, h, c, d, w = _relaxed_terms(n, beta, 0.0)
+                pairs = [(core, half) for core in range(1, beta + 1) for half in range(1, beta - core)]
+                assert list(zip(s.astype(int).tolist(), h.astype(int).tolist())) == pairs, (n, beta)
+                for (core, half), w_1, w_2 in zip(pairs, w[0].tolist(), w[1].tolist()):
+                    t, q = beta - core, n + core - 2 * beta
+                    exact_1, exact_2 = Fraction(core * (q * half - t), half), Fraction(core * t * (2 * half + 1), half)
+                    for got, exact in ((w_1, exact_1), (w_2, exact_2)):
+                        slack = abs(exact) * 2**-51 + Fraction(2**-1074)
+                        assert exact <= Fraction(got) <= exact + slack, (n, beta, core, half)
+        for alpha in SWEEP_ALPHAS:
+            a = float(as_fraction(alpha))
+            for n, beta in [(20, 6), (41, 20), (64, 24)]:
+                s, h, c, d, w = _relaxed_terms(n, beta, a)
+                heads_c = _secular_terms(one_clique_batch(n, beta), a)[0]
+                rows = FamilyBatch(s, np.column_stack((np.ones_like(h), 2 * h + 1)), np.ones((len(s), 2)))
+                assert np.array_equal(c, heads_c[s.astype(int)])
+                assert np.array_equal(d, _secular_terms(rows, a)[1])
+
+    @pytest.mark.parametrize("alpha", SWEEP_ALPHAS)
+    def test_certified_rows_are_below_f_exactly(self, alpha):
+        # at the search's floor, and at floors just above each block's
+        # largest later radius, every later row of a closed block has f
+        # above its cell diagonals and h(f) > 0 in exact arithmetic (a
+        # clique row of core 0: its float below f)
+        a = as_fraction(alpha)
+        certified = 0
+        for n in range(1, 25):
+            for beta in range(0, (n - 1) // 2 + 1):
+                floor, table, _ = search_blocks(n, beta, a)
+                tops = {}
+                for s in range(beta + 1):
+                    if table.start[s + 1] - table.start[s] > 1:
+                        tops[s] = family_radius(later_rows(table, s), a).max()
+                floors = {floor} | {float(top * (1 + 2.0**-k)) for top in tops.values() for k in (30, 36)}
+                for floor in sorted(floors):
+                    f = floor * (1 - _FLOOR_MARGIN)
+                    closed = _blocks_below_floor(n, beta, a, floor)
+                    for s in tops:
+                        if not closed[s]:
+                            continue
+                        rows = later_rows(table, s)
+                        if s == 0:
+                            assert np.all(family_radius(rows, a) < f), (n, beta, s)
+                        else:
+                            c, d, w = _secular_terms(rows, float(a))
+                            for i in range(len(c)):
+                                assert f > d[:, i].max(), (n, beta, s, i)
+                                assert secular_value_exact(c[i], d[:, i], w[:, i], f) > 0, (n, beta, s, i)
+                        certified += len(rows.s)
+        assert certified > 2_000
+
+    @pytest.mark.parametrize("alpha", SWEEP_ALPHAS)
+    def test_a_later_row_at_the_floor_opens_its_block(self, alpha):
+        # negative control: the floor at each block's largest later radius
+        # leaves that block open
+        a = as_fraction(alpha)
+        opened = 0
+        for n in range(1, 25):
+            for beta in range(0, (n - 1) // 2 + 1):
+                _, table, _ = search_blocks(n, beta, a)
+                for s in range(beta + 1):
+                    if table.start[s + 1] - table.start[s] > 1:
+                        top = float(family_radius(later_rows(table, s), a).max())
+                        assert not _blocks_below_floor(n, beta, a, top)[s], (n, beta, s)
+                        opened += 1
+        assert opened > 400
+
+    @pytest.mark.parametrize("alpha", SWEEP_ALPHAS)
+    def test_closed_blocks_solve_below_the_floor(self, alpha):
+        # over the floor search's sweep, each closed block's later rows,
+        # solved with no floor, have floats below the floor
+        a = as_fraction(alpha)
+        for n in range(1, 41):
+            for beta in range(0, (n - 1) // 2 + 1):
+                floor, table, closed = search_blocks(n, beta, a)
+                for s in np.flatnonzero(closed).tolist():
+                    if table.start[s + 1] - table.start[s] > 1:
+                        assert family_radius(later_rows(table, s), a).max() < floor, (n, beta, s)
+
+    @staticmethod
+    def check_open(monkeypatch, n, beta, alpha):
+        # every block open, then each one in turn: the records and the
+        # float of the full solve, ties included
+        import alphaspec.spectral as spectral
+        import alphaspec.verify as verify
+
+        expected = full_solve_search(n, beta, alpha)
+        real = spectral._blocks_below_floor
+        for opened in [None, *range(beta + 1)]:
+            shut = np.zeros(beta + 1, bool) if opened is None else np.arange(beta + 1) != opened
+            monkeypatch.setattr(verify, "_blocks_below_floor", lambda *args, shut=shut: real(*args) & shut)
+            result = family_search(n, beta, alpha)
+            assert result == expected, (n, beta, alpha, opened)
+            assert result.rho.hex() == expected.rho.hex(), (n, beta, alpha, opened)
+
+    @pytest.mark.parametrize(
+        "n, beta, alpha", [(20, 6, a) for a in SWEEP_ALPHAS] + [(64, 24, a) for a in ("0", "1/2", "1", "2")]
+    )
+    def test_open_blocks(self, monkeypatch, n, beta, alpha):
+        self.check_open(monkeypatch, n, beta, alpha)
+
+    def test_open_blocks_at_threshold_points(self, monkeypatch):
+        for n, beta, alpha in THRESHOLD_POINTS + [(21, 7, "1/3")]:
+            self.check_open(monkeypatch, n, beta, alpha)
 
 
 class TestCandidateTableAgainstCensus:
